@@ -14,7 +14,7 @@ let executable_salt =
       memo := Some s;
       s
 
-let machine_fingerprint (m : Target.Machine.t) =
+let render_fingerprint (m : Target.Machine.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf m.name;
   Buffer.add_char buf '\n';
@@ -40,6 +40,33 @@ let machine_fingerprint (m : Target.Machine.t) =
   Buffer.add_string buf (Format.asprintf "%a" Burg.Grammar.pp m.grammar);
   Buffer.add_string buf (Format.asprintf "%a" Target.Regfile.pp m.regfile);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Rendering the grammar costs more than the rest of a key, and every job
+   asks for the fingerprint of one of a few long-lived machine values, so
+   it is memoized per value.  Physical identity is a sound key: every
+   field the fingerprint reads is immutable (a machine's only mutable
+   state is the per-compile [ctx]), so one value always renders the same.
+   There is one slot per machine name, and a different value under a known
+   name (a re-registered ASIP, a reloaded MDL file) is rendered afresh and
+   takes the slot over, so the memo never outgrows the set of names.  The
+   lock covers only the slot lookup and update, never the rendering. *)
+let fingerprints : (string, Target.Machine.t * string) Hashtbl.t =
+  Hashtbl.create 16
+
+let fingerprints_lock = Mutex.create ()
+
+let machine_fingerprint (m : Target.Machine.t) =
+  let slot =
+    Mutex.protect fingerprints_lock (fun () ->
+        Hashtbl.find_opt fingerprints m.name)
+  in
+  match slot with
+  | Some (m', fp) when m' == m -> fp
+  | _ ->
+    let fp = render_fingerprint m in
+    Mutex.protect fingerprints_lock (fun () ->
+        Hashtbl.replace fingerprints m.name (m, fp));
+    fp
 
 let make ?salt ~machine ~options prog =
   let salt = match salt with Some s -> s | None -> executable_salt () in

@@ -15,7 +15,11 @@ val executable_salt : unit -> string
 
 val machine_fingerprint : Target.Machine.t -> string
 (** Digest of the machine's structural identity: name, word width, banks,
-    modes, selection grammar, and register file. *)
+    modes, selection grammar, and register file. Memoized per machine
+    value (by physical identity, one entry per machine name), which is
+    sound because those fields are immutable; a structurally equal
+    machine built separately gets the same digest, a different machine
+    under a known name gets its own. Domain-safe. *)
 
 val make :
   ?salt:string ->

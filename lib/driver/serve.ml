@@ -94,6 +94,7 @@ let stats_doc pool config ~jobs_served =
              ("live", Json.Int hc.Ir.Hashcons.live);
              ("hits", Json.Int hc.Ir.Hashcons.hits);
              ("misses", Json.Int hc.Ir.Hashcons.misses);
+             ("max_chain", Json.Int (Ir.Hashcons.max_chain ()));
            ] );
      ]
     @ cache_fields)

@@ -23,7 +23,13 @@ type key =
    (one id, one physical node per structure) holds across domains.
 
    The per-shard hit/miss counters ride under the shard lock — cheaper
-   than contended process-wide atomics on the hot path. *)
+   than contended process-wide atomics on the hot path.
+
+   Shard and bucket indices come from disjoint bits of one hash: each
+   shard's Hashtbl takes its bucket from the low bits of the same unseeded
+   [Hashtbl.hash key], so a shard index from those bits would leave 63 of
+   every 64 buckets of a shard empty.  Bits 24-29, the top of the 30-bit
+   hash, reach a bucket index only past 2^24 buckets in one shard. *)
 let shard_bits = 6
 
 let shard_count = 1 lsl shard_bits
@@ -44,7 +50,10 @@ let shards =
         misses = 0;
       })
 
-let shard_of key = shards.(Hashtbl.hash key land (shard_count - 1))
+let shard_shift = 30 - shard_bits
+
+let shard_of key =
+  shards.((Hashtbl.hash key lsr shard_shift) land (shard_count - 1))
 
 (* Monotonic across [clear]: an id is never reused, so tables keyed by id
    (matcher memos) can survive a table reset — stale keys simply never hit
@@ -128,6 +137,15 @@ let stats () =
       r)
     { live = 0; hits = 0; misses = 0 }
     shards
+
+let max_chain () =
+  Array.fold_left
+    (fun acc s ->
+      Mutex.lock s.lock;
+      let longest = (Hashtbl.stats s.table).Hashtbl.max_bucket_length in
+      Mutex.unlock s.lock;
+      max acc longest)
+    0 shards
 
 let clear () =
   Array.iter

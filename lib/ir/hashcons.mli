@@ -29,7 +29,16 @@
     agree on one canonical handle (same id, same physical node). Ids are
     minted from one atomic counter, so they are process-unique but their
     numeric order depends on scheduling — nothing may derive meaning from
-    id magnitude beyond identity. *)
+    id magnitude beyond identity.
+
+    Invariant: a key's shard and its bucket within the shard come from
+    disjoint bits of the same [Hashtbl.hash] value. The shard is bits
+    24–29 of the 30-bit hash; each shard's table picks its bucket from the
+    low bits, and reaches bit 24 only beyond 2{^24} buckets per shard. Were
+    both taken from the low bits, every key of a shard would share the low
+    six bits of its bucket index, one bucket in 64 would be used, and a
+    probe would walk chains 64 times the load factor — the table would
+    stay correct but stop being O(1). {!max_chain} watches this. *)
 
 type h = private {
   node : Tree.t;  (** the canonical node *)
@@ -73,6 +82,17 @@ type stats = {
 }
 
 val stats : unit -> stats
+(** Counters summed over the shards: O(shards), cheap enough per job. *)
+
+val max_chain : unit -> int
+(** The longest bucket chain of any shard's table: the most keys one probe
+    may compare against. With shard and bucket indices on disjoint hash
+    bits it stays around ten at a hundred thousand nodes (the tail of a
+    load factor of at most two); with shared bits it would pass a hundred.
+    Computed on demand from [Hashtbl.stats], walking every bucket and
+    chain of every shard — O(live), a few milliseconds at a hundred
+    thousand nodes — so it is kept apart from {!stats}, and the probes
+    keep no chain statistics. *)
 
 val clear : unit -> unit
 (** Drop the table (counters reset, ids keep increasing). Canonicality of

@@ -84,6 +84,76 @@ let test_key_invalidation () =
   Alcotest.(check bool) "version-salt change invalidates" false
     (base = k ~salt:"next-compiler-version" tic25 Record.Options.record_)
 
+(* ---- machine fingerprint memo ------------------------------------------- *)
+
+(* [Key.make] memoizes a machine's fingerprint per machine value.  A value
+   never seen before is rendered from scratch, so a separately built copy
+   of a machine compares the memoized key with an unmemoized one. *)
+let registry_asip () =
+  match Driver.Registry.find_machine "asip" with
+  | Ok m -> m
+  | Error e -> Alcotest.fail e
+
+let key_for machine =
+  Driver.Key.make ~machine ~options:Record.Options.record_
+    (Dspstone.Kernels.prog (List.hd kernels))
+
+let test_key_memo_structural () =
+  let asip = registry_asip () in
+  ignore (key_for asip);
+  let memoized = key_for asip in
+  let copy = Target.Asip.machine Target.Asip.default in
+  Alcotest.(check bool) "the copy is another value" false (copy == asip);
+  Alcotest.(check string) "same structure, same key" memoized (key_for copy);
+  Alcotest.(check string) "the registry's machine keeps it" memoized
+    (key_for asip)
+
+let test_key_memo_same_name () =
+  let asip = registry_asip () in
+  let before = key_for asip in
+  let other =
+    Target.Asip.machine
+      { Target.Asip.default with Target.Asip.has_mac = false; imm_bits = 4 }
+  in
+  Fun.protect
+    ~finally:(fun () -> Driver.Registry.register asip)
+    (fun () ->
+      Driver.Registry.register other;
+      let found = registry_asip () in
+      Alcotest.(check bool) "registered under the name asip" true
+        (found == other);
+      let k = key_for found in
+      Alcotest.(check bool) "a different machine keys apart" false (k = before);
+      Alcotest.(check string) "and keeps its key" k (key_for found));
+  Alcotest.(check string) "the bundled asip keeps its key" before
+    (key_for asip)
+
+let test_key_memo_domains () =
+  (* Three machines share the name asip, so the domains also race on
+     replacing one memo slot. *)
+  let machines =
+    targets ()
+    @ [
+        Target.Asip.machine Target.Asip.default;
+        Target.Asip.machine
+          { Target.Asip.default with Target.Asip.has_multiplier = false };
+      ]
+  in
+  let keys () = List.map key_for machines in
+  let sequential = keys () in
+  let domains =
+    Array.init 4 (fun _ ->
+        Domain.spawn (fun () -> List.init 20 (fun _ -> keys ())))
+  in
+  Array.iteri
+    (fun d rounds ->
+      List.iter
+        (Alcotest.(check (list string))
+           (Printf.sprintf "domain %d agrees with sequential calls" d)
+           sequential)
+        rounds)
+    (Array.map Domain.join domains)
+
 (* ---- cache --------------------------------------------------------------- *)
 
 (* [phase_trace:false] when [b] is a genuine recompile: spans are wall-clock
@@ -444,5 +514,16 @@ let suites =
         Alcotest.test_case "parse errors carry offsets" `Quick test_json_errors;
         Alcotest.test_case "CI jobs file parses" `Quick
           test_json_parses_jobs_file;
+      ] );
+    (* Last: it spawns domains, after which the fork-based batch tests
+       above could not run. *)
+    ( "driver.key",
+      [
+        Alcotest.test_case "structural copy, same key" `Quick
+          test_key_memo_structural;
+        Alcotest.test_case "same name, other machine" `Quick
+          test_key_memo_same_name;
+        Alcotest.test_case "4 domains agree with sequential" `Quick
+          test_key_memo_domains;
       ] );
   ]

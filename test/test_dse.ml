@@ -268,18 +268,25 @@ let test_serve_stats_evictions () =
         Driver.Serve.handle pool config state {|{"op": "stats"}|}
       in
       Alcotest.(check bool) "stats is not a shutdown" false stop;
-      match Driver.Json.member "cache" reply with
-      | Some (Driver.Json.Obj fields) ->
-        List.iter
-          (fun field ->
-            match List.assoc_opt field fields with
-            | Some (Driver.Json.Int n) ->
-              Alcotest.(check bool)
-                (field ^ " is a non-negative counter")
-                true (n >= 0)
-            | _ -> Alcotest.fail ("stats cache reply lacks " ^ field))
-          [ "memory_hits"; "disk_hits"; "misses"; "stores"; "evictions" ]
-      | _ -> Alcotest.fail "stats reply lacks a cache object")
+      let counters obj names =
+        match Driver.Json.member obj reply with
+        | Some (Driver.Json.Obj fields) ->
+          List.iter
+            (fun field ->
+              match List.assoc_opt field fields with
+              | Some (Driver.Json.Int n) ->
+                Alcotest.(check bool)
+                  (field ^ " is a non-negative counter")
+                  true (n >= 0)
+              | _ ->
+                Alcotest.fail
+                  (Printf.sprintf "stats %s reply lacks %s" obj field))
+            names
+        | _ -> Alcotest.fail ("stats reply lacks a " ^ obj ^ " object")
+      in
+      counters "cache"
+        [ "memory_hits"; "disk_hits"; "misses"; "stores"; "evictions" ];
+      counters "hashcons" [ "live"; "hits"; "misses"; "max_chain" ])
 
 let suites =
   [

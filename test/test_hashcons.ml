@@ -46,6 +46,25 @@ let test_handle_size () =
   Alcotest.(check int) "handle size matches Tree.size" (Ir.Tree.size t)
     (Ir.Hashcons.intern t).Ir.Hashcons.size
 
+(* Shard and bucket indices must come from disjoint hash bits: were both
+   the low bits, each shard would fill one bucket in 64 and chains would
+   pass a hundred keys at this size. *)
+let test_chains_stay_short () =
+  let before = Ir.Hashcons.stats () in
+  let x = Ir.Hashcons.var "chain_probe_x" in
+  for i = 0 to 29_999 do
+    let k = Ir.Hashcons.const (1_000_000 + i) in
+    ignore (Ir.Hashcons.binop Ir.Op.Add k x);
+    ignore (Ir.Hashcons.unop Ir.Op.Neg k)
+  done;
+  let after = Ir.Hashcons.stats () in
+  Alcotest.(check bool) "at least 50k distinct nodes interned" true
+    (after.Ir.Hashcons.misses - before.Ir.Hashcons.misses >= 50_000);
+  let longest = Ir.Hashcons.max_chain () in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest bucket chain %d <= 16" longest)
+    true (longest <= 16)
+
 let test_ids_not_reused_after_clear () =
   let t = Ir.Tree.(var "fresh_clear_probe" + const 7) in
   let before = Ir.Hashcons.id (Ir.Hashcons.intern t) in
@@ -162,15 +181,51 @@ let ref_variants ~rules ~limit t =
 
 let sorted_strings ts = List.sort compare (List.map Ir.Tree.to_string ts)
 
-(* Limit high enough that the closure of a size-bounded tree saturates, so
-   enumeration order cannot leak into the comparison. *)
+let variant_limit = 4096
+
+(* Where the reference saturates below the limit, the closure is complete
+   and both sides must return the same set.  Generated trees reach size 15,
+   though, and a full depth-3 [Add] tree has over 200,000 variants: there
+   the limit truncates both closures, and which variants survive depends on
+   rewrite order, which the fast path ([Algebra.root_rewrites]) and the
+   reference choose differently.  A truncated closure is held to what does
+   hold: both sides stop at exactly [limit] distinct variants, and every
+   fast-path variant computes what the input computes. *)
+let compare_closures t =
+  let rules = Ir.Algebra.default_rules and limit = variant_limit in
+  let fast = Ir.Algebra.variants ~rules ~limit t in
+  let reference = sorted_strings (ref_variants ~rules ~limit t) in
+  let distinct l = List.length (List.sort_uniq compare l) in
+  if List.length reference < limit then
+    `Saturated (sorted_strings fast = reference)
+  else
+    `Truncated
+      (distinct reference = limit
+      && distinct (sorted_strings fast) = limit
+      && List.for_all (fun v -> Ir.Algebra.equivalent t v) fast)
+
 let prop_variants_match_reference =
   QCheck.Test.make
     ~name:"hash-consed variant closure equals the structural reference"
     ~count:200 arb_tree (fun t ->
-      let rules = Ir.Algebra.default_rules in
-      sorted_strings (Ir.Algebra.variants ~rules ~limit:4096 t)
-      = sorted_strings (ref_variants ~rules ~limit:4096 t))
+      match compare_closures t with `Saturated ok | `Truncated ok -> ok)
+
+let test_truncated_closures () =
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Ir.Tree.to_string t ^ " truncates at the limit, equivalently")
+        true
+        (compare_closures t = `Truncated true))
+    Ir.Tree.
+      [
+        (* The generator's largest shape: a full depth-3 tree, size 15. *)
+        ((var "x" + var "y") + (var "z" + const 1))
+        + ((const 2 + var "x") + (var "y" + const (-3)));
+        (* The shrunk counterexample the exact comparison failed on. *)
+        var "y" * neg (const 2)
+        * (Binop (Ir.Op.And, const (-2), const 5) * (const 2 * const (-8)));
+      ]
 
 let prop_variants_prefix_stable =
   QCheck.Test.make
@@ -280,11 +335,14 @@ let suites =
         Alcotest.test_case "handle size" `Quick test_handle_size;
         Alcotest.test_case "ids survive clear" `Quick
           test_ids_not_reused_after_clear;
+        Alcotest.test_case "bucket chains stay short" `Quick
+          test_chains_stay_short;
         QCheck_alcotest.to_alcotest prop_intern_physical;
       ] );
     ( "hashcons-variants",
       [
         QCheck_alcotest.to_alcotest prop_variants_match_reference;
+        Alcotest.test_case "truncated closures" `Quick test_truncated_closures;
         QCheck_alcotest.to_alcotest prop_variants_prefix_stable;
         Alcotest.test_case "variant counters" `Quick test_variants_counters;
       ] );
