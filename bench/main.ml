@@ -487,8 +487,6 @@ let add_sel (a : Record.Pipeline.selection_stats)
       sel_memo_hits = a.sel_memo_hits + b.sel_memo_hits;
       sel_dag_cuts = a.sel_dag_cuts + b.sel_dag_cuts;
       sel_cross_tree_cse = a.sel_cross_tree_cse + b.sel_cross_tree_cse;
-      sel_exh_trees = a.sel_exh_trees + b.sel_exh_trees;
-      sel_exh_wins = a.sel_exh_wins + b.sel_exh_wins;
       (* Totals per shared matcher, not per-compilation deltas: combine
          with max rather than double-count. *)
       sel_states = max a.sel_states b.sel_states;
@@ -565,11 +563,10 @@ let selection_sweep ~reps () =
   let limits = [ 64; 128; 256; 512 ] in
   let rows = List.map (measure Burg.Matcher.Table) limits in
   let dp_rows = List.map (measure Burg.Matcher.Dp) limits in
-  (* Selection-mode axis: per-kernel code size and the DAG/exhaustive
-     counters under each Options.selection_mode at the default variant
-     limit — the dag/exhaustive rows must never exceed tree anywhere, and
-     must beat it somewhere (the cross-tree reuse Table 1's hand assembly
-     exploits). *)
+  (* Selection-mode axis: per-kernel code size and the DAG counters under
+     each Options.selection_mode at the default variant limit — the dag
+     row must never exceed tree anywhere, and must beat it somewhere (the
+     cross-tree reuse Table 1's hand assembly exploits). *)
   let measure_mode mode =
     let options = Record.Options.with_selection_mode mode Record.Options.record_ in
     let per_kernel, words, sel =
@@ -587,8 +584,7 @@ let selection_sweep ~reps () =
     (mode, List.rev per_kernel, words, sel)
   in
   let mode_rows =
-    List.map measure_mode
-      [ Record.Options.Tree; Record.Options.Dag; Record.Options.Exhaustive ]
+    List.map (fun (_, mode) -> measure_mode mode) Record.Options.selection_modes
   in
   Format.printf "%-7s %-6s %10s %10s %7s %9s %8s %9s %10s %10s %7s %7s@."
     "engine" "limit" "cold ms" "warm ms" "words" "variants" "pruned"
@@ -626,15 +622,14 @@ let selection_sweep ~reps () =
       t.sel.Record.Pipeline.sel_states
       t.sel.Record.Pipeline.sel_table_build_ms
   | _ -> ());
-  Format.printf "@.%-12s %7s %10s %10s %10s %10s@." "mode" "words"
-    "dag cuts" "xtree cse" "exh trees" "exh wins";
+  Format.printf "@.%-12s %7s %10s %10s@." "mode" "words" "dag cuts"
+    "xtree cse";
   List.iter
     (fun (mode, _, words, sel) ->
-      Format.printf "%-12s %7d %10d %10d %10d %10d@."
+      Format.printf "%-12s %7d %10d %10d@."
         (Record.Options.selection_mode_name mode)
         words sel.Record.Pipeline.sel_dag_cuts
-        sel.Record.Pipeline.sel_cross_tree_cse
-        sel.Record.Pipeline.sel_exh_trees sel.Record.Pipeline.sel_exh_wins)
+        sel.Record.Pipeline.sel_cross_tree_cse)
     mode_rows;
   let row_json r =
     Driver.Json.Obj
@@ -742,15 +737,13 @@ let assert_sharing (rows, dp_rows, mode_rows) =
     rows dp_rows;
   (* Selection-mode gates: DAG covering must exploit cross-tree sharing on
      the Table-1 workload, never lose to tree covering on any kernel, and
-     strictly beat it on at least one; the exhaustive mode contains the
-     bounded enumeration, so it can never lose either. *)
+     strictly beat it on at least one. *)
   let mode_row m =
     let _, per, words, sel = List.find (fun (m', _, _, _) -> m' = m) mode_rows in
     (per, words, sel)
   in
   let tree_per, tree_words, _ = mode_row Record.Options.Tree in
   let dag_per, dag_words, dag_sel = mode_row Record.Options.Dag in
-  let exh_per, _, exh_sel = mode_row Record.Options.Exhaustive in
   check "dag: cross-tree CSE fires on Table 1 (cross_tree_cse > 0)"
     (dag_sel.Record.Pipeline.sel_cross_tree_cse > 0);
   check "dag: no kernel regresses vs tree"
@@ -759,12 +752,6 @@ let assert_sharing (rows, dp_rows, mode_rows) =
        tree_per dag_per);
   check "dag: at least one kernel strictly smaller than tree"
     (dag_words < tree_words);
-  check "exhaustive: searches run on Table 1 (exh_trees > 0)"
-    (exh_sel.Record.Pipeline.sel_exh_trees > 0);
-  check "exhaustive: no kernel regresses vs tree"
-    (List.for_all2
-       (fun (k, tw) (k', ew) -> k = k' && ew <= tw)
-       tree_per exh_per);
   if !fail then begin
     Format.printf "selection sharing budget violated@.";
     exit 1

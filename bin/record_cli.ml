@@ -72,19 +72,12 @@ let machine_of target target_file =
 
 (* --selection on compile/fuzz/batch/dse: the instruction-selection scope
    of Options.selection_mode. *)
-let selection_enum =
-  Arg.enum
-    [
-      ("tree", Record.Options.Tree);
-      ("dag", Record.Options.Dag);
-      ("exhaustive", Record.Options.Exhaustive);
-    ]
+let selection_enum = Arg.enum Record.Options.selection_modes
 
 let selection_doc =
   "Instruction-selection scope: $(b,tree) covers each data-flow tree \
    independently, $(b,dag) shares subtree results across tree boundaries \
-   (DAG covering), $(b,exhaustive) adds a bounded exhaustive search over \
-   small trees"
+   (DAG covering)"
 
 let selection_arg =
   Arg.(
@@ -536,7 +529,7 @@ let fuzz_cmd seed count max_size targets record_only selection matcher
              pre-existing lines still apply. *)
           (match selection with
           | Record.Options.Tree -> ""
-          | Record.Options.Dag | Record.Options.Exhaustive ->
+          | Record.Options.Dag ->
             " --selection=" ^ Record.Options.selection_mode_name selection)
           (match matcher with
           | Burg.Matcher.Table -> ""

@@ -1,6 +1,6 @@
 type selection = Optimal_variants | Optimal_single | Naive_macro
 
-type selection_mode = Tree | Dag | Exhaustive
+type selection_mode = Tree | Dag
 
 type agu_strategy = Streams | Materialize_ivar
 
@@ -17,7 +17,6 @@ type t = {
   compaction : bool;
   membank : bool;
   unroll_limit : int;
-  exhaustive_budget : int;
 }
 
 let record_ =
@@ -38,7 +37,6 @@ let record_ =
     compaction = true;
     membank = true;
     unroll_limit = 0;
-    exhaustive_budget = 14;
   }
 
 let conventional =
@@ -55,7 +53,6 @@ let conventional =
     compaction = false;
     membank = false;
     unroll_limit = 0;
-    exhaustive_budget = 14;
   }
 
 let with_folding t =
@@ -74,16 +71,12 @@ let selection_name = function
   | Optimal_single -> "optimal-single"
   | Naive_macro -> "naive-macro"
 
-let selection_mode_name = function
-  | Tree -> "tree"
-  | Dag -> "dag"
-  | Exhaustive -> "exhaustive"
+let selection_modes = [ ("tree", Tree); ("dag", Dag) ]
 
-let selection_mode_of_string = function
-  | "tree" -> Some Tree
-  | "dag" -> Some Dag
-  | "exhaustive" -> Some Exhaustive
-  | _ -> None
+let selection_mode_name mode =
+  fst (List.find (fun (_, m) -> m = mode) selection_modes)
+
+let selection_mode_of_string name = List.assoc_opt name selection_modes
 
 let agu_name = function
   | Streams -> "streams"
@@ -119,7 +112,6 @@ let to_string t =
       "compaction=" ^ string_of_bool t.compaction;
       "membank=" ^ string_of_bool t.membank;
       "unroll=" ^ string_of_int t.unroll_limit;
-      "exhaustive-budget=" ^ string_of_int t.exhaustive_budget;
     ]
 
 let digest t = Digest.to_hex (Digest.string (to_string t))

@@ -23,10 +23,6 @@ type selection_mode =
           canonical id across tree boundaries are materialized at most once
           (register reuse or scratch cell), and variant choice at each tree
           is aware of the machine state left by the previous tree *)
-  | Exhaustive
-      (** [Dag] plus a bounded exhaustive search over the full algebraic
-          closure for trees within {!t.exhaustive_budget} nodes; found
-          optima can be persisted in the driver's content-addressed cache *)
 
 type agu_strategy =
   | Streams  (** one auto-increment address register per access stream *)
@@ -56,10 +52,6 @@ type t = {
           straight-line code (0 disables; disabled in both standard
           configurations — unrolling trades the code size Table 1 measures
           for cycles, so it is an explicit choice) *)
-  exhaustive_budget : int;
-      (** node-count cap for trees eligible for the [Exhaustive] closure
-          search (depth is bounded by node count); larger trees fall back
-          to the bounded variant enumeration *)
 }
 
 val record_ : t
@@ -86,12 +78,17 @@ val with_matcher : Burg.Matcher.engine -> t -> t
 (** Select the labelling engine ([--matcher=dp|table]); part of the
     option fingerprint, so cached entries never cross engines. *)
 
+val selection_modes : (string * selection_mode) list
+(** Every selection mode with its spelling — ["tree"], ["dag"] — in the
+    order the [--selection] flags list them. The one source of the
+    spelling used by [to_string], the CLI flags, the batch protocol's
+    "selection" member, and the fuzzer's reproduce lines. *)
+
 val selection_mode_name : selection_mode -> string
-(** "tree" / "dag" / "exhaustive" — the spelling used by [to_string], the
-    [--selection] CLI flags, the batch protocol's "selection" member, and
-    the fuzzer's reproduce lines. *)
+(** The mode's spelling in {!selection_modes}. *)
 
 val selection_mode_of_string : string -> selection_mode option
+(** Inverse of {!selection_mode_name}; [None] for an unknown spelling. *)
 
 val to_string : t -> string
 (** Renders every field by name, in declaration order — a stable structural

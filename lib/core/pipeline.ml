@@ -18,8 +18,6 @@ type selection_stats = {
   sel_memo_hits : int;
   sel_dag_cuts : int;
   sel_cross_tree_cse : int;
-  sel_exh_trees : int;
-  sel_exh_wins : int;
   sel_states : int;
   sel_state_prunes : int;
   sel_table_build_ms : float;
@@ -36,8 +34,6 @@ let no_selection =
     sel_memo_hits = 0;
     sel_dag_cuts = 0;
     sel_cross_tree_cse = 0;
-    sel_exh_trees = 0;
-    sel_exh_wins = 0;
     sel_states = 0;
     sel_state_prunes = 0;
     sel_table_build_ms = 0.;
@@ -270,18 +266,17 @@ let naive_stmt_addresses machine ctx cells ~dst ~src =
   in
   rewrite
 
-(* Selection-level state of one DAG/Exhaustive compilation: the run
-   planner's candidate generator plus the counters it accumulates. *)
+(* Selection-level state of one DAG compilation: the run planner's
+   candidate generator plus the counters it accumulates. *)
 type dag_state = {
-  dconfig : Select.Dag.config;
+  dvariants : Ir.Hashcons.h -> Ir.Hashcons.h list;
   dlvn : Select.Lvn.counters;
   dcounters : Select.Dag.counters;
-  dexh : Select.Exhaustive.counters;
 }
 
 (* Lowering walks the items grouped into maximal straight-line statement
    runs. In Tree mode a run is simply lowered statement by statement
-   (byte-identical to per-item lowering); in Dag/Exhaustive mode the whole
+   (byte-identical to per-item lowering); in Dag mode the whole
    run goes to the Select.Dag planner, which shares subtree results and
    chooses variants against the machine state earlier statements left. *)
 let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
@@ -317,7 +312,7 @@ let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
       in
       let instrs =
         try
-          Select.Dag.lower_run ~machine ~matcher ~config:d.dconfig
+          Select.Dag.lower_run ~machine ~matcher ~variants:d.dvariants
             ~lvn_counters:d.dlvn ~counters:d.dcounters ~note_cover
             ~rewrite_for ctx stmts
         with Select.Dag.No_cover t ->
@@ -502,14 +497,14 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
   in
   (* State-equivalence pruning is sound for per-tree ranking only: two
      variants in the same automaton state have equal cover costs for every
-     nonterminal, so Tree-mode selection keeps one.  Dag/Exhaustive
-     planners score variants against cross-tree sharing and machine
-     state, which equal-cost variants can still differ on — those modes
-     keep the full enumeration. *)
+     nonterminal, so Tree-mode selection keeps one.  The Dag planner
+     scores variants against cross-tree sharing and machine state, which
+     equal-cost variants can still differ on — that mode keeps the full
+     enumeration. *)
   let prune_key =
     match options.selection_mode with
     | Options.Tree -> Burg.Matcher.state_key matcher
-    | Options.Dag | Options.Exhaustive -> fun _ -> None
+    | Options.Dag -> fun _ -> None
   in
   let mc0 = Burg.Matcher.counters matcher in
   let ctx = Target.Machine.create_ctx () in
@@ -534,15 +529,10 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
   let dag =
     match options.selection_mode with
     | Options.Tree -> None
-    | Options.Dag | Options.Exhaustive ->
-      let exh = Select.Exhaustive.fresh_counters () in
-      let salt = Select.Exhaustive.machine_salt machine in
-      let budget =
-        Select.Exhaustive.budget_of_nodes options.exhaustive_budget
-      in
+    | Options.Dag ->
       (* The planner calls this once per distinct canonical tree per run,
          so the per-tree selection counters keep their Tree-mode meaning. *)
-      let base_variants (h : Ir.Hashcons.h) =
+      let variants (h : Ir.Hashcons.h) =
         sel.trees <- sel.trees + 1;
         let variants =
           match options.selection with
@@ -558,20 +548,11 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
             sel.variant_nodes variants;
         variants
       in
-      let variants h =
-        let regular = base_variants h in
-        match options.selection_mode with
-        | Options.Exhaustive ->
-          Select.Exhaustive.search ~matcher ~rules:options.algebra_rules
-            ~budget ~salt ~counters:exh ~regular h
-        | Options.Tree | Options.Dag -> regular
-      in
       Some
         {
-          dconfig = { Select.Dag.variants; max_candidates = 12 };
+          dvariants = variants;
           dlvn = Select.Lvn.fresh_counters ();
           dcounters = Select.Dag.fresh_counters ();
-          dexh = exh;
         }
   in
   let items =
@@ -599,12 +580,6 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
         | None -> 0
         | Some d ->
           d.dlvn.Select.Lvn.cross_stmt + d.dcounters.Select.Dag.cut_reuses);
-      sel_exh_trees =
-        (match dag with
-        | None -> 0
-        | Some d -> d.dexh.Select.Exhaustive.searched);
-      sel_exh_wins =
-        (match dag with None -> 0 | Some d -> d.dexh.Select.Exhaustive.wins);
       sel_states = Burg.Matcher.state_count matcher;
       sel_state_prunes = sel.vc.Ir.Algebra.state_prunes;
       sel_table_build_ms = Burg.Matcher.table_build_ms matcher;

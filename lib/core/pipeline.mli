@@ -38,11 +38,6 @@ type selection_stats = {
       (** values reused across statement boundaries: LVN eliminations that
           crossed a tree boundary plus cut occurrences served beyond each
           cut's definition *)
-  sel_exh_trees : int;
-      (** trees put through the bounded exhaustive closure search *)
-  sel_exh_wins : int;
-      (** exhaustive searches whose best cover beat the bounded variant
-          enumeration *)
   sel_states : int;
       (** BURS automaton states constructed so far by the matcher (total,
           not a delta — the automaton is shared per target; 0 on the DP

@@ -28,7 +28,6 @@ type t = {
   capacity : int;
   mutable tick : int;
   dir : string option;
-  blobs : (string, string) Hashtbl.t;  (* blob namespace, memory tier *)
   mutable memory_hits : int;
   mutable disk_hits : int;
   mutable misses : int;
@@ -71,7 +70,6 @@ let create ?(memory_slots = 256) ?dir () =
     capacity = max 1 memory_slots;
     tick = 0;
     dir;
-    blobs = Hashtbl.create 64;
     memory_hits = 0;
     disk_hits = 0;
     misses = 0;
@@ -123,10 +121,10 @@ let memory_put t key entry =
 
 (* ---- disk tier ----------------------------------------------------------- *)
 
-(* Version 4: the selection counters gained the BURS automaton fields
-   (states, state_prunes, table_build_ms), so v3 marshalled payloads no
-   longer match the entry layout.  The bump invalidates them wholesale. *)
-let magic = "RECORD-CACHE-4\n"
+(* Version 5: the selection counters lost the exhaustive-search fields
+   (exh_trees, exh_wins), so v4 marshalled payloads no longer match the
+   entry layout.  The bump invalidates them wholesale. *)
+let magic = "RECORD-CACHE-5\n"
 
 let entry_path base key = Filename.concat base key
 
@@ -226,83 +224,3 @@ let store t key entry =
   match t.dir with
   | None -> ()
   | Some base -> disk_write base key entry
-
-(* ---- blob namespace ------------------------------------------------------- *)
-
-(* Raw-string payloads in their own key space ("blob-" file prefix, own
-   magic), for subsystems that persist something other than a compiled
-   entry — the exhaustive-search winner store.  Same envelope discipline as
-   entries: verified on read, published by atomic rename, corruption
-   degrades to a miss.  The memory tier is a plain capped table; blobs are
-   immutable for a given key, so there is nothing to evict for freshness. *)
-
-let blob_magic = "RECORD-BLOB-1\n"
-
-let blob_path base key = Filename.concat base ("blob-" ^ key)
-
-let blob_disk_read base key =
-  let path = blob_path base key in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let result =
-      try
-        let m = really_input_string ic (String.length blob_magic) in
-        if m <> blob_magic then None
-        else begin
-          let stored_key = input_line ic in
-          let payload_digest = input_line ic in
-          let remaining = in_channel_length ic - pos_in ic in
-          let payload = really_input_string ic remaining in
-          if
-            stored_key = key
-            && Digest.to_hex (Digest.string payload) = payload_digest
-          then Some payload
-          else None
-        end
-      with End_of_file | Sys_error _ | Failure _ -> None
-    in
-    close_in_noerr ic;
-    (if result = None then try Sys.remove path with Sys_error _ -> ());
-    result
-
-let blob_disk_write base key payload =
-  try
-    let tmp =
-      Filename.concat base
-        (Printf.sprintf ".tmp.blob-%s.%d" key (Unix.getpid ()))
-    in
-    let oc = open_out_bin tmp in
-    output_string oc blob_magic;
-    output_string oc key;
-    output_char oc '\n';
-    output_string oc (Digest.to_hex (Digest.string payload));
-    output_char oc '\n';
-    output_string oc payload;
-    close_out oc;
-    Unix.rename tmp (blob_path base key)
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
-let find_blob t key =
-  let memory = locked t (fun () -> Hashtbl.find_opt t.blobs key) in
-  match memory with
-  | Some _ as hit -> hit
-  | None -> (
-    match t.dir with
-    | None -> None
-    | Some base -> (
-      match blob_disk_read base key with
-      | Some payload as hit ->
-        locked t (fun () ->
-            if Hashtbl.length t.blobs < t.capacity then
-              Hashtbl.replace t.blobs key payload);
-        hit
-      | None -> None))
-
-let store_blob t key payload =
-  locked t (fun () ->
-      if Hashtbl.length t.blobs < t.capacity || Hashtbl.mem t.blobs key then
-        Hashtbl.replace t.blobs key payload);
-  match t.dir with
-  | None -> ()
-  | Some base -> blob_disk_write base key payload

@@ -64,16 +64,3 @@ val store : t -> string -> entry -> unit
 
 val counters : t -> counters
 val dir : t -> string option
-
-val find_blob : t -> string -> string option
-(** Lookup in the blob namespace: raw-string payloads in their own key
-    space (["blob-"] file prefix, own envelope magic), used by subsystems
-    that persist something other than a compiled entry — the
-    exhaustive-search winner store. Same verification and corruption
-    tolerance as entries; a disk hit is promoted into a capped memory
-    tier. *)
-
-val store_blob : t -> string -> string -> unit
-(** Insert a blob into both tiers. Blobs for one key are expected to be
-    byte-interchangeable (content-addressed keys), so concurrent writers
-    are benign; disk failures are swallowed as for {!store}. *)

@@ -164,8 +164,6 @@ let selection_to_json (s : Record.Pipeline.selection_stats) =
       ("memo_hits", Json.Int s.Record.Pipeline.sel_memo_hits);
       ("dag_cuts", Json.Int s.Record.Pipeline.sel_dag_cuts);
       ("cross_tree_cse", Json.Int s.Record.Pipeline.sel_cross_tree_cse);
-      ("exh_trees", Json.Int s.Record.Pipeline.sel_exh_trees);
-      ("exh_wins", Json.Int s.Record.Pipeline.sel_exh_wins);
       ("states", Json.Int s.Record.Pipeline.sel_states);
       ("state_prunes", Json.Int s.Record.Pipeline.sel_state_prunes);
       ("table_build_ms", Json.Float s.Record.Pipeline.sel_table_build_ms);

@@ -4,8 +4,9 @@
     A jobs document is an array of job objects or [{"jobs": [...]}]. Each
     job names a bundled DSPStone kernel ([kernel]) or a DFL source file
     ([file]), plus target, options, kind ([compile]/[simulate]/[timing]),
-    optional label, inputs, deadline, selection mode ([selection]:
-    ["tree"], ["dag"], or ["exhaustive"], applied atop the option set),
+    optional label, inputs, deadline, selection mode ([selection]: a
+    spelling from {!Record.Options.selection_modes}, applied atop the
+    option set),
     and labelling engine ([matcher]: ["dp"] or ["table"]).
     Kernel jobs default to the kernel's bundled inputs and kind simulate;
     file jobs default to kind compile. *)

@@ -14,21 +14,8 @@ type outcome = {
   wall_ms : float;
 }
 
-(* The exhaustive-search winner store rides the cache's blob namespace.
-   Installing is idempotent and last-cache-wins; calls without a cache
-   leave any installed backend in place, so a cacheless compile in the
-   same process still benefits from (and feeds) the persistent store. *)
-let install_exhaustive_backend cache =
-  Select.Exhaustive.set_backend
-    (Some
-       {
-         Select.Exhaustive.load = (fun key -> Cache.find_blob cache key);
-         store = (fun key payload -> Cache.store_blob cache key payload);
-       })
-
 let compile ?cache ?salt ?(options = Record.Options.record_) machine prog =
   let t0 = Unix.gettimeofday () in
-  Option.iter install_exhaustive_backend cache;
   let key = Key.make ?salt ~machine ~options prog in
   (* One warm matcher per (target, engine): its shared labelling state
      carries across every compilation this process runs for the machine. *)

@@ -231,7 +231,7 @@ let combos_for ?(selection = Record.Options.Tree)
     m ^ "/record"
     ^ (match selection with
       | Record.Options.Tree -> ""
-      | Record.Options.Dag | Record.Options.Exhaustive ->
+      | Record.Options.Dag ->
         "+" ^ Record.Options.selection_mode_name selection)
     ^ matcher_suffix
   in

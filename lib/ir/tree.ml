@@ -50,9 +50,9 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 (* Stable content fingerprint of one tree: every node folded with explicit
    tags and length-prefixed strings, so two trees fold equal exactly when
    they are structurally equal.  [Prog.fold_digest] folds statement trees
-   with this same encoding; [Select.Exhaustive] keys its persisted search
-   results on {!digest}, which must therefore stay stable across runs and
-   processes (no [Hashtbl.hash], no pretty-printer output). *)
+   with this same encoding, and the compilation cache keys on that, so it
+   must stay stable across runs and processes (no [Hashtbl.hash], no
+   pretty-printer output). *)
 let fold_digest buf t =
   let str s =
     Buffer.add_string buf (string_of_int (String.length s));
@@ -95,11 +95,6 @@ let fold_digest buf t =
       go b
   in
   go t
-
-let digest t =
-  let buf = Buffer.create 64 in
-  fold_digest buf t;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let const k = Const k
 let ref_ r = Ref r

@@ -31,10 +31,7 @@ val fold_digest : Buffer.t -> t -> unit
     tagged nodes, length-prefixed strings, no [Hashtbl.hash] and no
     pretty-printer output. Two trees fold equal exactly when they are
     structurally equal. {!Prog.fold_digest} uses this encoding for
-    statement trees; persisted selection results key on it. *)
-
-val digest : t -> string
-(** Hex MD5 of {!fold_digest}. *)
+    statement trees. *)
 
 (** Convenience constructors. *)
 

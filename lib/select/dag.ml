@@ -37,12 +37,8 @@
 
 exception No_cover of Ir.Tree.t
 
-type config = {
-  variants : Ir.Hashcons.h -> Ir.Hashcons.h list;
-      (* candidate generator: bounded enumeration or exhaustive search;
-         selection-stats accounting lives inside *)
-  max_candidates : int;  (* trial-emission cap per statement *)
-}
+(* Trial-emission cap: minimum-cost variants tried per statement. *)
+let max_candidates = 12
 
 type counters = {
   mutable cuts : int;  (* shared subtrees materialized into scratch cells *)
@@ -221,15 +217,15 @@ type candidate = {
 (* Minimum-cover-cost variants in enumeration order, capped; cached per
    canonical id so trial runs and the committed run price each distinct
    tree exactly once (both for time and so selection-stats accounting in
-   [config.variants] fires once per distinct tree). *)
+   [variants] fires once per distinct tree). *)
 type var_cache = (int, int * candidate list) Hashtbl.t
 
-let candidates_for (cache : var_cache) ~matcher ~config
+let candidates_for (cache : var_cache) ~matcher ~variants
     (h : Ir.Hashcons.h) =
   match Hashtbl.find_opt cache h.Ir.Hashcons.id with
   | Some r -> r
   | None ->
-    let variants = config.variants h in
+    let variants = variants h in
     let priced =
       List.filter_map
         (fun v ->
@@ -256,7 +252,7 @@ let candidates_for (cache : var_cache) ~matcher ~config
             else if c.c_cost = b then c :: take (n - 1) rest
             else take n rest
         in
-        take config.max_candidates priced
+        take max_candidates priced
     in
     let r = (List.length variants, chosen) in
     Hashtbl.replace cache h.Ir.Hashcons.id r;
@@ -267,7 +263,7 @@ let instr_words instrs =
 
 (* Emit one statement: trial-emit each minimum-cost candidate, score by
    emitted words minus LVN gain against the run state, commit the winner. *)
-let emit_stmt ~machine ~matcher ~config ~cache ~lvn ~lvn_counters ~note_cover
+let emit_stmt ~machine ~matcher ~variants ~cache ~lvn ~lvn_counters ~note_cover
     ~rewrite_for ctx (s : Ir.Prog.stmt) =
   Lvn.boundary lvn;
   let rewrite = rewrite_for s in
@@ -275,7 +271,7 @@ let emit_stmt ~machine ~matcher ~config ~cache ~lvn ~lvn_counters ~note_cover
     List.map (Target.Instr.map_operands rewrite) (Target.Machine.drain ctx)
   in
   let h = Ir.Hashcons.intern s.src in
-  let tried, cands = candidates_for cache ~matcher ~config h in
+  let tried, cands = candidates_for cache ~matcher ~variants h in
   match cands with
   | [] -> raise (No_cover s.src)
   | [ only ] ->
@@ -309,17 +305,17 @@ let emit_stmt ~machine ~matcher ~config ~cache ~lvn ~lvn_counters ~note_cover
     note_cover ~cost:c.c_cost ~tried;
     Lvn.process lvn lvn_counters (addr_pre @ body)
 
-let emit_run ~machine ~matcher ~config ~cache ~lvn ~lvn_counters ~note_cover
+let emit_run ~machine ~matcher ~variants ~cache ~lvn ~lvn_counters ~note_cover
     ~rewrite_for ctx stmts =
   List.concat_map
     (fun s ->
-      emit_stmt ~machine ~matcher ~config ~cache ~lvn ~lvn_counters
+      emit_stmt ~machine ~matcher ~variants ~cache ~lvn ~lvn_counters
         ~note_cover ~rewrite_for ctx s)
     stmts
 
 (* ---- The run planner ----------------------------------------------------- *)
 
-let lower_run ~machine ~matcher ~config ~lvn_counters ~counters ~note_cover
+let lower_run ~machine ~matcher ~variants ~lvn_counters ~counters ~note_cover
     ~rewrite_for ctx (stmts : Ir.Prog.stmt list) =
   (* Availability is a per-run notion: a run is a maximal straight-line
      statement sequence, so the state always starts empty and both the
@@ -341,7 +337,7 @@ let lower_run ~machine ~matcher ~config ~lvn_counters ~counters ~note_cover
       try
         let stmts' = apply_plan ctx plan stmts in
         let instrs =
-          emit_run ~machine ~matcher ~config ~cache ~lvn:lvn'
+          emit_run ~machine ~matcher ~variants ~cache ~lvn:lvn'
             ~lvn_counters:(Lvn.fresh_counters ())
             ~note_cover:(fun ~cost:_ ~tried:_ -> ())
             ~rewrite_for ctx stmts'
@@ -372,5 +368,5 @@ let lower_run ~machine ~matcher ~config ~lvn_counters ~counters ~note_cover
       counters.cut_reuses <- counters.cut_reuses + info.count - 1)
     plan;
   let stmts' = apply_plan ctx plan stmts in
-  emit_run ~machine ~matcher ~config ~cache ~lvn ~lvn_counters ~note_cover
+  emit_run ~machine ~matcher ~variants ~cache ~lvn ~lvn_counters ~note_cover
     ~rewrite_for ctx stmts'

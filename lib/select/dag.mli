@@ -14,15 +14,6 @@
 exception No_cover of Ir.Tree.t
 (** No candidate variant of the tree is coverable by the grammar. *)
 
-type config = {
-  variants : Ir.Hashcons.h -> Ir.Hashcons.h list;
-      (** candidate generator — bounded enumeration or
-          {!Exhaustive.search}; selection-stats accounting lives inside,
-          and is invoked once per distinct canonical tree per run *)
-  max_candidates : int;
-      (** cap on minimum-cost variants trial-emitted per statement *)
-}
-
 type counters = {
   mutable cuts : int;  (** shared subtrees materialized into scratch cells *)
   mutable cut_reuses : int;
@@ -34,7 +25,7 @@ val fresh_counters : unit -> counters
 val lower_run :
   machine:Target.Machine.t ->
   matcher:Burg.Matcher.t ->
-  config:config ->
+  variants:(Ir.Hashcons.h -> Ir.Hashcons.h list) ->
   lvn_counters:Lvn.counters ->
   counters:counters ->
   note_cover:(cost:int -> tried:int -> unit) ->
@@ -43,10 +34,13 @@ val lower_run :
   Target.Machine.ctx ->
   Ir.Prog.stmt list ->
   Target.Instr.t list
-(** Lower one maximal straight-line statement run. [rewrite_for] is the
-    per-statement addressing hook (it may emit address-setup instructions
-    into the context; they are drained and prepended, exactly as in
-    [Tree]-mode lowering). Emission happens through context snapshots, so
-    the committed program's virtual-register numbering matches a single
-    straight emission. Raises {!No_cover} when a tree has no coverable
-    variant. *)
+(** Lower one maximal straight-line statement run. [variants] generates a
+    tree's candidate variants; selection-stats accounting lives inside it,
+    and it is invoked once per distinct canonical tree per run. At most 12
+    minimum-cost candidates per statement are trial-emitted. [rewrite_for]
+    is the per-statement addressing hook (it may emit address-setup
+    instructions into the context; they are drained and prepended, exactly
+    as in [Tree]-mode lowering). Emission happens through context
+    snapshots, so the committed program's virtual-register numbering
+    matches a single straight emission. Raises {!No_cover} when a tree has
+    no coverable variant. *)

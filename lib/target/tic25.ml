@@ -27,19 +27,20 @@ let nt n = Burg.Pattern.Nonterm n
 let binop op a b = Burg.Pattern.Binop (op, a, b)
 let unop op a = Burg.Pattern.Unop (op, a)
 
-let imm8 = function
-  | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k >= 0 && k <= 255
-  | _ -> false
-
-let shift_amount = function
+(* The constant operand of an [x op k] rule.  A guard receives the rule's
+   root node, which for the saturating twins is the enclosing [Sat]. *)
+let imm_operand = function
   | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> Some k
   | Ir.Tree.Unop (Ir.Op.Sat, Ir.Tree.Binop (_, _, Ir.Tree.Const k)) -> Some k
   | _ -> None
 
-let shift_ok t =
-  match shift_amount t with Some k -> k >= 0 && k <= 15 | None -> false
+let imm8 t =
+  match imm_operand t with Some k -> k >= 0 && k <= 255 | None -> false
 
-let shift_cost t = match shift_amount t with Some k -> k | None -> 1
+let shift_ok t =
+  match imm_operand t with Some k -> k >= 0 && k <= 15 | None -> false
+
+let shift_cost t = match imm_operand t with Some k -> k | None -> 1
 
 (* Guards that force the canonical accumulator orderings: [apac] wants the
    product on the right of a non-trivial left operand, [apac_rev] folds a
@@ -211,7 +212,7 @@ let shift_emitter opcode mode_req : Machine.emitter =
  fun ctx node children ->
   match children with
   | [ (Machine.Vreg a0 as v) ] ->
-    let k = match shift_amount node with Some k -> k | None -> 1 in
+    let k = match imm_operand node with Some k -> k | None -> 1 in
     if k = 0 then v
     else begin
       let cur = ref a0 in

@@ -319,9 +319,55 @@ let prop_tic25_consistent =
           Burg.Cover.cost c' >= Burg.Cover.cost c
           && Burg.Cover.cost c' <= Burg.Cover.cost c + 3))
 
+(* A guard receives the subtree matched by the rule's whole pattern.  A
+   guard written against the wrong node (a saturating twin whose guard
+   expects the bare [Binop] rather than the enclosing [Sat]) rejects every
+   tree, and the rule silently never fires.  Instantiate each guarded base
+   rule's own pattern over small operands and boundary constants, and
+   require some instance to pass. *)
+let guard_consts = [ 0; 1; 2; 5; 15; 16; 255; 256; -1; 4095; 32767 ]
+
+let rec instances : Burg.Pattern.t -> Ir.Tree.t list = function
+  | Burg.Pattern.Nonterm _ ->
+    Ir.Tree.[ var "a"; var "a" + var "b"; var "a" * var "b" ]
+  | Burg.Pattern.Const_any -> List.map Ir.Tree.const guard_consts
+  | Burg.Pattern.Const_eq k -> [ Ir.Tree.const k ]
+  | Burg.Pattern.Ref_any -> [ Ir.Tree.var "a" ]
+  | Burg.Pattern.Unop (op, p) ->
+    List.map (fun t -> Ir.Tree.Unop (op, t)) (instances p)
+  | Burg.Pattern.Binop (op, l, r) ->
+    List.concat_map
+      (fun a -> List.map (fun b -> Ir.Tree.Binop (op, a, b)) (instances r))
+      (instances l)
+
+let test_no_dead_rules () =
+  let dead =
+    List.concat_map
+      (fun (m : Target.Machine.t) ->
+        List.filter_map
+          (fun (r : Burg.Rule.t) ->
+            match r.Burg.Rule.guard with
+            | Some guard
+              when (not (Burg.Rule.is_chain r))
+                   && not (List.exists guard (instances r.Burg.Rule.pattern))
+              ->
+              Some (m.Target.Machine.name ^ "/" ^ r.Burg.Rule.name)
+            | Some _ | None -> None)
+          m.Target.Machine.grammar.Burg.Grammar.rules)
+      (Driver.Registry.machines ())
+  in
+  Alcotest.(check (list string)) "rules whose guard rejects every instance"
+    [] dead
+
 let suites =
   suites
-  @ [ ("burg.production", [ QCheck_alcotest.to_alcotest prop_tic25_consistent ]) ]
+  @ [
+      ( "burg.production",
+        [
+          QCheck_alcotest.to_alcotest prop_tic25_consistent;
+          Alcotest.test_case "no dead guarded rules" `Quick test_no_dead_rules;
+        ] );
+    ]
 
 (* ---- Engine differential: dp and table covers are byte-identical --------- *)
 

@@ -146,6 +146,19 @@ let test_duplicate_keys_rejected () =
       ("top-level duplicate", {|{"a": 1, "a": 2}|});
       ("nested duplicate", {|{"jobs": [{"kernel": "fir", "kernel": "fir"}]}|});
     ];
+  (* A selection mode that no longer exists is an unknown spelling, and
+     the error names the offending job. *)
+  (match
+     Result.bind
+       (Driver.Json.of_string
+          {|[{"kernel": "fir", "target": "tic25"},
+             {"kernel": "fir", "target": "tic25", "selection": "exhaustive"}]|})
+       Driver.Protocol.jobs_of_json
+   with
+  | Ok _ -> Alcotest.fail "selection \"exhaustive\" should be rejected"
+  | Error msg ->
+    Alcotest.(check string) "removed mode rejected"
+      {|job 1: unknown selection "exhaustive"|} msg);
   (* Same name at different depths is not a duplicate. *)
   match Driver.Json.of_string {|{"a": {"a": 1}}|} with
   | Ok _ -> ()

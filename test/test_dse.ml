@@ -264,9 +264,39 @@ let test_serve_stats_evictions () =
     ~finally:(fun () -> Driver.Pool.shutdown pool)
     (fun () ->
       let state = Driver.Serve.fresh_state () in
+      let str field reply =
+        Option.bind (Driver.Json.member field reply) Driver.Json.to_string_lit
+      in
+      (* A request naming a removed selection mode gets an error reply and
+         leaves the daemon serving: the next request on the same state
+         completes. *)
+      let reply, _ =
+        Driver.Serve.handle pool config state
+          {|{"jobs": [{"kernel": "fir", "target": "tic25",
+                        "selection": "exhaustive"}]}|}
+      in
+      Alcotest.(check (option string)) "removed mode is an error reply"
+        (Some "error") (str "status" reply);
+      Alcotest.(check (option string)) "error names the job and the mode"
+        (Some {|job 0: unknown selection "exhaustive"|})
+        (str "error" reply);
+      let reply, _ =
+        Driver.Serve.handle pool config state
+          {|{"jobs": [{"kernel": "fir", "target": "tic25",
+                        "selection": "dag"}]}|}
+      in
+      (match Driver.Json.member "results" reply with
+      | Some (Driver.Json.List [ result ]) ->
+        Alcotest.(check (option string)) "next request completes"
+          (Some "done") (str "status" result)
+      | _ -> Alcotest.fail "next request lacks its one result");
       let reply, stop =
         Driver.Serve.handle pool config state {|{"op": "stats"}|}
       in
+      Alcotest.(check (option int)) "only the completed job is served"
+        (Some 1)
+        (Option.bind (Driver.Json.member "jobs_served" reply)
+           Driver.Json.to_int);
       Alcotest.(check bool) "stats is not a shutdown" false stop;
       let counters obj names =
         match Driver.Json.member obj reply with

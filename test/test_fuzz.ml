@@ -188,6 +188,48 @@ let test_regression_post_update_aliasing () =
   | Fuzz.Oracle.Pass _ -> ()
   | v -> Alcotest.failf "asip/record: %a" Fuzz.Oracle.pp_verdict v
 
+(* Shrunk form of seed 1, case 1548 (max size 6): [sat(x add k)] on tic25.
+   The guard of the saturating add-immediate rule looked for the constant
+   on the rule's root, which is the enclosing [Sat], so the rule never
+   fired and the tree was covered as a plain ADDK under [sat_id] — the
+   saturation was dropped and 32767 + 1 wrapped. *)
+let seed1_sat_addk_case () =
+  let q2 = Ir.Tree.ref_ (Ir.Mref.elem "q" 2) in
+  let prog =
+    Ir.Prog.make ~name:"fuzz_1_1548"
+      ~decls:
+        [
+          Ir.Prog.scalar_decl ~storage:Ir.Prog.Input "b";
+          Ir.Prog.array_decl ~storage:Ir.Prog.Input "q" 4;
+          Ir.Prog.scalar_decl ~storage:Ir.Prog.Output "v";
+        ]
+      [
+        Ir.Prog.assign (Ir.Mref.scalar "v")
+          Ir.Tree.(sat (q2 + const 0 + Binop (Ir.Op.Or, const 0, var "b")));
+      ]
+  in
+  {
+    Fuzz.Gen.seed = 1;
+    index = 1548;
+    prog;
+    inputs = [ ("b", [| 1 |]); ("q", [| 0; 0; 32767; 0 |]) ];
+  }
+
+let test_regression_tic25_sat_addk () =
+  let case = seed1_sat_addk_case () in
+  List.iter
+    (fun engine ->
+      let options =
+        Record.Options.with_matcher engine Record.Options.record_
+      in
+      match Fuzz.Oracle.check ~options Target.Tic25.machine case with
+      | Fuzz.Oracle.Pass _ -> ()
+      | v ->
+        Alcotest.failf "tic25/record (%s): %a"
+          (Burg.Matcher.engine_name engine)
+          Fuzz.Oracle.pp_verdict v)
+    [ Burg.Matcher.Table; Burg.Matcher.Dp ]
+
 let suites =
   [
     ( "fuzz.corpus",
@@ -211,5 +253,7 @@ let suites =
       [
         Alcotest.test_case "post-update aliasing (seed 102)" `Quick
           test_regression_post_update_aliasing;
+        Alcotest.test_case "tic25 saturating add-immediate (seed 1)" `Quick
+          test_regression_tic25_sat_addk;
       ] );
   ]

@@ -1,7 +1,6 @@
 (* Tests for the lib/select DAG-covering subsystem: cross-tree value
-   reuse (LVN), shared-subtree materialization (cuts), the bounded
-   exhaustive mode, and three-way differential parity against the
-   reference interpreter. *)
+   reuse (LVN), shared-subtree materialization (cuts), and tree-vs-dag
+   differential parity against the reference interpreter. *)
 
 let tic25 = Target.Tic25.machine
 
@@ -18,7 +17,6 @@ let mode_options mode =
 
 let tree_opts = mode_options Record.Options.Tree
 let dag_opts = mode_options Record.Options.Dag
-let exh_opts = mode_options Record.Options.Exhaustive
 
 let opcodes items =
   let out = ref [] in
@@ -171,119 +169,9 @@ let test_dag_cut_three () =
     (sel.Record.Pipeline.sel_dag_cuts >= 1
     || sel.Record.Pipeline.sel_cross_tree_cse >= 1)
 
-(* ---- Exhaustive mode ----------------------------------------------------- *)
+(* ---- Differential parity across modes ----------------------------------- *)
 
-(* With the variant limit forced to 1 the bounded enumeration sees only the
-   original tree; the closure search must still find the commuted form the
-   accumulator-add rule wants, and count the win. *)
-let p_mac_stmt =
-  Ir.Prog.make ~name:"mac_stmt"
-    ~decls:
-      [
-        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input "a";
-        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input "b";
-        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input "c";
-        Ir.Prog.scalar_decl ~storage:Ir.Prog.Output "d";
-      ]
-    [
-      Ir.Prog.assign (Ir.Mref.scalar "d")
-        Ir.Tree.(var "c" + (var "a" * var "b"));
-    ]
-
-let mac_inputs = [ ("a", [| 3 |]); ("b", [| 4 |]); ("c", [| 10 |]) ]
-
-let test_exhaustive_beats_limited () =
-  let limit1 opts = { opts with Record.Options.variant_limit = 1 } in
-  let tree = Record.Pipeline.compile ~options:(limit1 tree_opts) tic25 p_mac_stmt in
-  let exh = Record.Pipeline.compile ~options:(limit1 exh_opts) tic25 p_mac_stmt in
-  check_outputs "tree" tree p_mac_stmt mac_inputs;
-  check_outputs "exh" exh p_mac_stmt mac_inputs;
-  let tw = Record.Pipeline.words tree and ew = Record.Pipeline.words exh in
-  Alcotest.(check bool)
-    (Printf.sprintf "exhaustive (%d words) beats limit-1 tree (%d words)" ew tw)
-    true (ew < tw);
-  let sel = exh.Record.Pipeline.selection in
-  Alcotest.(check bool) "trees searched" true
-    (sel.Record.Pipeline.sel_exh_trees >= 1);
-  Alcotest.(check bool) "win counted" true
-    (sel.Record.Pipeline.sel_exh_wins >= 1)
-
-let test_exhaustive_never_worse () =
-  (* At the default variant limit the bounded enumeration already finds the
-     good variants; the exhaustive mode must never regress below it. *)
-  List.iter
-    (fun k ->
-      let prog = Dspstone.Kernels.prog k in
-      let tree = Record.Pipeline.compile ~options:tree_opts tic25 prog in
-      let exh = Record.Pipeline.compile ~options:exh_opts tic25 prog in
-      Alcotest.(check bool)
-        (prog.Ir.Prog.name ^ " exhaustive no worse than tree")
-        true
-        (Record.Pipeline.words exh <= Record.Pipeline.words tree))
-    Dspstone.Kernels.all
-
-(* ---- Exhaustive winner persistence --------------------------------------- *)
-
-(* Compiling under Exhaustive mode through the driver's service installs the
-   blob backend: winner trees must land as blob-* files in the cache
-   directory.  The second pass models a fresh process on a warm store: a new
-   cache value over the same directory, the hash-cons table cleared so the
-   in-process memo cannot answer (canonical ids are never reused), and a
-   different service salt so the *entry* cache misses and the pipeline
-   actually re-runs — the only remaining source of winners is the disk. *)
-let test_exhaustive_persistence () =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "record-test-blob-%d" (Unix.getpid ()))
-  in
-  let options = { exh_opts with Record.Options.variant_limit = 1 } in
-  let blobs () =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f >= 5 && String.sub f 0 5 = "blob-")
-  in
-  Fun.protect
-    ~finally:(fun () -> Select.Exhaustive.set_backend None)
-    (fun () ->
-      (* Earlier exhaustive tests in this process already memoized this
-         tree (with no backend installed, so nothing was stored); fresh
-         canonical ids force the cold run through the full search-and-store
-         path. *)
-      Ir.Hashcons.clear ();
-      let cache = Driver.Cache.create ~dir () in
-      let o1 = Driver.Service.compile ~cache ~options tic25 p_mac_stmt in
-      check_outputs "cold run" o1.Driver.Service.compiled p_mac_stmt mac_inputs;
-      Alcotest.(check bool) "winner blobs persisted" true (blobs () <> []);
-      Ir.Hashcons.clear ();
-      let cache2 = Driver.Cache.create ~dir () in
-      (* The stored envelope must verify and round-trip through the raw
-         blob API before the compiler consumes it. *)
-      (match blobs () with
-      | [] -> ()
-      | file :: _ ->
-        let key = String.sub file 5 (String.length file - 5) in
-        Alcotest.(check bool) "blob readable through a fresh cache" true
-          (Driver.Cache.find_blob cache2 key <> None));
-      let o2 =
-        Driver.Service.compile ~cache:cache2 ~salt:"warm-blob" ~options tic25
-          p_mac_stmt
-      in
-      check_outputs "warm run" o2.Driver.Service.compiled p_mac_stmt mac_inputs;
-      Alcotest.(check bool) "warm run re-ran the pipeline" true
-        (o2.Driver.Service.provenance = Driver.Service.Miss);
-      Alcotest.(check int) "warm words match cold words"
-        (Record.Pipeline.words o1.Driver.Service.compiled)
-        (Record.Pipeline.words o2.Driver.Service.compiled);
-      Alcotest.(check bool) "warm run still searches" true
-        (o2.Driver.Service.compiled.Record.Pipeline.selection
-           .Record.Pipeline.sel_exh_trees
-        >= 1))
-
-(* ---- Three-mode differential parity ------------------------------------- *)
-
-let modes =
-  [ ("tree", tree_opts); ("dag", dag_opts); ("exhaustive", exh_opts) ]
+let modes = [ ("tree", tree_opts); ("dag", dag_opts) ]
 
 let test_kernel_parity () =
   List.iter
@@ -341,7 +229,7 @@ let test_mode_digests_distinct () =
   let digests =
     List.map (fun (_, o) -> Record.Options.digest o) modes
   in
-  Alcotest.(check int) "three distinct digests" 3
+  Alcotest.(check int) "two distinct digests" 2
     (List.length (List.sort_uniq compare digests))
 
 let test_mode_names () =
@@ -354,8 +242,13 @@ let test_mode_names () =
         (Record.Options.selection_mode_of_string name
         = Some opts.Record.Options.selection_mode))
     modes;
+  Alcotest.(check (list string)) "the table lists every mode"
+    (List.map fst modes)
+    (List.map fst Record.Options.selection_modes);
   Alcotest.(check bool) "unknown rejected" true
-    (Record.Options.selection_mode_of_string "bogus" = None)
+    (Record.Options.selection_mode_of_string "bogus" = None);
+  Alcotest.(check bool) "removed exhaustive mode rejected" true
+    (Record.Options.selection_mode_of_string "exhaustive" = None)
 
 let suites =
   [
@@ -365,20 +258,11 @@ let suites =
         Alcotest.test_case "shared subtree exploited" `Quick test_dag_cut;
         Alcotest.test_case "three-way sharing" `Quick test_dag_cut_three;
       ] );
-    ( "select exhaustive",
-      [
-        Alcotest.test_case "beats limit-1 enumeration" `Quick
-          test_exhaustive_beats_limited;
-        Alcotest.test_case "never worse than tree" `Quick
-          test_exhaustive_never_worse;
-        Alcotest.test_case "winners persist across processes" `Quick
-          test_exhaustive_persistence;
-      ] );
     ( "select parity",
       [
         Alcotest.test_case "kernels x machines x modes" `Slow
           test_kernel_parity;
-        Alcotest.test_case "seeded fuzz, three modes" `Slow test_fuzz_parity;
+        Alcotest.test_case "seeded fuzz, every mode" `Slow test_fuzz_parity;
       ] );
     ( "select options",
       [
