@@ -822,13 +822,10 @@ let dse_cmd seed samples domains kernels selection matcher out no_cache
     | r -> r
     | exception Invalid_argument msg -> or_die (Error msg)
   in
-  (* The file is always the deterministic document: a pure function of
-     (seed, samples, kernels), byte-identical cold or warm, so CI can cmp
-     two runs. Volatile facts (hit rate, wall-clock, cache counters) go to
-     the text summary instead. *)
-  let doc =
-    Driver.Json.to_string ~indent:true (Dse.Sweep.to_json ~deterministic:true result)
-  in
+  (* The document is a pure function of the sweep's config, byte-identical
+     cold or warm, so CI can cmp two runs. Volatile facts (hit rate,
+     wall-clock, cache counters) go to the text summary instead. *)
+  let doc = Driver.Json.to_string ~indent:true (Dse.Sweep.to_json result) in
   let oc = open_out out in
   output_string oc doc;
   output_char oc '\n';

@@ -546,8 +546,6 @@ let best_cover ?nt a h =
   | Some { it_choice = Some _; _ } -> Some (cover_of a h nt)
   | Some { it_choice = None; _ } | None -> None
 
-let clear a = Ir.Idtab.clear a.slots
-
 (* ------------------------------------------------------------------ *)
 (* Offline warm-up: close the tables over representative trees.        *)
 

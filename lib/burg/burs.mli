@@ -75,10 +75,6 @@ val nodes_labelled : t -> int
 val memo_hits : t -> int
 (** Labelling probes answered by the slot table (volatile counter). *)
 
-val clear : t -> unit
-(** Drop the per-id slot table only; states and transitions — the
-    offline tables — survive, so relabelling is pure table lookup. *)
-
 (** {1 Diagnostics} *)
 
 type diag =

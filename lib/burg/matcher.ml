@@ -269,14 +269,6 @@ module Dp_engine = struct
     match List.fold_left consider None hvariants with
     | None -> None
     | Some (h, e) -> Some (h, e.cover)
-
-  let clear m =
-    Array.iter
-      (fun (s : stripe) ->
-        Mutex.lock s.lock;
-        Hashtbl.reset s.table;
-        Mutex.unlock s.lock)
-      m.stripes
 end
 
 type t = { eng : engine; dp : Dp_engine.t option; table : Burs.t option }
@@ -367,8 +359,3 @@ let transition_count m =
 
 let table_build_ms m =
   match m.eng with Dp -> 0. | Table -> Burs.build_ms (table m)
-
-let clear m =
-  match m.eng with
-  | Dp -> Dp_engine.clear (dp m)
-  | Table -> Burs.clear (table m)

@@ -87,6 +87,3 @@ val best_of_hvariants :
   ?nt:string -> t -> Ir.Hashcons.h list -> (Ir.Hashcons.h * Cover.t) option
 (** [best_of_variants] on handles (as produced by
     {!Ir.Algebra.hvariants}), skipping re-interning. *)
-
-val clear : t -> unit
-(** Drops the memo table (used by benchmarks to measure cold labelling). *)

@@ -23,22 +23,6 @@ type selection_stats = {
   sel_table_build_ms : float;
 }
 
-let no_selection =
-  {
-    sel_trees = 0;
-    sel_variants = 0;
-    sel_variants_pruned = 0;
-    sel_variant_dedup = 0;
-    sel_variant_nodes = 0;
-    sel_nodes_labelled = 0;
-    sel_memo_hits = 0;
-    sel_dag_cuts = 0;
-    sel_cross_tree_cse = 0;
-    sel_states = 0;
-    sel_state_prunes = 0;
-    sel_table_build_ms = 0.;
-  }
-
 type compiled = {
   machine : Target.Machine.t;
   prog : Ir.Prog.t;

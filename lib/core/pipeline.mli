@@ -52,9 +52,6 @@ type selection_stats = {
 (** Counters from the selection phase (variant generation + BURG matching),
     deltas for this compilation even when the matcher is shared. *)
 
-val no_selection : selection_stats
-(** All-zero record (convenient default for synthetic results). *)
-
 type compiled = {
   machine : Target.Machine.t;
   prog : Ir.Prog.t;  (** the source program (before internal rewrites) *)

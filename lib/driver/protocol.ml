@@ -19,11 +19,35 @@ let read_file path =
   close_in ic;
   s
 
+(* An optional member of a job object: absent is [Ok None]; present with
+   the wrong type is an error naming the job, never a silent fallback to
+   the default. *)
+let typed_member id j name ~expected convert =
+  match Json.member name j with
+  | None -> Ok None
+  | Some v -> (
+    match convert v with
+    | Some x -> Ok (Some x)
+    | None -> Error (Printf.sprintf "job %d: %S must be %s" id name expected))
+
 let job_of_json ?selection ?matcher id j =
   let ( let* ) = Result.bind in
-  let str_field name = Option.bind (Json.member name j) Json.to_string_lit in
+  let str_field name =
+    typed_member id j name ~expected:"a string" Json.to_string_lit
+  in
+  let* kernel_name = str_field "kernel" in
+  let* file = str_field "file" in
+  let* target = str_field "target" in
+  let* options_member = str_field "options" in
+  let* label = str_field "label" in
+  let* kind_member = str_field "kind" in
+  let* selection_member = str_field "selection" in
+  let* matcher_member = str_field "matcher" in
+  let* deadline =
+    typed_member id j "deadline" ~expected:"an integer" Json.to_int
+  in
   let* source, prog, default_inputs, default_kind =
-    match (str_field "kernel", str_field "file") with
+    match (kernel_name, file) with
     | Some k, None -> (
       match Dspstone.Kernels.find k with
       | kernel ->
@@ -42,9 +66,9 @@ let job_of_json ?selection ?matcher id j =
     | Some _, Some _ -> Error (Printf.sprintf "job %d: both \"kernel\" and \"file\"" id)
     | None, None -> Error (Printf.sprintf "job %d: needs \"kernel\" or \"file\"" id)
   in
-  let target = Option.value (str_field "target") ~default:"tic25" in
+  let target = Option.value target ~default:"tic25" in
   let* options_label, options =
-    match Option.value (str_field "options") ~default:"record" with
+    match Option.value options_member ~default:"record" with
     | "record" -> Ok ("record", Record.Options.record_)
     | "conventional" -> Ok ("conventional", Record.Options.conventional)
     | other -> Error (Printf.sprintf "job %d: unknown options %S" id other)
@@ -57,7 +81,7 @@ let job_of_json ?selection ?matcher id j =
     match selection with
     | Some mode -> Ok (Record.Options.with_selection_mode mode options)
     | None -> (
-      match str_field "selection" with
+      match selection_member with
       | None -> Ok options
       | Some s -> (
         match Record.Options.selection_mode_of_string s with
@@ -72,16 +96,15 @@ let job_of_json ?selection ?matcher id j =
     match matcher with
     | Some engine -> Ok (Record.Options.with_matcher engine options)
     | None -> (
-      match str_field "matcher" with
+      match matcher_member with
       | None -> Ok options
       | Some s -> (
         match Burg.Matcher.engine_of_string s with
         | Ok engine -> Ok (Record.Options.with_matcher engine options)
         | Error _ -> Error (Printf.sprintf "job %d: unknown matcher %S" id s)))
   in
-  let deadline = Option.bind (Json.member "deadline" j) Json.to_int in
   let* kind =
-    match str_field "kind" with
+    match kind_member with
     | None -> Ok (if deadline <> None then Job.Timing { deadline } else default_kind)
     | Some "compile" -> Ok Job.Compile
     | Some "simulate" -> Ok Job.Simulate
@@ -105,7 +128,7 @@ let job_of_json ?selection ?matcher id j =
     | Some _ -> Error (Printf.sprintf "job %d: \"inputs\" must be an object" id)
   in
   Ok
-    (Job.make ~id ?label:(str_field "label") ~source ~target ~options_label
+    (Job.make ~id ?label ~source ~target ~options_label
        ~options ~inputs ~kind prog)
 
 let jobs_of_json ?selection ?matcher doc =

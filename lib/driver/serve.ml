@@ -44,15 +44,17 @@ let parse_request config doc =
   | Some "shutdown" -> Ok Shutdown
   | Some other -> Error (Printf.sprintf "unknown op %S" other)
   | None ->
-    Result.map
-      (fun jobs ->
-        let deterministic =
-          match Option.bind (Json.member "deterministic" doc) Json.to_bool with
-          | Some b -> b
-          | None -> config.deterministic
-        in
-        Jobs { jobs; deterministic })
-      (Protocol.jobs_of_json ?matcher:config.matcher doc)
+    let ( let* ) = Result.bind in
+    let* deterministic =
+      match Json.member "deterministic" doc with
+      | None -> Ok config.deterministic
+      | Some v -> (
+        match Json.to_bool v with
+        | Some b -> Ok b
+        | None -> Error {|"deterministic" must be a boolean|})
+    in
+    let* jobs = Protocol.jobs_of_json ?matcher:config.matcher doc in
+    Ok (Jobs { jobs; deterministic })
 
 let protocol_field = ("protocol", Json.String "record-serve-1")
 

@@ -140,11 +140,11 @@ let front_entry_to_json (s : Score.t) =
       ("cost", Driver.Json.Int s.Score.cost);
     ]
 
-let to_json ?(deterministic = true) r =
+let to_json r =
   let complete =
     List.length (List.filter (fun (s : Score.t) -> s.Score.complete) r.scores)
   in
-  let core =
+  Driver.Json.Obj
     [
       ("protocol", Driver.Json.String "record-dse-1");
       ("seed", Driver.Json.Int r.config.seed);
@@ -165,26 +165,6 @@ let to_json ?(deterministic = true) r =
       ("pareto", Driver.Json.List (List.map front_entry_to_json r.front));
       ("pareto_size", Driver.Json.Int (List.length r.front));
     ]
-  in
-  let volatile =
-    if deterministic then []
-    else
-      [
-        ( "cache",
-          Driver.Json.Obj
-            [
-              ("hits", Driver.Json.Int r.hits);
-              ("misses", Driver.Json.Int (r.completed - r.hits));
-              ( "hit_rate",
-                if r.completed = 0 then Driver.Json.Null
-                else Driver.Json.Float (hit_rate r) );
-            ] );
-        ("host_cores", Driver.Json.Int (Domain.recommended_domain_count ()));
-        ("domains", Driver.Json.Int r.config.domains);
-        ("wall_ms", Driver.Json.Float r.report.Driver.Batch.wall_ms);
-      ]
-  in
-  Driver.Json.Obj (core @ volatile)
 
 (* ---- text ---------------------------------------------------------------- *)
 

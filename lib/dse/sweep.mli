@@ -57,13 +57,13 @@ val hit_rate : result -> float
 (** [hits / completed] ([0.] when nothing completed), the fraction the
     CLI's [--require-hit-rate] gates on. *)
 
-val to_json : ?deterministic:bool -> result -> Driver.Json.t
-(** The BENCH_dse.json document (protocol [record-dse-1]): seed, samples,
-    workload, cost model, every scored architecture, and the Pareto
-    front. With [~deterministic:true] (the CLI default) the document is a
-    pure function of (seed, samples, kernels) — byte-identical across
-    runs, cold or warm; otherwise a volatile section is appended (cache
-    hits/misses/hit rate, host cores, pool width, wall-clock). *)
+val to_json : result -> Driver.Json.t
+(** The [record dse] document (protocol [record-dse-1]): seed, samples,
+    workload, selection mode, matcher engine, cost model, every scored
+    architecture, and the Pareto front. It is a pure function of the
+    config's seed, samples, kernels, selection and matcher —
+    byte-identical across runs, cold or warm. Volatile facts (cache hit
+    rate, wall-clock) are in {!pp_summary} and {!hit_rate}, not here. *)
 
 val pp_summary : Format.formatter -> result -> unit
 (** Human summary: sweep shape, failure census, the Pareto front as a

@@ -59,9 +59,9 @@ let set t id v =
   Array.unsafe_set chunk (id land chunk_mask) v
 
 (* Zero installed chunks in place rather than dropping them: [clear] is a
-   quiescent-state operation (no concurrent labelling), and reusing the
-   chunks avoids re-allocating megabytes of major-heap arrays on every
-   cold-relabel cycle. *)
+   quiescent-state operation (no concurrent labelling), and the chunks a
+   BURS automaton's warm-up installed are the ones real labelling fills
+   next. *)
 let clear t =
   let spine = Atomic.get t.spine in
   Array.iter

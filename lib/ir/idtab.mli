@@ -26,7 +26,7 @@ val set : t -> int -> int -> unit
     the slot write itself is plain. *)
 
 val clear : t -> unit
-(** Drop every slot (the table is reset to empty, capacity released).
+(** Zero every slot in place (installed chunks are kept for reuse).
     Concurrent readers may still see pre-clear values for slots they
     already resolved — callers that need a strict fence must provide
     their own. *)

@@ -159,6 +159,33 @@ let test_duplicate_keys_rejected () =
   | Error msg ->
     Alcotest.(check string) "removed mode rejected"
       {|job 1: unknown selection "exhaustive"|} msg);
+  (* A member of the wrong type is an error naming the job and the
+     member, not a silent fallback to the member's default. *)
+  List.iter
+    (fun (text, expected) ->
+      match
+        Result.bind (Driver.Json.of_string text) Driver.Protocol.jobs_of_json
+      with
+      | Ok _ -> Alcotest.failf "%s should be rejected" text
+      | Error msg -> Alcotest.(check string) text expected msg)
+    [
+      ({|[{"kernel": 7}]|}, {|job 0: "kernel" must be a string|});
+      ({|[{"file": ["t.dfl"]}]|}, {|job 0: "file" must be a string|});
+      ( {|[{"kernel": "fir", "target": 7, "deadline": "200"}]|},
+        {|job 0: "target" must be a string|} );
+      ( {|[{"kernel": "fir", "options": true}]|},
+        {|job 0: "options" must be a string|} );
+      ({|[{"kernel": "fir", "label": 3}]|}, {|job 0: "label" must be a string|});
+      ({|[{"kernel": "fir", "kind": null}]|}, {|job 0: "kind" must be a string|});
+      ( {|[{"kernel": "fir", "selection": 1}]|},
+        {|job 0: "selection" must be a string|} );
+      ( {|[{"kernel": "fir", "matcher": {}}]|},
+        {|job 0: "matcher" must be a string|} );
+      ( {|[{"kernel": "fir"}, {"kernel": "fir", "deadline": "200"}]|},
+        {|job 1: "deadline" must be an integer|} );
+      ( {|[{"kernel": "fir", "deadline": 2.5}]|},
+        {|job 0: "deadline" must be an integer|} );
+    ];
   (* Same name at different depths is not a duplicate. *)
   match Driver.Json.of_string {|{"a": {"a": 1}}|} with
   | Ok _ -> ()

@@ -164,8 +164,7 @@ let sweep_config cache =
 let test_sweep_deterministic_json () =
   let doc () =
     Driver.Json.to_string ~indent:true
-      (Dse.Sweep.to_json ~deterministic:true
-         (Dse.Sweep.run (sweep_config None)))
+      (Dse.Sweep.to_json (Dse.Sweep.run (sweep_config None)))
   in
   Alcotest.(check string) "deterministic document byte-identical" (doc ())
     (doc ())
@@ -205,9 +204,7 @@ let test_sweep_warm_cache () =
     true
     (Dse.Sweep.hit_rate warm >= 0.9);
   (* And the cache must not change the answer. *)
-  let enc r =
-    Driver.Json.to_string (Dse.Sweep.to_json ~deterministic:true r)
-  in
+  let enc r = Driver.Json.to_string (Dse.Sweep.to_json r) in
   Alcotest.(check string) "warm document identical to cold" (enc cold)
     (enc warm)
 
@@ -279,6 +276,16 @@ let test_serve_stats_evictions () =
         (Some "error") (str "status" reply);
       Alcotest.(check (option string)) "error names the job and the mode"
         (Some {|job 0: unknown selection "exhaustive"|})
+        (str "error" reply);
+      (* A "deterministic" member that is not a boolean is an error too,
+         not the config's default. *)
+      let reply, _ =
+        Driver.Serve.handle pool config state
+          {|{"jobs": [{"kernel": "fir", "target": "tic25"}],
+             "deterministic": "yes"}|}
+      in
+      Alcotest.(check (option string)) "mistyped deterministic is an error"
+        (Some {|"deterministic" must be a boolean|})
         (str "error" reply);
       let reply, _ =
         Driver.Serve.handle pool config state

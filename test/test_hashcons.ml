@@ -292,27 +292,151 @@ let test_matcher_best_matches_variant_best () =
     | None -> Alcotest.fail "chosen variant must still cover cold")
   | _ -> Alcotest.fail "tic25 must cover the tree"
 
+(* ---- Selection over the Table-1 kernels --------------------------------- *)
+
+let tic25 = Target.Tic25.machine
+
+(* The ten Table-1 kernels compiled on tic25 in suite order, paired with
+   their names, through one fresh matcher of [engine] at variant limit
+   [limit] — one matcher shared across kernels, as the driver's per-target
+   matcher is, so memo and automaton counters accumulate over the suite. *)
+let table1 ?(mode = Record.Options.Tree) engine limit =
+  let options =
+    Record.Options.with_selection_mode mode
+      (Record.Options.with_matcher engine
+         { Record.Options.record_ with Record.Options.variant_limit = limit })
+  in
+  let matcher = Burg.Matcher.create ~engine tic25.Target.Machine.grammar in
+  List.map
+    (fun (k : Dspstone.Kernels.t) ->
+      ( k.Dspstone.Kernels.name,
+        Record.Pipeline.compile ~options ~matcher tic25
+          (Dspstone.Kernels.prog k) ))
+    Dspstone.Kernels.all
+
+let limits = [ 64; 128; 256; 512 ]
+
+(* Rows are deterministic (every counter is per matcher or per compile),
+   so each (engine, limit) row is compiled once and shared by the tests. *)
+let table1_row =
+  let rows =
+    lazy
+      (List.concat_map
+         (fun engine ->
+           List.map (fun limit -> ((engine, limit), table1 engine limit)) limits)
+         Burg.Matcher.[ Table; Dp ])
+  in
+  fun engine limit -> List.assoc (engine, limit) (Lazy.force rows)
+
+let words row = List.map (fun (k, c) -> (k, Record.Pipeline.words c)) row
+
+let per_kernel f row =
+  List.map (fun (k, c) -> (k, f c.Record.Pipeline.selection)) row
+
+let sum pairs = List.fold_left (fun acc (_, n) -> acc + n) 0 pairs
+let total f row = sum (per_kernel f row)
+
 (* ---- Pipeline selection stats ------------------------------------------- *)
 
 let test_pipeline_selection_stats () =
   let prog = Dspstone.Kernels.prog (Dspstone.Kernels.find "dot_product") in
-  let c = Record.Pipeline.compile Target.Tic25.machine prog in
+  let c = Record.Pipeline.compile tic25 prog in
   let s = c.Record.Pipeline.selection in
-  Alcotest.(check bool) "trees counted" true (s.Record.Pipeline.sel_trees > 0);
-  Alcotest.(check bool) "variants counted" true
-    (s.Record.Pipeline.sel_variants >= s.Record.Pipeline.sel_trees);
   Alcotest.(check bool) "labelling sub-linear in variant nodes" true
-    (s.Record.Pipeline.sel_nodes_labelled < s.Record.Pipeline.sel_variant_nodes)
+    (s.Record.Pipeline.sel_nodes_labelled < s.Record.Pipeline.sel_variant_nodes);
+  List.iter
+    (fun (k, c) ->
+      let s = c.Record.Pipeline.selection in
+      Alcotest.(check bool) (k ^ ": trees counted") true
+        (s.Record.Pipeline.sel_trees > 0);
+      Alcotest.(check bool) (k ^ ": variants counted") true
+        (s.Record.Pipeline.sel_variants >= s.Record.Pipeline.sel_trees))
+    (table1_row Burg.Matcher.Table 512);
+  (* Over the whole Table-1 variant space the shared memo labels each
+     distinct subtree once: at most a quarter of the variant nodes.  The
+     DP engine ranks the full space; the table engine's state pruning
+     shrinks variant_nodes, the denominator, by design. *)
+  let dp = table1_row Burg.Matcher.Dp 256 in
+  let labelled = total (fun s -> s.Record.Pipeline.sel_nodes_labelled) dp in
+  let nodes = total (fun s -> s.Record.Pipeline.sel_variant_nodes) dp in
+  Alcotest.(check bool)
+    (Printf.sprintf "dp, limit 256: %d labelled * 4 <= %d variant nodes"
+       labelled nodes)
+    true (labelled * 4 <= nodes)
 
 let test_pipeline_words_no_worse_at_512 () =
-  let prog = Dspstone.Kernels.prog (Dspstone.Kernels.find "fir") in
-  let at limit =
-    let options =
-      { Record.Options.record_ with Record.Options.variant_limit = limit }
-    in
-    Record.Pipeline.words (Record.Pipeline.compile ~options Target.Tic25.machine prog)
-  in
-  Alcotest.(check bool) "words at 512 <= words at 64" true (at 512 <= at 64)
+  List.iter2
+    (fun (k, at64) (_, at512) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: words at 512 (%d) <= words at 64 (%d)" k at512
+           at64)
+        true (at512 <= at64))
+    (words (table1_row Burg.Matcher.Table 64))
+    (words (table1_row Burg.Matcher.Table 512))
+
+(* ---- The Table-1 selection budget --------------------------------------- *)
+
+(* Counter relations, not wall-clock: they hold on any host. *)
+
+let test_engines_agree_at_every_limit () =
+  List.iter
+    (fun limit ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "dp and table words per kernel, limit %d" limit)
+        (words (table1_row Burg.Matcher.Dp limit))
+        (words (table1_row Burg.Matcher.Table limit)))
+    limits
+
+let test_automaton_prunes_at_512 () =
+  let table = table1_row Burg.Matcher.Table 512 in
+  let dp = table1_row Burg.Matcher.Dp 512 in
+  Alcotest.(check bool) "automaton built (states > 0)" true
+    (List.exists
+       (fun (_, n) -> n > 0)
+       (per_kernel (fun s -> s.Record.Pipeline.sel_states) table));
+  Alcotest.(check bool) "state-equivalence prune fires" true
+    (total (fun s -> s.Record.Pipeline.sel_state_prunes) table > 0);
+  let nodes = total (fun s -> s.Record.Pipeline.sel_variant_nodes) in
+  Alcotest.(check bool)
+    (Printf.sprintf "table ranks fewer variant nodes than dp (%d < %d)"
+       (nodes table) (nodes dp))
+    true
+    (nodes table < nodes dp)
+
+let test_label_table_shared_at_256 () =
+  Alcotest.(check bool) "memo hits > 0" true
+    (total
+       (fun s -> s.Record.Pipeline.sel_memo_hits)
+       (table1_row Burg.Matcher.Table 256)
+    > 0)
+
+let test_variants_no_fewer_at_512 () =
+  List.iter2
+    (fun (k, at64) (_, at512) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: variants at 512 (%d) >= at 64 (%d)" k at512 at64)
+        true (at512 >= at64))
+    (per_kernel (fun s -> s.Record.Pipeline.sel_variants)
+       (table1_row Burg.Matcher.Table 64))
+    (per_kernel (fun s -> s.Record.Pipeline.sel_variants)
+       (table1_row Burg.Matcher.Table 512))
+
+let test_dag_beats_tree () =
+  let tree = table1_row Burg.Matcher.Table 512 in
+  let dag = table1 ~mode:Record.Options.Dag Burg.Matcher.Table 512 in
+  List.iter2
+    (fun (k, t) (_, d) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: dag %d <= tree %d words" k d t)
+        true (d <= t))
+    (words tree) (words dag);
+  let dag_words = sum (words dag) and tree_words = sum (words tree) in
+  Alcotest.(check bool)
+    (Printf.sprintf "dag total %d < tree total %d" dag_words tree_words)
+    true
+    (dag_words < tree_words);
+  Alcotest.(check bool) "cross-tree CSE fires" true
+    (total (fun s -> s.Record.Pipeline.sel_cross_tree_cse) dag > 0)
 
 let test_registry_matcher_long_lived () =
   match Driver.Registry.find_machine "tic25" with
@@ -358,5 +482,17 @@ let suites =
           test_pipeline_words_no_worse_at_512;
         Alcotest.test_case "registry matcher long-lived" `Quick
           test_registry_matcher_long_lived;
+      ] );
+    ( "selection.table1",
+      [
+        Alcotest.test_case "dp and table agree at every limit" `Quick
+          test_engines_agree_at_every_limit;
+        Alcotest.test_case "automaton prunes at 512" `Quick
+          test_automaton_prunes_at_512;
+        Alcotest.test_case "label table shared at 256" `Quick
+          test_label_table_shared_at_256;
+        Alcotest.test_case "variants no fewer at 512" `Quick
+          test_variants_no_fewer_at_512;
+        Alcotest.test_case "dag never loses to tree" `Quick test_dag_beats_tree;
       ] );
   ]
