@@ -2,7 +2,7 @@
 
      record compile FILE --target tic25 [--conventional] [--input x=1,2,3]
                          [--json] [--cache-dir DIR]
-     record batch JOBS.json [--jobs N] [--timeout S] [-o OUT.json]
+     record batch JOBS.json [--domains N] [--timeout S] [-o OUT.json]
      record targets
      record rules --target dsp56
      record timing FILE --target tic25 [--deadline CYCLES]
@@ -149,6 +149,8 @@ let compile_cmd file target target_file conventional selection matcher check
       or_die (Error (file ^ ": " ^ msg))
     | Sys_error msg -> or_die (Error msg)
   in
+  let inputs = List.map (fun s -> or_die (parse_input s)) inputs in
+  or_die (Ir.Prog.check_inputs prog inputs);
   let cache = cache_of ~no_cache ~cache_dir in
   let outcome =
     try Driver.Service.compile ?cache ~options machine prog with
@@ -158,7 +160,6 @@ let compile_cmd file target target_file conventional selection matcher check
   let simulated =
     if inputs = [] then None
     else begin
-      let inputs = List.map (fun s -> or_die (parse_input s)) inputs in
       let outputs, cycles = Record.Pipeline.execute compiled ~inputs in
       let checked =
         if not check then None
@@ -614,8 +615,8 @@ let pp_batch_status ppf (r : Driver.Job.result) =
   | Driver.Job.Timed_out s -> Format.fprintf ppf "TIMEOUT after %.1f s" s
   | Driver.Job.Crashed msg -> Format.fprintf ppf "CRASHED %s" msg
 
-let batch_cmd jobs_file jobs_n domains timeout selection matcher no_cache
-    cache_dir out json compact deterministic require_hit_rate =
+let batch_cmd jobs_file domains timeout selection matcher no_cache cache_dir
+    out json compact deterministic require_hit_rate =
   let doc =
     match Driver.Json.of_string (read_file jobs_file) with
     | Ok doc -> doc
@@ -623,13 +624,18 @@ let batch_cmd jobs_file jobs_n domains timeout selection matcher no_cache
     | exception Sys_error msg -> or_die (Error msg)
   in
   let jobs = or_die (Driver.Protocol.jobs_of_json ?selection ?matcher doc) in
-  if domains <> None && timeout <> None then
-    or_die
-      (Error
-         "--timeout is per-job and signal-based, which cannot be scoped to \
-          one domain; it is not available with --domains");
   let cache = cache_of ~no_cache ~cache_dir in
-  let report = Driver.Batch.run ?jobs:jobs_n ?domains ?timeout ?cache jobs in
+  let report =
+    match Driver.Batch.run ?domains ?timeout ?cache jobs with
+    | report -> report
+    | exception Invalid_argument _ ->
+      (* Batch.run's one precondition: a positive, finite timeout. *)
+      or_die
+        (Error
+           (Printf.sprintf "--timeout must be a positive number of seconds, \
+                            got %g"
+              (Option.get timeout)))
+  in
   let results = report.Driver.Batch.results in
   let doc =
     Driver.Json.to_string ~indent:(not compact)
@@ -658,17 +664,11 @@ let batch_cmd jobs_file jobs_n domains timeout selection matcher no_cache
     | None -> ()
     | Some cache ->
       let c = Driver.Cache.counters cache in
-      (* In fork mode these are the parent's counters only: workers mutate
-         snapshots of the memory tier, and only their disk stores survive.
-         With --domains (or one worker) they cover the whole run. *)
       Format.printf
         "cache: %d memory hits, %d disk hits, %d misses, %d stores, %d \
-         evictions%s@."
+         evictions@."
         c.Driver.Cache.memory_hits c.Driver.Cache.disk_hits
-        c.Driver.Cache.misses c.Driver.Cache.stores c.Driver.Cache.evictions
-        (if domains = None && report.Driver.Batch.workers > 1 then
-           " (parent process only; fork workers count separately)"
-         else ""))
+        c.Driver.Cache.misses c.Driver.Cache.stores c.Driver.Cache.evictions)
   end;
   let failed =
     List.exists
@@ -701,20 +701,17 @@ let jobs_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"JOBS.json"
          ~doc:"Jobs file (an array of job objects, or {\"jobs\": [...]})")
 
-let jobs_n_arg =
-  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker processes (default: CPU count)")
-
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Run jobs on N OCaml domains in this process instead of fork \
-               workers; domains share the intern table, the per-target \
-               matcher tables, and the in-memory cache tier (the serve \
-               daemon's scheduler)")
+         ~doc:"Run jobs on N OCaml domains in this process (default: CPU \
+               count - 1, at least 1); domains share the intern table, the \
+               per-target matcher tables, and the in-memory cache tier")
 
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
-         ~doc:"Per-job wall-clock timeout")
+         ~doc:"Per-job wall-clock limit, counted from the job's start: a job \
+               still compiling or simulating when it runs out reports a \
+               timeout, and the other jobs carry on")
 
 let out_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
@@ -747,10 +744,10 @@ let batch_t =
        ~doc:"Compile a JSON job list in parallel through the compilation \
              cache (exit 1 on any failed job)")
     Term.(
-      const batch_cmd $ jobs_file_arg $ jobs_n_arg $ domains_arg
-      $ timeout_arg $ selection_override_arg $ matcher_override_arg
-      $ no_cache_arg $ cache_dir_arg $ out_arg $ batch_json_arg
-      $ compact_arg $ deterministic_arg $ require_hit_rate_arg)
+      const batch_cmd $ jobs_file_arg $ domains_arg $ timeout_arg
+      $ selection_override_arg $ matcher_override_arg $ no_cache_arg
+      $ cache_dir_arg $ out_arg $ batch_json_arg $ compact_arg
+      $ deterministic_arg $ require_hit_rate_arg)
 
 (* ---- serve ------------------------------------------------------------------- *)
 

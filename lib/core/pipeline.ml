@@ -272,6 +272,7 @@ let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
     | Options.Materialize_ivar | Options.Streams -> fun op -> op
   in
   let tree_stmt (s : Ir.Prog.stmt) =
+    Sim.Deadline.check ();
     let rewrite = rewrite_for s in
     let addr_pre = Target.Machine.drain ctx in
     let cover = select matcher options stats sel s.src in
@@ -286,6 +287,7 @@ let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
     match dag with
     | None -> List.concat_map tree_stmt stmts
     | Some d ->
+      Sim.Deadline.check ();
       let note_cover ~cost ~tried =
         stats :=
           {
@@ -450,12 +452,13 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
   (* Per-phase wall-clock spans, appended in execution order.  The spans are
      part of {!compiled} so callers (the driver's batch scheduler, the JSON
      protocol) can surface where compile time goes without re-instrumenting
-     the pipeline. *)
+     the pipeline.  Each phase boundary also polls the job's deadline. *)
   let spans = ref [] in
   let timed name f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     spans := (name, (Unix.gettimeofday () -. t0) *. 1000.0) :: !spans;
+    Sim.Deadline.check ();
     r
   in
   timed "validate" (fun () ->

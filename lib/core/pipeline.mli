@@ -82,7 +82,10 @@ val compile :
     Without it a fresh matcher is created per run.
     @raise Error when the program cannot be compiled for the machine (no
     cover, AGU exhaustion, register pressure, mode verification failure).
-    @raise Invalid_argument when [matcher] was built for another grammar. *)
+    @raise Invalid_argument when [matcher] was built for another grammar.
+    @raise Sim.Deadline.Expired when the calling domain's deadline passes;
+    it is polled after every phase and, during selection, before every
+    statement (tree mode) or statement run (dag mode). *)
 
 val words : compiled -> int
 (** Code size in instruction words. *)

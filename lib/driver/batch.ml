@@ -4,166 +4,25 @@ type report = {
   wall_ms : float;
 }
 
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
-(* ---- per-job timeout ----------------------------------------------------- *)
-
-exception Timeout
-
-(* Run [f] under a wall-clock budget.  The interval timer raises at the
-   next safepoint, which is enough for compilation jobs (pure OCaml, no
-   long C calls).  Used inside workers and by the sequential fallback; the
-   previous SIGALRM disposition is restored either way. *)
-let with_timeout seconds f =
-  match seconds with
-  | None -> (try Ok (f ()) with e -> Error e)
-  | Some s ->
-    let old =
-      Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Timeout))
-    in
-    let disarm () =
-      ignore
-        (Unix.setitimer Unix.ITIMER_REAL
-           { Unix.it_value = 0.0; it_interval = 0.0 });
-      Sys.set_signal Sys.sigalrm old
-    in
-    ignore
-      (Unix.setitimer Unix.ITIMER_REAL
-         { Unix.it_value = s; it_interval = 0.0 });
-    let r = try Ok (f ()) with e -> Error e in
-    disarm ();
-    r
-
-let run_one ?cache ?timeout (job : Job.t) =
-  match with_timeout timeout (fun () -> Job.run ?cache job) with
-  | Ok result -> result
-  | Error Timeout ->
-    {
-      Job.job = job.Job.id;
-      label = job.Job.label;
-      status = Job.Timed_out (Option.value timeout ~default:0.0);
-    }
-  | Error e ->
-    {
-      Job.job = job.Job.id;
-      label = job.Job.label;
-      status = Job.Failed (Printexc.to_string e);
-    }
-
-(* ---- the fork fan-out ----------------------------------------------------- *)
-
-let have_fork =
-  (* [Unix.fork] raises EINVAL/ENOSYS on Win32 and some restricted
-     sandboxes; probe once by platform rather than by forking. *)
-  not Sys.win32
-
-let sequential ?cache ?timeout jobs =
-  List.map (fun job -> run_one ?cache ?timeout job) jobs
-
-let parallel ?cache ?timeout ~workers jobs =
-  let slices = Array.make workers [] in
-  List.iter
-    (fun (job : Job.t) ->
-      let w = job.Job.id mod workers in
-      slices.(w) <- job :: slices.(w))
-    jobs;
-  Array.iteri (fun i s -> slices.(i) <- List.rev s) slices;
-  (* Buffered channels must not be replicated into children with pending
-     data, or both processes flush it. *)
-  flush stdout;
-  flush stderr;
-  let spawn slice =
-    let rd, wr = Unix.pipe ~cloexec:false () in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close rd;
-      let oc = Unix.out_channel_of_descr wr in
-      (try
-         List.iter
-           (fun job ->
-             let result = run_one ?cache ?timeout job in
-             Marshal.to_channel oc (result : Job.result) [];
-             flush oc)
-           slice
-       with _ -> ());
-      (try flush oc with Sys_error _ -> ());
-      (* [_exit]: skip at_exit handlers and stdio flushing inherited from
-         the parent snapshot. *)
-      Unix._exit 0
-    | pid ->
-      Unix.close wr;
-      (pid, Unix.in_channel_of_descr rd)
-  in
-  let children = List.map spawn (Array.to_list slices) in
-  let received = Hashtbl.create (List.length jobs) in
-  List.iter
-    (fun (pid, ic) ->
-      (try
-         while true do
-           let (result : Job.result) = Marshal.from_channel ic in
-           Hashtbl.replace received result.Job.job result
-         done
-       with End_of_file | Failure _ ->
-         (* EOF: worker finished or died; a truncated marshal frame from a
-            mid-write crash lands here too and is simply dropped — the
-            job is then reported Crashed below. *)
-         ());
-      close_in_noerr ic;
-      ignore (Unix.waitpid [] pid))
-    children;
-  List.map
-    (fun (job : Job.t) ->
-      match Hashtbl.find_opt received job.Job.id with
-      | Some r -> r
-      | None ->
-        {
-          Job.job = job.Job.id;
-          label = job.Job.label;
-          status = Job.Crashed "worker process died before reporting";
-        })
-    jobs
-
-let run ?jobs ?domains ?timeout ?cache job_list =
+let run ?domains ?timeout ?cache jobs =
+  (match timeout with
+  | Some s when not (Float.is_finite s && s > 0.0) ->
+    invalid_arg
+      (Printf.sprintf "Batch.run: timeout must be positive and finite, got %g"
+         s)
+  | Some _ | None -> ());
   let t0 = Unix.gettimeofday () in
-  match domains with
-  | Some d ->
-    (* Domain mode: the jobs share one address space (intern table,
-       matcher DP tables, cache memory tier), so cache warm-up carries
-       across workers — the whole point of [record serve].  Per-job
-       timeouts are ITIMER/SIGALRM-based and signals are process-wide,
-       so they cannot be scoped to one domain; refuse the combination
-       rather than silently time out the wrong job. *)
-    if timeout <> None then
-      invalid_arg "Batch.run: ?timeout is not supported with ?domains";
-    let d = max 1 d in
-    let pool = Pool.create ~domains:d () in
-    let results =
-      Fun.protect
-        ~finally:(fun () -> Pool.shutdown pool)
-        (fun () -> Pool.run_jobs pool ?cache job_list)
-    in
-    {
-      results;
-      workers = d;
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-    }
-  | None ->
-    let requested =
-      match jobs with Some j -> max 1 j | None -> default_jobs ()
-    in
-    let workers = min requested (max 1 (List.length job_list)) in
-    let results =
-      if workers = 1 || not have_fork then sequential ?cache ?timeout job_list
-      else parallel ?cache ?timeout ~workers job_list
-    in
-    let results =
-      List.sort (fun (a : Job.result) b -> compare a.Job.job b.Job.job) results
-    in
-    {
-      results;
-      workers = (if have_fork then workers else 1);
-      wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
-    }
+  let pool = Pool.create ?domains () in
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () -> Pool.run_jobs pool ?cache ?timeout jobs)
+  in
+  {
+    results;
+    workers = Pool.size pool;
+    wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0;
+  }
 
 let hits report =
   List.length

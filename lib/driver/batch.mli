@@ -1,56 +1,28 @@
-(** The parallel batch scheduler.
+(** The batch scheduler: one job list on a fresh {!Pool} of OCaml 5
+    domains.
 
-    Fans a job list out across [Unix.fork] worker processes. Each worker
-    owns a deterministic slice of the jobs (round-robin by job id, so the
-    partition is independent of timing), runs them through {!Job.run}, and
-    streams marshalled results back over a pipe. The parent drains every
-    pipe, reaps the workers, and fills the gaps:
+    The domains share one intern table, one matcher table per target and
+    one cache (memory tier included), so one job's work warms all the
+    others. Results come back in job-id order whatever the completion
+    interleaving, so batch output is deterministic for any pool size.
 
-    - a job that exceeds the per-job timeout is reported [Timed_out] by its
-      worker (an interval timer raises inside the worker, which survives
-      and moves on);
-    - a worker that dies (segfault, kill, uncaught exception) costs only
-      its unreported jobs, each marked [Crashed] — never the whole run;
-    - results are returned in job-id order whatever the completion
-      interleaving, so batch output is deterministic for any [jobs] count.
-
-    On platforms without [fork], or with [jobs = 1], the scheduler runs
-    sequentially in-process with identical semantics (including timeouts).
-
-    Workers inherit the parent's cache by [fork] snapshot; entries they
-    store reach other processes through the disk tier, and the parent's
-    in-memory tier is unaffected.
-
-    With [?domains] the fork fan-out is replaced by a {!Pool} of OCaml 5
-    domains in this process: every worker then shares one intern table,
-    one matcher DP table per target, and one cache (memory tier
-    included), so one job's work warms all the others — the serve
-    daemon's scheduler, reachable from the CLI as
-    [record batch --domains N]. Results remain in job-id order. Per-job
-    timeouts are signal-based and process-wide, so combining [?timeout]
-    with [?domains] raises [Invalid_argument]. *)
+    A job that raises is reported [Failed] without disturbing its
+    neighbours. With [timeout], each job gets its own wall-clock deadline
+    from the moment a domain starts it; the pipeline and the compiled
+    simulator poll it ({!Sim.Deadline}), and a job that runs past it
+    reports [Timed_out] while the rest of the batch completes. *)
 
 type report = {
   results : Job.result list;  (** in job-id order *)
-  workers : int;  (** worker processes actually used *)
+  workers : int;  (** worker domains used *)
   wall_ms : float;
 }
 
-val default_jobs : unit -> int
-(** The machine's recommended parallelism
-    ([Domain.recommended_domain_count]). *)
-
 val run :
-  ?jobs:int ->
-  ?domains:int ->
-  ?timeout:float ->
-  ?cache:Cache.t ->
-  Job.t list ->
-  report
-(** [jobs] defaults to {!default_jobs}; [timeout] (seconds) applies per
-    job, default none. [domains] switches from fork workers to an
-    in-process domain pool of that size ([jobs] is then ignored);
-    [timeout] with [domains] raises [Invalid_argument]. *)
+  ?domains:int -> ?timeout:float -> ?cache:Cache.t -> Job.t list -> report
+(** [domains] defaults to {!Pool.default_domains}; [timeout] (seconds)
+    applies per job, default none.
+    @raise Invalid_argument unless [timeout] is positive and finite. *)
 
 val hits : report -> int
 (** Completed jobs served from the cache. *)

@@ -60,8 +60,8 @@ type result = { job : int; label : string; status : status }
 
 (* ---- execution ----------------------------------------------------------- *)
 
-let run ?cache job =
-  let status =
+let run ?cache ?timeout job =
+  let execute () =
     match Registry.find_machine job.target with
     | Error msg -> Failed msg
     | Ok machine -> (
@@ -107,6 +107,13 @@ let run ?cache job =
               static_cycles = Some report.Record.Timing.cycles;
               deadline_met = met;
             }))
+  in
+  let status =
+    match timeout with
+    | None -> execute ()
+    | Some seconds -> (
+      try Sim.Deadline.within seconds execute
+      with Sim.Deadline.Expired -> Timed_out seconds)
   in
   { job = job.id; label = job.label; status }
 

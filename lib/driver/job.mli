@@ -3,9 +3,9 @@
     A job is one (program × target × options) compilation plus what to do
     with the result: nothing ([Compile]), run it on the simulator
     ([Simulate]), or statically analyze it ([Timing], optionally against a
-    deadline). Jobs and results are plain data — no closures — so the batch
-    scheduler can marshal results back from forked workers, and the JSON
-    encoders below give every consumer (CLI, bench, CI) one wire format.
+    deadline). Jobs and results are plain data — no closures — and the
+    JSON encoders below give every consumer (CLI, bench, CI) one wire
+    format.
 
     JSON encoding is split into a deterministic core and volatile
     provenance: with [~deterministic:true] the encoders drop wall-clock
@@ -68,15 +68,23 @@ type status =
           outcome, like the fuzz oracle's [Cannot_compile], not a batch
           failure *)
   | Failed of string  (** simulator trips or an unresolvable target *)
-  | Timed_out of float  (** the per-job timeout, in seconds *)
-  | Crashed of string  (** the worker process died mid-job *)
+  | Timed_out of float
+      (** the job's deadline passed before it finished; carries the
+          per-job timeout, in seconds *)
+  | Crashed of string
+      (** reserved: no scheduler reports it, since every job runs
+          in-process on a {!Pool} domain; kept so code that matches on
+          [status] keeps compiling *)
 
 type result = { job : int; label : string; status : status }
 
-val run : ?cache:Cache.t -> t -> result
+val run : ?cache:Cache.t -> ?timeout:float -> t -> result
 (** Execute one job in-process: resolve the target via {!Registry},
-    compile through {!Service}, then simulate or analyze per [kind]. All
-    failures are captured in the result — [run] does not raise. *)
+    compile through {!Service}, then simulate or analyze per [kind]. With
+    [timeout] (seconds, positive) the job runs under a {!Sim.Deadline}
+    that the pipeline and the compiled simulator poll; a job still running
+    when it passes reports [Timed_out]. All failures are captured in the
+    result — [run] does not raise. *)
 
 (** {1 JSON encoding} *)
 

@@ -79,8 +79,8 @@ let shutdown t =
 
 (* ---- batch-of-jobs convenience ------------------------------------------- *)
 
-let exec ?cache (job : Job.t) =
-  match Job.run ?cache job with
+let exec ?cache ?timeout (job : Job.t) =
+  match Job.run ?cache ?timeout job with
   | result -> result
   | exception e ->
     {
@@ -89,7 +89,7 @@ let exec ?cache (job : Job.t) =
       status = Job.Failed (Printexc.to_string e);
     }
 
-let run_jobs t ?cache jobs =
+let run_jobs t ?cache ?timeout jobs =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let results = Array.make n None in
@@ -99,7 +99,7 @@ let run_jobs t ?cache jobs =
   Array.iteri
     (fun i job ->
       submit t (fun () ->
-          let r = exec ?cache job in
+          let r = exec ?cache ?timeout job in
           Mutex.lock lock;
           results.(i) <- Some r;
           decr remaining;

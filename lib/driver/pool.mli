@@ -1,14 +1,12 @@
 (** The multicore job pool: a fixed set of OCaml 5 domains draining one
-    MPMC task queue.
+    MPMC task queue — the one scheduler behind [record batch], the serve
+    daemon and the DSE sweep.
 
-    Where the fork scheduler ({!Batch}) pays for a process per job slice —
-    rebuilding or copy-on-write'ing the intern table, the per-target
-    matchers, and the cache's memory tier in every child — a pool's
-    domains {e share} all of that state in one address space: one striped
-    intern table ({!Ir.Hashcons}), one warm DP table per target
-    ({!Registry.matcher_for}), one two-tier cache ({!Cache}). A job's
-    interning and labelling work is visible to every later job on any
-    domain, which is the amortization the serve daemon exists for.
+    A pool's domains {e share} the compiler's state in one address space:
+    one striped intern table ({!Ir.Hashcons}), one warm DP table per
+    target ({!Registry.matcher_for}), one two-tier cache ({!Cache}). A
+    job's interning and labelling work is visible to every later job on
+    any domain, which is the amortization the serve daemon exists for.
 
     Tasks may be submitted from any domain or systhread; the serve
     daemon's connection handlers all feed one pool. *)
@@ -32,11 +30,13 @@ val submit : t -> (unit -> unit) -> unit
     that raises is dropped (the worker survives). Raises [Invalid_argument]
     after {!shutdown}. *)
 
-val run_jobs : t -> ?cache:Cache.t -> Job.t list -> Job.result list
+val run_jobs :
+  t -> ?cache:Cache.t -> ?timeout:float -> Job.t list -> Job.result list
 (** Run every job through the pool and block until all complete. Results
     come back in input order whatever the domain interleaving, so output
-    built from them is deterministic for any pool size. A job that raises
-    is reported [Failed], mirroring the fork scheduler. Callable
+    built from them is deterministic for any pool size. [timeout] is each
+    job's own wall-clock limit from the moment a domain starts it (see
+    {!Job.run}); a job that raises is reported [Failed]. Callable
     concurrently from several submitters (each call has its own
     completion latch). *)
 

@@ -127,6 +127,11 @@ let job_of_json ?selection ?matcher id j =
       |> Result.map List.rev
     | Some _ -> Error (Printf.sprintf "job %d: \"inputs\" must be an object" id)
   in
+  let* () =
+    Result.map_error
+      (Printf.sprintf "job %d: %s" id)
+      (Ir.Prog.check_inputs prog inputs)
+  in
   Ok
     (Job.make ~id ?label ~source ~target ~options_label
        ~options ~inputs ~kind prog)

@@ -9,7 +9,9 @@
     option set),
     and labelling engine ([matcher]: ["dp"] or ["table"]).
     Kernel jobs default to the kernel's bundled inputs and kind simulate;
-    file jobs default to kind compile. Absent members take their defaults;
+    file jobs default to kind compile. Every input must name a variable
+    the program declares and carry exactly its size in values
+    ({!Ir.Prog.check_inputs}). Absent members take their defaults;
     a member present with the wrong type (a numeric ["target"], a string
     ["deadline"]) is an error naming the job, like an unknown spelling. *)
 

@@ -17,10 +17,10 @@
     equal interned trees share all their subtree nodes, so structural
     equality of canonical nodes coincides with physical equality ([==]).
 
-    The intern table is process-wide and grows monotonically; forked batch
-    workers inherit a snapshot by copy-on-write. Ids are never reused, even
-    across {!clear}, so id-keyed memo tables stay sound — entries for
-    dropped nodes just stop hitting.
+    The intern table is process-wide and grows monotonically, shared by
+    every job of a batch or serve pool. Ids are never reused, even across
+    {!clear}, so id-keyed memo tables stay sound — entries for dropped
+    nodes just stop hitting.
 
     The table is domain-safe: it is lock-striped into independent shards,
     so any number of OCaml 5 domains (the [record serve] worker pool) may

@@ -108,6 +108,22 @@ let stmts prog =
 
 let find_decl prog name = find_decl_in prog.decls name
 
+let check_inputs prog inputs =
+  List.fold_left
+    (fun acc (name, values) ->
+      Result.bind acc (fun () ->
+          match find_decl prog name with
+          | None ->
+            Error
+              (Printf.sprintf "input %S: %s declares no such variable" name
+                 prog.name)
+          | Some d when d.size <> Array.length values ->
+            Error
+              (Printf.sprintf "input %S has %d values, %s declares %d" name
+                 (Array.length values) prog.name d.size)
+          | Some _ -> Ok ()))
+    (Ok ()) inputs
+
 let pp ppf prog =
   let open Format in
   fprintf ppf "@[<v>program %s@," prog.name;

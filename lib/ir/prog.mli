@@ -44,6 +44,12 @@ val stmts : t -> stmt list
 (** All statements in program order (loop bodies once). *)
 
 val find_decl : t -> string -> decl option
+
+val check_inputs : t -> (string * int array) list -> (unit, string) result
+(** {!Eval.env_set}'s rule for a whole input list: every name is declared
+    by the program, with exactly its size in values. The error names the
+    first offending input, e.g. [input "x0" has 5 values, fir declares 1]. *)
+
 val pp : Format.formatter -> t -> unit
 
 val fold_digest : Buffer.t -> t -> unit

@@ -217,6 +217,8 @@ let stage_instr (machine : Target.Machine.t) clobbers know (i : Target.Instr.t)
 
 (* ---- staging item lists into superblocks -------------------------------- *)
 
+let check_cycles = 1 lsl 16
+
 (* Returns (steps in reverse, knowledge after, static cycles). *)
 let rec stage_items machine clobbers know items =
   List.fold_left
@@ -244,12 +246,26 @@ let rec stage_items machine clobbers know items =
           let body_rev, _, body_cyc = stage_items machine clobbers entry body in
           let arr = Array.of_list (List.rev body_rev) in
           let n = Array.length arr in
-          let s st =
-            for _ = 1 to count do
+          let trips k st =
+            for _ = 1 to k do
               for j = 0 to n - 1 do
                 (Array.unsafe_get arr j) st
               done
             done
+          in
+          (* The job's deadline is polled between chunks of trips worth
+             about [check_cycles] simulated cycles, nested loops' trips
+             included through [body_cyc], so a loop that finishes within
+             one chunk never polls and no trip carries a check. *)
+          let chunk = max 1 (check_cycles / max 1 body_cyc) in
+          let s st =
+            let left = ref count in
+            while !left > chunk do
+              trips chunk st;
+              left := !left - chunk;
+              Deadline.check ()
+            done;
+            trips !left st
           in
           let exit_know = transfer_items clobbers entry body in
           (s :: acc, exit_know, cyc + (count * body_cyc)))

@@ -1,4 +1,5 @@
 module Compile = Compile
+module Deadline = Deadline
 
 exception Mode_violation = Compile.Mode_violation
 exception Exec_error = Compile.Exec_error

@@ -151,14 +151,18 @@ let get_var t name =
   let e = Layout.find t.layout name in
   Array.sub t.mem e.Layout.addr e.Layout.size
 
-let set_var t name values =
-  let e = Layout.find t.layout name in
-  Array.blit values 0 t.mem e.Layout.addr (Array.length values)
-
 (* [set_var] with the layout entry already resolved — the compiled engine
-   looks entries up once per plan instead of once per run. *)
+   looks entries up once per plan instead of once per run.  A write never
+   runs past the variable into its neighbour in the layout. *)
 let blit_entry t (e : Layout.entry) values =
-  Array.blit values 0 t.mem e.Layout.addr (Array.length values)
+  let n = Array.length values in
+  if n > e.Layout.size then
+    invalid_arg
+      (Printf.sprintf "Mstate: %s holds %d values, got %d" e.Layout.name
+         e.Layout.size n);
+  Array.blit values 0 t.mem e.Layout.addr n
+
+let set_var t name values = blit_entry t (Layout.find t.layout name) values
 
 let add_cycles t n = t.cycles <- t.cycles + n
 let cycles t = t.cycles

@@ -1,6 +1,7 @@
 (* Multicore safety of the shared compiler state: N domains interning the
-   same subtrees must agree on canonical ids, and a domain-pool batch run
-   must be byte-identical to the sequential scheduler.  These tests drive
+   same subtrees must agree on canonical ids, a domain-pool batch run must
+   be byte-identical to running the jobs one after another, and a job
+   that times out must leave the pool as it found it.  These tests drive
    the structures the serve daemon shares across worker domains — the
    striped intern table, the matcher DP tables, the cache memory tier. *)
 
@@ -10,6 +11,32 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec find i = i + m <= n && (String.sub s i m = sub || find (i + 1)) in
+  find 0
+
+(* The CLI cases run the executable built next to the tests, and are
+   skipped when the suite runs from anywhere else. *)
+let cli = "../bin/record_cli.exe"
+
+let temp_file suffix contents =
+  let path = Filename.temp_file "record" suffix in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  path
+
+(* Exit code and standard error of [record ARGS]. *)
+let run_cli args =
+  let err = Filename.temp_file "record" ".err" in
+  let code =
+    Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" cli args err)
+  in
+  let msg = read_file err in
+  Sys.remove err;
+  (code, msg)
 
 (* ---- concurrent interning ------------------------------------------------- *)
 
@@ -92,27 +119,119 @@ let table1_jobs () =
     | Ok jobs -> Some jobs
     | Error msg -> Alcotest.fail msg
 
+let doc jobs results =
+  Driver.Json.to_string
+    (Driver.Job.results_to_json ~deterministic:true ~jobs results)
+
 let test_pool_matches_sequential () =
   match table1_jobs () with
   | None -> ()
   | Some jobs ->
-    let doc results =
-      Driver.Json.to_string
-        (Driver.Job.results_to_json ~deterministic:true ~jobs results)
-    in
-    let sequential = (Driver.Batch.run ~jobs:1 jobs).Driver.Batch.results in
+    let sequential = List.map Driver.Job.run jobs in
     let pooled = (Driver.Batch.run ~domains:4 jobs).Driver.Batch.results in
     Alcotest.(check string) "4-domain run byte-identical to sequential"
-      (doc sequential) (doc pooled)
+      (doc jobs sequential) (doc jobs pooled)
 
-let test_pool_timeout_rejected () =
-  Alcotest.check_raises "timeout + domains is refused"
-    (Invalid_argument "Batch.run: ?timeout is not supported with ?domains")
-    (fun () -> ignore (Driver.Batch.run ~domains:2 ~timeout:1.0 []))
+(* ---- per-job timeouts on the pool ----------------------------------------- *)
+
+(* 200 million trips: far more simulation than any timeout below allows. *)
+let long_loop =
+  Dfl.Lower.source
+    {|program long;
+param N = 200000000;
+input a;
+output s;
+begin
+  s = 0;
+  for i = 0 to N - 1 do
+    s = s + a;
+  end;
+end|}
+
+let test_pool_timeout_isolates () =
+  match table1_jobs () with
+  | None -> ()
+  | Some jobs ->
+    (* The long job goes first, so on one domain every Table-1 job queues
+       behind it: a job's deadline counts from its own start. *)
+    let jobs =
+      List.map
+        (fun (j : Driver.Job.t) ->
+          { j with Driver.Job.id = j.Driver.Job.id + 1 })
+        jobs
+    in
+    let long =
+      Driver.Job.make ~id:0 ~target:"tic25" ~inputs:[ ("a", [| 1 |]) ]
+        ~kind:Driver.Job.Simulate long_loop
+    in
+    let json (r : Driver.Job.result) =
+      Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
+    in
+    let reference = List.map (fun j -> json (Driver.Job.run j)) jobs in
+    List.iter
+      (fun domains ->
+        let report = Driver.Batch.run ~domains ~timeout:1.0 (long :: jobs) in
+        match report.Driver.Batch.results with
+        | first :: rest ->
+          (match first.Driver.Job.status with
+          | Driver.Job.Timed_out s ->
+            Alcotest.(check (float 0.0)) "reports its timeout" 1.0 s
+          | _ ->
+            Alcotest.failf "%d domains: the long job should time out" domains);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d domains: every other job as without it" domains)
+            reference (List.map json rest)
+        | [] -> Alcotest.fail "no results")
+      [ 1; 4 ]
+
+let test_expired_deadline_leaves_pool_clean () =
+  match table1_jobs () with
+  | None -> ()
+  | Some jobs ->
+    let cache = Driver.Cache.create () in
+    let pool = Driver.Pool.create ~domains:2 () in
+    Fun.protect
+      ~finally:(fun () -> Driver.Pool.shutdown pool)
+      (fun () ->
+        (* The smallest timeout puts each deadline at its job's start, so
+           every job has expired before it runs. *)
+        List.iter
+          (fun (r : Driver.Job.result) ->
+            match r.Driver.Job.status with
+            | Driver.Job.Timed_out _ -> ()
+            | _ -> Alcotest.failf "%s should time out" r.Driver.Job.label)
+          (Driver.Pool.run_jobs pool ~cache ~timeout:Float.min_float jobs);
+        Alcotest.(check int) "no cache entry stored" 0
+          (Driver.Cache.counters cache).Driver.Cache.stores;
+        let reused = Driver.Pool.run_jobs pool ~cache jobs in
+        let fresh = (Driver.Batch.run ~domains:2 jobs).Driver.Batch.results in
+        Alcotest.(check string) "same pool afterwards = fresh pool"
+          (doc jobs fresh) (doc jobs reused))
+
+let test_timeout_must_be_positive () =
+  List.iter
+    (fun t ->
+      match Driver.Batch.run ~domains:1 ~timeout:t [] with
+      | _ -> Alcotest.failf "timeout %g should be refused" t
+      | exception Invalid_argument _ -> ())
+    [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
+  (* The CLI turns the refusal into exit 1 and a message naming the flag. *)
+  if Sys.file_exists cli then begin
+    let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
+    List.iter
+      (fun t ->
+        let code, msg =
+          run_cli (Printf.sprintf "batch %s --no-cache --timeout=%s" jobs t)
+        in
+        Alcotest.(check int) ("--timeout=" ^ t ^ " exits 1") 1 code;
+        Alcotest.(check bool) (msg ^ " names --timeout") true
+          (contains ~sub:"--timeout" msg))
+      [ "0"; "-1"; "nan" ];
+    Sys.remove jobs
+  end
 
 let test_pool_shared_cache () =
-  (* Jobs repeated within one pooled run hit the shared memory tier —
-     the amortization fork workers cannot provide. *)
+  (* Jobs repeated within one pooled run hit the shared memory tier. *)
   match table1_jobs () with
   | None -> ()
   | Some jobs ->
@@ -136,12 +255,7 @@ let test_duplicate_keys_rejected () =
       | Ok _ -> Alcotest.failf "%s should be rejected" label
       | Error msg ->
         Alcotest.(check bool) (label ^ " names the duplicate") true
-          (let sub = "duplicate object key" in
-           let n = String.length msg and m = String.length sub in
-           let rec find i =
-             i + m <= n && (String.sub msg i m = sub || find (i + 1))
-           in
-           find 0))
+          (contains ~sub:"duplicate object key" msg))
     [
       ("top-level duplicate", {|{"a": 1, "a": 2}|});
       ("nested duplicate", {|{"jobs": [{"kernel": "fir", "kernel": "fir"}]}|});
@@ -191,6 +305,68 @@ let test_duplicate_keys_rejected () =
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg
 
+(* fir at N = 4: x0 is one value, c and x four each, laid out in that
+   order. *)
+let fir4 =
+  {|program fir;
+param N = 4;
+input x0;
+input c[N], x[N];
+output y;
+var acc;
+begin
+  for i = 0 to N - 2 do
+    x[i] = x[i + 1];
+  end;
+  x[N - 1] = x0;
+  acc = 0;
+  for j = 0 to N - 1 do
+    acc = acc + c[j] * x[j];
+  end;
+  y = acc;
+end
+|}
+
+let test_inputs_checked () =
+  (* Every input names a declared variable and carries exactly its size,
+     the rule the reference interpreter applies. *)
+  List.iter
+    (fun (inputs, expected) ->
+      let text =
+        Printf.sprintf {|[{"kernel": "fir", "inputs": %s}]|} inputs
+      in
+      match
+        Result.bind (Driver.Json.of_string text) Driver.Protocol.jobs_of_json
+      with
+      | Ok _ when expected = "" -> ()
+      | Ok _ -> Alcotest.failf "%s should be rejected" inputs
+      | Error msg -> Alcotest.(check string) inputs expected msg)
+    [
+      ( {|{"x0": [1, 5, 5, 5, 5]}|},
+        {|job 0: input "x0" has 5 values, fir declares 1|} );
+      ( {|{"nosuch": [1, 2]}|},
+        {|job 0: input "nosuch": fir declares no such variable|} );
+      ( {|{"x": [1, 2]}|}, {|job 0: input "x" has 2 values, fir declares 16|} );
+      ({|{"x0": [3]}|}, "");
+    ];
+  (* [record compile --input] applies the same check, with or without
+     --check, before anything runs. *)
+  if Sys.file_exists cli then begin
+    let src = temp_file ".dfl" fir4 in
+    List.iter
+      (fun check ->
+        let code, msg =
+          run_cli
+            (Printf.sprintf
+               "compile %s --no-cache -i x0=1,5,5,5,5 -i x=1,1,1,1%s" src check)
+        in
+        Alcotest.(check int) ("compile" ^ check ^ " exits 1") 1 code;
+        Alcotest.(check string) ("compile" ^ check ^ " names the input")
+          "record: input \"x0\" has 5 values, fir declares 1\n" msg)
+      [ ""; " --check" ];
+    Sys.remove src
+  end
+
 let test_eviction_counter () =
   let cache = Driver.Cache.create ~memory_slots:2 () in
   let machine = Target.Tic25.machine in
@@ -217,8 +393,12 @@ let suites =
           test_concurrent_matcher_labelling;
         Alcotest.test_case "4-domain pool byte-identical to sequential" `Quick
           test_pool_matches_sequential;
-        Alcotest.test_case "timeout rejected with domains" `Quick
-          test_pool_timeout_rejected;
+        Alcotest.test_case "timeout isolates the long job" `Quick
+          test_pool_timeout_isolates;
+        Alcotest.test_case "expired deadline leaves pool clean" `Quick
+          test_expired_deadline_leaves_pool_clean;
+        Alcotest.test_case "timeout must be positive and finite" `Quick
+          test_timeout_must_be_positive;
         Alcotest.test_case "pooled runs share one cache" `Quick
           test_pool_shared_cache;
       ] );
@@ -227,5 +407,7 @@ let suites =
         Alcotest.test_case "duplicate object keys rejected" `Quick
           test_duplicate_keys_rejected;
         Alcotest.test_case "eviction counter" `Quick test_eviction_counter;
+        Alcotest.test_case "inputs checked against declarations" `Quick
+          test_inputs_checked;
       ] );
   ]

@@ -321,25 +321,25 @@ let deterministic_doc jobs results =
 
 let test_batch_determinism () =
   let jobs = table1_jobs () in
-  (* Same job list, sequential vs forked with several worker counts, cold
-     vs warm cache: all must produce identical ordered results. *)
+  (* Same job list, one after another in this domain vs pools of several
+     widths, cold vs warm cache: all must produce identical ordered
+     results. *)
   let dir = temp_dir () in
   let run n cache =
-    (Driver.Batch.run ~jobs:n ?cache jobs).Driver.Batch.results
+    (Driver.Batch.run ~domains:n ?cache jobs).Driver.Batch.results
   in
-  let sequential = run 1 None in
-  let reference = deterministic_doc jobs sequential in
+  let reference = deterministic_doc jobs (List.map Driver.Job.run jobs) in
   List.iter
     (fun n ->
       let got = deterministic_doc jobs (run n None) in
       Alcotest.(check string)
-        (Printf.sprintf "jobs=%d matches sequential" n)
+        (Printf.sprintf "domains=%d matches sequential" n)
         reference got)
-    [ 2; 4; 7 ];
+    [ 1; 2; 4; 7 ];
   let cold = Driver.Cache.create ~dir () in
   let warm = Driver.Cache.create ~dir () in
   let cold_results = run 4 (Some cold) in
-  let warm_report = Driver.Batch.run ~jobs:4 ~cache:warm jobs in
+  let warm_report = Driver.Batch.run ~domains:4 ~cache:warm jobs in
   Alcotest.(check string) "cold cached run matches" reference
     (deterministic_doc jobs cold_results);
   Alcotest.(check string) "warm cached run matches" reference
@@ -364,7 +364,7 @@ let test_batch_isolation () =
       ok "dot_product" 3 "dsp56";
     ]
   in
-  let report = Driver.Batch.run ~jobs:2 jobs in
+  let report = Driver.Batch.run ~domains:2 jobs in
   let status i =
     (List.nth report.Driver.Batch.results i).Driver.Job.status
   in
@@ -385,6 +385,31 @@ let test_batch_isolation () =
   match status 3 with
   | Driver.Job.Done _ -> ()
   | _ -> Alcotest.fail "job 3 should succeed"
+
+let test_timeout_interrupts_compile () =
+  (* 300 statements keep the pipeline busy for tens of milliseconds, so a
+     millisecond deadline passes inside it and a phase or statement poll
+     abandons the compile; without the polls the job would finish. *)
+  let prog =
+    Dfl.Lower.source
+      (String.concat "\n"
+         ([ "program big;"; "input a, b;"; "output y;"; "begin"; "  y = 0;" ]
+         @ List.init 300 (fun i ->
+               Printf.sprintf "  y = y + a * %d - b;" ((i mod 7) + 1))
+         @ [ "end" ]))
+  in
+  List.iter
+    (fun mode ->
+      let options =
+        Record.Options.with_selection_mode mode Record.Options.record_
+      in
+      let job = Driver.Job.make ~id:0 ~target:"tic25" ~options prog in
+      match (Driver.Job.run ~timeout:1e-3 job).Driver.Job.status with
+      | Driver.Job.Timed_out _ -> ()
+      | _ ->
+        Alcotest.failf "%s: the compile should time out"
+          (Record.Options.selection_mode_name mode))
+    [ Record.Options.Tree; Record.Options.Dag ]
 
 (* ---- registry ------------------------------------------------------------ *)
 
@@ -504,6 +529,8 @@ let suites =
           `Quick test_batch_determinism;
         Alcotest.test_case "failures are isolated, ordering stable" `Quick
           test_batch_isolation;
+        Alcotest.test_case "timeout interrupts a long compile" `Quick
+          test_timeout_interrupts_compile;
       ] );
     ( "driver.registry",
       [ Alcotest.test_case "find_machine" `Quick test_registry ] );
@@ -515,8 +542,6 @@ let suites =
         Alcotest.test_case "CI jobs file parses" `Quick
           test_json_parses_jobs_file;
       ] );
-    (* Last: it spawns domains, after which the fork-based batch tests
-       above could not run. *)
     ( "driver.key",
       [
         Alcotest.test_case "structural copy, same key" `Quick

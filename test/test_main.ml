@@ -7,7 +7,4 @@ let () =
     @ Test_mdl.suites @ Test_selftest.suites @ Test_dspstone.suites @ Test_timing.suites
     @ Test_pipeline.suites @ Test_select.suites @ Test_sim.suites
     @ Test_fuzz.suites @ Test_driver.suites
-    (* Test_sim_diff and Test_domains spawn domains, which makes Unix.fork
-       unavailable for the rest of the process — they must come after the
-       fork-based Driver.Batch tests. *)
     @ Test_sim_diff.suites @ Test_domains.suites @ Test_dse.suites)

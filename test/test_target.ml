@@ -133,6 +133,22 @@ let test_mstate_vars () =
   Alcotest.(check (array int)) "roundtrip" [| 1; 2; 3; 4 |]
     (Target.Mstate.get_var st "v")
 
+let test_mstate_writes_stay_inside () =
+  let l =
+    Target.Layout.make ~banks:[ "data" ] [ ("v", 4, "data"); ("w", 2, "data") ]
+  in
+  let st = Target.Mstate.create ~layout:l ~modes:[] () in
+  Target.Mstate.set_var st "w" [| 8; 9 |];
+  Alcotest.check_raises "one value too many"
+    (Invalid_argument "Mstate: v holds 4 values, got 5") (fun () ->
+      Target.Mstate.set_var st "v" [| 1; 2; 3; 4; 5 |]);
+  Alcotest.check_raises "through a resolved entry too"
+    (Invalid_argument "Mstate: v holds 4 values, got 6") (fun () ->
+      Target.Mstate.blit_entry st (Target.Layout.find l "v")
+        [| 1; 2; 3; 4; 5; 6 |]);
+  Alcotest.(check (array int)) "the next variable is untouched" [| 8; 9 |]
+    (Target.Mstate.get_var st "w")
+
 (* ---- Asm ----------------------------------------------------------------------- *)
 
 let test_asm_accounting () =
@@ -292,6 +308,8 @@ let suites =
         Alcotest.test_case "address operands" `Quick test_mstate_adr_operand;
         Alcotest.test_case "vregs rejected" `Quick test_mstate_vreg_rejected;
         Alcotest.test_case "variable io" `Quick test_mstate_vars;
+        Alcotest.test_case "writes stay inside a variable" `Quick
+          test_mstate_writes_stay_inside;
       ] );
     ( "target.asm",
       [ Alcotest.test_case "size accounting" `Quick test_asm_accounting ] );
