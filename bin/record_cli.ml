@@ -615,8 +615,23 @@ let pp_batch_status ppf (r : Driver.Job.result) =
   | Driver.Job.Timed_out s -> Format.fprintf ppf "TIMEOUT after %.1f s" s
   | Driver.Job.Crashed msg -> Format.fprintf ppf "CRASHED %s" msg
 
+(* [--domains] of batch, serve and dse: the pool's worker domains. *)
+let pool_width = function
+  | None -> Driver.Pool.default_domains ()
+  | Some d when d >= 1 -> d
+  | Some d ->
+    or_die (Error (Printf.sprintf "--domains must be at least 1, got %d" d))
+
 let batch_cmd jobs_file domains timeout selection matcher no_cache cache_dir
     out json compact deterministic require_hit_rate =
+  let domains = pool_width domains in
+  (match timeout with
+  | Some t when not (Float.is_finite t && t > 0.0) ->
+    or_die
+      (Error
+         (Printf.sprintf "--timeout must be a positive number of seconds, got %g"
+            t))
+  | Some _ | None -> ());
   let doc =
     match Driver.Json.of_string (read_file jobs_file) with
     | Ok doc -> doc
@@ -626,15 +641,11 @@ let batch_cmd jobs_file domains timeout selection matcher no_cache cache_dir
   let jobs = or_die (Driver.Protocol.jobs_of_json ?selection ?matcher doc) in
   let cache = cache_of ~no_cache ~cache_dir in
   let report =
-    match Driver.Batch.run ?domains ?timeout ?cache jobs with
+    match Driver.Batch.run ~domains ?timeout ?cache jobs with
     | report -> report
-    | exception Invalid_argument _ ->
-      (* Batch.run's one precondition: a positive, finite timeout. *)
-      or_die
-        (Error
-           (Printf.sprintf "--timeout must be a positive number of seconds, \
-                            got %g"
-              (Option.get timeout)))
+    | exception Invalid_argument msg ->
+      (* The timeout is checked above: the pool could not start. *)
+      or_die (Error msg)
   in
   let results = report.Driver.Batch.results in
   let doc =
@@ -703,9 +714,10 @@ let jobs_file_arg =
 
 let domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Run jobs on N OCaml domains in this process (default: CPU \
-               count - 1, at least 1); domains share the intern table, the \
-               per-target matcher tables, and the in-memory cache tier")
+         ~doc:"Run jobs on N worker domains in this process (default: CPU \
+               count - 1, at least 1), with the calling domain computing \
+               beside them; all share the intern table, the per-target \
+               matcher tables, and the in-memory cache tier")
 
 let timeout_arg =
   Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS"
@@ -752,21 +764,22 @@ let batch_t =
 (* ---- serve ------------------------------------------------------------------- *)
 
 let serve_cmd domains socket deterministic matcher no_cache cache_dir =
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Driver.Pool.default_domains ()
-  in
+  let domains = pool_width domains in
   let cache = cache_of ~no_cache ~cache_dir in
   let config = { Driver.Serve.domains; deterministic; cache; matcher } in
-  match socket with
-  | None -> Driver.Serve.run_stdio config
-  | Some path -> Driver.Serve.run_socket config ~path
+  match
+    match socket with
+    | None -> Driver.Serve.run_stdio config
+    | Some path -> Driver.Serve.run_socket config ~path
+  with
+  | () -> ()
+  | exception Invalid_argument msg -> or_die (Error msg)
 
 let serve_domains_arg =
   Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
          ~doc:"Worker domains in the pool (default: CPU count - 1, at \
-               least 1)")
+               least 1); a request's own thread also computes its jobs \
+               while no other request is computing on the main domain")
 
 let socket_arg =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -805,11 +818,7 @@ let dse_cmd seed samples domains kernels selection matcher out no_cache
   let kernels =
     match kernels with [] -> Dse.Sweep.default_kernels () | ks -> ks
   in
-  let domains =
-    match domains with
-    | Some d -> max 1 d
-    | None -> Driver.Pool.default_domains ()
-  in
+  let domains = pool_width domains in
   let cache = cache_of ~no_cache ~cache_dir in
   let config =
     { Dse.Sweep.seed; samples; kernels; domains; cache; selection; matcher }

@@ -4,7 +4,22 @@ type report = {
   wall_ms : float;
 }
 
-let run ?domains ?timeout ?cache jobs =
+(* One pool per width, started by the first run at that width and kept
+   until exit: later runs find its workers started and their domain-local
+   rewrite memos warm. *)
+let pools : (int, Pool.t) Hashtbl.t = Hashtbl.create 2
+let pools_lock = Mutex.create ()
+
+let pool width =
+  Mutex.protect pools_lock (fun () ->
+      match Hashtbl.find_opt pools width with
+      | Some p -> p
+      | None ->
+        let p = Pool.create ~domains:width () in
+        Hashtbl.add pools width p;
+        p)
+
+let run ?(domains = Pool.default_domains ()) ?timeout ?cache jobs =
   (match timeout with
   | Some s when not (Float.is_finite s && s > 0.0) ->
     invalid_arg
@@ -12,12 +27,8 @@ let run ?domains ?timeout ?cache jobs =
          s)
   | Some _ | None -> ());
   let t0 = Unix.gettimeofday () in
-  let pool = Pool.create ?domains () in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Pool.run_jobs pool ?cache ?timeout jobs)
-  in
+  let pool = pool domains in
+  let results = Pool.run_jobs pool ?cache ?timeout jobs in
   {
     results;
     workers = Pool.size pool;

@@ -42,8 +42,18 @@ let worker queue () =
   in
   loop ()
 
+(* Workers finish the queued tasks, then see [closed] and return. *)
+let close queue =
+  Mutex.lock queue.lock;
+  queue.closed <- true;
+  Condition.broadcast queue.nonempty;
+  Mutex.unlock queue.lock
+
 let create ?domains () =
-  let n = max 1 (match domains with Some d -> d | None -> default_domains ()) in
+  let n = match domains with Some d -> d | None -> default_domains () in
+  if n < 1 then
+    invalid_arg
+      (Printf.sprintf "Pool.create: domains must be at least 1, got %d" n);
   (* Build every lazily-initialized shared structure (machine list, one
      matcher per target) before any worker exists, so workers only ever
      read them. *)
@@ -56,7 +66,20 @@ let create ?domains () =
       closed = false;
     }
   in
-  { queue; domains = Array.init n (fun _ -> Domain.spawn (worker queue)) }
+  let started = ref [] in
+  (try
+     for _ = 1 to n do
+       started := Domain.spawn (worker queue) :: !started
+     done
+   with Failure msg ->
+     (* The runtime caps the number of live domains: join the workers
+        already running rather than leak them. *)
+     close queue;
+     List.iter Domain.join !started;
+     invalid_arg
+       (Printf.sprintf "Pool.create: could not start %d domains (%d started): %s"
+          n (List.length !started) msg));
+  { queue; domains = Array.of_list !started }
 
 let size t = Array.length t.domains
 
@@ -71,10 +94,7 @@ let submit t f =
   Mutex.unlock t.queue.lock
 
 let shutdown t =
-  Mutex.lock t.queue.lock;
-  t.queue.closed <- true;
-  Condition.broadcast t.queue.nonempty;
-  Mutex.unlock t.queue.lock;
+  close t.queue;
   Array.iter Domain.join t.domains
 
 (* ---- batch-of-jobs convenience ------------------------------------------- *)
@@ -89,23 +109,45 @@ let exec ?cache ?timeout (job : Job.t) =
       status = Job.Failed (Printexc.to_string e);
     }
 
+(* A domain's seat.  The rewrite memo ([Ir.Algebra]) and the job deadline
+   ([Sim.Deadline]) are domain-local and unsynchronized, and several
+   systhreads of one domain may submit at once (serve's connection
+   handlers), so a submitter computes jobs only while it holds its
+   domain's seat. *)
+let seat = Domain.DLS.new_key Mutex.create
+
 let run_jobs t ?cache ?timeout jobs =
   let jobs = Array.of_list jobs in
   let n = Array.length jobs in
   let results = Array.make n None in
+  let cursor = Atomic.make 0 in
   let remaining = ref n in
   let lock = Mutex.create () in
   let all_done = Condition.create () in
-  Array.iteri
-    (fun i job ->
-      submit t (fun () ->
-          let r = exec ?cache ?timeout job in
-          Mutex.lock lock;
-          results.(i) <- Some r;
-          decr remaining;
-          if !remaining = 0 then Condition.signal all_done;
-          Mutex.unlock lock))
-    jobs;
+  (* Claim jobs until the cursor passes the end; each result goes to its
+     job's index, so the output is the same whoever ran what. *)
+  let rec drain () =
+    let i = Atomic.fetch_and_add cursor 1 in
+    if i < n then begin
+      let r = exec ?cache ?timeout jobs.(i) in
+      Mutex.lock lock;
+      results.(i) <- Some r;
+      decr remaining;
+      if !remaining = 0 then Condition.signal all_done;
+      Mutex.unlock lock;
+      drain ()
+    end
+  in
+  let seat = Domain.DLS.get seat in
+  let seated = Mutex.try_lock seat in
+  Fun.protect
+    ~finally:(fun () -> if seated then Mutex.unlock seat)
+    (fun () ->
+      (* A seated caller takes one share of the work itself. *)
+      for _ = 1 to min (size t) (if seated then n - 1 else n) do
+        submit t drain
+      done;
+      if seated then drain ());
   Mutex.lock lock;
   while !remaining > 0 do
     Condition.wait all_done lock

@@ -14,13 +14,17 @@
 type t
 
 val default_domains : unit -> int
-(** [Domain.recommended_domain_count () - 1] (at least 1): leave a core
-    for the submitting/coordinating domain. *)
+(** [Domain.recommended_domain_count () - 1] (at least 1): the worker
+    domains, with one core left for the submitting domain, which computes
+    jobs beside them (see {!run_jobs}). *)
 
 val create : ?domains:int -> unit -> t
 (** Spawn the worker domains (default {!default_domains}). Shared lazy
     state (machine registry, per-target matchers) is forced before any
-    worker starts. *)
+    worker starts.
+    @raise Invalid_argument if [domains] is below 1, or if the runtime
+    cannot start that many domains (the workers already started are
+    joined first). *)
 
 val size : t -> int
 (** Worker domains in the pool. *)
@@ -32,13 +36,18 @@ val submit : t -> (unit -> unit) -> unit
 
 val run_jobs :
   t -> ?cache:Cache.t -> ?timeout:float -> Job.t list -> Job.result list
-(** Run every job through the pool and block until all complete. Results
-    come back in input order whatever the domain interleaving, so output
-    built from them is deterministic for any pool size. [timeout] is each
-    job's own wall-clock limit from the moment a domain starts it (see
-    {!Job.run}); a job that raises is reported [Failed]. Callable
-    concurrently from several submitters (each call has its own
-    completion latch). *)
+(** Run every job and block until all complete. Jobs are claimed in
+    order through one shared cursor by at most one task per worker and by
+    the submitter itself, so a batch finishes even when every worker is
+    busy. The submitter computes only while it holds its domain's seat,
+    which one systhread per domain holds at a time (the rewrite memo and
+    the job deadline are domain-local); a submitter that finds the seat
+    taken waits for the workers. Results come back in input order
+    whatever the interleaving, so output built from them is deterministic
+    for any pool size. [timeout] is each job's own wall-clock limit from
+    the moment it starts (see {!Job.run}); a job that raises is reported
+    [Failed]. Callable concurrently from several submitters (each call
+    has its own cursor and completion latch). *)
 
 val shutdown : t -> unit
 (** Close the queue, drain remaining tasks, and join every worker. *)

@@ -6,6 +6,10 @@
    stdin/stdout by default, or over a Unix-domain socket with one
    systhread per connection — and every request's jobs are multiplexed
    into the one pool, so concurrent clients warm each other's caches.
+   The thread that reads a request computes its jobs beside the workers
+   while it holds the main domain's seat ([Pool.run_jobs]); connection
+   threads that find the seat taken leave their jobs to the workers, so
+   one thread at a time computes on the main domain.
 
    Protocol (one JSON document per line, response is one line):
 

@@ -108,16 +108,26 @@ let test_concurrent_matcher_labelling () =
 
 (* ---- pool vs sequential batch --------------------------------------------- *)
 
-let table1_jobs () =
+let jobs_of objects =
+  match Driver.Protocol.jobs_of_json (Driver.Json.List objects) with
+  | Ok jobs -> jobs
+  | Error msg -> Alcotest.fail msg
+
+(* The job objects of the Table-1 jobs file. *)
+let table1_objects () =
   let path = "../bench/jobs_table1.json" in
   if not (Sys.file_exists path) then None
   else
     match
-      Result.bind (Driver.Json.of_string (read_file path))
-        Driver.Protocol.jobs_of_json
+      Result.map
+        (fun d -> Option.bind (Driver.Json.member "jobs" d) Driver.Json.to_list)
+        (Driver.Json.of_string (read_file path))
     with
-    | Ok jobs -> Some jobs
+    | Ok (Some objects) -> Some objects
+    | Ok None -> Alcotest.fail "jobs_table1.json has no jobs"
     | Error msg -> Alcotest.fail msg
+
+let table1_jobs () = Option.map jobs_of (table1_objects ())
 
 let doc jobs results =
   Driver.Json.to_string
@@ -134,11 +144,12 @@ let test_pool_matches_sequential () =
 
 (* ---- per-job timeouts on the pool ----------------------------------------- *)
 
-(* 200 million trips: far more simulation than any timeout below allows. *)
-let long_loop =
-  Dfl.Lower.source
+(* A loop of [trips] additions to [s], about 2.5 s per 100 million trips
+   on a 2-vCPU VM. *)
+let loop_source trips =
+  Printf.sprintf
     {|program long;
-param N = 200000000;
+param N = %d;
 input a;
 output s;
 begin
@@ -147,6 +158,10 @@ begin
     s = s + a;
   end;
 end|}
+    trips
+
+(* 200 million trips: far more simulation than any timeout below allows. *)
+let long_loop = Dfl.Lower.source (loop_source 200_000_000)
 
 let test_pool_timeout_isolates () =
   match table1_jobs () with
@@ -204,7 +219,12 @@ let test_expired_deadline_leaves_pool_clean () =
         Alcotest.(check int) "no cache entry stored" 0
           (Driver.Cache.counters cache).Driver.Cache.stores;
         let reused = Driver.Pool.run_jobs pool ~cache jobs in
-        let fresh = (Driver.Batch.run ~domains:2 jobs).Driver.Batch.results in
+        let fresh =
+          let pool = Driver.Pool.create ~domains:2 () in
+          Fun.protect
+            ~finally:(fun () -> Driver.Pool.shutdown pool)
+            (fun () -> Driver.Pool.run_jobs pool jobs)
+        in
         Alcotest.(check string) "same pool afterwards = fresh pool"
           (doc jobs fresh) (doc jobs reused))
 
@@ -229,6 +249,254 @@ let test_timeout_must_be_positive () =
       [ "0"; "-1"; "nan" ];
     Sys.remove jobs
   end
+
+let test_domains_must_start () =
+  List.iter
+    (fun domains ->
+      match Driver.Pool.create ~domains () with
+      | pool ->
+        Driver.Pool.shutdown pool;
+        Alcotest.failf "a pool of %d domains should be refused" domains
+      | exception Invalid_argument _ -> ())
+    [ 0; -3 ];
+  if Sys.file_exists cli then begin
+    let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
+    List.iter
+      (fun (command, width, expected) ->
+        let code, msg =
+          run_cli (Printf.sprintf "%s --domains=%s" command width)
+        in
+        Alcotest.(check int) (command ^ " --domains=" ^ width ^ " exits 1") 1
+          code;
+        Alcotest.(check bool) (msg ^ " says why") true
+          (contains ~sub:expected msg))
+      [
+        ("batch " ^ jobs ^ " --no-cache", "0", "--domains");
+        ("batch " ^ jobs ^ " --no-cache", "-3", "--domains");
+        ("serve --no-cache < /dev/null", "0", "--domains");
+        ("dse --samples 1 --kernels fir --no-cache -o /dev/null", "-3",
+         "--domains");
+        (* Past the runtime's limit on live domains: the pool joins the
+           workers it started, and the CLI says why. *)
+        ("batch " ^ jobs ^ " --no-cache", "200", "could not start");
+      ];
+    Sys.remove jobs
+  end
+
+(* ---- the submitting domain computes too ----------------------------------- *)
+
+let test_caller_runs_batch () =
+  match table1_jobs () with
+  | None -> ()
+  | Some jobs ->
+    let reference = doc jobs (List.map Driver.Job.run jobs) in
+    let pool = Driver.Pool.create ~domains:1 () in
+    (* Hold the pool's only worker until the gate opens. *)
+    let gate = Mutex.create () in
+    let blocked = Atomic.make false in
+    Mutex.lock gate;
+    Driver.Pool.submit pool (fun () ->
+        Atomic.set blocked true;
+        Mutex.lock gate;
+        Mutex.unlock gate);
+    while not (Atomic.get blocked) do
+      Domain.cpu_relax ()
+    done;
+    let result = Atomic.make None in
+    let submitter =
+      Thread.create
+        (fun () -> Atomic.set result (Some (Driver.Pool.run_jobs pool jobs)))
+        ()
+    in
+    (* Watchdog: a submitter that waits for the worker gets 30 s, then the
+       gate opens so the test fails instead of hanging. *)
+    let give_up = Unix.gettimeofday () +. 30.0 in
+    while Atomic.get result = None && Unix.gettimeofday () < give_up do
+      Thread.delay 0.01
+    done;
+    let before_release = Atomic.get result in
+    Mutex.unlock gate;
+    Thread.join submitter;
+    Driver.Pool.shutdown pool;
+    match before_release with
+    | None -> Alcotest.fail "run_jobs waited for the blocked worker"
+    | Some results ->
+      Alcotest.(check string) "the caller ran the batch alone" reference
+        (doc jobs results)
+
+let test_concurrent_submitters () =
+  match table1_jobs () with
+  | None -> ()
+  | Some jobs ->
+    let reference = doc jobs (List.map Driver.Job.run jobs) in
+    let pool = Driver.Pool.create ~domains:2 () in
+    Fun.protect
+      ~finally:(fun () -> Driver.Pool.shutdown pool)
+      (fun () ->
+        let batch () = doc jobs (Driver.Pool.run_jobs pool jobs) in
+        (* Four systhreads share the main domain's seat; the extra domain
+           has a seat of its own. *)
+        let threads =
+          List.init 4 (fun _ ->
+              let out = ref "" in
+              (Thread.create (fun () -> out := batch ()) (), out))
+        in
+        let other = Domain.spawn batch in
+        let docs =
+          List.map
+            (fun (thread, out) ->
+              Thread.join thread;
+              !out)
+            threads
+          @ [ Domain.join other ]
+        in
+        List.iteri
+          (fun i d ->
+            Alcotest.(check string)
+              (Printf.sprintf "submitter %d equals the sequential run" i)
+              reference d)
+          docs)
+
+(* The seat keeps a job's deadline to itself: a job without a timeout
+   must never see the deadline of a job that another systhread of its
+   domain started. Each submitter runs a one-job batch, which a seated
+   caller computes alone. *)
+let test_one_job_per_domain () =
+  let loop ~id trips =
+    Driver.Job.make ~id ~target:"tic25" ~inputs:[ ("a", [| 1 |]) ]
+      ~kind:Driver.Job.Simulate
+      (Dfl.Lower.source (loop_source trips))
+  in
+  let json (r : Driver.Job.result) =
+    Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
+  in
+  let short = loop ~id:0 4_000_000 in
+  let reference = json (Driver.Job.run short) in
+  let pool = Driver.Pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Pool.shutdown pool)
+    (fun () ->
+      (* Without the seat, whichever thread runs when the 0.05 s deadline
+         passes fails its job: a lone trial would miss a missing seat one
+         time in four. *)
+      for _ = 1 to 2 do
+        let timed = ref [] in
+        let racer =
+          Thread.create
+            (fun () ->
+              timed :=
+                Driver.Pool.run_jobs pool ~timeout:0.05
+                  [ loop ~id:0 200_000_000 ])
+            ()
+        in
+        let outs = List.init 3 (fun _ -> ref []) in
+        let threads =
+          List.map
+            (fun out ->
+              Thread.create (fun () -> out := Driver.Pool.run_jobs pool [ short ])
+                ())
+            outs
+        in
+        List.iter Thread.join (racer :: threads);
+        (match !timed with
+        | [ { Driver.Job.status = Driver.Job.Timed_out _; _ } ] -> ()
+        | _ -> Alcotest.fail "the 0.05 s job should time out");
+        List.iter
+          (fun out ->
+            Alcotest.(check (list string)) "a job without a timeout completes"
+              [ reference ] (List.map json !out))
+          outs
+      done)
+
+(* ---- serve --socket ------------------------------------------------------- *)
+
+type connection = {
+  fd : Unix.file_descr;
+  ic : in_channel;
+  oc : out_channel;
+}
+
+(* Retries until the daemon listens. *)
+let connect path =
+  let rec go tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () ->
+      { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+    | exception Unix.Unix_error _ when tries > 0 ->
+      Unix.close fd;
+      Thread.delay 0.02;
+      go (tries - 1)
+  in
+  go 500
+
+let send c line =
+  output_string c.oc line;
+  output_char c.oc '\n';
+  flush c.oc
+
+let replied c =
+  match Unix.select [ c.fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+
+let test_serve_socket () =
+  match table1_objects () with
+  | None -> ()
+  | Some objects ->
+    (* Two requests, each half of Table 1, with the reply Batch.run's
+       results give for the same jobs. *)
+    let half keep =
+      let objects = List.filteri (fun i _ -> keep i) objects in
+      let jobs = jobs_of objects in
+      ( Driver.Json.to_string
+          (Driver.Json.Obj
+             [
+               ("jobs", Driver.Json.List objects);
+               ("deterministic", Driver.Json.Bool true);
+             ]),
+        doc jobs (Driver.Batch.run jobs).Driver.Batch.results )
+    in
+    let requests = [ half (fun i -> i mod 2 = 0); half (fun i -> i mod 2 = 1) ] in
+    let long = temp_file ".dfl" (loop_source 100_000_000) in
+    let path = Filename.temp_file "record" ".sock" in
+    let config =
+      {
+        Driver.Serve.domains = 2;
+        deterministic = false;
+        cache = Some (Driver.Cache.create ());
+        matcher = None;
+      }
+    in
+    let daemon = Domain.spawn (fun () -> Driver.Serve.run_socket config ~path) in
+    let clients = List.map (fun _ -> connect path) requests in
+    List.iter2 (fun c (line, _) -> send c line) clients requests;
+    List.iter2
+      (fun c (_, expected) ->
+        Alcotest.(check string) "reply equals Batch.run" expected
+          (input_line c.ic))
+      clients requests;
+    List.iter (fun c -> close_in c.ic) clients;
+    let slow = connect path in
+    send slow
+      (Printf.sprintf
+         {|[{"file": %S, "target": "tic25", "kind": "simulate", "inputs": {"a": [1]}}]|}
+         long);
+    Thread.delay 0.2;
+    let control = connect path in
+    send control {|{"op": "ping"}|};
+    Alcotest.(check string) "ping answered"
+      {|{"protocol":"record-serve-1","status":"ok"}|} (input_line control.ic);
+    Alcotest.(check bool) "before the long batch replies" false (replied slow);
+    Alcotest.(check bool) "the long batch completes" true
+      (contains ~sub:{|"status":"done"|} (input_line slow.ic));
+    close_in slow.ic;
+    send control {|{"op": "shutdown"}|};
+    ignore (input_line control.ic);
+    close_in control.ic;
+    Domain.join daemon;
+    Sys.remove long;
+    Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 let test_pool_shared_cache () =
   (* Jobs repeated within one pooled run hit the shared memory tier. *)
@@ -399,8 +667,20 @@ let suites =
           test_expired_deadline_leaves_pool_clean;
         Alcotest.test_case "timeout must be positive and finite" `Quick
           test_timeout_must_be_positive;
+        Alcotest.test_case "pool width must start" `Quick
+          test_domains_must_start;
         Alcotest.test_case "pooled runs share one cache" `Quick
           test_pool_shared_cache;
+        Alcotest.test_case "caller runs its batch when no worker is free"
+          `Quick test_caller_runs_batch;
+        Alcotest.test_case "concurrent submitters agree" `Quick
+          test_concurrent_submitters;
+        Alcotest.test_case "one job at a time per domain" `Quick
+          test_one_job_per_domain;
+      ] );
+    ( "domains.serve",
+      [
+        Alcotest.test_case "socket daemon end to end" `Quick test_serve_socket;
       ] );
     ( "domains.protocol",
       [
