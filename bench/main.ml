@@ -226,9 +226,7 @@ let compile_words ?(machine = Target.Tic25.machine) options kernel =
 let ablation_selection () =
   section "Ablation: algebraic variant search and peephole (tic25, words)";
   let opts = Record.Options.record_ in
-  let variants_off =
-    { opts with Record.Options.selection = Record.Options.Optimal_single }
-  in
+  let variants_off = { opts with Record.Options.variant_limit = 1 } in
   let peephole_off = { opts with Record.Options.peephole = false } in
   let folding_on = Record.Options.with_folding opts in
   Format.printf "%-26s %8s %10s %10s %9s@." "Program" "RECORD" "-variants"
@@ -471,19 +469,15 @@ let selftest_report () =
   Format.printf "@."
 
 let () =
-  (* --smoke: the assertion-bearing sections only (compile/validate every
-     kernel, check static timing, classify the cube); quick enough for CI.
-     Any other argument is rejected, so a mistyped flag cannot silently
-     run the whole bench. *)
-  let args = List.tl (Array.to_list Sys.argv) in
-  (match List.filter (fun a -> a <> "--smoke") args with
+  (* The bench takes no arguments; any argument is rejected, so a
+     mistyped flag cannot silently run the whole bench. *)
+  (match List.tl (Array.to_list Sys.argv) with
   | [] -> ()
-  | unknown ->
-    Printf.eprintf "bench: unknown argument%s %s (the only option is --smoke)\n"
-      (if List.length unknown = 1 then "" else "s")
-      (String.concat " " unknown);
+  | args ->
+    Printf.eprintf "bench: unknown argument%s %s (the bench takes none)\n"
+      (if List.length args = 1 then "" else "s")
+      (String.concat " " args);
     exit 2);
-  let smoke = List.mem "--smoke" args in
   Format.printf
     "RECORD reproduction benchmarks (Marwedel, 'Code Generation for Core \
      Processors', DAC 1997)@.";
@@ -492,15 +486,13 @@ let () =
   extended_kernels ();
   static_timing ();
   fig1 ();
-  if not smoke then begin
-    fig2_fig3 ();
-    fig45 ();
-    ablation_selection ();
-    ablation_unroll ();
-    ablation_modes ();
-    ablation_compaction ();
-    ablation_offset ();
-    asip_sweep ();
-    n_sweep ();
-    selftest_report ()
-  end
+  fig2_fig3 ();
+  fig45 ();
+  ablation_selection ();
+  ablation_unroll ();
+  ablation_modes ();
+  ablation_compaction ();
+  ablation_offset ();
+  asip_sweep ();
+  n_sweep ();
+  selftest_report ()

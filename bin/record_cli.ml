@@ -490,7 +490,7 @@ let timing_t =
 (* ---- fuzz -------------------------------------------------------------------- *)
 
 let fuzz_cmd seed count max_size targets record_only selection matcher
-    no_shrink sim_name =
+    no_shrink =
   let selected =
     match targets with
     | [] -> Driver.Registry.machines ()
@@ -500,16 +500,9 @@ let fuzz_cmd seed count max_size targets record_only selection matcher
     Fuzz.Oracle.combos_for ~selection ~matcher ~machines:selected
       ~conventional:(not record_only) ()
   in
-  let sim =
-    match sim_name with
-    | "interp" -> Fuzz.Oracle.One Sim.Interp
-    | "compiled" -> Fuzz.Oracle.One Sim.Compiled
-    | _ -> Fuzz.Oracle.Both
-  in
   let config = Fuzz.Gen.sized max_size in
   let report =
-    Fuzz.Oracle.run ~config ~combos ~shrink:(not no_shrink) ~sim ~seed ~count
-      ()
+    Fuzz.Oracle.run ~config ~combos ~shrink:(not no_shrink) ~seed ~count ()
   in
   Format.printf "%a@." Fuzz.Oracle.pp_report report;
   if Fuzz.Oracle.failures report > 0 then begin
@@ -520,7 +513,7 @@ let fuzz_cmd seed count max_size targets record_only selection matcher
            option set was RECORD's (a conventional-baseline failure needs
            both option sets, which is the default). *)
         Format.printf
-          "reproduce: record fuzz --seed %d --count %d --max-size %d --target %s%s%s%s --sim=%s  # failing case %d on %s, options %s@."
+          "reproduce: record fuzz --seed %d --count %d --max-size %d --target %s%s%s%s  # failing case %d on %s, options %s@."
           c.Fuzz.Oracle.case.Fuzz.Gen.seed
           (c.Fuzz.Oracle.case.Fuzz.Gen.index + 1)
           max_size c.Fuzz.Oracle.target
@@ -536,7 +529,7 @@ let fuzz_cmd seed count max_size targets record_only selection matcher
           | Burg.Matcher.Table -> ""
           | Burg.Matcher.Dp ->
             " --matcher=" ^ Burg.Matcher.engine_name matcher)
-          sim_name c.Fuzz.Oracle.case.Fuzz.Gen.index c.Fuzz.Oracle.combo
+          c.Fuzz.Oracle.case.Fuzz.Gen.index c.Fuzz.Oracle.combo
           c.Fuzz.Oracle.options_digest)
       report.Fuzz.Oracle.counterexamples;
     prerr_endline "record: fuzz found counterexamples";
@@ -571,17 +564,6 @@ let no_shrink_arg =
   Arg.(value & flag & info [ "no-shrink" ]
          ~doc:"Report counterexamples as generated, without minimizing them")
 
-let sim_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("interp", "interp"); ("compiled", "compiled"); ("both", "both") ])
-        "both"
-    & info [ "sim" ] ~docv:"ENGINE"
-        ~doc:"Simulator engine: $(b,interp), $(b,compiled), or $(b,both) \
-              (default) — with both, the two engines are cross-checked as \
-              an extra differential axis on every case")
-
 let fuzz_t =
   Cmd.v
     (Cmd.info "fuzz"
@@ -590,8 +572,7 @@ let fuzz_t =
              counterexample)")
     Term.(
       const fuzz_cmd $ seed_arg $ count_arg $ max_size_arg $ fuzz_targets_arg
-      $ record_only_arg $ selection_arg $ matcher_arg $ no_shrink_arg
-      $ sim_arg)
+      $ record_only_arg $ selection_arg $ matcher_arg $ no_shrink_arg)
 
 (* ---- batch ------------------------------------------------------------------- *)
 

@@ -1,11 +1,14 @@
 (* Table-driven BURS automaton.
 
-   Offline (at [create]): the grammar's multi-level patterns are
-   normalized into one-level rules over fresh fragment nonterminals, and
-   representative trees are pushed through every operator until the
-   state/transition tables stop growing.  Online (labelling): one
-   bottom-up pass computes, per hash-cons id, a packed
-   [(base lsl sid_bits) lor sid] slot stored in a lock-free {!Ir.Idtab}.
+   At [create] the grammar's multi-level patterns are normalized into
+   one-level rules over fresh fragment nonterminals and bucketed by root
+   operator; no state exists yet.  Labelling is one bottom-up pass that
+   computes, per hash-cons id, a packed [(base lsl sid_bits) lor sid]
+   slot stored in a lock-free {!Ir.Idtab}.  States and transitions are
+   built on demand: the first node whose transition key is new takes the
+   construction lock and builds (or finds, since states are hash-consed
+   by item set) its state, so the automaton holds exactly the states the
+   labelled trees reach.
 
    Cost bookkeeping.  For node [n] with child slots [(b_i, s_i)], define
    [C = sum b_i].  Every candidate item's absolute cost at [n] equals its
@@ -140,7 +143,6 @@ type t = {
   states_by_key : (string, state) Hashtbl.t;
   mutable nstates : int;
   mutable build_ms : float;
-  mutable warming : bool;
   (* Copy-on-append snapshot of all states, index [sid - 1]; readers take
      it with one atomic load and never see a partially built array. *)
   states : state array Atomic.t;
@@ -456,7 +458,7 @@ and compute_slot a (h : Ir.Hashcons.h) =
     match Hashtbl.find_opt a.transitions key with
     | Some tr -> tr
     | None ->
-      let t0 = if a.warming then 0. else now_ms () in
+      let t0 = now_ms () in
       let rel, ch = compute_items a bucket h kid_states kid_bases in
       let leaf =
         match h.Ir.Hashcons.node with
@@ -467,7 +469,7 @@ and compute_slot a (h : Ir.Hashcons.h) =
       let st, min_rel = intern_state a ~leaf rel ch in
       let tr = { tr_state = st; tr_rel = min_rel } in
       Hashtbl.replace a.transitions key tr;
-      if not a.warming then a.build_ms <- a.build_ms +. (now_ms () -. t0);
+      a.build_ms <- a.build_ms +. (now_ms () -. t0);
       tr
   in
   Mutex.unlock a.lock;
@@ -546,99 +548,6 @@ let best_cover ?nt a h =
   | Some { it_choice = Some _; _ } -> Some (cover_of a h nt)
   | Some { it_choice = None; _ } | None -> None
 
-(* ------------------------------------------------------------------ *)
-(* Offline warm-up: close the tables over representative trees.        *)
-
-let pattern_ops rules =
-  let unops = ref [] and binops = ref [] in
-  let seen_u = Hashtbl.create 8 and seen_b = Hashtbl.create 8 in
-  let rec walk = function
-    | Pattern.Nonterm _ | Pattern.Const_any | Pattern.Const_eq _
-    | Pattern.Ref_any ->
-      ()
-    | Pattern.Unop (op, p) ->
-      if not (Hashtbl.mem seen_u op) then begin
-        Hashtbl.replace seen_u op ();
-        unops := op :: !unops
-      end;
-      walk p
-    | Pattern.Binop (op, pa, pb) ->
-      if not (Hashtbl.mem seen_b op) then begin
-        Hashtbl.replace seen_b op ();
-        binops := op :: !binops
-      end;
-      walk pa;
-      walk pb
-  in
-  List.iter (fun (r : Rule.t) -> walk r.pattern) rules;
-  (List.rev !unops, List.rev !binops)
-
-let pattern_consts rules =
-  let acc = ref [] in
-  let rec walk = function
-    | Pattern.Const_eq k -> acc := k :: !acc
-    | Pattern.Nonterm _ | Pattern.Const_any | Pattern.Ref_any -> ()
-    | Pattern.Unop (_, p) -> walk p
-    | Pattern.Binop (_, pa, pb) ->
-      walk pa;
-      walk pb
-  in
-  List.iter (fun (r : Rule.t) -> walk r.pattern) rules;
-  !acc
-
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
-let warm_max_states = 512
-let warm_fanout = 24
-let warm_rounds = 3
-
-let warm a =
-  let reps = Hashtbl.create 64 in
-  let order = ref [] in
-  let register h =
-    let sid = slot_of a h land sid_mask in
-    if not (Hashtbl.mem reps sid) then begin
-      Hashtbl.replace reps sid h;
-      order := h :: !order
-    end
-  in
-  let consts =
-    List.sort_uniq compare
-      (pattern_consts a.grammar.Grammar.rules @ [ 0; 1; 2; 8; 255; 4096 ])
-  in
-  List.iter (fun k -> register (Ir.Hashcons.const k)) consts;
-  register (Ir.Hashcons.var "%burs0");
-  register (Ir.Hashcons.var "%burs1");
-  let unops, binops = pattern_ops a.grammar.Grammar.rules in
-  for _round = 1 to warm_rounds do
-    if Hashtbl.length reps < warm_max_states then begin
-      let snapshot = List.rev !order in
-      let firstn = take warm_fanout snapshot in
-      List.iter
-        (fun op ->
-          List.iter
-            (fun r ->
-              if Hashtbl.length reps < warm_max_states then
-                register (Ir.Hashcons.unop op r))
-            snapshot)
-        unops;
-      List.iter
-        (fun op ->
-          List.iter
-            (fun x ->
-              List.iter
-                (fun y ->
-                  if Hashtbl.length reps < warm_max_states then
-                    register (Ir.Hashcons.binop op x y))
-                firstn)
-            firstn)
-        binops
-    end
-  done
-
 let create (g : Grammar.t) =
   List.iter
     (fun (r : Rule.t) ->
@@ -699,40 +608,27 @@ let create (g : Grammar.t) =
   List.iter
     (fun op -> b_binops.(binop_tag op) <- by_shape (S_binop op))
     all_binops;
-  let a =
-    {
-      grammar = g;
-      nt_count = Hashtbl.length nt_ids;
-      nt_ids;
-      nt_names = Array.of_list (List.rev !rev_names);
-      b_const = by_shape S_const;
-      b_ref = by_shape S_ref;
-      b_unops;
-      b_binops;
-      chains;
-      sig_chains;
-      lock = Mutex.create ();
-      transitions = Hashtbl.create 256;
-      states_by_key = Hashtbl.create 64;
-      nstates = 0;
-      build_ms = 0.;
-      warming = true;
-      states = Atomic.make [||];
-      slots = Ir.Idtab.create ();
-      nodes_labelled = Atomic.make 0;
-      memo_hits = Atomic.make 0;
-    }
-  in
-  let t0 = now_ms () in
-  warm a;
-  a.build_ms <- now_ms () -. t0;
-  a.warming <- false;
-  (* Warm-up labelled only throwaway representative trees; labelling of
-     real programs starts from a clean slot table and clean counters. *)
-  Ir.Idtab.clear a.slots;
-  Atomic.set a.nodes_labelled 0;
-  Atomic.set a.memo_hits 0;
-  a
+  {
+    grammar = g;
+    nt_count = Hashtbl.length nt_ids;
+    nt_ids;
+    nt_names = Array.of_list (List.rev !rev_names);
+    b_const = by_shape S_const;
+    b_ref = by_shape S_ref;
+    b_unops;
+    b_binops;
+    chains;
+    sig_chains;
+    lock = Mutex.create ();
+    transitions = Hashtbl.create 256;
+    states_by_key = Hashtbl.create 64;
+    nstates = 0;
+    build_ms = 0.;
+    states = Atomic.make [||];
+    slots = Ir.Idtab.create ();
+    nodes_labelled = Atomic.make 0;
+    memo_hits = Atomic.make 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics over raw rule lists.                                    *)

@@ -1,13 +1,17 @@
-(** Table-driven BURS automaton: the offline half of the matcher.
+(** Table-driven BURS automaton, built on demand.
 
-    [create] compiles a {!Grammar} into a tree automaton once per target:
-    itemset states (one item per derivable nonterminal, cost stored as a
-    {e delta} over the state's cheapest item), chain-rule closure folded
-    into the states, and per-operator transition tables keyed on child
-    states.  Labelling a subject tree is then a single bottom-up pass
-    that assigns each hash-cons id a packed [(base, state)] slot in a
-    lock-free {!Ir.Idtab} — one int load per revisited node, no hashing,
-    no per-node DP.
+    A {!Grammar} becomes a tree automaton: itemset states (one item per
+    derivable nonterminal, cost stored as a {e delta} over the state's
+    cheapest item), chain-rule closure folded into the states, and
+    per-operator transition tables keyed on child states.  [create] only
+    normalizes and buckets the rules; a state or transition is built the
+    first time labelling reaches a node that needs it, and memoized from
+    then on, so the automaton holds only the states its subject trees
+    reach.  Labelling is a single bottom-up pass that assigns each
+    hash-cons id a packed [(base, state)] slot in a lock-free
+    {!Ir.Idtab} — one int load per revisited node, and one hash probe of
+    the transition table (under the construction lock) per node's first
+    visit.
 
     Multi-level patterns are normalized into one-level rules over fresh
     internal "fragment" nonterminals (cost 0, never exposed), so a
@@ -21,7 +25,7 @@
     into the transition signature, so memoized transitions never merge
     nodes that a guard would distinguish.  Guard and [dyn_cost] functions
     must be pure and total: they may be evaluated on trees the grammar
-    never selects for (transition-signature probes, offline warm-up).
+    never selects for (transition-signature probes).
 
     Costs, tie-breaks (earlier rule wins), and chain-closure order are
     byte-compatible with the DP labeller in {!Matcher}: both engines
@@ -30,12 +34,10 @@
 type t
 
 val create : Grammar.t -> t
-(** Builds the automaton and warms it offline: representative trees are
-    driven through every operator of the grammar until the state/
-    transition tables stop growing (bounded), so serve-pool domains
-    labelling real programs almost never take the construction lock.
+(** Normalizes and buckets the grammar's rules. No state, transition or
+    hash-consed node is created: labelling builds them on demand.
     @raise Invalid_argument if a nonterminal collides with the internal
-    fragment namespace or a dynamic cost drives a derivation negative. *)
+    fragment namespace. *)
 
 val grammar : t -> Grammar.t
 
@@ -45,19 +47,27 @@ val state_key : t -> Ir.Hashcons.h -> int
 (** The packed [(cost base, state id)] slot of the subtree — a single
     non-zero int.  Two subtrees with equal keys derive exactly the same
     nonterminals at exactly the same costs (and with the same winning
-    rules), so one can stand in for the other during variant search. *)
+    rules), so one can stand in for the other during variant search.
+    @raise Invalid_argument if a dynamic cost drives a derivation cost
+    in the subtree negative. *)
 
 val label : t -> Ir.Hashcons.h -> (string * int) list
 (** Derivable (real) nonterminals with their best costs, sorted by
-    name — same contract as {!Matcher.label}. *)
+    name — same contract as {!Matcher.label}.
+    @raise Invalid_argument if a dynamic cost drives a derivation cost
+    in the subtree negative. *)
 
 val best_cost : ?nt:string -> t -> Ir.Hashcons.h -> int option
 (** Best derivation cost for [nt] (default: the grammar start), without
-    materializing the cover — O(1) after the subtree is labelled. *)
+    materializing the cover — O(1) after the subtree is labelled.
+    @raise Invalid_argument if a dynamic cost drives a derivation cost
+    in the subtree negative. *)
 
 val best_cover : ?nt:string -> t -> Ir.Hashcons.h -> Cover.t option
 (** The winning derivation, rebuilt from the state's recorded rule
-    choices.  Byte-identical to the DP matcher's cover. *)
+    choices.  Byte-identical to the DP matcher's cover.
+    @raise Invalid_argument if a dynamic cost drives a derivation cost
+    in the subtree negative. *)
 
 (** {1 Introspection} *)
 
@@ -65,9 +75,8 @@ val state_count : t -> int
 val transition_count : t -> int
 
 val build_ms : t -> float
-(** Wall-clock milliseconds spent constructing states and transitions:
-    the [create]-time warm-up plus any residual demand-built transitions
-    (first time a node shape is seen). *)
+(** Wall-clock milliseconds spent building states and transitions, summed
+    over the labellings that needed a new transition. *)
 
 val nodes_labelled : t -> int
 (** Distinct hash-cons ids assigned a state (volatile counter). *)

@@ -4,8 +4,9 @@
      lock-striped, id-keyed memo of per-node labellings computed on
      demand (kept as the reference/fallback engine).
    - [Table]: the BURS automaton ({!Burs}) — states and transitions are
-     built offline at [create]; labelling is one bottom-up pass writing
-     a packed state slot per hash-cons id into a lock-free flat array.
+     built on demand, the first time labelling needs each; labelling is
+     one bottom-up pass writing a packed state slot per hash-cons id into
+     a lock-free flat array.
 
    Both engines produce byte-identical covers (same costs, same
    tie-breaks, same chain closure); the test suite asserts it and CI

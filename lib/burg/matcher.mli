@@ -21,12 +21,14 @@ type t
 
 type engine =
   | Dp  (** the original on-demand DP labeller (reference/fallback) *)
-  | Table  (** the {!Burs} automaton: offline tables, lock-free slots *)
+  | Table  (** the {!Burs} automaton: tables built on demand, lock-free slots *)
 
 val create : ?engine:engine -> Grammar.t -> t
-(** Builds a matcher for the grammar. The default engine is [Table]: the
-    BURS automaton is constructed (and warmed) here, so long-lived
-    matchers — one per target, shared by the serve pool — pay it once. *)
+(** Builds a matcher for the grammar. The default engine is [Table].
+    Creation only buckets the rules: the BURS automaton's states and
+    transitions are built when labelling first needs each one, so a
+    long-lived matcher — one per target, shared by the serve pool —
+    builds each once, and only those its programs reach. *)
 
 val engine : t -> engine
 val engine_name : engine -> string
@@ -40,16 +42,21 @@ val state_key : t -> Ir.Hashcons.h -> int option
 (** [Table] engine: the packed (cost base, state id) slot of the subtree —
     equal keys mean identical derivation costs for every nonterminal, so
     variant search can prune on it. [None] on the [Dp] engine (which has
-    no state abstraction, hence no sound prune key). *)
+    no state abstraction, hence no sound prune key).
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val state_count : t -> int
-(** Automaton states constructed ([Table]; 0 on [Dp]). *)
+(** Automaton states built so far ([Table]; 0 on [Dp], and 0 after
+    [create]). *)
 
 val transition_count : t -> int
-(** Automaton transitions memoized ([Table]; 0 on [Dp]). *)
+(** Automaton transitions built so far ([Table]; 0 on [Dp], and 0 after
+    [create]). *)
 
 val table_build_ms : t -> float
-(** Wall-clock ms spent building the offline tables ([Table]; 0 on [Dp]). *)
+(** Wall-clock ms spent so far building automaton states and transitions
+    ([Table]; 0 on [Dp]). *)
 
 type counters = {
   nodes_labelled : int;
@@ -63,27 +70,39 @@ val counters : t -> counters
 
 val label : t -> Ir.Tree.t -> (string * int) list
 (** Nonterminals derivable at the root with their minimal costs, sorted by
-    nonterminal name. *)
+    nonterminal name.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val best : ?nt:string -> t -> Ir.Tree.t -> Cover.t option
 (** Cheapest derivation of the tree to [nt] (default: the grammar's start
-    nonterminal), or [None] when the tree cannot be covered. *)
+    nonterminal), or [None] when the tree cannot be covered.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val best_h : ?nt:string -> t -> Ir.Hashcons.h -> Cover.t option
 (** [best] on an already-interned handle — the hot path: labelling
     descends the handle DAG with O(1) id-keyed probes and never hashes a
-    tree. *)
+    tree.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val best_with_cost :
   ?nt:string -> t -> Ir.Hashcons.h -> (Cover.t * int) option
 (** [best_h] plus the DP entry's cost — what variant-ranking selectors
-    compare without a [Cover.cost] walk per candidate. *)
+    compare without a [Cover.cost] walk per candidate.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val best_of_variants : ?nt:string -> t -> Ir.Tree.t list -> (Ir.Tree.t * Cover.t) option
 (** The variant with the cheapest cover; ties break toward the earlier
-    variant. [None] when no variant can be covered. *)
+    variant. [None] when no variant can be covered.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)
 
 val best_of_hvariants :
   ?nt:string -> t -> Ir.Hashcons.h list -> (Ir.Hashcons.h * Cover.t) option
 (** [best_of_variants] on handles (as produced by
-    {!Ir.Algebra.hvariants}), skipping re-interning. *)
+    {!Ir.Algebra.hvariants}), skipping re-interning.
+    @raise Invalid_argument on the [Table] engine if a dynamic cost
+    drives a derivation cost negative. *)

@@ -1,4 +1,4 @@
-type selection = Optimal_variants | Optimal_single | Naive_macro
+type selection = Optimal_variants | Naive_macro
 
 type selection_mode = Tree | Dag
 
@@ -68,7 +68,6 @@ let with_matcher engine t = { t with matcher = engine }
 
 let selection_name = function
   | Optimal_variants -> "optimal-variants"
-  | Optimal_single -> "optimal-single"
   | Naive_macro -> "naive-macro"
 
 let selection_modes = [ ("tree", Tree); ("dag", Dag) ]

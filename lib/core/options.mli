@@ -9,7 +9,6 @@ type selection =
   | Optimal_variants
       (** RECORD: algebraic variants of each tree, each matched, cheapest
           cover wins (§4.3.3) *)
-  | Optimal_single  (** optimal cover of the original tree only *)
   | Naive_macro
       (** conventional compiler: every interior node is homed to memory and
           matched alone (macro expansion) *)

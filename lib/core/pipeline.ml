@@ -158,7 +158,7 @@ let source_rewrite (options : Options.t) (prog : Ir.Prog.t) =
           extra_decls := !extra_decls @ decls;
           stmts)
         body
-    | Options.Optimal_variants | Options.Optimal_single -> body
+    | Options.Optimal_variants -> body
   in
   ({ prog with body; decls = prog.decls @ !extra_decls }, !extra_decls)
 
@@ -181,7 +181,7 @@ let select matcher (options : Options.t) stats sel tree =
       Ir.Algebra.hvariants ~rules:options.algebra_rules
         ~limit:options.variant_limit ~counters:sel.vc
         ~prune_key:(Burg.Matcher.state_key matcher) h
-    | Options.Optimal_single | Options.Naive_macro -> [ h ]
+    | Options.Naive_macro -> [ h ]
   in
   sel.trees <- sel.trees + 1;
   sel.variants_matched <- sel.variants_matched + List.length variants;
@@ -526,7 +526,7 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
           | Options.Optimal_variants ->
             Ir.Algebra.hvariants ~rules:options.algebra_rules
               ~limit:options.variant_limit ~counters:sel.vc ~prune_key h
-          | Options.Optimal_single | Options.Naive_macro -> [ h ]
+          | Options.Naive_macro -> [ h ]
         in
         sel.variants_matched <- sel.variants_matched + List.length variants;
         sel.variant_nodes <-

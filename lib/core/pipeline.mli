@@ -46,8 +46,8 @@ type selection_stats = {
       (** variants dropped by automaton state equivalence before ranking
           (0 on the DP engine, which has no sound prune key) *)
   sel_table_build_ms : float;
-      (** wall-clock ms the matcher has spent building its offline
-          state/transition tables (total per matcher; 0 on DP) *)
+      (** wall-clock ms the matcher has spent so far building automaton
+          states and transitions on demand (total per matcher; 0 on DP) *)
 }
 (** Counters from the selection phase (variant generation + BURG matching),
     deltas for this compilation even when the matcher is shared. *)

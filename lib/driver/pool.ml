@@ -54,9 +54,9 @@ let create ?domains () =
   if n < 1 then
     invalid_arg
       (Printf.sprintf "Pool.create: domains must be at least 1, got %d" n);
-  (* Build every lazily-initialized shared structure (machine list, one
-     matcher per target) before any worker exists, so workers only ever
-     read them. *)
+  (* Fill the registry (machine list, one matcher per target) before any
+     worker exists, so workers only read its tables.  The matchers'
+     automata still grow as workers label, under their own lock. *)
   Registry.warm ();
   let queue =
     {

@@ -72,9 +72,6 @@ let matcher_for ?(engine = Burg.Matcher.Table) (m : Target.Machine.t) =
 let warm () =
   List.iter
     (fun m ->
-      (* Both engines: the table-driven automaton (with its offline state
-         construction) and the DP fallback, so worker domains never pay
-         either build on the hot path. *)
       ignore (matcher_for ~engine:Burg.Matcher.Table m);
       ignore (matcher_for ~engine:Burg.Matcher.Dp m))
     (machines ())

@@ -36,7 +36,8 @@ val matcher_for :
     the matchers themselves are safe to share across domains. *)
 
 val warm : unit -> unit
-(** Force the machine list and build both engines' matchers for every
-    bundled target — including the BURS automata's offline state-table
-    construction. The serve pool calls this once before spawning worker
-    domains so the hot path never constructs shared state concurrently. *)
+(** Force the machine list and create both engines' matchers for every
+    bundled target. Creating a matcher builds no automaton state (see
+    {!Burg.Matcher.create}), so this is cheap; the pool calls it once
+    before spawning worker domains so that workers find the machine list
+    and the matcher table filled in. *)

@@ -13,8 +13,6 @@ type verdict =
   | Cannot_compile of string
   | Failed of { kind : failure_kind; detail : string }
 
-type engine_choice = One of Sim.engine | Both
-
 let kind_name = function
   | Miscompile -> "MISCOMPILE"
   | Timing_drift -> "TIMING DRIFT"
@@ -108,13 +106,12 @@ let within_contract ?(width = 16) ?(sat_headroom = true) (prog : Ir.Prog.t)
 let array_to_string vs =
   "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int vs)) ^ "]"
 
-let check ?cache ?(options = Record.Options.record_) ?(sim = Both) machine
-    (case : Gen.case) =
+let check ?cache ?(options = Record.Options.record_) machine (case : Gen.case) =
   let width = machine.Target.Machine.word_bits in
   let sat_headroom =
     match options.Record.Options.selection with
     | Record.Options.Naive_macro -> false
-    | Record.Options.Optimal_variants | Record.Options.Optimal_single -> true
+    | Record.Options.Optimal_variants -> true
   in
   if not (within_contract ~width ~sat_headroom case.Gen.prog case.Gen.inputs)
   then Skipped_contract
@@ -129,9 +126,9 @@ let check ?cache ?(options = Record.Options.record_) ?(sim = Both) machine
     with
     | exception Record.Pipeline.Error msg -> Cannot_compile msg
     | compiled -> (
-      (* Execute under one engine, or under both with the second acting as
-         an extra differential axis: outputs, cycles, and raised errors
-         must agree exactly. *)
+      (* Execute under both engines, the second acting as an extra
+         differential axis: outputs, cycles, and raised errors must agree
+         exactly. *)
       let exec_with engine =
         match
           Record.Pipeline.execute ~engine compiled ~inputs:case.Gen.inputs
@@ -150,17 +147,14 @@ let check ?cache ?(options = Record.Options.record_) ?(sim = Both) machine
         | Error (kind, msg) -> Printf.sprintf "%s: %s" (kind_name kind) msg
       in
       let result =
-        match sim with
-        | One engine -> exec_with engine
-        | Both ->
-          let compiled_r = exec_with Sim.Compiled in
-          let interp_r = exec_with Sim.Interp in
-          if compiled_r = interp_r then compiled_r
-          else
-            Error
-              ( Engine_divergence,
-                Printf.sprintf "interp {%s} vs compiled {%s}"
-                  (result_str interp_r) (result_str compiled_r) )
+        let compiled_r = exec_with Sim.Compiled in
+        let interp_r = exec_with Sim.Interp in
+        if compiled_r = interp_r then compiled_r
+        else
+          Error
+            ( Engine_divergence,
+              Printf.sprintf "interp {%s} vs compiled {%s}"
+                (result_str interp_r) (result_str compiled_r) )
       in
       match result with
       | Error (kind, detail) -> Failed { kind; detail }
@@ -291,7 +285,7 @@ type report = {
 }
 
 let run ?(config = Gen.default) ?(combos = default_combos ()) ?(shrink = true)
-    ?(sim = Both) ~seed ~count () =
+    ~seed ~count () =
   let counter () = List.map (fun c -> (c.label, ref 0)) combos in
   let pass = counter () and skipped = counter () and cannot = counter () in
   let cexs = ref [] in
@@ -303,20 +297,20 @@ let run ?(config = Gen.default) ?(combos = default_combos ()) ?(shrink = true)
     (fun (case : Gen.case) ->
       List.iter
         (fun combo ->
-          match check ~cache ~options:combo.options ~sim combo.machine case with
+          match check ~cache ~options:combo.options combo.machine case with
           | Pass _ -> incr (List.assoc combo.label pass)
           | Skipped_contract -> incr (List.assoc combo.label skipped)
           | Cannot_compile _ -> incr (List.assoc combo.label cannot)
           | Failed _ as verdict ->
             let still_fails c =
               is_failure
-                (check ~cache ~options:combo.options ~sim combo.machine c)
+                (check ~cache ~options:combo.options combo.machine c)
             in
             let shrunk =
               if shrink then Shrink.minimize ~still_fails case else case
             in
             let shrunk_verdict =
-              check ~cache ~options:combo.options ~sim combo.machine shrunk
+              check ~cache ~options:combo.options combo.machine shrunk
             in
             cexs :=
               {

@@ -28,13 +28,6 @@ type verdict =
   | Cannot_compile of string  (** {!Record.Pipeline.Error}; not a bug *)
   | Failed of { kind : failure_kind; detail : string }
 
-type engine_choice =
-  | One of Sim.engine  (** simulate with just this engine *)
-  | Both
-      (** run both engines and require identical outputs, cycles, and
-          errors — the default, making every fuzz case an engine
-          differential too *)
-
 val within_contract :
   ?width:int ->
   ?sat_headroom:bool ->
@@ -54,7 +47,6 @@ val within_contract :
 val check :
   ?cache:Driver.Cache.t ->
   ?options:Record.Options.t ->
-  ?sim:engine_choice ->
   Target.Machine.t ->
   Gen.case ->
   verdict
@@ -62,7 +54,9 @@ val check :
     {!Record.Options.record_}). With [cache], compilation goes through
     {!Driver.Service.compile}, so repeated checks of one program (the
     shrink loop, the post-shrink verdict) reuse the cached pipeline
-    output.  [sim] (default {!Both}) selects the simulator engine(s). *)
+    output.  Every case runs on both simulator engines, which must agree
+    on outputs, cycles and raised errors ({!Engine_divergence}), so each
+    check is an engine differential too. *)
 
 val is_failure : verdict -> bool
 
@@ -127,16 +121,13 @@ val run :
   ?config:Gen.config ->
   ?combos:combo list ->
   ?shrink:bool ->
-  ?sim:engine_choice ->
   seed:int ->
   count:int ->
   unit ->
   report
 (** Generate [count] cases from [seed] and check each on every combo.
     Failing cases are minimized with {!Shrink.minimize} (disable with
-    [~shrink:false]). [sim] (default {!Both}) selects the simulator
-    engine(s) used for every check, shrink step included.
-    Deterministic: same arguments, same report. *)
+    [~shrink:false]). Deterministic: same arguments, same report. *)
 
 val failures : report -> int
 

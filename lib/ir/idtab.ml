@@ -57,15 +57,3 @@ let chunk_at t ci =
 let set t id v =
   let chunk = chunk_at t (id lsr chunk_bits) in
   Array.unsafe_set chunk (id land chunk_mask) v
-
-(* Zero installed chunks in place rather than dropping them: [clear] is a
-   quiescent-state operation (no concurrent labelling), and the chunks a
-   BURS automaton's warm-up installed are the ones real labelling fills
-   next. *)
-let clear t =
-  let spine = Atomic.get t.spine in
-  Array.iter
-    (fun cell ->
-      let chunk = Atomic.get cell in
-      if Array.length chunk > 0 then Array.fill chunk 0 chunk_size 0)
-    spine

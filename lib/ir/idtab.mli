@@ -24,9 +24,3 @@ val set : t -> int -> int -> unit
 (** [set t id v] publishes [v] (must be non-zero) into the slot, growing
     the table as needed. Growth is lock-free (CAS on the chunk spine);
     the slot write itself is plain. *)
-
-val clear : t -> unit
-(** Zero every slot in place (installed chunks are kept for reuse).
-    Concurrent readers may still see pre-clear values for slots they
-    already resolved — callers that need a strict fence must provide
-    their own. *)

@@ -441,6 +441,58 @@ let prop_engines_agree =
       | Some ca, Some cb -> cover_equal ca cb
       | Some _, None | None, Some _ -> false)
 
+(* ---- On-demand automaton: states exist only once labelling reaches them -- *)
+
+let test_create_builds_nothing () =
+  List.iter
+    (fun (m : Target.Machine.t) ->
+      let name = m.Target.Machine.name in
+      let live = (Ir.Hashcons.stats ()).Ir.Hashcons.live in
+      let mt = Burg.Matcher.create m.Target.Machine.grammar in
+      Alcotest.(check (pair int int))
+        (name ^ ": states and transitions after create")
+        (0, 0)
+        (Burg.Matcher.state_count mt, Burg.Matcher.transition_count mt);
+      Alcotest.(check int)
+        (name ^ ": create interns no node")
+        live (Ir.Hashcons.stats ()).Ir.Hashcons.live)
+    (Driver.Registry.machines ())
+
+let test_table1_builds_few_transitions () =
+  let tic25 = Target.Tic25.machine in
+  let matcher = Burg.Matcher.create tic25.Target.Machine.grammar in
+  List.iter
+    (fun k ->
+      ignore
+        (Record.Pipeline.compile ~options:Record.Options.record_ ~matcher tic25
+           (Dspstone.Kernels.prog k)))
+    Dspstone.Kernels.all;
+  let n = Burg.Matcher.transition_count matcher in
+  Alcotest.(check bool)
+    (Printf.sprintf "Table 1 on tic25 builds 1..99 transitions (got %d)" n)
+    true
+    (n >= 1 && n < 100)
+
+(* A dynamic cost that goes negative on large constants: nothing labels a
+   constant at [create], so only the tree that reaches it raises. *)
+let test_negative_cost_raises_at_labelling () =
+  let g =
+    Burg.Grammar.make ~name:"negdyn" ~start:"reg"
+      [
+        Burg.Rule.make ~name:"ldc" ~lhs:"reg" ~cost:1
+          ~dyn_cost:(function Ir.Tree.Const k -> 4 - k | _ -> 1)
+          Burg.Pattern.Const_any;
+        Burg.Rule.make ~name:"load" ~lhs:"reg" ~cost:1 Burg.Pattern.Ref_any;
+      ]
+  in
+  let m = Burg.Matcher.create g in
+  Alcotest.(check (list (pair string int)))
+    "const 2 costs 2" [ ("reg", 2) ]
+    (Burg.Matcher.label m (Ir.Tree.const 2));
+  match Burg.Matcher.best m (Ir.Tree.const 8) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a negative derivation cost was not reported"
+
 let suites =
   suites
   @ [
@@ -450,6 +502,12 @@ let suites =
           Alcotest.test_case "dp vs table: tic25" `Quick
             test_engines_agree_tic25;
           QCheck_alcotest.to_alcotest prop_engines_agree;
+          Alcotest.test_case "create builds no state" `Quick
+            test_create_builds_nothing;
+          Alcotest.test_case "Table 1 builds few transitions" `Quick
+            test_table1_builds_few_transitions;
+          Alcotest.test_case "negative cost raises at labelling" `Quick
+            test_negative_cost_raises_at_labelling;
         ] );
     ]
 
