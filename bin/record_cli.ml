@@ -58,6 +58,17 @@ let read_file path =
   close_in ic;
   s
 
+(* The one DFL loader of compile, ise and timing: a source that cannot be
+   read, lexed, parsed or lowered exits 1 as "record: FILE: msg". *)
+let load_dfl file =
+  let fail msg = or_die (Error (file ^ ": " ^ msg)) in
+  try Dfl.Lower.source (read_file file) with
+  | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg -> fail msg
+  | Sys_error msg ->
+    (* A failed open already names the file; a failed read does not. *)
+    if String.starts_with ~prefix:(file ^ ": ") msg then or_die (Error msg)
+    else fail msg
+
 (* ---- compile -------------------------------------------------------------- *)
 
 let machine_of target target_file =
@@ -94,33 +105,6 @@ let selection_override_arg =
     & info [ "selection" ] ~docv:"MODE"
         ~doc:(selection_doc ^ "; overrides every job's own selection member"))
 
-(* --matcher on compile/fuzz/batch/serve/dse: the labelling engine of
-   Options.matcher.  Both engines produce byte-identical covers, so this
-   is a pure performance/fallback knob — but it is part of the options
-   digest, so cache entries never cross engines. *)
-let matcher_enum =
-  Arg.enum [ ("table", Burg.Matcher.Table); ("dp", Burg.Matcher.Dp) ]
-
-let matcher_doc =
-  "Labelling engine: $(b,table) (default) labels each node with one \
-   precomputed BURS automaton transition, $(b,dp) runs the on-demand \
-   dynamic-programming labeller; covers are byte-identical either way"
-
-let matcher_arg =
-  Arg.(
-    value
-    & opt matcher_enum Burg.Matcher.Table
-    & info [ "matcher" ] ~docv:"ENGINE" ~doc:matcher_doc)
-
-(* batch/serve: an override — absent means each job's own "matcher" member
-   (default table) stands. *)
-let matcher_override_arg =
-  Arg.(
-    value
-    & opt (some matcher_enum) None
-    & info [ "matcher" ] ~docv:"ENGINE"
-        ~doc:(matcher_doc ^ "; overrides every job's own matcher member"))
-
 (* Cache selection shared by [compile --json] and [batch]: an explicit
    --cache-dir wins, --no-cache disables the disk tier entirely, and the
    default is the persistent user cache. *)
@@ -134,21 +118,15 @@ let cache_of ~no_cache ~cache_dir =
     in
     Some (Driver.Cache.create ~dir ())
 
-let compile_cmd file target target_file conventional selection matcher check
-    inputs json no_cache cache_dir =
+let compile_cmd file target target_file conventional selection check inputs
+    json no_cache cache_dir =
   let machine = machine_of target target_file in
   let options_label = if conventional then "conventional" else "record" in
   let options =
     if conventional then Record.Options.conventional else Record.Options.record_
   in
   let options = Record.Options.with_selection_mode selection options in
-  let options = Record.Options.with_matcher matcher options in
-  let prog =
-    try Dfl.Lower.source (read_file file) with
-    | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg ->
-      or_die (Error (file ^ ": " ^ msg))
-    | Sys_error msg -> or_die (Error msg)
-  in
+  let prog = load_dfl file in
   let inputs = List.map (fun s -> or_die (parse_input s)) inputs in
   or_die (Ir.Prog.check_inputs prog inputs);
   let cache = cache_of ~no_cache ~cache_dir in
@@ -205,8 +183,6 @@ let compile_cmd file target target_file conventional selection matcher check
            ( "selection_mode",
              Driver.Json.String
                (Record.Options.selection_mode_name selection) );
-           ( "matcher",
-             Driver.Json.String (Burg.Matcher.engine_name matcher) );
            ( "options_digest",
              Driver.Json.String (Record.Options.digest options) );
            ("key", Driver.Json.String outcome.Driver.Service.key);
@@ -305,8 +281,8 @@ let compile_t =
     (Cmd.info "compile" ~doc:"Compile a DFL program")
     Term.(
       const compile_cmd $ file_arg $ target_arg $ target_file_arg
-      $ conventional_arg $ selection_arg $ matcher_arg $ check_arg
-      $ inputs_arg $ json_arg $ no_cache_arg $ cache_dir_arg)
+      $ conventional_arg $ selection_arg $ check_arg $ inputs_arg $ json_arg
+      $ no_cache_arg $ cache_dir_arg)
 
 (* ---- targets --------------------------------------------------------------- *)
 
@@ -346,11 +322,7 @@ let ise_cmd netlist compile_file =
   | None -> ()
   | Some file ->
     let machine = Ise.Gen.machine net in
-    let prog =
-      try Dfl.Lower.source (read_file file) with
-      | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg ->
-        or_die (Error (file ^ ": " ^ msg))
-    in
+    let prog = load_dfl file in
     let compiled =
       try Record.Pipeline.compile machine prog with
       | Record.Pipeline.Error msg -> or_die (Error msg)
@@ -458,12 +430,7 @@ let rules_t =
 
 let timing_cmd file target deadline =
   let machine = or_die (find_machine target) in
-  let prog =
-    try Dfl.Lower.source (read_file file) with
-    | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg ->
-      or_die (Error (file ^ ": " ^ msg))
-    | Sys_error msg -> or_die (Error msg)
-  in
+  let prog = load_dfl file in
   let compiled =
     try Record.Pipeline.compile machine prog with
     | Record.Pipeline.Error msg -> or_die (Error msg)
@@ -489,15 +456,14 @@ let timing_t =
 
 (* ---- fuzz -------------------------------------------------------------------- *)
 
-let fuzz_cmd seed count max_size targets record_only selection matcher
-    no_shrink =
+let fuzz_cmd seed count max_size targets record_only selection no_shrink =
   let selected =
     match targets with
     | [] -> Driver.Registry.machines ()
     | names -> List.map (fun n -> or_die (find_machine n)) names
   in
   let combos =
-    Fuzz.Oracle.combos_for ~selection ~matcher ~machines:selected
+    Fuzz.Oracle.combos_for ~selection ~machines:selected
       ~conventional:(not record_only) ()
   in
   let config = Fuzz.Gen.sized max_size in
@@ -513,22 +479,18 @@ let fuzz_cmd seed count max_size targets record_only selection matcher
            option set was RECORD's (a conventional-baseline failure needs
            both option sets, which is the default). *)
         Format.printf
-          "reproduce: record fuzz --seed %d --count %d --max-size %d --target %s%s%s%s  # failing case %d on %s, options %s@."
+          "reproduce: record fuzz --seed %d --count %d --max-size %d --target %s%s%s  # failing case %d on %s, options %s@."
           c.Fuzz.Oracle.case.Fuzz.Gen.seed
           (c.Fuzz.Oracle.case.Fuzz.Gen.index + 1)
           max_size c.Fuzz.Oracle.target
           (if c.Fuzz.Oracle.record_options then " --record-only" else "")
-          (* The active selection mode and labelling engine are part of the
-             failing configuration; the defaults stay implicit so
-             pre-existing lines still apply. *)
+          (* The active selection mode is part of the failing
+             configuration; the default stays implicit so pre-existing
+             lines still apply. *)
           (match selection with
           | Record.Options.Tree -> ""
           | Record.Options.Dag ->
             " --selection=" ^ Record.Options.selection_mode_name selection)
-          (match matcher with
-          | Burg.Matcher.Table -> ""
-          | Burg.Matcher.Dp ->
-            " --matcher=" ^ Burg.Matcher.engine_name matcher)
           c.Fuzz.Oracle.case.Fuzz.Gen.index c.Fuzz.Oracle.combo
           c.Fuzz.Oracle.options_digest)
       report.Fuzz.Oracle.counterexamples;
@@ -572,7 +534,7 @@ let fuzz_t =
              counterexample)")
     Term.(
       const fuzz_cmd $ seed_arg $ count_arg $ max_size_arg $ fuzz_targets_arg
-      $ record_only_arg $ selection_arg $ matcher_arg $ no_shrink_arg)
+      $ record_only_arg $ selection_arg $ no_shrink_arg)
 
 (* ---- batch ------------------------------------------------------------------- *)
 
@@ -603,8 +565,8 @@ let pool_width = function
   | Some d ->
     or_die (Error (Printf.sprintf "--domains must be at least 1, got %d" d))
 
-let batch_cmd jobs_file domains timeout selection matcher no_cache cache_dir
-    out json compact deterministic require_hit_rate =
+let batch_cmd jobs_file domains timeout selection no_cache cache_dir out json
+    compact deterministic require_hit_rate =
   let domains = pool_width domains in
   (match timeout with
   | Some t when not (Float.is_finite t && t > 0.0) ->
@@ -619,7 +581,7 @@ let batch_cmd jobs_file domains timeout selection matcher no_cache cache_dir
     | Error msg -> or_die (Error (jobs_file ^ ": " ^ msg))
     | exception Sys_error msg -> or_die (Error msg)
   in
-  let jobs = or_die (Driver.Protocol.jobs_of_json ?selection ?matcher doc) in
+  let jobs = or_die (Driver.Protocol.jobs_of_json ?selection doc) in
   let cache = cache_of ~no_cache ~cache_dir in
   let report =
     match Driver.Batch.run ~domains ?timeout ?cache jobs with
@@ -738,16 +700,16 @@ let batch_t =
              cache (exit 1 on any failed job)")
     Term.(
       const batch_cmd $ jobs_file_arg $ domains_arg $ timeout_arg
-      $ selection_override_arg $ matcher_override_arg $ no_cache_arg
-      $ cache_dir_arg $ out_arg $ batch_json_arg $ compact_arg
-      $ deterministic_arg $ require_hit_rate_arg)
+      $ selection_override_arg $ no_cache_arg $ cache_dir_arg $ out_arg
+      $ batch_json_arg $ compact_arg $ deterministic_arg
+      $ require_hit_rate_arg)
 
 (* ---- serve ------------------------------------------------------------------- *)
 
-let serve_cmd domains socket deterministic matcher no_cache cache_dir =
+let serve_cmd domains socket deterministic no_cache cache_dir =
   let domains = pool_width domains in
   let cache = cache_of ~no_cache ~cache_dir in
-  let config = { Driver.Serve.domains; deterministic; cache; matcher } in
+  let config = { Driver.Serve.domains; deterministic; cache; matcher = None } in
   match
     match socket with
     | None -> Driver.Serve.run_stdio config
@@ -784,13 +746,12 @@ let serve_t =
              table, warm matchers, and one cache across all requests")
     Term.(
       const serve_cmd $ serve_domains_arg $ socket_arg
-      $ serve_deterministic_arg $ matcher_override_arg $ no_cache_arg
-      $ cache_dir_arg)
+      $ serve_deterministic_arg $ no_cache_arg $ cache_dir_arg)
 
 (* ---- dse --------------------------------------------------------------------- *)
 
-let dse_cmd seed samples domains kernels selection matcher out no_cache
-    cache_dir json require_hit_rate =
+let dse_cmd seed samples domains kernels selection out no_cache cache_dir json
+    require_hit_rate =
   if samples < 1 then or_die (Error "--samples must be at least 1");
   let kernels =
     List.concat_map (String.split_on_char ',') kernels
@@ -801,6 +762,8 @@ let dse_cmd seed samples domains kernels selection matcher out no_cache
   in
   let domains = pool_width domains in
   let cache = cache_of ~no_cache ~cache_dir in
+  (* The sweep labels with the standard engine, like every subcommand. *)
+  let matcher = Record.Options.record_.Record.Options.matcher in
   let config =
     { Dse.Sweep.seed; samples; kernels; domains; cache; selection; matcher }
   in
@@ -869,7 +832,7 @@ let dse_t =
              the front is empty)")
     Term.(
       const dse_cmd $ dse_seed_arg $ dse_samples_arg $ domains_arg
-      $ dse_kernels_arg $ selection_arg $ matcher_arg $ dse_out_arg
+      $ dse_kernels_arg $ selection_arg $ dse_out_arg
       $ no_cache_arg $ cache_dir_arg $ dse_json_arg $ require_hit_rate_arg)
 
 (* ---- table1 ------------------------------------------------------------------ *)

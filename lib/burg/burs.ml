@@ -39,8 +39,6 @@
    covers are rebuilt by re-running the original rule's pattern match —
    so both engines return byte-identical derivations. *)
 
-type shape = S_const | S_ref | S_unop of Ir.Op.unop | S_binop of Ir.Op.binop
-
 (* Dense operator tags for array-indexed bucket dispatch on the hot path
    (no wildcard: adding an operator must revisit this file). *)
 let unop_tag = function Ir.Op.Neg -> 0 | Ir.Op.Not -> 1 | Ir.Op.Sat -> 2
@@ -167,12 +165,10 @@ let frag_prefix = "#frag:"
 let decompose ~intern_nt base_rules =
   let out = ref [] in
   let emit shape ol = out := (shape, ol) :: !out in
-  let shape_of_root = function
-    | Pattern.Const_any | Pattern.Const_eq _ -> S_const
-    | Pattern.Ref_any -> S_ref
-    | Pattern.Unop (op, _) -> S_unop op
-    | Pattern.Binop (op, _, _) -> S_binop op
-    | Pattern.Nonterm _ -> assert false (* chain rules are partitioned out *)
+  let shape_of_root p =
+    match Pattern.root_shape p with
+    | Some s -> s
+    | None -> assert false (* chain rules are partitioned out *)
   in
   let rec atom_of (r : Rule.t) path p =
     match p with
@@ -501,30 +497,6 @@ let best_cost ?nt a h =
     Some ((slot lsr sid_bits) + it_delta)
   | Some { it_choice = None; _ } | None -> None
 
-(* Same structural match as the DP labeller — covers are rebuilt from the
-   original (possibly multi-level) rule of the winning item, so the two
-   engines return byte-identical derivations. *)
-let rec match_pattern p (h : Ir.Hashcons.h) =
-  match (p, h.Ir.Hashcons.node) with
-  | Pattern.Nonterm nt, _ -> Some [ (nt, h) ]
-  | Pattern.Const_any, Ir.Tree.Const _ -> Some []
-  | Pattern.Const_eq k, Ir.Tree.Const k' -> if k = k' then Some [] else None
-  | Pattern.Ref_any, Ir.Tree.Ref _ -> Some []
-  | Pattern.Unop (op, pa), Ir.Tree.Unop (op', _) when op = op' ->
-    match_pattern pa h.Ir.Hashcons.kids.(0)
-  | Pattern.Binop (op, pa, pb), Ir.Tree.Binop (op', _, _) when op = op' -> (
-    match match_pattern pa h.Ir.Hashcons.kids.(0) with
-    | None -> None
-    | Some la -> (
-      match match_pattern pb h.Ir.Hashcons.kids.(1) with
-      | None -> None
-      | Some lb -> Some (la @ lb)))
-  | ( ( Pattern.Const_any | Pattern.Const_eq _ | Pattern.Ref_any
-      | Pattern.Unop _ | Pattern.Binop _ ),
-      (Ir.Tree.Const _ | Ir.Tree.Ref _ | Ir.Tree.Unop _ | Ir.Tree.Binop _) )
-    ->
-    None
-
 let rec cover_of a (h : Ir.Hashcons.h) nt : Cover.t =
   let slot = slot_of a h in
   let st = state_of a (slot land sid_mask) in
@@ -532,7 +504,9 @@ let rec cover_of a (h : Ir.Hashcons.h) nt : Cover.t =
   | None | Some { it_choice = None; _ } ->
     invalid_arg ("Burs: no derivation of " ^ nt)
   | Some { it_choice = Some (Ch_rule r); _ } -> (
-    match match_pattern r.Rule.pattern h with
+    (* Rebuilt from the original (possibly multi-level) rule of the
+       winning item, so the cover matches the DP labeller's exactly. *)
+    match Pattern.bindings r.Rule.pattern h with
     | None -> assert false (* the item proves the structural match *)
     | Some bindings ->
       let children = List.map (fun (nt', h') -> cover_of a h' nt') bindings in
@@ -603,18 +577,20 @@ let create (g : Grammar.t) =
       (List.filter_map (fun (s, ol) -> if s = shape then Some ol else None) ols)
   in
   let b_unops = Array.make n_unops empty_bucket in
-  List.iter (fun op -> b_unops.(unop_tag op) <- by_shape (S_unop op)) all_unops;
+  List.iter
+    (fun op -> b_unops.(unop_tag op) <- by_shape (Pattern.S_unop op))
+    all_unops;
   let b_binops = Array.make n_binops empty_bucket in
   List.iter
-    (fun op -> b_binops.(binop_tag op) <- by_shape (S_binop op))
+    (fun op -> b_binops.(binop_tag op) <- by_shape (Pattern.S_binop op))
     all_binops;
   {
     grammar = g;
     nt_count = Hashtbl.length nt_ids;
     nt_ids;
     nt_names = Array.of_list (List.rev !rev_names);
-    b_const = by_shape S_const;
-    b_ref = by_shape S_ref;
+    b_const = by_shape Pattern.S_const;
+    b_ref = by_shape Pattern.S_ref;
     b_unops;
     b_binops;
     chains;
@@ -629,126 +605,3 @@ let create (g : Grammar.t) =
     nodes_labelled = Atomic.make 0;
     memo_hits = Atomic.make 0;
   }
-
-(* ------------------------------------------------------------------ *)
-(* Diagnostics over raw rule lists.                                    *)
-
-type diag =
-  | Chain_cycle of string list
-  | Zero_cost_chain_cycle of string list
-  | Unreachable_nonterm of string
-  | Op_without_rules of string
-
-let diag_to_string = function
-  | Chain_cycle nts -> "chain-rule cycle: " ^ String.concat " -> " nts
-  | Zero_cost_chain_cycle nts ->
-    "zero-cost chain cycle: " ^ String.concat " -> " nts
-  | Unreachable_nonterm nt -> "unreachable nonterminal: " ^ nt
-  | Op_without_rules op -> "operator with no rules: " ^ op
-
-exception Found_cycle of string list
-
-let find_cycle edges =
-  let adj = Hashtbl.create 16 in
-  List.iter
-    (fun (src, lhs) ->
-      Hashtbl.replace adj src
-        (lhs :: Option.value ~default:[] (Hashtbl.find_opt adj src)))
-    (List.rev edges);
-  let color = Hashtbl.create 16 in
-  let rec dfs path nt =
-    Hashtbl.replace color nt `Gray;
-    List.iter
-      (fun nxt ->
-        match Hashtbl.find_opt color nxt with
-        | Some `Gray ->
-          let rec cut = function
-            | [] -> []
-            | x :: rest -> if String.equal x nxt then [ x ] else x :: cut rest
-          in
-          raise (Found_cycle (List.rev (cut path)))
-        | Some `Black -> ()
-        | None -> dfs (nxt :: path) nxt)
-      (Option.value ~default:[] (Hashtbl.find_opt adj nt));
-    Hashtbl.replace color nt `Black
-  in
-  try
-    List.iter
-      (fun (src, _) -> if not (Hashtbl.mem color src) then dfs [ src ] src)
-      edges;
-    None
-  with Found_cycle c -> Some c
-
-let shape_of_root_pattern = function
-  | Pattern.Const_any | Pattern.Const_eq _ -> S_const
-  | Pattern.Ref_any -> S_ref
-  | Pattern.Unop (op, _) -> S_unop op
-  | Pattern.Binop (op, _, _) -> S_binop op
-  | Pattern.Nonterm _ -> assert false
-
-let diagnose ~start (rules : Rule.t list) =
-  let diags = ref [] in
-  let push d = diags := d :: !diags in
-  let chain_edges =
-    List.filter_map
-      (fun (r : Rule.t) ->
-        match r.pattern with
-        | Pattern.Nonterm src -> Some (src, r.lhs, r.cost)
-        | _ -> None)
-      rules
-  in
-  (match find_cycle (List.map (fun (s, l, _) -> (s, l)) chain_edges) with
-  | Some c -> push (Chain_cycle c)
-  | None -> ());
-  (match
-     find_cycle
-       (List.filter_map
-          (fun (s, l, c) -> if c = 0 then Some (s, l) else None)
-          chain_edges)
-   with
-  | Some c -> push (Zero_cost_chain_cycle c)
-  | None -> ());
-  (* Reachability from the start symbol, downward through patterns. *)
-  let reach = Hashtbl.create 16 in
-  Hashtbl.replace reach start ();
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (r : Rule.t) ->
-        if Hashtbl.mem reach r.lhs then
-          List.iter
-            (fun nt ->
-              if not (Hashtbl.mem reach nt) then begin
-                Hashtbl.replace reach nt ();
-                changed := true
-              end)
-            (Pattern.nonterms r.pattern))
-      rules
-  done;
-  let produced =
-    List.sort_uniq String.compare (List.map (fun (r : Rule.t) -> r.lhs) rules)
-  in
-  List.iter
-    (fun nt -> if not (Hashtbl.mem reach nt) then push (Unreachable_nonterm nt))
-    produced;
-  (* Root shapes covered by some base rule: a tree rooted at an operator
-     outside this set is uncoverable. *)
-  let covered = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Rule.t) ->
-      match r.pattern with
-      | Pattern.Nonterm _ -> ()
-      | p -> Hashtbl.replace covered (shape_of_root_pattern p) ())
-    rules;
-  List.iter
-    (fun op ->
-      if not (Hashtbl.mem covered (S_unop op)) then
-        push (Op_without_rules (Ir.Op.unop_name op)))
-    all_unops;
-  List.iter
-    (fun op ->
-      if not (Hashtbl.mem covered (S_binop op)) then
-        push (Op_without_rules (Ir.Op.binop_name op)))
-    all_binops;
-  List.rev !diags

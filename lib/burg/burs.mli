@@ -83,25 +83,3 @@ val nodes_labelled : t -> int
 
 val memo_hits : t -> int
 (** Labelling probes answered by the slot table (volatile counter). *)
-
-(** {1 Diagnostics} *)
-
-type diag =
-  | Chain_cycle of string list
-      (** chain rules form a cycle through these nonterminals (legal when
-          some edge costs > 0, but worth knowing) *)
-  | Zero_cost_chain_cycle of string list
-      (** a zero-static-cost chain cycle: "cheapest derivation" is
-          ill-defined; {!Grammar.make} rejects these *)
-  | Unreachable_nonterm of string
-      (** produced by some rule but unreachable from the start symbol *)
-  | Op_without_rules of string
-      (** no rule's pattern is rooted at this operator, so any tree
-          rooted there is uncoverable *)
-
-val diagnose : start:string -> Rule.t list -> diag list
-(** Structural health check over a raw rule list (no {!Grammar.make}
-    required, so ill-formed sets can be probed without raising).
-    Returns every named degeneracy found; never loops or crashes. *)
-
-val diag_to_string : diag -> string

@@ -67,8 +67,6 @@ let make ~name ~start rules =
 
 let nonterms g = produced g.rules
 
-let rules_for g nt = List.filter (fun (r : Rule.t) -> r.lhs = nt) g.rules
-
 let pp ppf g =
   Format.fprintf ppf "@[<v>grammar %s (start %s)@," g.name g.start;
   List.iter (fun r -> Format.fprintf ppf "  %s@," (Rule.to_string r)) g.rules;

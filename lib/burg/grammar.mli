@@ -17,7 +17,4 @@ val check : start:string -> Rule.t list -> (unit, string) result
 val nonterms : t -> string list
 (** All nonterminals, sorted. *)
 
-val rules_for : t -> string -> Rule.t list
-(** Rules producing the given nonterminal. *)
-
 val pp : Format.formatter -> t -> unit

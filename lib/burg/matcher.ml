@@ -1,25 +1,20 @@
-(* Two interchangeable labelling engines behind one matcher API:
+(* Two labelling engines behind one matcher API:
 
-   - [Dp]: the original bottom-up dynamic programming labeller — a
-     lock-striped, id-keyed memo of per-node labellings computed on
-     demand (kept as the reference/fallback engine).
-   - [Table]: the BURS automaton ({!Burs}) — states and transitions are
-     built on demand, the first time labelling needs each; labelling is
-     one bottom-up pass writing a packed state slot per hash-cons id into
-     a lock-free flat array.
+   - [Table]: the BURS automaton ({!Burs}), the production engine —
+     states and transitions are built on demand, the first time
+     labelling needs each; labelling is one bottom-up pass writing a
+     packed state slot per hash-cons id into a lock-free flat array.
+   - [Dp]: the original bottom-up dynamic programming labeller — an
+     id-keyed memo of per-node labellings computed on demand, kept as
+     the differential reference.
 
    Both engines produce byte-identical covers (same costs, same
-   tie-breaks, same chain closure); the test suite asserts it and CI
-   diffs whole compiled suites across engines. *)
+   tie-breaks, same chain closure); the test suite asserts it on single
+   trees, on the Table-1 job matrix and on a fuzz campaign. *)
 
 type engine = Dp | Table
 
 let engine_name = function Dp -> "dp" | Table -> "table"
-
-let engine_of_string = function
-  | "dp" -> Ok Dp
-  | "table" -> Ok Table
-  | s -> Error (Printf.sprintf "unknown matcher engine %S (dp|table)" s)
 
 type counters = { nodes_labelled : int; memo_hits : int }
 
@@ -29,53 +24,24 @@ module Dp_engine = struct
   (* Best derivation per nonterminal at one tree node. *)
   type labelling = (string, entry) Hashtbl.t
 
-  (* Root shape of a subject node: only base rules whose pattern root has the
-     same shape can match, so [compute] walks one bucket instead of the whole
-     rule list.  Nonterm-rooted patterns are chain rules and live elsewhere;
-     Const_any and Const_eq share the const bucket. *)
-  type shape = S_const | S_ref | S_unop of Ir.Op.unop | S_binop of Ir.Op.binop
-
-  let shape_of_pattern = function
-    | Pattern.Const_any | Pattern.Const_eq _ -> Some S_const
-    | Pattern.Ref_any -> Some S_ref
-    | Pattern.Unop (op, _) -> Some (S_unop op)
-    | Pattern.Binop (op, _, _) -> Some (S_binop op)
-    | Pattern.Nonterm _ -> None
-
-  let shape_of_node = function
-    | Ir.Tree.Const _ -> S_const
-    | Ir.Tree.Ref _ -> S_ref
-    | Ir.Tree.Unop (op, _) -> S_unop op
-    | Ir.Tree.Binop (op, _, _) -> S_binop op
-
-  (* One stripe of the DP table.  A labelling is built privately by the
-     computing domain and only then published into the stripe under its
-     lock; after publication it is read-only, so readers (who also take the
-     stripe lock for the probe itself) can use it without further
-     synchronization.  The per-stripe counters ride under the same lock. *)
-  type stripe = {
-    lock : Mutex.t;
-    table : (int, labelling) Hashtbl.t;
-    mutable nodes_labelled : int;
-    mutable memo_hits : int;
-  }
-
-  let stripe_count = 16
-
   type t = {
     grammar : Grammar.t;
     (* Non-chain rules bucketed by root shape, original order within each
        bucket (ties in [improve] keep the earlier rule, as with a flat
-       list).  Built once in [create], never mutated after — concurrent
+       list), so [compute] walks one bucket instead of the whole rule
+       list.  Built once in [create], never mutated after — concurrent
        reads from many domains are safe. *)
-    base_by_shape : (shape, Rule.t list) Hashtbl.t;
+    base_by_shape : (Pattern.shape, Rule.t list) Hashtbl.t;
     chain_rules : Rule.t list;
     (* The DP table, keyed by hash-cons id: one entry per distinct subtree
-       structure ever labelled, shared across variants, trees, whole
-       compilation jobs, and — lock-striped — across the serve pool's
-       domains.  An id key is O(1) to hash and compare where the previous
-       structural Tree.t key cost O(size) per probe. *)
-    stripes : stripe array;
+       structure ever labelled, shared across variants, trees and
+       compilation jobs.  It and its counters are guarded by [lock].  A
+       labelling is built privately by the computing domain and only then
+       published under the lock; after publication it is read-only. *)
+    lock : Mutex.t;
+    table : (int, labelling) Hashtbl.t;
+    mutable nodes_labelled : int;
+    mutable memo_hits : int;
   }
 
   let create grammar =
@@ -85,7 +51,7 @@ module Dp_engine = struct
     let base_by_shape = Hashtbl.create 16 in
     List.iter
       (fun (r : Rule.t) ->
-        match shape_of_pattern r.pattern with
+        match Pattern.root_shape r.pattern with
         | None -> ()
         | Some s ->
           Hashtbl.replace base_by_shape s
@@ -95,57 +61,17 @@ module Dp_engine = struct
       grammar;
       base_by_shape;
       chain_rules;
-      stripes =
-        Array.init stripe_count (fun _ ->
-            {
-              lock = Mutex.create ();
-              table = Hashtbl.create 64;
-              nodes_labelled = 0;
-              memo_hits = 0;
-            });
+      lock = Mutex.create ();
+      table = Hashtbl.create 64;
+      nodes_labelled = 0;
+      memo_hits = 0;
     }
 
-  let stripe_of m key = m.stripes.(key land (stripe_count - 1))
-
   let counters m =
-    Array.fold_left
-      (fun (acc : counters) (s : stripe) ->
-        Mutex.lock s.lock;
-        let r =
-          {
-            nodes_labelled = acc.nodes_labelled + s.nodes_labelled;
-            memo_hits = acc.memo_hits + s.memo_hits;
-          }
-        in
-        Mutex.unlock s.lock;
-        r)
-      { nodes_labelled = 0; memo_hits = 0 }
-      m.stripes
-
-  (* Match a pattern against a subject handle — shapes via the canonical
-     node, descent via the child handles, so no tree is ever rebuilt or
-     hashed. Returns the handles bound to the pattern's nonterminal leaves,
-     in left-to-right order, or None. *)
-  let rec match_pattern p (h : Ir.Hashcons.h) =
-    match (p, h.Ir.Hashcons.node) with
-    | Pattern.Nonterm nt, _ -> Some [ (nt, h) ]
-    | Pattern.Const_any, Ir.Tree.Const _ -> Some []
-    | Pattern.Const_eq k, Ir.Tree.Const k' -> if k = k' then Some [] else None
-    | Pattern.Ref_any, Ir.Tree.Ref _ -> Some []
-    | Pattern.Unop (op, pa), Ir.Tree.Unop (op', _) when op = op' ->
-      match_pattern pa h.Ir.Hashcons.kids.(0)
-    | Pattern.Binop (op, pa, pb), Ir.Tree.Binop (op', _, _) when op = op' -> (
-      match match_pattern pa h.Ir.Hashcons.kids.(0) with
-      | None -> None
-      | Some la -> (
-        match match_pattern pb h.Ir.Hashcons.kids.(1) with
-        | None -> None
-        | Some lb -> Some (la @ lb)))
-    | ( ( Pattern.Const_any | Pattern.Const_eq _ | Pattern.Ref_any
-        | Pattern.Unop _ | Pattern.Binop _ ),
-        (Ir.Tree.Const _ | Ir.Tree.Ref _ | Ir.Tree.Unop _ | Ir.Tree.Binop _) )
-      ->
-      None
+    Mutex.lock m.lock;
+    let c = { nodes_labelled = m.nodes_labelled; memo_hits = m.memo_hits } in
+    Mutex.unlock m.lock;
+    c
 
   let improve (lab : labelling) nt entry =
     match Hashtbl.find_opt lab nt with
@@ -154,41 +80,39 @@ module Dp_engine = struct
       Hashtbl.replace lab nt entry;
       true
 
-  (* The probe holds the stripe lock for the lookup only; [compute] recurses
-     into child stripes with no lock held, so there is no lock-ordering
-     issue.  Two domains racing on one node both compute it (labellings are
-     deterministic, so either result is the same); the loser's copy is
-     discarded in favour of the published one, keeping one table entry per
-     node. *)
+  (* The probe holds the lock for the lookup only; [compute] recurses into
+     the children with no lock held.  Two domains racing on one node both
+     compute it (labellings are deterministic, so either result is the
+     same); the loser's copy is discarded in favour of the published one,
+     keeping one table entry per node. *)
   let rec labelling m (h : Ir.Hashcons.h) : labelling =
     let key = h.Ir.Hashcons.id in
-    let s = stripe_of m key in
-    Mutex.lock s.lock;
-    match Hashtbl.find_opt s.table key with
+    Mutex.lock m.lock;
+    match Hashtbl.find_opt m.table key with
     | Some lab ->
-      s.memo_hits <- s.memo_hits + 1;
-      Mutex.unlock s.lock;
+      m.memo_hits <- m.memo_hits + 1;
+      Mutex.unlock m.lock;
       lab
     | None ->
-      Mutex.unlock s.lock;
+      Mutex.unlock m.lock;
       let lab = compute m h in
-      Mutex.lock s.lock;
+      Mutex.lock m.lock;
       let published =
-        match Hashtbl.find_opt s.table key with
+        match Hashtbl.find_opt m.table key with
         | Some winner -> winner
         | None ->
-          s.nodes_labelled <- s.nodes_labelled + 1;
-          Hashtbl.replace s.table key lab;
+          m.nodes_labelled <- m.nodes_labelled + 1;
+          Hashtbl.replace m.table key lab;
           lab
       in
-      Mutex.unlock s.lock;
+      Mutex.unlock m.lock;
       published
 
   and compute m (h : Ir.Hashcons.h) =
     let t = h.Ir.Hashcons.node in
     let lab : labelling = Hashtbl.create 8 in
     let try_base (r : Rule.t) =
-      match match_pattern r.pattern h with
+      match Pattern.bindings r.pattern h with
       | None -> ()
       | Some bindings ->
         let guard_ok = match r.guard with None -> true | Some g -> g t in
@@ -210,7 +134,7 @@ module Dp_engine = struct
                  { cost; cover = { Cover.rule = r; node = t; children } })
         end
     in
-    (match Hashtbl.find_opt m.base_by_shape (shape_of_node t) with
+    (match Hashtbl.find_opt m.base_by_shape (Pattern.node_shape t) with
     | Some rules -> List.iter try_base rules
     | None -> ());
     (* Chain-rule closure: relax until fixpoint. *)

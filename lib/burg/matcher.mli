@@ -11,17 +11,22 @@
     long-lived matcher per target can serve any number of compilations
     (which is how the driver's batch service uses it).
 
-    A matcher is domain-safe: the DP table is lock-striped, so the serve
-    pool's domains share one warm table per target. Lookups take one
-    stripe lock; labelling recursion runs lock-free; two domains racing
-    to label the same node both compute the (deterministic) labelling and
-    the table keeps exactly one copy. *)
+    A matcher is domain-safe, so the serve pool's domains share one warm
+    matcher per target. The [Table] engine reads its slots lock-free and
+    takes a lock only to build a state or transition; the [Dp] engine
+    takes one lock per table probe, and two domains racing to label the
+    same node both compute the (deterministic) labelling while the table
+    keeps exactly one copy. *)
 
 type t
 
 type engine =
-  | Dp  (** the original on-demand DP labeller (reference/fallback) *)
-  | Table  (** the {!Burs} automaton: tables built on demand, lock-free slots *)
+  | Dp
+      (** the original on-demand DP labeller: the differential reference
+          the tests hold the automaton to, not a production path *)
+  | Table
+      (** the {!Burs} automaton: tables built on demand, lock-free slots;
+          every CLI subcommand and job labels with it *)
 
 val create : ?engine:engine -> Grammar.t -> t
 (** Builds a matcher for the grammar. The default engine is [Table].
@@ -31,10 +36,9 @@ val create : ?engine:engine -> Grammar.t -> t
     builds each once, and only those its programs reach. *)
 
 val engine : t -> engine
-val engine_name : engine -> string
 
-val engine_of_string : string -> (engine, string) result
-(** ["dp"] or ["table"]. *)
+val engine_name : engine -> string
+(** ["dp"] or ["table"], as the compiler's option fingerprint spells it. *)
 
 val grammar : t -> Grammar.t
 

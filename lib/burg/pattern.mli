@@ -14,5 +14,21 @@ val nonterms : t -> string list
 
 val depth : t -> int
 
+(** Root shape of a pattern or a subject node: a base rule can only match
+    a node of its pattern's root shape, so both labelling engines bucket
+    rules by it. *)
+type shape = S_const | S_ref | S_unop of Ir.Op.unop | S_binop of Ir.Op.binop
+
+val root_shape : t -> shape option
+(** [None] for a [Nonterm] root (a chain rule's pattern); [Const_any] and
+    [Const_eq] share [S_const]. *)
+
+val node_shape : Ir.Tree.t -> shape
+
+val bindings : t -> Ir.Hashcons.h -> (string * Ir.Hashcons.h) list option
+(** Structural match of the pattern against a subject handle: the handles
+    bound to the pattern's nonterminal leaves, in left-to-right order, or
+    [None] when the shapes differ. Guards are not consulted. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

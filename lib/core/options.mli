@@ -35,9 +35,11 @@ type t = {
       (** how trees are grouped and ranked during covering; orthogonal to
           [selection], which picks the per-tree variant policy *)
   matcher : Burg.Matcher.engine;
-      (** labelling engine: the table-driven BURS automaton (default) or
-          the on-demand DP labeller; both produce byte-identical covers,
-          so this is a pure performance/fallback knob *)
+      (** labelling engine: the table-driven BURS automaton in both
+          standard configurations; [Dp] selects the on-demand DP labeller,
+          the differential reference the tests compare against. Covers are
+          byte-identical, but [Dp] ranks more variants (no state pruning),
+          so [variants_tried] differs *)
   variant_limit : int;  (** cap on algebraic variants per tree *)
   algebra_rules : Ir.Algebra.rule list;
   cse : bool;  (** share common subexpressions across a block (Fig. 4) *)
@@ -74,8 +76,11 @@ val with_unrolling : int -> t -> t
 val with_selection_mode : selection_mode -> t -> t
 
 val with_matcher : Burg.Matcher.engine -> t -> t
-(** Select the labelling engine ([--matcher=dp|table]); part of the
-    option fingerprint, so cached entries never cross engines. *)
+(** Select the labelling engine. No CLI flag or job member sets it; the
+    differential tests and embedders do. It is part of the option
+    fingerprint ({!to_string}), so cached entries never cross engines: a
+    cache hit replays the stored [stats], and [variants_tried] differs by
+    engine. *)
 
 val selection_modes : (string * selection_mode) list
 (** Every selection mode with its spelling — ["tree"], ["dag"] — in the

@@ -141,9 +141,6 @@ let to_json job =
          Json.String
            (Record.Options.selection_mode_name
               job.options.Record.Options.selection_mode) );
-       ( "matcher",
-         Json.String
-           (Burg.Matcher.engine_name job.options.Record.Options.matcher) );
        ("options_digest", Json.String (Record.Options.digest job.options));
        ("kind", Json.String (kind_name job.kind));
      ]
@@ -215,7 +212,7 @@ let success_to_json ~deterministic s =
         ("wall_ms", Json.Float s.wall_ms);
         ("phase_ms", phase_ms_to_json s.phase_ms);
         (* Volatile like phase_ms: the matcher-side counters are deltas
-           against a DP table shared across the jobs of one worker, so
+           against matcher state shared across the jobs of one process, so
            they depend on scheduling, not on the job alone. *)
         ("selection", selection_to_json s.selection);
       ]

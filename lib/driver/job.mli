@@ -97,8 +97,8 @@ val to_json : t -> Json.t
 val selection_to_json : Record.Pipeline.selection_stats -> Json.t
 (** Selection counters as a flat object (trees, variants, pruned, dedup,
     variant nodes, nodes labelled, memo hits). Encoded in the volatile
-    section of a success: the matcher counters are deltas against a DP
-    table shared across one worker's jobs, so they depend on scheduling. *)
+    section of a success: the matcher counters are deltas against matcher
+    state shared across one process's jobs, so they depend on scheduling. *)
 
 val result_to_json : ?deterministic:bool -> result -> Json.t
 

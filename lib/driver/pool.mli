@@ -3,7 +3,7 @@
     daemon and the DSE sweep.
 
     A pool's domains {e share} the compiler's state in one address space:
-    one striped intern table ({!Ir.Hashcons}), one warm DP table per
+    one striped intern table ({!Ir.Hashcons}), one warm matcher per
     target ({!Registry.matcher_for}), one two-tier cache ({!Cache}). A
     job's interning and labelling work is visible to every later job on
     any domain, which is the amortization the serve daemon exists for.

@@ -30,7 +30,7 @@ let typed_member id j name ~expected convert =
     | Some x -> Ok (Some x)
     | None -> Error (Printf.sprintf "job %d: %S must be %s" id name expected))
 
-let job_of_json ?selection ?matcher id j =
+let job_of_json ?selection id j =
   let ( let* ) = Result.bind in
   let str_field name =
     typed_member id j name ~expected:"a string" Json.to_string_lit
@@ -42,7 +42,6 @@ let job_of_json ?selection ?matcher id j =
   let* label = str_field "label" in
   let* kind_member = str_field "kind" in
   let* selection_member = str_field "selection" in
-  let* matcher_member = str_field "matcher" in
   let* deadline =
     typed_member id j "deadline" ~expected:"an integer" Json.to_int
   in
@@ -89,20 +88,6 @@ let job_of_json ?selection ?matcher id j =
         | None ->
           Error (Printf.sprintf "job %d: unknown selection %S" id s)))
   in
-  (* Matcher engine: the job's optional "matcher" member, overridden by
-     the caller's [matcher] (the batch CLI's [--matcher] flag); same
-     layering as the selection mode above. *)
-  let* options =
-    match matcher with
-    | Some engine -> Ok (Record.Options.with_matcher engine options)
-    | None -> (
-      match matcher_member with
-      | None -> Ok options
-      | Some s -> (
-        match Burg.Matcher.engine_of_string s with
-        | Ok engine -> Ok (Record.Options.with_matcher engine options)
-        | Error _ -> Error (Printf.sprintf "job %d: unknown matcher %S" id s)))
-  in
   let* kind =
     match kind_member with
     | None -> Ok (if deadline <> None then Job.Timing { deadline } else default_kind)
@@ -136,7 +121,7 @@ let job_of_json ?selection ?matcher id j =
     (Job.make ~id ?label ~source ~target ~options_label
        ~options ~inputs ~kind prog)
 
-let jobs_of_json ?selection ?matcher doc =
+let jobs_of_json ?selection doc =
   let entries =
     match doc with
     | Json.List entries -> Ok entries
@@ -150,7 +135,7 @@ let jobs_of_json ?selection ?matcher doc =
       List.fold_left
         (fun (acc : (Job.t list, string) result) (i, entry) ->
           Result.bind acc (fun jobs ->
-              Result.map (fun j -> j :: jobs) (job_of_json ?selection ?matcher i entry)))
+              Result.map (fun j -> j :: jobs) (job_of_json ?selection i entry)))
         (Ok [])
         (List.mapi (fun i e -> (i, e)) entries)
       |> Result.map List.rev)

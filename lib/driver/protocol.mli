@@ -4,10 +4,10 @@
     A jobs document is an array of job objects or [{"jobs": [...]}]. Each
     job names a bundled DSPStone kernel ([kernel]) or a DFL source file
     ([file]), plus target, options, kind ([compile]/[simulate]/[timing]),
-    optional label, inputs, deadline, selection mode ([selection]: a
+    optional label, inputs, deadline and selection mode ([selection]: a
     spelling from {!Record.Options.selection_modes}, applied atop the
-    option set),
-    and labelling engine ([matcher]: ["dp"] or ["table"]).
+    option set). Every job labels with the BURS automaton; the protocol
+    has no member to choose an engine.
     Kernel jobs default to the kernel's bundled inputs and kind simulate;
     file jobs default to kind compile. Every input must name a variable
     the program declares and carry exactly its size in values
@@ -17,18 +17,15 @@
 
 val job_of_json :
   ?selection:Record.Options.selection_mode ->
-  ?matcher:Burg.Matcher.engine ->
   int ->
   Json.t ->
   (Job.t, string) result
 (** Decode one job object; the int is the job id (its position) and
     prefixes every error message. [selection] overrides the job's own
-    ["selection"] member (the batch CLI's [--selection] flag), and
-    [matcher] the job's ["matcher"] member ([--matcher]) likewise. *)
+    ["selection"] member (the batch CLI's [--selection] flag). *)
 
 val jobs_of_json :
   ?selection:Record.Options.selection_mode ->
-  ?matcher:Burg.Matcher.engine ->
   Json.t ->
   (Job.t list, string) result
 (** Decode a whole jobs document; ids are assigned by position. Stops at

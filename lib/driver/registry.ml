@@ -51,9 +51,9 @@ let find_machine name =
         (Printf.sprintf "unknown target %s (available: %s)" name
            (String.concat ", " (names ()))))
 
-(* Keyed by (machine name, engine): the two labelling engines keep
-   separate long-lived matchers, so a --matcher=dp run never cools the
-   table-driven automaton the serve pool shares (and vice versa). *)
+(* Keyed by (machine name, engine): a caller that asks for the DP
+   reference engine gets its own long-lived matcher and never cools the
+   automaton the serve pool shares. *)
 let matchers : (string * Burg.Matcher.engine, Burg.Matcher.t) Hashtbl.t =
   Hashtbl.create 8
 
@@ -69,9 +69,4 @@ let matcher_for ?(engine = Burg.Matcher.Table) (m : Target.Machine.t) =
         Hashtbl.replace matchers (m.name, engine) mt;
         mt)
 
-let warm () =
-  List.iter
-    (fun m ->
-      ignore (matcher_for ~engine:Burg.Matcher.Table m);
-      ignore (matcher_for ~engine:Burg.Matcher.Dp m))
-    (machines ())
+let warm () = List.iter (fun m -> ignore (matcher_for m)) (machines ())

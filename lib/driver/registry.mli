@@ -27,8 +27,9 @@ val register : Target.Machine.t -> unit
 val matcher_for :
   ?engine:Burg.Matcher.engine -> Target.Machine.t -> Burg.Matcher.t
 (** The process-wide long-lived matcher for this machine's grammar and
-    the given engine (default [Table]). Its labelling state — BURS state
-    slots or the DP table — stays warm across compilations, so batch
+    the given engine (default [Table], the engine every job labels with
+    unless its options name the DP reference). Its labelling state — BURS
+    state slots or the DP table — stays warm across compilations, so batch
     jobs for one target share labellings of repeated subtrees. Returns a
     fresh matcher (and caches it) when the machine's grammar is not
     physically the one already registered under that (name, engine) key.
@@ -36,8 +37,9 @@ val matcher_for :
     the matchers themselves are safe to share across domains. *)
 
 val warm : unit -> unit
-(** Force the machine list and create both engines' matchers for every
-    bundled target. Creating a matcher builds no automaton state (see
+(** Force the machine list and create the default engine's matcher for
+    every bundled target; a DP matcher is only created when a caller asks
+    {!matcher_for} for one. Creating a matcher builds no automaton state (see
     {!Burg.Matcher.create}), so this is cheap; the pool calls it once
     before spawning worker domains so that workers find the machine list
     and the matcher table filled in. *)

@@ -27,7 +27,7 @@ type config = {
       (* default for requests that do not carry a "deterministic" member *)
   cache : Cache.t option;
   matcher : Burg.Matcher.engine option;
-      (* when set, overrides every job's own "matcher" member *)
+      (* when set, the labelling engine of every decoded job *)
 }
 
 type request =
@@ -57,7 +57,16 @@ let parse_request config doc =
         | Some b -> Ok b
         | None -> Error {|"deterministic" must be a boolean|})
     in
-    let* jobs = Protocol.jobs_of_json ?matcher:config.matcher doc in
+    let* jobs = Protocol.jobs_of_json doc in
+    let jobs =
+      match config.matcher with
+      | None -> jobs
+      | Some engine ->
+        List.map
+          (fun (j : Job.t) ->
+            { j with options = Record.Options.with_matcher engine j.options })
+          jobs
+    in
     Ok (Jobs { jobs; deterministic })
 
 let protocol_field = ("protocol", Json.String "record-serve-1")

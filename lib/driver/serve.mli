@@ -18,8 +18,10 @@ type config = {
       (** default for requests without a ["deterministic"] member *)
   cache : Cache.t option;  (** shared by every worker domain *)
   matcher : Burg.Matcher.engine option;
-      (** when set ([record serve --matcher=...]), overrides every job's
-          own ["matcher"] member, like [record batch --matcher] *)
+      (** when set, the labelling engine of every job the daemon decodes;
+          [None] (what [record serve] passes) keeps the default engine.
+          An embedder's knob: the jobs protocol and the CLI cannot choose
+          an engine *)
 }
 
 type state

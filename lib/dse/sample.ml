@@ -57,11 +57,3 @@ let point ~seed index =
   { index; name = name_of_params params; params }
 
 let points ~seed ~count = List.init count (point ~seed)
-
-let describe { index; name; params = p } =
-  Printf.sprintf "#%d %s: %d acc%s%s%s, %d-bit imm, %d addr regs" index name
-    p.Target.Asip.accumulators
-    (if p.Target.Asip.has_multiplier then ", mul" else "")
-    (if p.Target.Asip.has_mac then ", mac" else "")
-    (if p.Target.Asip.has_saturation then ", sat" else "")
-    p.Target.Asip.imm_bits p.Target.Asip.address_regs

@@ -31,6 +31,3 @@ val point : seed:int -> int -> point
 
 val points : seed:int -> count:int -> point list
 (** The first [count] points: [List.init count (point ~seed)]. *)
-
-val describe : point -> string
-(** One human line: index, name, and the spelled-out parameters. *)

@@ -34,7 +34,7 @@ let find_kernel name =
 (* One machine per unique parameter set. A name already resolvable was
    registered by an earlier sweep in this process; its machine value is
    structurally identical (names encode the full parameter record), so
-   re-using it keeps Registry.matcher_for's DP table warm instead of
+   re-using it keeps Registry.matcher_for's automaton warm instead of
    forcing a rebuild against a physically new grammar. *)
 let machine_for (point : Sample.point) =
   match Driver.Registry.find_machine point.Sample.name with
@@ -155,8 +155,6 @@ let to_json r =
       ( "selection",
         Driver.Json.String
           (Record.Options.selection_mode_name r.config.selection) );
-      ( "matcher",
-        Driver.Json.String (Burg.Matcher.engine_name r.config.matcher) );
       ("cost_model", Driver.Json.String cost_model_doc);
       ("unique_architectures", Driver.Json.Int r.unique_architectures);
       ("complete_architectures", Driver.Json.Int complete);

@@ -25,8 +25,9 @@ type config = {
       (** selection mode for every compile of the sweep; part of the
           options digest, so modes never share cache entries *)
   matcher : Burg.Matcher.engine;
-      (** labelling engine for every compile of the sweep; also part of
-          the options digest, so engines never share cache entries *)
+      (** labelling engine for every compile of the sweep ([record dse]
+          passes the default, [Table]); part of the options digest, so
+          engines never share cache entries, but not of the document *)
 }
 
 type result = {
@@ -48,7 +49,7 @@ val default_kernels : unit -> string list
 
 val run : config -> result
 (** Execute the sweep. Machines already registered under a sample's
-    canonical name are re-used (their matcher DP tables stay warm across
+    canonical name are re-used (their matchers stay warm across
     sweeps in one process — the serve-daemon scenario); new ones are
     built, validated, and registered.
     @raise Invalid_argument on an unknown kernel name or [samples < 1]. *)
@@ -59,9 +60,9 @@ val hit_rate : result -> float
 
 val to_json : result -> Driver.Json.t
 (** The [record dse] document (protocol [record-dse-1]): seed, samples,
-    workload, selection mode, matcher engine, cost model, every scored
-    architecture, and the Pareto front. It is a pure function of the
-    config's seed, samples, kernels, selection and matcher —
+    workload, selection mode, cost model, every scored architecture, and
+    the Pareto front. It is a pure function of the config's seed,
+    samples, kernels and selection —
     byte-identical across runs, cold or warm. Volatile facts (cache hit
     rate, wall-clock) are in {!pp_summary} and {!hit_rate}, not here. *)
 

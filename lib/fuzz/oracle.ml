@@ -208,35 +208,25 @@ type combo = {
   label : string;
 }
 
-let combos_for ?(selection = Record.Options.Tree)
-    ?(matcher = Burg.Matcher.Table) ~machines ~conventional () =
+let combos_for ?(selection = Record.Options.Tree) ~machines ~conventional () =
   (* The selection mode applies to the RECORD combos only: the
      conventional baseline models a compiler without the selection
-     subsystem, so it always covers tree by tree.  The labelling engine
-     applies to every combo — both option sets run the matcher.
-     Non-default modes and engines show up in the label (and in the
-     options digest a counterexample pins). *)
-  let matcher_suffix =
-    match matcher with
-    | Burg.Matcher.Table -> ""
-    | Burg.Matcher.Dp -> "+dp"
-  in
+     subsystem, so it always covers tree by tree.  A non-default mode
+     shows up in the label (and in the options digest a counterexample
+     pins). *)
   let record_label m =
     m ^ "/record"
     ^ (match selection with
       | Record.Options.Tree -> ""
       | Record.Options.Dag ->
         "+" ^ Record.Options.selection_mode_name selection)
-    ^ matcher_suffix
   in
   List.concat_map
     (fun (m : Target.Machine.t) ->
       {
         machine = m;
         options =
-          Record.Options.with_matcher matcher
-            (Record.Options.with_selection_mode selection
-               Record.Options.record_);
+          Record.Options.with_selection_mode selection Record.Options.record_;
         label = record_label m.name;
       }
       ::
@@ -244,24 +234,18 @@ let combos_for ?(selection = Record.Options.Tree)
          [
            {
              machine = m;
-             options =
-               Record.Options.with_matcher matcher
-                 Record.Options.conventional;
-             label = m.name ^ "/conv" ^ matcher_suffix;
+             options = Record.Options.conventional;
+             label = m.name ^ "/conv";
            };
          ]
        else []))
     machines
 
-let bundled () =
-  [
-    Target.Tic25.machine;
-    Target.Dsp56.machine;
-    Target.Risc32.machine;
-    Target.Asip.machine Target.Asip.default;
-  ]
-
-let default_combos () = combos_for ~machines:(bundled ()) ~conventional:true ()
+(* The registry's own machine values: its long-lived matchers are keyed on
+   their grammars, so a campaign over these labels with the warm matchers
+   instead of replacing them. *)
+let default_combos () =
+  combos_for ~machines:(Driver.Registry.machines ()) ~conventional:true ()
 
 type counterexample = {
   case : Gen.case;

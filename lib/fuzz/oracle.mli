@@ -69,12 +69,13 @@ type combo = {
 }
 
 val default_combos : unit -> combo list
-(** Every bundled machine (tic25, dsp56, risc32, asip) under both the RECORD
-    and the conventional option sets. *)
+(** Every machine of {!Driver.Registry.machines} (tic25, dsp56, risc32,
+    asip) under both the RECORD and the conventional option sets. The
+    combos carry the registry's own machine values, so checking them
+    reuses the registry's long-lived matchers. *)
 
 val combos_for :
   ?selection:Record.Options.selection_mode ->
-  ?matcher:Burg.Matcher.engine ->
   machines:Target.Machine.t list ->
   conventional:bool ->
   unit ->
@@ -82,11 +83,10 @@ val combos_for :
 (** RECORD combos for every machine (under [selection], default [Tree] —
     non-default modes are reflected in the combo label), plus the
     conventional baseline (always [Tree]: it models a compiler without
-    the selection subsystem) when [conventional]. [matcher] (default
-    [Table]) selects the labelling engine for every combo — running one
-    campaign per engine turns the whole oracle into a dp-vs-table
-    differential; the non-default engine is reflected in the labels
-    ([.../record+dp]). *)
+    the selection subsystem) when [conventional]. Every combo labels with
+    the default engine; a dp-vs-table differential campaign maps
+    {!Record.Options.with_matcher} over the combos' options, keeping the
+    labels, so the two reports compare as text. *)
 
 type counterexample = {
   case : Gen.case;  (** as generated — reproduce with its seed and index *)

@@ -102,10 +102,6 @@ let of_block stmts =
   List.iter (fun (_, id) -> nodes.(id).uses <- nodes.(id).uses + 1) roots;
   { nodes; roots }
 
-let node_count g =
-  (* The array may contain a dummy when the block is empty. *)
-  if g.roots = [] then 0 else Array.length g.nodes
-
 let is_leaf n = match n.key with Kconst _ | Kref _ -> true | _ -> false
 
 let shared_count g =

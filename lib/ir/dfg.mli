@@ -12,9 +12,6 @@ val of_block : Prog.stmt list -> t
 (** Builds the shared graph for the block, with conservative aliasing: a
     write to any element of a base invalidates all pending reads of it. *)
 
-val node_count : t -> int
-(** Interior and leaf value nodes after sharing. *)
-
 val shared_count : t -> int
 (** Nodes with more than one use — the cut points of the decomposition. *)
 

@@ -37,8 +37,8 @@ let check_no_foreign_induct ivar (i : Target.Instr.t) =
       raise
         (Unsupported
            (Printf.sprintf
-              "Agu.lower: reference %s uses induction variable of an outer \
-               loop"
+              "Agu.lower_loop: reference %s uses induction variable of an \
+               outer loop"
               (Ir.Mref.to_string r)))
     | Ir.Mref.Induct _ | Ir.Mref.Direct | Ir.Mref.Elem _ -> ()
   in
@@ -135,55 +135,3 @@ let lower_loop (agu : Target.Machine.agu_support) ctx ivar body =
       body
   in
   (inits, body', List.length streams)
-
-let rec lower_items machine ctx items =
-  List.concat_map
-    (fun item ->
-      match item with
-      | Target.Asm.Op _ | Target.Asm.Par _ -> [ item ]
-      | Target.Asm.Loop { ivar; count; body } -> (
-        let body = lower_items machine ctx body in
-        match ivar with
-        | None -> [ Target.Asm.Loop { ivar; count; body } ]
-        | Some iv -> (
-          match machine.Target.Machine.agu with
-          | None ->
-            (* No AGU: leave induction refs for the caller to reject. *)
-            [ Target.Asm.Loop { ivar; count; body } ]
-          | Some agu ->
-            let inits, body', _n = lower_loop agu ctx iv body in
-            List.map (fun i -> Target.Asm.Op i) inits
-            @ [ Target.Asm.Loop { ivar = None; count; body = body' } ])))
-    items
-
-let lower machine ctx items = lower_items machine ctx items
-
-let stream_count items =
-  let n = ref 0 in
-  let rec go = function
-    | Target.Asm.Op _ | Target.Asm.Par _ -> ()
-    | Target.Asm.Loop { ivar; body; _ } ->
-      (match ivar with
-      | None -> ()
-      | Some iv ->
-        let seen = Hashtbl.create 8 in
-        List.iter
-          (function
-            | Target.Asm.Op i ->
-              List.iter
-                (fun s -> Hashtbl.replace seen s ())
-                (instr_streams iv i)
-            | Target.Asm.Par is ->
-              List.iter
-                (fun i ->
-                  List.iter
-                    (fun s -> Hashtbl.replace seen s ())
-                    (instr_streams iv i))
-                is
-            | Target.Asm.Loop _ -> ())
-          body;
-        n := !n + Hashtbl.length seen);
-      List.iter go body
-  in
-  List.iter go items;
-  !n

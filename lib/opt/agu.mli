@@ -28,13 +28,3 @@ val lower_loop :
     @raise Unsupported for a reference whose induction variable belongs to
     an enclosing loop (not needed by the DSPStone kernels).
     @raise Too_many_streams when the AGU cannot cover the loop. *)
-
-val lower :
-  Target.Machine.t -> Target.Machine.ctx -> Target.Asm.item list
-  -> Target.Asm.item list
-(** Applies {!lower_loop} to every loop, innermost first (standalone pass
-    form, used by tests; the pipeline calls {!lower_loop} directly so that
-    loop-control instructions stay adjacent to the loop). *)
-
-val stream_count : Target.Asm.item list -> int
-(** Number of distinct address streams of the outermost loops (reporting). *)

@@ -47,8 +47,6 @@ let create () = { avail = []; subst = Hashtbl.create 16 }
 
 let copy t = { avail = t.avail; subst = Hashtbl.copy t.subst }
 
-let barrier t = t.avail <- []
-
 (* A statement boundary: everything currently available was produced by an
    earlier tree. *)
 let boundary t =

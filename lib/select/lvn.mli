@@ -33,9 +33,6 @@ val fresh_counters : unit -> counters
 
 val create : unit -> t
 
-val barrier : t -> unit
-(** Drop all availability (control boundary); substitutions persist. *)
-
 val boundary : t -> unit
 (** Mark a statement boundary: entries recorded so far count as produced
     by an earlier tree for {!counters.cross_stmt}. *)

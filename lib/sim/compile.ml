@@ -297,8 +297,6 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
     input_memo = None;
   }
 
-let static_cycles plan = plan.static_cycles
-
 let run plan ~inputs =
   let st =
     Target.Mstate.create ~width:plan.width ~layout:plan.layout ~modes:[] ()

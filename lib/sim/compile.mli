@@ -39,7 +39,3 @@ val run : plan -> inputs:(string * int array) list -> outcome
 (** Fresh machine state, inputs written to memory, plan executed. A long
     loop polls the calling domain's {!Deadline} between chunks of trips
     and raises [Deadline.Expired] once it has passed. *)
-
-val static_cycles : plan -> int
-(** The run's cycle cost, known at translation time (execution never
-    branches on data). *)

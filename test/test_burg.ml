@@ -510,105 +510,3 @@ let suites =
             test_negative_cost_raises_at_labelling;
         ] );
     ]
-
-(* ---- Degenerate-grammar diagnostics (Burs.diagnose) ---------------------- *)
-
-let has_diag p diags = List.exists p diags
-
-let test_diag_chain_cycle () =
-  let rules =
-    [
-      Burg.Rule.make ~name:"leaf" ~lhs:"a" ~cost:1 Burg.Pattern.Ref_any;
-      Burg.Rule.make ~name:"ab" ~lhs:"b" ~cost:1 (nt "a");
-      Burg.Rule.make ~name:"ba" ~lhs:"a" ~cost:1 (nt "b");
-    ]
-  in
-  let diags = Burg.Burs.diagnose ~start:"a" rules in
-  Alcotest.(check bool) "cycle reported" true
-    (has_diag (function Burg.Burs.Chain_cycle _ -> true | _ -> false) diags);
-  Alcotest.(check bool) "positive cycle is not zero-cost" false
-    (has_diag
-       (function Burg.Burs.Zero_cost_chain_cycle _ -> true | _ -> false)
-       diags)
-
-let test_diag_zero_cost_cycle () =
-  let rules =
-    [
-      Burg.Rule.make ~name:"leaf" ~lhs:"a" ~cost:1 Burg.Pattern.Ref_any;
-      Burg.Rule.make ~name:"ab" ~lhs:"b" ~cost:0 (nt "a");
-      Burg.Rule.make ~name:"ba" ~lhs:"a" ~cost:0 (nt "b");
-    ]
-  in
-  let diags = Burg.Burs.diagnose ~start:"a" rules in
-  Alcotest.(check bool) "zero-cost cycle reported" true
-    (has_diag
-       (function Burg.Burs.Zero_cost_chain_cycle _ -> true | _ -> false)
-       diags)
-
-let test_diag_unreachable () =
-  let rules =
-    [
-      Burg.Rule.make ~name:"leaf" ~lhs:"a" ~cost:1 Burg.Pattern.Ref_any;
-      Burg.Rule.make ~name:"orphan" ~lhs:"island" ~cost:1
-        Burg.Pattern.Const_any;
-    ]
-  in
-  let diags = Burg.Burs.diagnose ~start:"a" rules in
-  Alcotest.(check bool) "unreachable nonterminal reported" true
-    (has_diag
-       (function
-         | Burg.Burs.Unreachable_nonterm "island" -> true | _ -> false)
-       diags);
-  Alcotest.(check bool) "start is not unreachable" false
-    (has_diag
-       (function Burg.Burs.Unreachable_nonterm "a" -> true | _ -> false)
-       diags)
-
-let test_diag_op_without_rules () =
-  (* fig4 covers Add and Mul only: every other operator must be flagged,
-     and the covered ones must not be. *)
-  let diags = Burg.Burs.diagnose ~start:"reg" fig4_rules in
-  let flagged op =
-    has_diag
-      (function Burg.Burs.Op_without_rules o -> o = op | _ -> false)
-      diags
-  in
-  Alcotest.(check bool) "sub flagged" true (flagged (Ir.Op.binop_name Ir.Op.Sub));
-  Alcotest.(check bool) "neg flagged" true (flagged (Ir.Op.unop_name Ir.Op.Neg));
-  Alcotest.(check bool) "add not flagged" false
-    (flagged (Ir.Op.binop_name Ir.Op.Add));
-  Alcotest.(check bool) "mul not flagged" false
-    (flagged (Ir.Op.binop_name Ir.Op.Mul));
-  Alcotest.(check bool) "no cycle diags on fig4" false
-    (has_diag
-       (function
-         | Burg.Burs.Chain_cycle _ | Burg.Burs.Zero_cost_chain_cycle _ -> true
-         | _ -> false)
-       diags)
-
-let test_diag_strings () =
-  List.iter
-    (fun d -> Alcotest.(check bool) "non-empty" true
-        (String.length (Burg.Burs.diag_to_string d) > 0))
-    [
-      Burg.Burs.Chain_cycle [ "a"; "b" ];
-      Burg.Burs.Zero_cost_chain_cycle [ "a" ];
-      Burg.Burs.Unreachable_nonterm "x";
-      Burg.Burs.Op_without_rules "sat";
-    ]
-
-let suites =
-  suites
-  @ [
-      ( "burs.diagnose",
-        [
-          Alcotest.test_case "chain cycle" `Quick test_diag_chain_cycle;
-          Alcotest.test_case "zero-cost chain cycle" `Quick
-            test_diag_zero_cost_cycle;
-          Alcotest.test_case "unreachable nonterminal" `Quick
-            test_diag_unreachable;
-          Alcotest.test_case "operators without rules" `Quick
-            test_diag_op_without_rules;
-          Alcotest.test_case "diag messages" `Quick test_diag_strings;
-        ] );
-    ]

@@ -561,8 +561,6 @@ let test_duplicate_keys_rejected () =
       ({|[{"kernel": "fir", "kind": null}]|}, {|job 0: "kind" must be a string|});
       ( {|[{"kernel": "fir", "selection": 1}]|},
         {|job 0: "selection" must be a string|} );
-      ( {|[{"kernel": "fir", "matcher": {}}]|},
-        {|job 0: "matcher" must be a string|} );
       ( {|[{"kernel": "fir"}, {"kernel": "fir", "deadline": "200"}]|},
         {|job 1: "deadline" must be an integer|} );
       ( {|[{"kernel": "fir", "deadline": 2.5}]|},
@@ -635,6 +633,76 @@ let test_inputs_checked () =
     Sys.remove src
   end
 
+(* compile, ise --compile and timing share one DFL loader: a source that
+   cannot be read (a directory) or parsed exits 1 naming the file, never
+   with an uncaught exception. *)
+let test_source_errors () =
+  if Sys.file_exists cli then begin
+    let dir = Filename.get_temp_dir_name () in
+    let bad = temp_file ".dfl" "program p; begin u = ; end" in
+    List.iter
+      (fun command ->
+        List.iter
+          (fun file ->
+            let code, msg =
+              run_cli (Printf.sprintf "%s %s" command (Filename.quote file))
+            in
+            Alcotest.(check int) (command ^ " " ^ file ^ " exits 1") 1 code;
+            Alcotest.(check bool)
+              (msg ^ " names " ^ file)
+              true
+              (String.starts_with ~prefix:("record: " ^ file ^ ": ") msg))
+          [ dir; bad ])
+      [ "compile --no-cache"; "ise --compile"; "timing" ];
+    Sys.remove bad
+  end
+
+(* The dp-vs-table differential over the Table-1 job matrix: every job run
+   as decoded (the automaton) and again with the DP reference engine gives
+   the same deterministic result — words, cycles, outputs, listing digest
+   and pipeline stats — except the two fields that differ by design: the
+   cache key (the options digest names the engine) and [variants_tried]
+   (state pruning ranks fewer variants). *)
+let test_engines_agree_on_jobs () =
+  match table1_jobs () with
+  | None -> ()
+  | Some jobs ->
+    let table_variants = ref 0 and dp_variants = ref 0 in
+    let run variants (j : Driver.Job.t) =
+      let r = Driver.Job.run j in
+      let r =
+        match r.Driver.Job.status with
+        | Driver.Job.Done s ->
+          let tried = s.Driver.Job.stats.Record.Pipeline.variants_tried in
+          variants := !variants + tried;
+          let stats =
+            { s.Driver.Job.stats with Record.Pipeline.variants_tried = 0 }
+          in
+          { r with status = Driver.Job.Done { s with key = ""; stats } }
+        | Driver.Job.Unsupported _ | Driver.Job.Failed _
+        | Driver.Job.Timed_out _ | Driver.Job.Crashed _ ->
+          r
+      in
+      Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
+    in
+    Alcotest.(check int) "the 40 Table-1 jobs" 40 (List.length jobs);
+    List.iter
+      (fun (j : Driver.Job.t) ->
+        let dp =
+          {
+            j with
+            options = Record.Options.with_matcher Burg.Matcher.Dp j.options;
+          }
+        in
+        Alcotest.(check string) j.label (run table_variants j)
+          (run dp_variants dp))
+      jobs;
+    Alcotest.(check bool)
+      (Printf.sprintf "dp ranks more variants than table (%d > %d)"
+         !dp_variants !table_variants)
+      true
+      (!dp_variants > !table_variants)
+
 let test_eviction_counter () =
   let cache = Driver.Cache.create ~memory_slots:2 () in
   let machine = Target.Tic25.machine in
@@ -678,6 +746,11 @@ let suites =
         Alcotest.test_case "one job at a time per domain" `Quick
           test_one_job_per_domain;
       ] );
+    ( "domains.engines",
+      [
+        Alcotest.test_case "Table-1 jobs: dp and table agree" `Quick
+          test_engines_agree_on_jobs;
+      ] );
     ( "domains.serve",
       [
         Alcotest.test_case "socket daemon end to end" `Quick test_serve_socket;
@@ -689,5 +762,7 @@ let suites =
         Alcotest.test_case "eviction counter" `Quick test_eviction_counter;
         Alcotest.test_case "inputs checked against declarations" `Quick
           test_inputs_checked;
+        Alcotest.test_case "unreadable or malformed source exits 1" `Quick
+          test_source_errors;
       ] );
   ]

@@ -230,6 +230,61 @@ let test_regression_tic25_sat_addk () =
           Fuzz.Oracle.pp_verdict v)
     [ Burg.Matcher.Table; Burg.Matcher.Dp ]
 
+(* The combos carry the registry's own machine values: the registry keys
+   its long-lived matchers on physical grammar identity, so a combo built
+   from a fresh machine value (a second default asip, with its own
+   grammar) would make the first check replace the registry's warm
+   matcher. *)
+let test_default_combos_share_registry () =
+  let combos = Fuzz.Oracle.default_combos () in
+  let registry = Driver.Registry.machines () in
+  List.iter
+    (fun (c : Fuzz.Oracle.combo) ->
+      Alcotest.(check bool)
+        (c.label ^ ": the registry's machine value")
+        true
+        (List.exists (fun m -> m == c.machine) registry))
+    combos;
+  let asip =
+    List.find (fun (c : Fuzz.Oracle.combo) -> c.label = "asip/record") combos
+  in
+  let registry_asip = Result.get_ok (Driver.Registry.find_machine "asip") in
+  let before = Driver.Registry.matcher_for registry_asip in
+  (match
+     Fuzz.Oracle.check ~options:asip.options asip.machine (seed102_case ())
+   with
+  | Fuzz.Oracle.Pass _ -> ()
+  | v -> Alcotest.failf "asip/record: %a" Fuzz.Oracle.pp_verdict v);
+  Alcotest.(check bool) "a check keeps the registry's asip matcher" true
+    (Driver.Registry.matcher_for registry_asip == before)
+
+(* The dp-vs-table differential over a fuzz campaign: the seed-42 corpus
+   at size 8 on every registry machine under both option sets, run once
+   per labelling engine.  Neither run may find a counterexample, and the
+   two reports (per-combo pass, skipped and cannot-compile counts) must be
+   the same text. *)
+let test_engines_agree_on_campaign () =
+  let report engine =
+    let combos =
+      List.map
+        (fun (c : Fuzz.Oracle.combo) ->
+          { c with options = Record.Options.with_matcher engine c.options })
+        (Fuzz.Oracle.default_combos ())
+    in
+    let r =
+      Fuzz.Oracle.run ~config:(Fuzz.Gen.sized 8) ~combos ~seed:42 ~count:500
+        ()
+    in
+    List.iter
+      (fun c ->
+        Alcotest.failf "%s: %a" (Burg.Matcher.engine_name engine)
+          Fuzz.Oracle.pp_counterexample c)
+      r.Fuzz.Oracle.counterexamples;
+    Format.asprintf "%a" Fuzz.Oracle.pp_report r
+  in
+  Alcotest.(check string) "dp report = table report"
+    (report Burg.Matcher.Table) (report Burg.Matcher.Dp)
+
 let suites =
   [
     ( "fuzz.corpus",
@@ -255,5 +310,12 @@ let suites =
           test_regression_post_update_aliasing;
         Alcotest.test_case "tic25 saturating add-immediate (seed 1)" `Quick
           test_regression_tic25_sat_addk;
+        Alcotest.test_case "default combos share the registry's machines"
+          `Quick test_default_combos_share_registry;
+      ] );
+    ( "fuzz.engines",
+      [
+        Alcotest.test_case "seed-42 campaign: dp and table agree" `Quick
+          test_engines_agree_on_campaign;
       ] );
   ]
