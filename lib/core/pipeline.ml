@@ -71,27 +71,6 @@ let cut_all ~fresh (stmts : Ir.Prog.stmt list) =
     stmts;
   (List.rev !out, List.rev !decls)
 
-(* Apply a block rewrite to every maximal statement run, recursively. *)
-let rewrite_blocks f items =
-  let rec go items =
-    let flush block acc =
-      if block = [] then acc
-      else
-        acc
-        @ List.map (fun s -> Ir.Prog.Stmt s) (f (List.rev block))
-    in
-    let rec scan items block acc =
-      match items with
-      | [] -> flush block acc
-      | Ir.Prog.Stmt s :: rest -> scan rest (s :: block) acc
-      | Ir.Prog.Loop { ivar; count; body } :: rest ->
-        let acc = flush block acc in
-        scan rest [] (acc @ [ Ir.Prog.Loop { ivar; count; body = go body } ])
-    in
-    scan items [] []
-  in
-  go items
-
 (* Full unrolling: a loop within the limit becomes straight-line code, its
    induction references resolved to constant elements per iteration. *)
 let rec unroll limit items =
@@ -122,7 +101,14 @@ let rec unroll limit items =
     items
 
 let source_rewrite (options : Options.t) (prog : Ir.Prog.t) =
+  (* Declarations of the temporaries the block rewrites introduce, newest
+     first. *)
   let extra_decls = ref [] in
+  let declaring rewrite block =
+    let stmts, decls = rewrite block in
+    extra_decls := List.rev_append decls !extra_decls;
+    stmts
+  in
   let counter = ref 0 in
   let fresh () =
     let name = Printf.sprintf "$e%d" !counter in
@@ -141,26 +127,16 @@ let source_rewrite (options : Options.t) (prog : Ir.Prog.t) =
        trial emission — a pre-pass that cuts everything to memory would
        make that decision for it, and always in favour of the round-trip. *)
     if options.cse && options.selection_mode = Options.Tree then
-      rewrite_blocks
-        (fun block ->
-          let stmts, decls = Ir.Dfg.decompose block in
-          extra_decls := !extra_decls @ decls;
-          stmts)
-        body
+      Ir.Prog.map_runs (declaring Ir.Dfg.decompose) body
     else body
   in
   let body =
     match options.selection with
-    | Options.Naive_macro ->
-      rewrite_blocks
-        (fun block ->
-          let stmts, decls = cut_all ~fresh block in
-          extra_decls := !extra_decls @ decls;
-          stmts)
-        body
+    | Options.Naive_macro -> Ir.Prog.map_runs (declaring (cut_all ~fresh)) body
     | Options.Optimal_variants -> body
   in
-  ({ prog with body; decls = prog.decls @ !extra_decls }, !extra_decls)
+  let extra_decls = List.rev !extra_decls in
+  ({ prog with body; decls = prog.decls @ extra_decls }, extra_decls)
 
 (* ---- Instruction selection and emission -------------------------------- *)
 
@@ -173,26 +149,21 @@ type sel_acc = {
   mutable variant_nodes : int;
 }
 
-let select matcher (options : Options.t) stats sel tree =
-  let h = Ir.Hashcons.intern tree in
-  let variants =
-    match options.selection with
-    | Options.Optimal_variants ->
-      Ir.Algebra.hvariants ~rules:options.algebra_rules
-        ~limit:options.variant_limit ~counters:sel.vc
-        ~prune_key:(Burg.Matcher.state_key matcher) h
-    | Options.Naive_macro -> [ h ]
-  in
-  sel.trees <- sel.trees + 1;
-  sel.variants_matched <- sel.variants_matched + List.length variants;
-  sel.variant_nodes <-
-    List.fold_left
-      (fun acc (v : Ir.Hashcons.h) -> acc + v.Ir.Hashcons.size)
-      sel.variant_nodes variants;
-  match Burg.Matcher.best_of_hvariants matcher variants with
+let note_cover stats ~cost ~tried =
+  stats :=
+    {
+      !stats with
+      variants_tried = (!stats).variants_tried + tried;
+      cover_cost = (!stats).cover_cost + cost;
+    }
+
+(* Tree-mode selection of one statement tree: the cheapest cover over the
+   tree's variants. *)
+let select matcher variants stats tree =
+  let vs = variants (Ir.Hashcons.intern tree) in
+  match Burg.Matcher.best_of_hvariants matcher vs with
   | Some (_v, cover) ->
-    stats := { !stats with variants_tried = (!stats).variants_tried + List.length variants;
-               cover_cost = (!stats).cover_cost + Burg.Cover.cost cover };
+    note_cover stats ~cost:(Burg.Cover.cost cover) ~tried:(List.length vs);
     cover
   | None ->
     raise (Error ("no instruction cover for " ^ Ir.Tree.to_string tree))
@@ -250,10 +221,8 @@ let naive_stmt_addresses machine ctx cells ~dst ~src =
   in
   rewrite
 
-(* Selection-level state of one DAG compilation: the run planner's
-   candidate generator plus the counters it accumulates. *)
+(* The counters one DAG compilation's run planner accumulates. *)
 type dag_state = {
-  dvariants : Ir.Hashcons.h -> Ir.Hashcons.h list;
   dlvn : Select.Lvn.counters;
   dcounters : Select.Dag.counters;
 }
@@ -263,8 +232,8 @@ type dag_state = {
    (byte-identical to per-item lowering); in Dag mode the whole
    run goes to the Select.Dag planner, which shares subtree results and
    chooses variants against the machine state earlier statements left. *)
-let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
-    items =
+let rec lower machine matcher ctx (options : Options.t) stats variants dag
+    cells items =
   let rewrite_for (s : Ir.Prog.stmt) =
     match options.agu with
     | Options.Materialize_ivar when cells <> [] ->
@@ -275,7 +244,7 @@ let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
     Sim.Deadline.check ();
     let rewrite = rewrite_for s in
     let addr_pre = Target.Machine.drain ctx in
-    let cover = select matcher options stats sel s.src in
+    let cover = select matcher variants stats s.src in
     let value = Target.Machine.run_cover machine ctx cover in
     machine.Target.Machine.store ctx s.dst value;
     let body = Target.Machine.drain ctx in
@@ -288,132 +257,78 @@ let rec lower machine matcher ctx (options : Options.t) stats sel dag cells
     | None -> List.concat_map tree_stmt stmts
     | Some d ->
       Sim.Deadline.check ();
-      let note_cover ~cost ~tried =
-        stats :=
-          {
-            !stats with
-            variants_tried = (!stats).variants_tried + tried;
-            cover_cost = (!stats).cover_cost + cost;
-          }
-      in
       let instrs =
         try
-          Select.Dag.lower_run ~machine ~matcher ~variants:d.dvariants
-            ~lvn_counters:d.dlvn ~counters:d.dcounters ~note_cover
-            ~rewrite_for ctx stmts
+          Select.Dag.lower_run ~machine ~matcher ~variants
+            ~lvn_counters:d.dlvn ~counters:d.dcounters
+            ~note_cover:(note_cover stats) ~rewrite_for ctx stmts
         with Select.Dag.No_cover t ->
           raise (Error ("no instruction cover for " ^ Ir.Tree.to_string t))
       in
       List.map (fun i -> Target.Asm.Op i) instrs
   in
-  let flush run acc =
-    if run = [] then acc else acc @ lower_run (List.rev run)
-  in
-  let rec scan items run acc =
-    match items with
-    | [] -> flush run acc
-    | Ir.Prog.Stmt s :: rest -> scan rest (s :: run) acc
-    | Ir.Prog.Loop { ivar; count; body } :: rest ->
-      let acc = flush run acc in
-      scan rest []
-        (acc
-        @ lower_loop_item machine matcher ctx options stats sel dag cells
-            ~ivar ~count body)
-  in
-  scan items [] []
+  Ir.Prog.concat_map_runs ~run:lower_run
+    ~loop:(fun { Ir.Prog.ivar; count; body } ->
+      lower_loop_item machine matcher ctx options stats variants dag cells
+        ~ivar ~count body)
+    items
 
-and lower_loop_item machine matcher ctx (options : Options.t) stats sel dag
-    cells ~ivar ~count body =
-  (match options.agu with
-        | Options.Streams ->
-          let body_items =
-            lower machine matcher ctx options stats sel dag cells body
-          in
-          (* Address streams of this loop, before the loop-control
-             instructions so hardware loops stay adjacent to their body. *)
-          let inits, body_items, residual_ivar =
-            match machine.Target.Machine.agu with
-            | Some agu -> (
-              match Opt.Agu.lower_loop agu ctx ivar body_items with
-              | inits, body', n ->
-                stats :=
-                  { !stats with agu_streams = (!stats).agu_streams + n };
-                (inits, body', None)
-              | exception Opt.Agu.Too_many_streams msg -> raise (Error msg)
-              | exception Opt.Agu.Unsupported msg -> raise (Error msg))
-            | None -> ([], body_items, Some ivar)
-          in
-          let counter =
-            machine.Target.Machine.loop_.Target.Machine.loop_pre ctx ~count
-          in
-          let pre = Target.Machine.drain ctx in
-          machine.Target.Machine.loop_.Target.Machine.loop_close ctx counter;
-          let close = Target.Machine.drain ctx in
-          List.map (fun i -> Target.Asm.Op i) (inits @ pre)
-          @ [
-              Target.Asm.Loop
-                {
-                  ivar = residual_ivar;
-                  count;
-                  body =
-                    body_items @ List.map (fun i -> Target.Asm.Op i) close;
-                };
-            ]
-        | Options.Materialize_ivar ->
-          let naive = the_naive_agu machine in
-          let cell = Target.Machine.fresh_scratch ctx in
-          naive.Target.Machine.zero_cell ctx cell;
-          let init = Target.Machine.drain ctx in
-          let body_items =
-            lower machine matcher ctx options stats sel dag
-              ((ivar, cell) :: cells) body
-          in
-          naive.Target.Machine.incr_cell ctx cell;
-          let incr = Target.Machine.drain ctx in
-          let counter =
-            machine.Target.Machine.loop_.Target.Machine.loop_pre ctx ~count
-          in
-          let pre = Target.Machine.drain ctx in
-          machine.Target.Machine.loop_.Target.Machine.loop_close ctx counter;
-          let close = Target.Machine.drain ctx in
-          List.map (fun i -> Target.Asm.Op i) (init @ pre)
-          @ [
-              Target.Asm.Loop
-                {
-                  ivar = Some ivar;
-                  count;
-                  body =
-                    body_items
-                    @ List.map (fun i -> Target.Asm.Op i) (incr @ close);
-                };
-            ])
+and lower_loop_item machine matcher ctx (options : Options.t) stats variants
+    dag cells ~ivar ~count body =
+  let lower_body cells =
+    lower machine matcher ctx options stats variants dag cells body
+  in
+  (* The code before the loop, the loop's residual induction variable, its
+     body, and what each iteration runs before the loop control. *)
+  let init, ivar, body_items, step =
+    match options.agu with
+    | Options.Streams -> (
+      let body_items = lower_body cells in
+      (* Address streams of this loop, before the loop-control
+         instructions so hardware loops stay adjacent to their body. *)
+      match machine.Target.Machine.agu with
+      | Some agu -> (
+        match Opt.Agu.lower_loop agu ctx ivar body_items with
+        | inits, body', n ->
+          stats := { !stats with agu_streams = (!stats).agu_streams + n };
+          (inits, None, body', [])
+        | exception Opt.Agu.Too_many_streams msg -> raise (Error msg)
+        | exception Opt.Agu.Unsupported msg -> raise (Error msg))
+      | None -> ([], Some ivar, body_items, []))
+    | Options.Materialize_ivar ->
+      let naive = the_naive_agu machine in
+      let cell = Target.Machine.fresh_scratch ctx in
+      naive.Target.Machine.zero_cell ctx cell;
+      let init = Target.Machine.drain ctx in
+      let body_items = lower_body ((ivar, cell) :: cells) in
+      naive.Target.Machine.incr_cell ctx cell;
+      (init, Some ivar, body_items, Target.Machine.drain ctx)
+  in
+  let control = machine.Target.Machine.loop_ in
+  let counter = control.Target.Machine.loop_pre ctx ~count in
+  let pre = Target.Machine.drain ctx in
+  control.Target.Machine.loop_close ctx counter;
+  let close = Target.Machine.drain ctx in
+  let ops = List.map (fun i -> Target.Asm.Op i) in
+  ops (init @ pre)
+  @ [ Target.Asm.Loop { ivar; count; body = body_items @ ops (step @ close) } ]
 
 (* No induction reference may survive to allocation. *)
 let check_no_induct items =
   let bad = ref None in
-  let check_op op =
-    let rec dirs op =
-      match op with
-      | Target.Instr.Dir r -> (
-        match r.Ir.Mref.index with
-        | Ir.Mref.Induct _ -> bad := Some r
-        | Ir.Mref.Direct | Ir.Mref.Elem _ -> ())
-      | Target.Instr.Ind (ar, _, _) -> dirs ar
-      | Target.Instr.Reg _ | Target.Instr.Vreg _ | Target.Instr.Imm _
-      | Target.Instr.Adr _ ->
-        ()
-    in
-    dirs op
+  let rec check_op op =
+    match op with
+    | Target.Instr.Dir ({ Ir.Mref.index = Ir.Mref.Induct _; _ } as r) ->
+      bad := Some r
+    | Target.Instr.Ind (ar, _, _) -> check_op ar
+    | Target.Instr.Dir _ | Target.Instr.Reg _ | Target.Instr.Vreg _
+    | Target.Instr.Imm _ | Target.Instr.Adr _ ->
+      ()
   in
-  let note (i : Target.Instr.t) =
-    List.iter check_op (i.operands @ i.defs @ i.uses)
-  in
-  let rec go = function
-    | Target.Asm.Op i -> note i
-    | Target.Asm.Par is -> List.iter note is
-    | Target.Asm.Loop { body; _ } -> List.iter go body
-  in
-  List.iter go items;
+  Target.Asm.iter_items
+    (fun (i : Target.Instr.t) ->
+      List.iter check_op (i.operands @ i.defs @ i.uses))
+    items;
   match !bad with
   | Some r ->
     raise
@@ -513,31 +428,31 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
       variant_nodes = 0;
     }
   in
+  (* One variant generator for both modes.  The Dag planner calls it once
+     per distinct canonical tree per run, so the per-tree selection
+     counters mean the same in both. *)
+  let variants (h : Ir.Hashcons.h) =
+    let vs =
+      match options.selection with
+      | Options.Optimal_variants ->
+        Ir.Algebra.hvariants ~rules:options.algebra_rules
+          ~limit:options.variant_limit ~counters:sel.vc ~prune_key h
+      | Options.Naive_macro -> [ h ]
+    in
+    sel.trees <- sel.trees + 1;
+    sel.variants_matched <- sel.variants_matched + List.length vs;
+    sel.variant_nodes <-
+      List.fold_left
+        (fun acc (v : Ir.Hashcons.h) -> acc + v.Ir.Hashcons.size)
+        sel.variant_nodes vs;
+    vs
+  in
   let dag =
     match options.selection_mode with
     | Options.Tree -> None
     | Options.Dag ->
-      (* The planner calls this once per distinct canonical tree per run,
-         so the per-tree selection counters keep their Tree-mode meaning. *)
-      let variants (h : Ir.Hashcons.h) =
-        sel.trees <- sel.trees + 1;
-        let variants =
-          match options.selection with
-          | Options.Optimal_variants ->
-            Ir.Algebra.hvariants ~rules:options.algebra_rules
-              ~limit:options.variant_limit ~counters:sel.vc ~prune_key h
-          | Options.Naive_macro -> [ h ]
-        in
-        sel.variants_matched <- sel.variants_matched + List.length variants;
-        sel.variant_nodes <-
-          List.fold_left
-            (fun acc (v : Ir.Hashcons.h) -> acc + v.Ir.Hashcons.size)
-            sel.variant_nodes variants;
-        variants
-      in
       Some
         {
-          dvariants = variants;
           dlvn = Select.Lvn.fresh_counters ();
           dcounters = Select.Dag.fresh_counters ();
         }
@@ -545,7 +460,7 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
   let items =
     timed "select-emit" (fun () ->
         let items =
-          lower machine matcher ctx options stats sel dag [] prog'.body
+          lower machine matcher ctx options stats variants dag [] prog'.body
         in
         check_no_induct items;
         items)

@@ -130,9 +130,6 @@ let hrewrites rules (h : Hashcons.h) =
   in
   rw rules cache h
 
-let rewrites rules t =
-  List.map Hashcons.node (hrewrites rules (Hashcons.intern t))
-
 type counters = {
   mutable explored : int;
   mutable pruned : int;

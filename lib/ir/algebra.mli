@@ -17,11 +17,6 @@ type rule =
 val default_rules : rule list
 (** [Commute; Assoc; Mul_to_shift] — the paper's configuration. *)
 
-val rewrites : rule list -> Tree.t -> Tree.t list
-(** All trees reachable from the argument by one application of one rule at
-    one position (without the argument itself). Results are canonical
-    ({!Hashcons}) and share every unchanged subtree with the input. *)
-
 type counters = {
   mutable explored : int;  (** variants admitted (the original included) *)
   mutable pruned : int;  (** candidates discarded because [limit] was hit *)

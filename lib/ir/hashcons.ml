@@ -120,7 +120,6 @@ let rec intern (t : Tree.t) =
 
 let node h = h.node
 let id h = h.id
-let equal a b = (intern a).node == (intern b).node
 
 let stats () =
   Array.fold_left

@@ -56,9 +56,6 @@ val intern : Tree.t -> h
 val node : h -> Tree.t
 val id : h -> int
 
-val equal : Tree.t -> Tree.t -> bool
-(** Structural equality via interning. *)
-
 (** {1 Smart constructors}
 
     Like the {!Tree} constructors, on handles: one shallow probe, no

@@ -108,6 +108,25 @@ let stmts prog =
 
 let find_decl prog name = find_decl_in prog.decls name
 
+let concat_map_runs ~run ~loop items =
+  let flush stmts acc =
+    if stmts = [] then acc else List.rev_append (run (List.rev stmts)) acc
+  in
+  let rec go stmts acc = function
+    | [] -> List.rev (flush stmts acc)
+    | Stmt s :: rest -> go (s :: stmts) acc rest
+    | Loop l :: rest ->
+      let acc = flush stmts acc in
+      go [] (List.rev_append (loop l) acc) rest
+  in
+  go [] [] items
+
+let rec map_runs f items =
+  concat_map_runs
+    ~run:(fun stmts -> List.map (fun s -> Stmt s) (f stmts))
+    ~loop:(fun l -> [ Loop { l with body = map_runs f l.body } ])
+    items
+
 let check_inputs prog inputs =
   List.fold_left
     (fun acc (name, values) ->

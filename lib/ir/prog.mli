@@ -45,6 +45,16 @@ val stmts : t -> stmt list
 
 val find_decl : t -> string -> decl option
 
+val concat_map_runs :
+  run:(stmt list -> 'a list) -> loop:(loop -> 'a list) -> item list -> 'a list
+(** Maps every maximal run of statements with [run] and every loop with
+    [loop], in program order, and concatenates the results. [run] never
+    sees an empty run; [loop] decides whether to descend into the body. *)
+
+val map_runs : (stmt list -> stmt list) -> item list -> item list
+(** Rewrites every maximal run of statements with [f], in program order,
+    loop bodies included; loops are barriers between runs. *)
+
 val check_inputs : t -> (string * int array) list -> (unit, string) result
 (** {!Eval.env_set}'s rule for a whole input list: every name is declared
     by the program, with exactly its size in values. The error names the

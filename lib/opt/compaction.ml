@@ -141,19 +141,5 @@ let run ?(word_ok = fun _ -> true) machine (asm : Target.Asm.t) =
   match machine.Target.Machine.slots with
   | None -> asm
   | Some slots ->
-    let rec go items =
-      (* Split into maximal Op runs; pack each run. *)
-      let rec split acc block = function
-        | [] -> List.rev (flush acc block)
-        | Target.Asm.Op i :: rest -> split acc (i :: block) rest
-        | (Target.Asm.Par _ as p) :: rest -> split (p :: flush acc block) [] rest
-        | Target.Asm.Loop { ivar; count; body } :: rest ->
-          let l = Target.Asm.Loop { ivar; count; body = go body } in
-          split (l :: flush acc block) [] rest
-      and flush acc block =
-        if block = [] then acc
-        else List.rev_append (pack_block slots word_ok (List.rev block)) acc
-      in
-      split [] [] items
-    in
-    { asm with items = go asm.Target.Asm.items }
+    let items = Target.Asm.map_runs (pack_block slots word_ok) asm.items in
+    { asm with items }

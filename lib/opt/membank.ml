@@ -1,8 +1,3 @@
-let first_var tree =
-  match Ir.Tree.refs tree with
-  | [] -> None
-  | r :: _ -> Some r.Ir.Mref.base
-
 let pair_weights (prog : Ir.Prog.t) =
   let weights = Hashtbl.create 32 in
   let note mult a b =
@@ -12,19 +7,21 @@ let pair_weights (prog : Ir.Prog.t) =
         (Option.value ~default:0 (Hashtbl.find_opt weights key) + mult)
     end
   in
+  (* Notes the pairs below [t] and returns its leftmost referenced
+     variable, so each node is visited once. *)
   let rec scan_tree mult t =
     match t with
-    | Ir.Tree.Const _ | Ir.Tree.Ref _ -> ()
+    | Ir.Tree.Const _ -> None
+    | Ir.Tree.Ref r -> Some r.Ir.Mref.base
     | Ir.Tree.Unop (_, a) -> scan_tree mult a
     | Ir.Tree.Binop (_, a, b) ->
-      (match (first_var a, first_var b) with
-      | Some va, Some vb -> note mult va vb
-      | _ -> ());
-      scan_tree mult a;
-      scan_tree mult b
+      let va = scan_tree mult a in
+      let vb = scan_tree mult b in
+      (match (va, vb) with Some x, Some y -> note mult x y | _ -> ());
+      if va = None then vb else va
   in
   let rec scan_item mult = function
-    | Ir.Prog.Stmt { src; _ } -> scan_tree mult src
+    | Ir.Prog.Stmt { src; _ } -> ignore (scan_tree mult src)
     | Ir.Prog.Loop { count; body; _ } ->
       List.iter (scan_item (mult * count)) body
   in

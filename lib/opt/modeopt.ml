@@ -13,52 +13,46 @@ let reset_state machine : state =
     (fun st (m, v) -> Smap.add m v st)
     Smap.empty machine.Target.Machine.modes
 
-(* Lazy insertion over one instruction: change only when needed. *)
-let lazy_instr machine st (i : Target.Instr.t) =
-  match i.mode_req with
-  | None -> (apply_instr st i, [ Target.Asm.Op i ])
-  | Some (m, v) -> (
-    match Smap.find_opt m st with
-    | Some v' when v' = v -> (apply_instr st i, [ Target.Asm.Op i ])
-    | Some _ | None ->
-      let change = machine.Target.Machine.mode_change m v in
-      let st = apply_instr (apply_instr st change) i in
-      (st, [ Target.Asm.Op change; Target.Asm.Op i ]))
+(* The mode change [i] needs in state [st]: always under [Naive], only
+   when the known value differs under [Lazy]. *)
+let change_for machine strategy st (i : Target.Instr.t) =
+  match (i.mode_req, strategy) with
+  | None, _ -> None
+  | Some (m, v), Lazy when Smap.find_opt m st = Some v -> None
+  | Some (m, v), (Lazy | Naive) ->
+    Some (machine.Target.Machine.mode_change m v)
 
-let naive_instr machine st (i : Target.Instr.t) =
-  match i.mode_req with
-  | None -> (apply_instr st i, [ Target.Asm.Op i ])
-  | Some (m, v) ->
-    let change = machine.Target.Machine.mode_change m v in
-    (apply_instr (apply_instr st change) i, [ Target.Asm.Op change; Target.Asm.Op i ])
-
+(* Returns the exit state and the rewritten items. *)
 let rec process machine strategy st items =
-  let step = match strategy with Lazy -> lazy_instr | Naive -> naive_instr in
-  List.fold_left
-    (fun (st, acc) item ->
-      match item with
-      | Target.Asm.Op i ->
-        let st, out = step machine st i in
-        (st, acc @ out)
-      | Target.Asm.Par is ->
-        (* Parallel words appear only after compaction, which runs later. *)
-        let st = List.fold_left apply_instr st is in
-        (st, acc @ [ Target.Asm.Par is ])
-      | Target.Asm.Loop { ivar; count; body } -> (
-        match strategy with
-        | Naive ->
-          let st, body' = process machine strategy st body in
-          (st, acc @ [ Target.Asm.Loop { ivar; count; body = body' } ])
-        | Lazy ->
-          (* Try the loop entry state; accept when it is a fixpoint of the
-             body, otherwise recompile the body against an unknown state. *)
-          let exit_st, body' = process machine strategy st body in
-          if Smap.equal Int.equal exit_st st then
-            (st, acc @ [ Target.Asm.Loop { ivar; count; body = body' } ])
-          else
-            let exit_st, body' = process machine strategy Smap.empty body in
-            (exit_st, acc @ [ Target.Asm.Loop { ivar; count; body = body' } ])))
-    (st, []) items
+  let st, rev =
+    List.fold_left
+      (fun (st, acc) item ->
+        match item with
+        | Target.Asm.Op i ->
+          let st, acc =
+            match change_for machine strategy st i with
+            | None -> (st, acc)
+            | Some change ->
+              (apply_instr st change, Target.Asm.Op change :: acc)
+          in
+          (apply_instr st i, item :: acc)
+        | Target.Asm.Par is ->
+          (* Parallel words appear only after compaction, which runs later. *)
+          (List.fold_left apply_instr st is, item :: acc)
+        | Target.Asm.Loop l ->
+          let exit_st, body = process machine strategy st l.body in
+          let exit_st, body =
+            (* Lazy: keep the body compiled against the entry state when that
+               state is a fixpoint of it, otherwise recompile it against an
+               unknown state. *)
+            if strategy = Naive || Smap.equal Int.equal exit_st st then
+              (exit_st, body)
+            else process machine strategy Smap.empty l.body
+          in
+          (exit_st, Target.Asm.Loop { l with body } :: acc))
+      (st, []) items
+  in
+  (st, List.rev rev)
 
 let run ~strategy machine items =
   let _, items' = process machine strategy (reset_state machine) items in
@@ -66,13 +60,9 @@ let run ~strategy machine items =
 
 let changes_inserted items =
   let n = ref 0 in
-  let rec go = function
-    | Target.Asm.Op i -> if i.Target.Instr.mode_set <> None then incr n
-    | Target.Asm.Par is ->
-      List.iter (fun i -> if i.Target.Instr.mode_set <> None then incr n) is
-    | Target.Asm.Loop { body; _ } -> List.iter go body
-  in
-  List.iter go items;
+  Target.Asm.iter_items
+    (fun i -> if i.Target.Instr.mode_set <> None then incr n)
+    items;
   !n
 
 let verify machine items =

@@ -22,18 +22,13 @@ let has_ind ops =
 (* All memory locations read anywhere in the program. *)
 let global_reads items =
   let reads = Hashtbl.create 64 in
-  let note (i : Target.Instr.t) =
-    List.iter
-      (fun op ->
-        List.iter (fun r -> Hashtbl.replace reads r ()) (operand_dirs op))
-      i.uses
-  in
-  let rec go = function
-    | Target.Asm.Op i -> note i
-    | Target.Asm.Par is -> List.iter note is
-    | Target.Asm.Loop { body; _ } -> List.iter go body
-  in
-  List.iter go items;
+  Target.Asm.iter_items
+    (fun (i : Target.Instr.t) ->
+      List.iter
+        (fun op ->
+          List.iter (fun r -> Hashtbl.replace reads r ()) (operand_dirs op))
+        i.uses)
+    items;
   reads
 
 let writes_base (i : Target.Instr.t) base =
@@ -43,62 +38,90 @@ let writes_base (i : Target.Instr.t) base =
       || match op with Target.Instr.Ind _ -> true | _ -> false)
     i.defs
 
-let subst_vreg ~from ~into (i : Target.Instr.t) =
-  let rewrite op =
-    match op with
-    | Target.Instr.Vreg v when v = from -> Target.Instr.Vreg into
-    | _ -> op
-  in
-  Target.Instr.map_operands rewrite i
-
-(* Store/load forwarding within one straight-line block. *)
+(* Store/load forwarding within one straight-line block.  The first walk
+   decides every forward: a store's lookahead reads only operand shapes,
+   register classes and memory operands, which renaming keeps.  Only when
+   a load was forwarded does a second walk drop the forwarded loads and
+   rename each kept instruction with the renames made before it.  Every
+   rename maps a name still present in the rest of the block, so
+   following the table's chains composes them in the order they were
+   made. *)
 let forward_block (instrs : Target.Instr.t list) =
-  let changed = ref false in
-  let rec go = function
-    | [] -> []
+  let deleted = Array.make (List.length instrs) false in
+  (* The first load of [m] into [va]'s class at or after position [k],
+     unless a write to [m] or a redefinition of the class comes first:
+     forwarding across one would stretch a single-register lifetime over
+     another value. *)
+  let rec scan (m : Ir.Mref.t) (va : Target.Instr.vreg) k = function
+    | [] -> None
+    | _ :: rest when deleted.(k) -> scan m va (k + 1) rest
+    | (j : Target.Instr.t) :: rest -> (
+      match (j.defs, j.uses, j.operands) with
+      | ( [ Target.Instr.Vreg vb ],
+          [ Target.Instr.Dir m' ],
+          [ Target.Instr.Dir m'' ] )
+        when Ir.Mref.equal m m' && Ir.Mref.equal m m''
+             && vb.vcls = va.vcls && j.mode_req = None && j.mode_set = None ->
+        Some (k, vb)
+      | _ ->
+        let redefines_class =
+          List.exists
+            (fun op ->
+              List.exists
+                (fun (v : Target.Instr.vreg) -> v.vcls = va.vcls)
+                (Target.Instr.vregs_of_operand op))
+            j.defs
+        in
+        if writes_base j m.base || redefines_class then None
+        else scan m va (k + 1) rest)
+  in
+  (* Forwards as (store position, stored register, loaded register),
+     latest first. *)
+  let rec decide forwards k = function
+    | [] -> forwards
     | (i : Target.Instr.t) :: rest -> (
       match (i.defs, i.uses) with
       | [ Target.Instr.Dir m ], [ Target.Instr.Vreg va ]
-        when i.mode_set = None ->
-        (* i stores va to m; look ahead for a load of m. *)
-        let rec scan acc = function
-          | [] -> None
-          | (j : Target.Instr.t) :: tail -> (
-            match (j.defs, j.uses, j.operands) with
-            | ( [ Target.Instr.Vreg vb ],
-                [ Target.Instr.Dir m' ],
-                [ Target.Instr.Dir m'' ] )
-              when Ir.Mref.equal m m' && Ir.Mref.equal m m''
-                   && vb.Target.Instr.vcls = va.Target.Instr.vcls
-                   && j.mode_req = None && j.mode_set = None ->
-              Some (List.rev acc, vb, tail)
-            | _ ->
-              (* Stop at writes to the location, and at any redefinition of
-                 the source's register class: forwarding across one would
-                 stretch a single-register lifetime over another value. *)
-              let redefines_class =
-                List.exists
-                  (fun op ->
-                    List.exists
-                      (fun (v : Target.Instr.vreg) ->
-                        v.vcls = va.Target.Instr.vcls)
-                      (Target.Instr.vregs_of_operand op))
-                  j.defs
-              in
-              if writes_base j m.Ir.Mref.base || redefines_class then None
-              else scan (j :: acc) tail)
-        in
-        (match scan [] rest with
-        | Some (between, vb, tail) ->
-          changed := true;
-          let tail = List.map (subst_vreg ~from:vb ~into:va) tail in
-          let between = List.map (subst_vreg ~from:vb ~into:va) between in
-          i :: go (between @ tail)
-        | None -> i :: go rest)
-      | _ -> i :: go rest)
+        when i.mode_set = None -> (
+        match scan m va (k + 1) rest with
+        | Some (l, vb) ->
+          deleted.(l) <- true;
+          decide ((k, va, vb) :: forwards) (k + 1) rest
+        | None -> decide forwards (k + 1) rest)
+      | _ -> decide forwards (k + 1) rest)
   in
-  let out = go instrs in
-  (out, !changed)
+  match List.rev (decide [] 0 instrs) with
+  | [] -> (instrs, false)
+  | forwards ->
+    let renames = Hashtbl.create 16 in
+    let rec resolve v =
+      match Hashtbl.find_opt renames v with
+      | None -> v
+      | Some w ->
+        let r = resolve w in
+        if r != w then Hashtbl.replace renames v r;
+        r
+    in
+    let rename i =
+      if Hashtbl.length renames = 0 then i
+      else
+        Target.Instr.map_operands
+          (function
+            | Target.Instr.Vreg v -> Target.Instr.Vreg (resolve v) | op -> op)
+          i
+    in
+    let forwards = ref forwards and out = ref [] in
+    List.iteri
+      (fun k i ->
+        if not deleted.(k) then out := rename i :: !out;
+        match !forwards with
+        | (s, va, vb) :: rest when s = k ->
+          forwards := rest;
+          let va = resolve va and vb = resolve vb in
+          if vb <> va then Hashtbl.replace renames vb va
+        | _ -> ())
+      instrs;
+    (List.rev !out, true)
 
 (* Dead-definition elimination within one block, against a global read set. *)
 let dce_block reads (instrs : Target.Instr.t list) =
@@ -140,37 +163,17 @@ let dce_block reads (instrs : Target.Instr.t list) =
   let out = List.rev (List.filter keep (List.rev instrs)) in
   (out, !changed)
 
-(* Apply a block transformation to every maximal Op run. *)
-let map_blocks f items =
-  let flush acc block out =
-    match acc with
-    | _ ->
-      if block = [] then out
-      else out @ List.map (fun i -> Target.Asm.Op i) (f (List.rev block))
-  in
-  let rec go items block out =
-    match items with
-    | [] -> flush () block out
-    | Target.Asm.Op i :: rest -> go rest (i :: block) out
-    | (Target.Asm.Par _ as p) :: rest -> go rest [] (flush () block out @ [ p ])
-    | Target.Asm.Loop { ivar; count; body } :: rest ->
-      let body' = go body [] [] in
-      go rest []
-        (flush () block out @ [ Target.Asm.Loop { ivar; count; body = body' } ])
-  in
-  go items [] []
-
 let run items =
   let pass items =
     let changed = ref false in
     let reads = global_reads items in
     let items =
-      map_blocks
+      Target.Asm.map_runs
         (fun block ->
           let block, c1 = forward_block block in
           let block, c2 = dce_block reads block in
           if c1 || c2 then changed := true;
-          block)
+          List.map (fun i -> Target.Asm.Op i) block)
         items
     in
     (items, !changed)
@@ -183,14 +186,8 @@ let run items =
   in
   fix items 10
 
-let count_instrs items =
-  let n = ref 0 in
-  let rec go = function
-    | Target.Asm.Op _ -> incr n
-    | Target.Asm.Par is -> n := !n + List.length is
-    | Target.Asm.Loop { body; _ } -> List.iter go body
+let removed ~before ~after =
+  let count =
+    List.fold_left (fun n it -> n + Target.Asm.item_instr_count it) 0
   in
-  List.iter go items;
-  !n
-
-let removed ~before ~after = count_instrs before - count_instrs after
+  count before - count after

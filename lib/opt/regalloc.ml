@@ -6,8 +6,7 @@ exception Pressure of string
    at the same instruction. *)
 
 type lin = {
-  mutable pos : int;
-  mutable spans : (int * int) list;
+  spans : (int * int) list;
   ranges : (Target.Instr.vreg, int * int) Hashtbl.t;
   def_positions : (Target.Instr.vreg, int list) Hashtbl.t;
   use_positions : (Target.Instr.vreg, int list) Hashtbl.t;
@@ -22,9 +21,7 @@ let note lin v point =
 let push tbl v p =
   Hashtbl.replace tbl v (p :: Option.value ~default:[] (Hashtbl.find_opt tbl v))
 
-let scan_instr lin (i : Target.Instr.t) =
-  let p = lin.pos in
-  lin.pos <- p + 1;
+let scan_instr lin p (i : Target.Instr.t) =
   let vregs ops = List.concat_map Target.Instr.vregs_of_operand ops in
   List.iter
     (fun v ->
@@ -47,24 +44,17 @@ let scan_instr lin (i : Target.Instr.t) =
 let linearize items =
   let lin =
     {
-      pos = 0;
       spans = [];
       ranges = Hashtbl.create 64;
       def_positions = Hashtbl.create 64;
       use_positions = Hashtbl.create 64;
     }
   in
-  let rec go = function
-    | Target.Asm.Op i -> scan_instr lin i
-    | Target.Asm.Par is -> List.iter (scan_instr lin) is
-    | Target.Asm.Loop { body; _ } ->
-      let start = 2 * lin.pos in
-      List.iter go body;
-      let stop = (2 * lin.pos) - 1 in
-      lin.spans <- (start, stop) :: lin.spans
-  in
-  List.iter go items;
-  lin
+  let spans = Target.Asm.loop_spans (scan_instr lin) items in
+  (* A loop spans from the use point of its first instruction to the def
+     point of its last. *)
+  let span (first, last) = (2 * first, (2 * last) + 1) in
+  { lin with spans = List.map span spans }
 
 (* Extend a lifetime over every loop it straddles, to fixpoint. *)
 let extend spans (lo, hi) =
@@ -169,39 +159,20 @@ let spillable machine lin (iv : interval) =
   | _ -> false
 
 (* Rewrite: store after the definition, reload into a fresh register before
-   every use. Positions match [linearize]'s numbering. *)
+   every use. *)
 let insert_spill ctx ops items victim scratch =
-  let pos = ref 0 in
-  let rec go items =
-    List.concat_map
-      (fun item ->
-        match item with
-        | Target.Asm.Op i ->
-          incr pos;
-          let defines = mentions_vreg i.Target.Instr.defs victim in
-          let uses =
-            mentions_vreg i.Target.Instr.uses victim
-            || mentions_vreg i.Target.Instr.operands victim
-          in
-          if defines then
-            [ Target.Asm.Op i;
-              Target.Asm.Op (ops.Target.Machine.spill_store victim scratch) ]
-          else if uses then begin
-            let nv =
-              Target.Machine.fresh_vreg ctx victim.Target.Instr.vcls
-            in
-            [ Target.Asm.Op (ops.Target.Machine.spill_load scratch nv);
-              Target.Asm.Op (subst_vreg ~from:victim ~into:nv i) ]
-          end
-          else [ Target.Asm.Op i ]
-        | Target.Asm.Par is ->
-          pos := !pos + List.length is;
-          [ Target.Asm.Par is ]
-        | Target.Asm.Loop { ivar; count; body } ->
-          [ Target.Asm.Loop { ivar; count; body = go body } ])
-      items
-  in
-  go items
+  Target.Asm.map_runs
+    (List.concat_map (fun (i : Target.Instr.t) ->
+         if mentions_vreg i.defs victim then
+           [ Target.Asm.Op i;
+             Target.Asm.Op (ops.Target.Machine.spill_store victim scratch) ]
+         else if mentions_vreg i.uses victim || mentions_vreg i.operands victim
+         then
+           let nv = Target.Machine.fresh_vreg ctx victim.Target.Instr.vcls in
+           [ Target.Asm.Op (ops.Target.Machine.spill_load scratch nv);
+             Target.Asm.Op (subst_vreg ~from:victim ~into:nv i) ]
+         else [ Target.Asm.Op i ]))
+    items
 
 let run ?ctx machine (asm : Target.Asm.t) =
   let rec attempt items fuel =

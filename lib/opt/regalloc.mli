@@ -26,5 +26,10 @@ val run :
     @raise Invalid_argument when a virtual register's class is not in the
     machine's register file. *)
 
+val extend : (int * int) list -> int * int -> int * int
+(** [extend spans (lo, hi)] widens a lifetime over every loop span
+    [(start, stop)] it straddles, to a fixpoint; a lifetime inside a span
+    is unchanged. *)
+
 val spills_inserted : before:Target.Asm.t -> after:Target.Asm.t -> int
 (** Instruction-count delta (reporting). *)

@@ -7,11 +7,12 @@
 let is_scratch base =
   String.length base >= 2 && base.[0] = '$' && base.[1] = 's'
 
-(* Linearize instructions and record, per scratch base, the positions it is
-   touched plus every loop span, mirroring Regalloc's numbering. *)
+(* Record, per scratch base, the instruction positions it is touched at,
+   plus every loop span.  A lifetime that straddles a loop boundary covers
+   the whole loop ({!Regalloc.extend}): the cell is live around the back
+   edge (induction cells are the common case). *)
 let occurrences items =
   let pos = ref 0 in
-  let spans = ref [] in
   let ranges : (string, int * int) Hashtbl.t = Hashtbl.create 16 in
   let note base =
     if is_scratch base then
@@ -28,42 +29,20 @@ let occurrences items =
       Option.iter (fun (r : Ir.Mref.t) -> note r.Ir.Mref.base) over
     | Target.Instr.Reg _ | Target.Instr.Vreg _ | Target.Instr.Imm _ -> ()
   in
-  let scan (i : Target.Instr.t) =
-    List.iter note_op (i.operands @ i.defs @ i.uses);
-    incr pos
+  let spans =
+    Target.Asm.loop_spans
+      (fun k (i : Target.Instr.t) ->
+        pos := k;
+        List.iter note_op (i.operands @ i.defs @ i.uses))
+      items
   in
-  let rec go = function
-    | Target.Asm.Op i -> scan i
-    | Target.Asm.Par is -> List.iter scan is
-    | Target.Asm.Loop { body; _ } ->
-      let start = !pos in
-      List.iter go body;
-      spans := (start, !pos - 1) :: !spans
-  in
-  List.iter go items;
-  (ranges, !spans)
-
-(* A lifetime that straddles a loop boundary covers the whole loop: the cell
-   is live around the back edge (induction cells are the common case). *)
-let extend spans (lo, hi) =
-  let rec fix (lo, hi) =
-    let lo', hi' =
-      List.fold_left
-        (fun (lo, hi) (s, e) ->
-          let intersects = lo <= e && hi >= s in
-          let inside = lo >= s && hi <= e in
-          if intersects && not inside then (min lo s, max hi e) else (lo, hi))
-        (lo, hi) spans
-    in
-    if (lo', hi') = (lo, hi) then (lo, hi) else fix (lo', hi')
-  in
-  fix (lo, hi)
+  (ranges, spans)
 
 let run (asm : Target.Asm.t) =
   let ranges, spans = occurrences asm.Target.Asm.items in
   let intervals =
     Hashtbl.fold
-      (fun base raw acc -> (base, extend spans raw) :: acc)
+      (fun base raw acc -> (base, Regalloc.extend spans raw) :: acc)
       ranges []
     |> List.sort (fun (_, a) (_, b) -> compare a b)
   in

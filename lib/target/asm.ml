@@ -41,13 +41,54 @@ let flatten_counts t =
   List.iter (go 1) t.items;
   List.rev !acc
 
-let iter f t =
+(* Every instruction of the items, in program order (loop bodies once). *)
+let iter_items f items =
   let rec go = function
     | Op i -> f i
     | Par is -> List.iter f is
     | Loop l -> List.iter go l.body
   in
-  List.iter go t.items
+  List.iter go items
+
+let iter f t = iter_items f t.items
+
+(* Calls [f k i] on every instruction [i] with its position [k], counted
+   from 0 in program order (loop bodies once), and returns each loop's
+   span [(first, last)] of positions, the loop that closes last first; an
+   empty loop spans [(k, k - 1)]. *)
+let loop_spans f items =
+  let pos = ref 0 and spans = ref [] in
+  let step i =
+    f !pos i;
+    incr pos
+  in
+  let rec go = function
+    | Op i -> step i
+    | Par is -> List.iter step is
+    | Loop l ->
+      let first = !pos in
+      List.iter go l.body;
+      spans := (first, !pos - 1) :: !spans
+  in
+  List.iter go items;
+  !spans
+
+(* Rewrite every maximal run of [Op] items with [f], in program order.
+   [Par] words and loops are barriers; loop bodies are rewritten the same
+   way. [f] never sees an empty run. *)
+let rec map_runs f items =
+  let flush run acc =
+    if run = [] then acc else List.rev_append (f (List.rev run)) acc
+  in
+  let rec go run acc = function
+    | [] -> List.rev (flush run acc)
+    | Op i :: rest -> go (i :: run) acc rest
+    | (Par _ as p) :: rest -> go [] (p :: flush run acc) rest
+    | Loop l :: rest ->
+      let acc = flush run acc in
+      go [] (Loop { l with body = map_runs f l.body } :: acc) rest
+  in
+  go [] [] items
 
 let map f t =
   let rec go = function

@@ -8,13 +8,7 @@ let op i = Target.Asm.Op i
 
 let opcodes items =
   let out = ref [] in
-  let rec go = function
-    | Target.Asm.Op i -> out := i.Target.Instr.opcode :: !out
-    | Target.Asm.Par is ->
-      List.iter (fun i -> out := i.Target.Instr.opcode :: !out) is
-    | Target.Asm.Loop { body; _ } -> List.iter go body
-  in
-  List.iter go items;
+  Target.Asm.iter_items (fun i -> out := i.Target.Instr.opcode :: !out) items;
   List.rev !out
 
 (* ---- Agu ----------------------------------------------------------------- *)
@@ -256,6 +250,34 @@ let test_peephole_forwarding () =
   Alcotest.(check (list string)) "load removed" [ "ZAC"; "SACL"; "SACL" ]
     (opcodes out)
 
+let test_peephole_forwarding_chain () =
+  (* Two forwards in one block: the second load's register is renamed to
+     the register the first forward renamed its store's operand to. *)
+  let store name v =
+    op
+      (Target.Instr.make "SACL" ~operands:[ dir name ] ~defs:[ dir name ]
+         ~uses:[ vreg "acc" v ])
+  and load name v =
+    op
+      (Target.Instr.make "LAC" ~operands:[ dir name ] ~defs:[ vreg "acc" v ]
+         ~uses:[ dir name ])
+  in
+  let items =
+    [
+      op (Target.Instr.make "ZAC" ~defs:[ vreg "acc" 0 ]);
+      store "x" 0; load "x" 1; store "y" 1; load "y" 2; store "z" 2;
+    ]
+  in
+  let out = Opt.Peephole.run items in
+  Alcotest.(check (list string)) "both loads removed"
+    [ "ZAC"; "SACL"; "SACL"; "SACL" ] (opcodes out);
+  Target.Asm.iter_items
+    (fun i ->
+      if i.Target.Instr.opcode = "SACL" then
+        Alcotest.(check bool) "stores read acc0" true
+          (i.Target.Instr.uses = [ vreg "acc" 0 ]))
+    out
+
 let test_peephole_forwarding_blocked_by_redef () =
   (* An intervening accumulator redefinition blocks forwarding. *)
   let items =
@@ -492,6 +514,8 @@ let suites =
     ( "opt.peephole",
       [
         Alcotest.test_case "store/load forwarding" `Quick test_peephole_forwarding;
+        Alcotest.test_case "chained forwarding" `Quick
+          test_peephole_forwarding_chain;
         Alcotest.test_case "forwarding blocked by redefinition" `Quick
           test_peephole_forwarding_blocked_by_redef;
         Alcotest.test_case "dead scratch elimination" `Quick

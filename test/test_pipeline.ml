@@ -605,3 +605,99 @@ let unroll_suite =
     ] )
 
 let suites = suites @ [ unroll_suite ]
+
+(* ---- Allocation scaling ------------------------------------------------ *)
+
+(* Words allocated while [f] runs: [Gc.minor_words] (on OCaml 5 the minor
+   count of [Gc.counters] is only exact at a collection) plus the words
+   allocated directly in the major heap. *)
+let allocated_words f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. before
+
+(* [v = v + a;] n times. *)
+let straight_line prefix n =
+  let a = prefix ^ "a" and v = prefix ^ "v" in
+  Ir.Prog.make ~name:"straight_line"
+    ~decls:
+      [
+        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input a;
+        Ir.Prog.scalar_decl ~storage:Ir.Prog.Output v;
+      ]
+    (List.init n (fun _ ->
+         Ir.Prog.assign (Ir.Mref.scalar v) Ir.Tree.(var v + var a)))
+
+(* One statement [y = a + b + a + ...] with n terms. *)
+let long_statement prefix n =
+  let a = prefix ^ "a" and b = prefix ^ "b" and y = prefix ^ "y" in
+  let term k = Ir.Tree.var (if k mod 2 = 0 then a else b) in
+  let rec sum k acc =
+    if k = n then acc else sum (k + 1) Ir.Tree.(acc + term k)
+  in
+  Ir.Prog.make ~name:"long_statement"
+    ~decls:
+      [
+        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input a;
+        Ir.Prog.scalar_decl ~storage:Ir.Prog.Input b;
+        Ir.Prog.scalar_decl ~storage:Ir.Prog.Output y;
+      ]
+    [ Ir.Prog.assign (Ir.Mref.scalar y) (sum 1 (term 0)) ]
+
+(* An 8x longer program may allocate at most 12x the words (8x is linear).
+   Every compilation names its variables after (machine, shape, option set,
+   n), so the rewrite memo and the matcher's labels start cold each time.
+   Left out until compaction and the variant search are linear too: the
+   straight-line program under [record_] on dsp56 (compaction, 58x) and
+   the long statement under [record_] (variant search, 24-55x). *)
+let max_growth = 12.0
+
+let check_growth label ~input ~run =
+  let small = input 100 and large = input 800 in
+  let small_words = allocated_words (fun () -> run small) in
+  let large_words = allocated_words (fun () -> run large) in
+  let growth = large_words /. small_words in
+  if growth > max_growth then
+    Alcotest.failf "%s: %.0f words at n = 100, %.0f at n = 800: %.1fx > %.0fx"
+      label small_words large_words growth max_growth
+
+let test_compile_scaling (shape, program) (oname, options) machines () =
+  List.iter
+    (fun (m : Target.Machine.t) ->
+      check_growth
+        (Printf.sprintf "%s %s on %s" shape oname m.name)
+        ~input:(fun n ->
+          program (Printf.sprintf "%s_%s_%s_%d_" m.name shape oname n) n)
+        ~run:
+          (Record.Pipeline.compile ~options
+             ~matcher:(Driver.Registry.matcher_for m) m))
+    machines
+
+let test_pair_weights_scaling () =
+  check_growth "pair_weights on the long statement"
+    ~input:(fun n -> long_statement (Printf.sprintf "weights_%d_" n) n)
+    ~run:Opt.Membank.pair_weights
+
+let scaling_suite =
+  let all = Driver.Registry.machines () in
+  let line = ("line", straight_line) and long = ("long", long_statement) in
+  let record = ("record", Record.Options.record_)
+  and conv = ("conventional", Record.Options.conventional) in
+  let case name shape options machines =
+    Alcotest.test_case name `Quick (test_compile_scaling shape options machines)
+  in
+  ( "pipeline.scaling",
+    [
+      case "straight-line program, conventional" line conv all;
+      case "straight-line program, record" line record
+        (List.filter (fun (m : Target.Machine.t) -> m.name <> "dsp56") all);
+      case "long statement, conventional" long conv all;
+      Alcotest.test_case "bank-assignment pair weights" `Quick
+        test_pair_weights_scaling;
+    ] )
+
+let suites = suites @ [ scaling_suite ]
