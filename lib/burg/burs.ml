@@ -108,14 +108,36 @@ type state = {
   by_id : item option array;  (* indexed by interned nonterminal id *)
 }
 
-(* Transition key: operator + child components + guard/dyn signature.
-   Structural equality in a generic Hashtbl — a hash collision chains,
-   it never merges distinct keys. *)
-type nkey =
-  | K_const of int
-  | K_ref of int list
-  | K_unop of Ir.Op.unop * int * int list
-  | K_binop of Ir.Op.binop * int * int * int list
+(* Transition key: node shape (0 for a constant, whose value is [k_a];
+   1 for a reference; then the unary and binary operator tags), child
+   components and guard/dyn signature.  Hashed and compared as ints, with
+   no polymorphic hash or compare — a hash collision chains, it never
+   merges distinct keys. *)
+type nkey = { k_shape : int; k_a : int; k_b : int; k_sig : int list }
+
+let shape_unop op = 2 + unop_tag op
+let shape_binop op = 2 + n_unops + binop_tag op
+
+module Ktbl = Hashtbl.Make (struct
+  type t = nkey
+
+  let rec sig_equal a b =
+    match (a, b) with
+    | [], [] -> true
+    | x :: a, y :: b -> x = y && sig_equal a b
+    | _ -> false
+
+  let equal x y =
+    x.k_shape = y.k_shape && x.k_a = y.k_a && x.k_b = y.k_b
+    && sig_equal x.k_sig y.k_sig
+
+  let step h x = (h * 0x2545F4914F6CDD1D) + x
+
+  let hash k =
+    let h = List.fold_left step (step (step k.k_shape k.k_a) k.k_b) k.k_sig in
+    let h = h * 0x1D8E4E27C47D124F in
+    (h lxor (h lsr 29)) land max_int
+end)
 
 type trans = { tr_state : state; tr_rel : int }
 
@@ -137,21 +159,21 @@ type t = {
   sig_chains : Rule.t list;  (* guarded/dynamic chain rules, in order *)
   lock : Mutex.t;
   (* Guarded by [lock]: *)
-  transitions : (nkey, trans) Hashtbl.t;
+  transitions : trans Ktbl.t;
   states_by_key : (string, state) Hashtbl.t;
   mutable nstates : int;
   mutable build_ms : float;
   (* Copy-on-append snapshot of all states, index [sid - 1]; readers take
      it with one atomic load and never see a partially built array. *)
   states : state array Atomic.t;
-  slots : Ir.Idtab.t;
+  slots : int Ir.Idtab.t;
   nodes_labelled : int Atomic.t;
   memo_hits : int Atomic.t;
 }
 
 let grammar a = a.grammar
 let state_count a = a.nstates
-let transition_count a = Hashtbl.length a.transitions
+let transition_count a = Ktbl.length a.transitions
 let build_ms a = a.build_ms
 let nodes_labelled a = Atomic.get a.nodes_labelled
 let memo_hits a = Atomic.get a.memo_hits
@@ -442,16 +464,27 @@ and compute_slot a (h : Ir.Hashcons.h) =
   in
   let key =
     match h.Ir.Hashcons.node with
-    | Ir.Tree.Const k -> K_const k
-    | Ir.Tree.Ref _ -> K_ref (signature a bucket h [||])
+    | Ir.Tree.Const k -> { k_shape = 0; k_a = k; k_b = 0; k_sig = [] }
+    | Ir.Tree.Ref _ ->
+      { k_shape = 1; k_a = 0; k_b = 0; k_sig = signature a bucket h [||] }
     | Ir.Tree.Unop (op, _) ->
-      K_unop (op, comp 0, signature a bucket h kid_states)
+      {
+        k_shape = shape_unop op;
+        k_a = comp 0;
+        k_b = 0;
+        k_sig = signature a bucket h kid_states;
+      }
     | Ir.Tree.Binop (op, _, _) ->
-      K_binop (op, comp 0, comp 1, signature a bucket h kid_states)
+      {
+        k_shape = shape_binop op;
+        k_a = comp 0;
+        k_b = comp 1;
+        k_sig = signature a bucket h kid_states;
+      }
   in
   Mutex.lock a.lock;
   let tr =
-    match Hashtbl.find_opt a.transitions key with
+    match Ktbl.find_opt a.transitions key with
     | Some tr -> tr
     | None ->
       let t0 = now_ms () in
@@ -464,7 +497,7 @@ and compute_slot a (h : Ir.Hashcons.h) =
       in
       let st, min_rel = intern_state a ~leaf rel ch in
       let tr = { tr_state = st; tr_rel = min_rel } in
-      Hashtbl.replace a.transitions key tr;
+      Ktbl.replace a.transitions key tr;
       a.build_ms <- a.build_ms +. (now_ms () -. t0);
       tr
   in
@@ -596,12 +629,12 @@ let create (g : Grammar.t) =
     chains;
     sig_chains;
     lock = Mutex.create ();
-    transitions = Hashtbl.create 256;
+    transitions = Ktbl.create 256;
     states_by_key = Hashtbl.create 64;
     nstates = 0;
     build_ms = 0.;
     states = Atomic.make [||];
-    slots = Ir.Idtab.create ();
+    slots = Ir.Idtab.create 0;
     nodes_labelled = Atomic.make 0;
     memo_hits = Atomic.make 0;
   }

@@ -8,85 +8,110 @@ let log2 k =
   let rec go n k = if k <= 1 then n else go (n + 1) (k lsr 1) in
   go 0 k
 
-(* Rewrites applicable at the root of a handle.  Shapes are matched on the
-   canonical node; results are rebuilt from child handles with the O(1)
-   smart constructors, so every variant shares the canonical nodes of its
-   unchanged subtrees — which is what lets the matcher's id-keyed DP table
-   label common subtrees once across the whole variant space. *)
-let root_rewrites rules (h : Hashcons.h) =
+(* A rule set: which rules apply, and this domain's rewrite memo for it. *)
+type ruleset = {
+  rules : rule list;
+  commute : bool;
+  assoc : bool;
+  shift : bool;
+  fold : bool;
+  memo : Hashcons.h list option Idtab.t;
+}
+
+(* Rewrites applicable at the root of a handle, consed onto [tail] (later
+   rules first).  Shapes are matched on the canonical node; results are
+   rebuilt from child handles with the O(1) smart constructors, so every
+   variant shares the canonical nodes of its unchanged subtrees — which is
+   what lets the matcher's id-keyed DP table label common subtrees once
+   across the whole variant space. *)
+let root_rewrites rs (h : Hashcons.h) tail =
   let open Hashcons in
-  let add rule mk acc = if List.mem rule rules then mk acc else acc in
-  let acc = [] in
+  let acc = tail in
   let acc =
-    add Commute
-      (fun acc ->
-        match h.node with
-        | Tree.Binop (op, _, _) when Op.commutative op ->
-          binop op h.kids.(1) h.kids.(0) :: acc
-        | _ -> acc)
-      acc
+    if not rs.commute then acc
+    else
+      match h.node with
+      | Tree.Binop (op, _, _) when Op.commutative op ->
+        binop op h.kids.(1) h.kids.(0) :: acc
+      | _ -> acc
   in
   let acc =
-    add Assoc
-      (fun acc ->
-        match h.node with
-        | Tree.Binop (op, Tree.Binop (op', _, _), _)
-          when op = op' && Op.associative op ->
-          let l = h.kids.(0) in
-          binop op l.kids.(0) (binop op l.kids.(1) h.kids.(1)) :: acc
-        | Tree.Binop (op, _, Tree.Binop (op', _, _))
-          when op = op' && Op.associative op ->
-          let r = h.kids.(1) in
-          binop op (binop op h.kids.(0) r.kids.(0)) r.kids.(1) :: acc
-        | _ -> acc)
-      acc
+    if not rs.assoc then acc
+    else
+      match h.node with
+      | Tree.Binop (op, Tree.Binop (op', _, _), _)
+        when op = op' && Op.associative op ->
+        let l = h.kids.(0) in
+        binop op l.kids.(0) (binop op l.kids.(1) h.kids.(1)) :: acc
+      | Tree.Binop (op, _, Tree.Binop (op', _, _))
+        when op = op' && Op.associative op ->
+        let r = h.kids.(1) in
+        binop op (binop op h.kids.(0) r.kids.(0)) r.kids.(1) :: acc
+      | _ -> acc
   in
   let acc =
-    add Mul_to_shift
-      (fun acc ->
-        match h.node with
-        | Tree.Binop (Op.Mul, _, Tree.Const k) when is_pow2 k ->
-          binop Op.Shl h.kids.(0) (const (log2 k)) :: acc
-        | Tree.Binop (Op.Mul, Tree.Const k, _) when is_pow2 k ->
-          binop Op.Shl h.kids.(1) (const (log2 k)) :: acc
-        | Tree.Binop (Op.Shl, _, Tree.Const k) when k >= 0 && k < 15 ->
-          binop Op.Mul h.kids.(0) (const (1 lsl k)) :: acc
-        | _ -> acc)
-      acc
+    if not rs.shift then acc
+    else
+      match h.node with
+      | Tree.Binop (Op.Mul, _, Tree.Const k) when is_pow2 k ->
+        binop Op.Shl h.kids.(0) (const (log2 k)) :: acc
+      | Tree.Binop (Op.Mul, Tree.Const k, _) when is_pow2 k ->
+        binop Op.Shl h.kids.(1) (const (log2 k)) :: acc
+      | Tree.Binop (Op.Shl, _, Tree.Const k) when k >= 0 && k < 15 ->
+        binop Op.Mul h.kids.(0) (const (1 lsl k)) :: acc
+      | _ -> acc
   in
-  let acc =
-    add Fold
-      (fun acc ->
-        match h.node with
-        | Tree.Binop (op, Tree.Const a, Tree.Const b) ->
-          const (Op.eval_binop op a b) :: acc
-        | Tree.Binop (Op.Add, _, Tree.Const 0)
-        | Tree.Binop (Op.Mul, _, Tree.Const 1)
-        | Tree.Binop (Op.Sub, _, Tree.Const 0) ->
-          h.kids.(0) :: acc
-        | Tree.Binop (Op.Add, Tree.Const 0, _)
-        | Tree.Binop (Op.Mul, Tree.Const 1, _) ->
-          h.kids.(1) :: acc
-        | Tree.Binop (Op.Mul, _, Tree.Const 0)
-        | Tree.Binop (Op.Mul, Tree.Const 0, _) ->
-          const 0 :: acc
-        | Tree.Unop (Op.Neg, Tree.Unop (Op.Neg, _)) ->
-          h.kids.(0).kids.(0) :: acc
-        | Tree.Unop (Op.Neg, Tree.Const k) -> const (-k) :: acc
-        | _ -> acc)
-      acc
-  in
-  acc
+  if not rs.fold then acc
+  else
+    match h.node with
+    | Tree.Binop (op, Tree.Const a, Tree.Const b) ->
+      const (Op.eval_binop op a b) :: acc
+    | Tree.Binop (Op.Add, _, Tree.Const 0)
+    | Tree.Binop (Op.Mul, _, Tree.Const 1)
+    | Tree.Binop (Op.Sub, _, Tree.Const 0) ->
+      h.kids.(0) :: acc
+    | Tree.Binop (Op.Add, Tree.Const 0, _) | Tree.Binop (Op.Mul, Tree.Const 1, _)
+      ->
+      h.kids.(1) :: acc
+    | Tree.Binop (Op.Mul, _, Tree.Const 0) | Tree.Binop (Op.Mul, Tree.Const 0, _)
+      ->
+      const 0 :: acc
+    | Tree.Unop (Op.Neg, Tree.Unop (Op.Neg, _)) -> h.kids.(0).kids.(0) :: acc
+    | Tree.Unop (Op.Neg, Tree.Const k) -> const (-k) :: acc
+    | _ -> acc
+
+(* The spine rebuilt above each rewrite of an operand, in the operand's
+   rewrite order, consed onto [tail]: one pass, one list. *)
+let rec under_unop op l =
+  match l with
+  | [] -> []
+  | a' :: rest ->
+    let v = Hashcons.unop op a' in
+    v :: under_unop op rest
+
+let rec with_left op l b tail =
+  match l with
+  | [] -> tail
+  | a' :: rest ->
+    let v = Hashcons.binop op a' b in
+    v :: with_left op rest b tail
+
+let rec with_right op a l =
+  match l with
+  | [] -> []
+  | b' :: rest ->
+    let v = Hashcons.binop op a b' in
+    v :: with_right op a rest
 
 (* One-step rewrites anywhere in the tree, in pre-order (root first, then
    the left subtree's positions, then the right's).  The list is a pure
    function of the canonical node and the rule set, so it is memoized on
-   the hash-cons id, process-wide like the intern table itself: across a
-   variant closure (and across compilations) the candidates of a shared
-   subtree are computed once and the spine above each rewrite is rebuilt
-   with O(1) handle constructors.  Per-node lists are a handful of
-   entries, so the appends below are cheap (the pre-handle version paid
-   an [@] per interior node of every tree, uncached).
+   the hash-cons id, in an {!Idtab} indexed by it: across a variant
+   closure (and across compilations) the candidates of a shared subtree
+   are computed once and the spine above each rewrite is rebuilt with
+   O(1) handle constructors.  The right operand's rewrites are interned
+   before the left's, and both before the root's, so handles are minted
+   in the same order as ever.
 
    The memo is domain-local ([Domain.DLS]): each domain of the serve pool
    keeps its own table rather than contending on a shared one.  The cached
@@ -95,40 +120,90 @@ let root_rewrites rules (h : Hashcons.h) =
    determinism — and the handles inside the lists are the shared canonical
    ones from the striped intern table, so the trees themselves are not
    duplicated. *)
-let rw_cache_key :
-    (rule list, (int, Hashcons.h list) Hashtbl.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let rec rw rules cache (h : Hashcons.h) =
-  let open Hashcons in
-  match Hashtbl.find_opt cache h.id with
+let rec rw rs (h : Hashcons.h) =
+  match Idtab.get rs.memo h.id with
   | Some l -> l
   | None ->
     let below =
       match h.node with
       | Tree.Const _ | Tree.Ref _ -> []
-      | Tree.Unop (op, _) ->
-        List.map (fun a' -> unop op a') (rw rules cache h.kids.(0))
+      | Tree.Unop (op, _) -> under_unop op (rw rs h.kids.(0))
       | Tree.Binop (op, _, _) ->
         let a = h.kids.(0) and b = h.kids.(1) in
-        List.map (fun a' -> binop op a' b) (rw rules cache a)
-        @ List.map (fun b' -> binop op a b') (rw rules cache b)
+        let right = with_right op a (rw rs b) in
+        with_left op (rw rs a) b right
     in
-    let l = root_rewrites rules h @ below in
-    Hashtbl.replace cache h.id l;
+    let l = root_rewrites rs h below in
+    Idtab.set rs.memo h.id (Some l);
     l
 
-let hrewrites rules (h : Hashcons.h) =
-  let rw_cache = Domain.DLS.get rw_cache_key in
-  let cache =
-    match Hashtbl.find_opt rw_cache rules with
-    | Some c -> c
+let rulesets_key : ruleset list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+(* This domain's rule set for [rules]: found by physical equality, as
+   callers pass one options record's list again and again, else by
+   structure. *)
+let ruleset rules =
+  let sets = Domain.DLS.get rulesets_key in
+  match List.find_opt (fun rs -> rs.rules == rules) !sets with
+  | Some rs -> rs
+  | None -> (
+    match List.find_opt (fun rs -> rs.rules = rules) !sets with
+    | Some rs -> rs
     | None ->
-      let c = Hashtbl.create 1024 in
-      Hashtbl.replace rw_cache rules c;
-      c
-  in
-  rw rules cache h
+      let rs =
+        {
+          rules;
+          commute = List.mem Commute rules;
+          assoc = List.mem Assoc rules;
+          shift = List.mem Mul_to_shift rules;
+          fold = List.mem Fold rules;
+          memo = Idtab.create None;
+        }
+      in
+      sets := rs :: !sets;
+      rs)
+
+(* A set of ints, for the search's per-call membership tests: open
+   addressing with linear probing, doubling at half full.  [min_int]
+   marks an empty slot and is tracked apart. *)
+module Iset = struct
+  type t = { mutable keys : int array; mutable count : int; mutable min : bool }
+
+  let create () = { keys = Array.make 64 min_int; count = 0; min = false }
+
+  let home k mask =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land mask
+
+  (* The slot holding [k], or the empty slot where it belongs. *)
+  let rec find keys mask k i =
+    let x = Array.unsafe_get keys i in
+    if x = k || x = min_int then i else find keys mask k ((i + 1) land mask)
+
+  let mem t k =
+    if k = min_int then t.min
+    else
+      let mask = Array.length t.keys - 1 in
+      Array.unsafe_get t.keys (find t.keys mask k (home k mask)) = k
+
+  let rec add t k =
+    if k = min_int then t.min <- true
+    else if 2 * (t.count + 1) > Array.length t.keys then begin
+      let old = t.keys in
+      t.keys <- Array.make (2 * Array.length old) min_int;
+      t.count <- 0;
+      Array.iter (fun x -> if x <> min_int then add t x) old;
+      add t k
+    end
+    else
+      let mask = Array.length t.keys - 1 in
+      let i = find t.keys mask k (home k mask) in
+      if Array.unsafe_get t.keys i <> k then begin
+        Array.unsafe_set t.keys i k;
+        t.count <- t.count + 1
+      end
+end
 
 type counters = {
   mutable explored : int;
@@ -143,10 +218,11 @@ let fresh_counters () =
 let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
     (h : Hashcons.h) =
   let c = match counters with Some c -> c | None -> fresh_counters () in
-  (* Dedup on hash-cons ids: candidates coming out of [hrewrites] are
-     canonical, so membership is one O(1) int probe. *)
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen (Hashcons.id h) ();
+  let rs = ruleset rules in
+  (* Dedup on hash-cons ids: candidates coming out of [rw] are canonical,
+     so membership is one O(1) int probe. *)
+  let seen = Iset.create () in
+  Iset.add seen (Hashcons.id h);
   c.explored <- c.explored + 1;
   (* State-equivalence pruning: a candidate whose prune key was already
      seen has, by the key's contract, exactly the same cover costs as an
@@ -155,7 +231,7 @@ let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
      frontier, so the set of trees explored (and the survivors) is
      identical to an unpruned run's prefix: determinism and the
      prefix-stability property are preserved. *)
-  let keys = Hashtbl.create 16 in
+  let keys = Iset.create () in
   let key_seen h' =
     match prune_key with
     | None -> false
@@ -163,9 +239,9 @@ let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
       match f h' with
       | None -> false
       | Some k ->
-        if Hashtbl.mem keys k then true
+        if Iset.mem keys k then true
         else begin
-          Hashtbl.replace keys k ();
+          Iset.add keys k;
           false
         end)
   in
@@ -180,17 +256,17 @@ let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
       List.iter
         (fun h' ->
           let key = Hashcons.id h' in
-          if Hashtbl.mem seen key then c.dedup_hits <- c.dedup_hits + 1
+          if Iset.mem seen key then c.dedup_hits <- c.dedup_hits + 1
           else if !n >= limit then c.pruned <- c.pruned + 1
           else begin
-            Hashtbl.replace seen key ();
+            Iset.add seen key;
             incr n;
             c.explored <- c.explored + 1;
             Queue.add h' queue;
             if key_seen h' then c.state_prunes <- c.state_prunes + 1
             else out := h' :: !out
           end)
-        (hrewrites rules cur);
+        (rw rs cur);
       drain ()
     end
   in

@@ -31,14 +31,18 @@
     numeric order depends on scheduling — nothing may derive meaning from
     id magnitude beyond identity.
 
-    Invariant: a key's shard and its bucket within the shard come from
-    disjoint bits of the same [Hashtbl.hash] value. The shard is bits
-    24–29 of the 30-bit hash; each shard's table picks its bucket from the
-    low bits, and reaches bit 24 only beyond 2{^24} buckets per shard. Were
-    both taken from the low bits, every key of a shard would share the low
-    six bits of its bucket index, one bucket in 64 would be used, and a
-    probe would walk chains 64 times the load factor — the table would
-    stay correct but stop being O(1). {!max_chain} watches this. *)
+    Invariant: an interior key's shard and its slot within the shard come
+    from disjoint bits of one mixing hash of the key. An interior node's
+    key is two ints (operator tag with the first child's id, and the
+    second child's id), kept inline in the shard's flat open-addressing
+    table; the shard is bits 56-61 of the hash and the slot its low bits,
+    which reach bit 56 only past 2{^56} slots per shard. Were both taken
+    from the low bits, every key of a shard would share the low six bits
+    of its home slot, one slot in 64 would be a home, and linear probing
+    would pile each shard's keys into clusters some thirty long — the
+    table would stay correct but stop being O(1). {!max_chain} watches
+    this. Leaves (constants and references) sit in a small table per
+    shard. *)
 
 type h = private {
   node : Tree.t;  (** the canonical node *)
@@ -82,14 +86,16 @@ val stats : unit -> stats
 (** Counters summed over the shards: O(shards), cheap enough per job. *)
 
 val max_chain : unit -> int
-(** The longest bucket chain of any shard's table: the most keys one probe
-    may compare against. With shard and bucket indices on disjoint hash
-    bits it stays around ten at a hundred thousand nodes (the tail of a
-    load factor of at most two); with shared bits it would pass a hundred.
-    Computed on demand from [Hashtbl.stats], walking every bucket and
-    chain of every shard — O(live), a few milliseconds at a hundred
-    thousand nodes — so it is kept apart from {!stats}, and the probes
-    keep no chain statistics. *)
+(** The longest probe run of the interior table: the longest run of
+    occupied slots in any shard, which is the most keys one probe may
+    compare against (a probe that misses at the run's first slot walks
+    all of it). Each shard's table doubles once it is half full; with
+    shard and slot on disjoint hash bits the longest run is about ten
+    slots at 30% load and stays in the tens at half load, where with
+    shared bits it is about thirty and forty. Computed on demand by
+    walking every slot of every shard — O(slots), a few milliseconds at
+    a hundred thousand nodes — so it is kept apart from {!stats}, and the
+    probes keep no run statistics. *)
 
 val clear : unit -> unit
 (** Drop the table (counters reset, ids keep increasing). Canonicality of

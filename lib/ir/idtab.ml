@@ -1,28 +1,28 @@
-(* Chunked growable int array: a spine of chunk cells, each chunk a flat
-   [int array] of [chunk_size] slots.  The spine and the chunk cells are
-   [Atomic.t] so installation is race-free (first CAS wins, losers adopt
-   the winner's chunk); the slot writes inside a chunk are plain stores —
-   values are deterministic per slot, so a lost write only costs a
-   recomputation, never a wrong answer. *)
+(* Chunked growable array: a spine of chunk cells, each chunk a flat array
+   of [chunk_size] slots.  The spine and the chunk cells are [Atomic.t] so
+   installation is race-free (first CAS wins, losers adopt the winner's
+   chunk); the slot writes inside a chunk are plain stores — values are
+   deterministic per slot, so a lost write only costs a recomputation,
+   never a wrong answer. *)
 
 let chunk_bits = 16
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 
 (* [||] marks an absent chunk; a real chunk always has [chunk_size] slots. *)
-type t = { spine : int array Atomic.t array Atomic.t }
+type 'a t = { spine : 'a array Atomic.t array Atomic.t; absent : 'a }
 
 let make_spine n = Array.init n (fun _ -> Atomic.make [||])
 
-let create () = { spine = Atomic.make (make_spine 64) }
+let create absent = { spine = Atomic.make (make_spine 64); absent }
 
 let get t id =
   let spine = Atomic.get t.spine in
   let ci = id lsr chunk_bits in
-  if ci >= Array.length spine then 0
+  if ci >= Array.length spine then t.absent
   else
     let chunk = Atomic.get (Array.unsafe_get spine ci) in
-    if Array.length chunk = 0 then 0
+    if Array.length chunk = 0 then t.absent
     else Array.unsafe_get chunk (id land chunk_mask)
 
 let rec grow t need =
@@ -50,7 +50,7 @@ let chunk_at t ci =
   let chunk = Atomic.get cell in
   if Array.length chunk > 0 then chunk
   else begin
-    let fresh = Array.make chunk_size 0 in
+    let fresh = Array.make chunk_size t.absent in
     if Atomic.compare_and_set cell [||] fresh then fresh else Atomic.get cell
   end
 

@@ -66,74 +66,159 @@ let depends i j =
   let rj, wj = (reads j, writes j) in
   clash wi rj || clash ri wj || clash wi wj
 
+(* Dependence edges of a block, built in one pass over its instructions.
+   Per location we keep the last writer and the readers since that write;
+   an instruction gets an edge from the last writer of each location it
+   reads or writes, and from the readers since then of each location it
+   writes.  Memory bases and the any-memory token consult each other: a
+   base access also meets the last any-memory writer (and a base write the
+   any-memory readers since it), and an any-memory access meets the base
+   writers (and, if it writes, the base readers) since the last
+   any-memory write.  A dependence this leaves out is implied by a path
+   of edges — an earlier writer of the location precedes the last one —
+   and for the greedy packing below that is the same: an instruction's
+   predecessors are all scheduled exactly when its direct ones are, and
+   the direct ones hold every dependence on the word being filled.
+   Returns each instruction's distinct predecessors and successors. *)
+type last = { mutable writer : int; mutable readers : int list }
+
+let edges (reads : loc list array) (writes : loc list array) =
+  let n = Array.length reads in
+  let preds = Array.make n [] and succs = Array.make n [] in
+  let mark = Array.make n (-1) in
+  let edge l k =
+    if l >= 0 && mark.(l) <> k then begin
+      mark.(l) <- k;
+      preds.(k) <- l :: preds.(k);
+      succs.(l) <- k :: succs.(l)
+    end
+  in
+  let table = Hashtbl.create 64 in
+  let last x =
+    match Hashtbl.find_opt table x with
+    | Some e -> e
+    | None ->
+      let e = { writer = -1; readers = [] } in
+      Hashtbl.replace table x e;
+      e
+  in
+  let any = last Lmem_any in
+  (* Base accesses since the last any-memory write. *)
+  let mem_writers = ref [] and mem_readers = ref [] in
+  for k = 0 to n - 1 do
+    List.iter
+      (fun x ->
+        let e = last x in
+        edge e.writer k;
+        match x with
+        | Lmem _ -> edge any.writer k
+        | Lmem_any -> List.iter (fun l -> edge l k) !mem_writers
+        | Lreg _ | Lvreg _ | Lmode _ -> ())
+      reads.(k);
+    List.iter
+      (fun x ->
+        let e = last x in
+        edge e.writer k;
+        List.iter (fun l -> edge l k) e.readers;
+        match x with
+        | Lmem _ ->
+          edge any.writer k;
+          List.iter (fun l -> edge l k) any.readers
+        | Lmem_any ->
+          List.iter (fun l -> edge l k) !mem_writers;
+          List.iter (fun l -> edge l k) !mem_readers
+        | Lreg _ | Lvreg _ | Lmode _ -> ())
+      writes.(k);
+    List.iter
+      (fun x ->
+        let e = last x in
+        e.readers <- k :: e.readers;
+        match x with
+        | Lmem _ -> mem_readers := k :: !mem_readers
+        | Lmem_any | Lreg _ | Lvreg _ | Lmode _ -> ())
+      reads.(k);
+    List.iter
+      (fun x ->
+        let e = last x in
+        e.writer <- k;
+        e.readers <- [];
+        match x with
+        | Lmem _ -> mem_writers := k :: !mem_writers
+        | Lmem_any ->
+          mem_writers := [];
+          mem_readers := []
+        | Lreg _ | Lvreg _ | Lmode _ -> ())
+      writes.(k)
+  done;
+  (preds, succs)
+
 (* Greedy list compaction of one block: repeatedly open a word with the
-   first ready instruction, then top it up with later ready instructions
-   that fit a free slot and conflict with nothing already in the word. *)
+   first unscheduled instruction (every earlier one is scheduled, so it is
+   ready), then top it up with later ready instructions that fit a free
+   slot and depend on nothing already in the word.  Ready means that every
+   predecessor is scheduled: a count per instruction, decremented as its
+   predecessors are taken. *)
 let pack_block slots word_ok (instrs : Target.Instr.t list) =
   let arr = Array.of_list instrs in
   let n = Array.length arr in
+  let preds, succs =
+    edges
+      (Array.map (fun i -> List.sort_uniq compare (reads i)) arr)
+      (Array.map (fun i -> List.sort_uniq compare (writes i)) arr)
+  in
+  let unscheduled = Array.map List.length preds in
   let scheduled = Array.make n false in
+  (* The word each instruction went into. *)
+  let word_of = Array.make n (-1) in
+  let units = Array.of_list slots in
+  (* Each instruction's slot kind (the first of its unit), or -1. *)
+  let unit_of =
+    Array.map
+      (fun (i : Target.Instr.t) ->
+        let rec find u =
+          if u >= Array.length units then -1
+          else if fst units.(u) = i.funit then u
+          else find (u + 1)
+        in
+        find 0)
+      arr
+  in
+  let capacity k = if unit_of.(k) < 0 then 0 else snd units.(unit_of.(k)) in
+  let packable k = capacity k > 0 && arr.(k).Target.Instr.words = 1 in
+  let used = Array.make (Array.length units) 0 in
   let words = ref [] in
-  (* Ready = every earlier instruction it depends on is already scheduled
-     (word-internal ordering is excluded separately by the conflict check). *)
-  let ready k =
-    let rec ok l =
-      l >= k || ((scheduled.(l) || not (depends arr.(l) arr.(k))) && ok (l + 1))
-    in
-    ok 0
-  in
-  let capacity funit =
-    match List.assoc_opt funit slots with Some c -> c | None -> 0
-  in
-  let packable (i : Target.Instr.t) =
-    capacity i.funit > 0 && i.words = 1
-  in
-  let remaining = ref n in
-  while !remaining > 0 do
+  let first = ref 0 in
+  let w = ref 0 in
+  while !first < n do
     let word = ref [] in
-    let used = Hashtbl.create 4 in
+    Array.fill used 0 (Array.length used) 0;
     let take k =
-      let i = arr.(k) in
-      let cnt =
-        Option.value ~default:0 (Hashtbl.find_opt used i.Target.Instr.funit)
-      in
-      word := i :: !word;
-      Hashtbl.replace used i.Target.Instr.funit (cnt + 1);
+      word := arr.(k) :: !word;
+      if unit_of.(k) >= 0 then used.(unit_of.(k)) <- used.(unit_of.(k)) + 1;
       scheduled.(k) <- true;
-      decr remaining
+      word_of.(k) <- !w;
+      List.iter (fun l -> unscheduled.(l) <- unscheduled.(l) - 1) succs.(k)
     in
-    (* Open the word. *)
-    let opener =
-      let rec find k =
-        if k >= n then None
-        else if (not scheduled.(k)) && ready k then Some k
-        else find (k + 1)
-      in
-      find 0
-    in
-    (match opener with
-    | None -> assert false (* a dependence cycle is impossible in a list *)
-    | Some k0 ->
-      take k0;
-      if packable arr.(k0) then
-        (* Top up with later ready instructions. *)
-        for k = k0 + 1 to n - 1 do
-          let i = arr.(k) in
-          let cnt =
-            Option.value ~default:0
-              (Hashtbl.find_opt used i.Target.Instr.funit)
-          in
-          if
-            (not scheduled.(k)) && ready k && packable i
-            && capacity i.Target.Instr.funit > cnt
-            && List.for_all (fun j -> not (depends j i || depends i j)) !word
-            && word_ok (List.rev (i :: !word))
-          then take k
-        done);
-    match List.rev !word with
+    let k0 = !first in
+    take k0;
+    if packable k0 then
+      for k = k0 + 1 to n - 1 do
+        if
+          (not scheduled.(k))
+          && unscheduled.(k) = 0 && packable k
+          && capacity k > used.(unit_of.(k))
+          && List.for_all (fun l -> word_of.(l) <> !w) preds.(k)
+          && word_ok (List.rev (arr.(k) :: !word))
+        then take k
+      done;
+    (match List.rev !word with
     | [] -> ()
     | [ single ] -> words := Target.Asm.Op single :: !words
-    | multi -> words := Target.Asm.Par multi :: !words
+    | multi -> words := Target.Asm.Par multi :: !words);
+    incr w;
+    while !first < n && scheduled.(!first) do
+      incr first
+    done
   done;
   List.rev !words
 

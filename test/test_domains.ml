@@ -17,10 +17,6 @@ let contains ~sub s =
   let rec find i = i + m <= n && (String.sub s i m = sub || find (i + 1)) in
   find 0
 
-(* The CLI cases run the executable built next to the tests, and are
-   skipped when the suite runs from anywhere else. *)
-let cli = "../bin/record_cli.exe"
-
 let temp_file suffix contents =
   let path = Filename.temp_file "record" suffix in
   let oc = open_out path in
@@ -32,7 +28,8 @@ let temp_file suffix contents =
 let run_cli args =
   let err = Filename.temp_file "record" ".err" in
   let code =
-    Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" cli args err)
+    Sys.command
+      (Printf.sprintf "%s %s > /dev/null 2> %s" (Paths.cli ()) args err)
   in
   let msg = read_file err in
   Sys.remove err;
@@ -78,7 +75,42 @@ let test_concurrent_interning_agrees () =
   (* And the ids are canonical for this process: interning again from the
      test domain reproduces them. *)
   Alcotest.(check (list int)) "main domain agrees too" per_domain.(0)
-    (List.map (fun i -> (Ir.Hashcons.intern (tree i)).Ir.Hashcons.id) indices)
+    (List.map (fun i -> (Ir.Hashcons.intern (tree i)).Ir.Hashcons.id) indices);
+  (* Fresh structures, under names no other test uses: about 15,000 new
+     interior nodes, so every shard's table doubles several times while
+     the domains race to fill it. Neighbouring trees share a subtree. *)
+  let n_fresh = 3_000 in
+  let fresh j =
+    let term j =
+      Ir.Tree.(var (Printf.sprintf "intern_race_%d" (j mod 701)) + const j)
+    in
+    let a = term j and b = term (j + 1) in
+    Ir.Tree.((a * b) - neg a)
+  in
+  let fresh_worker k () =
+    let handles = Array.make n_fresh None in
+    List.iter
+      (fun j -> handles.(j) <- Some (Ir.Hashcons.intern (fresh j)))
+      (rotate (k * n_fresh / n_domains) (List.init n_fresh Fun.id));
+    Array.map Option.get handles
+  in
+  let before = (Ir.Hashcons.stats ()).Ir.Hashcons.live in
+  let per_domain =
+    Array.map Domain.join
+      (Array.init n_domains (fun k -> Domain.spawn (fresh_worker k)))
+  in
+  Alcotest.(check bool) "at least 12,000 fresh nodes" true
+    ((Ir.Hashcons.stats ()).Ir.Hashcons.live - before >= 12_000);
+  Array.iteri
+    (fun k handles ->
+      Array.iteri
+        (fun j (h : Ir.Hashcons.h) ->
+          let h0 = per_domain.(0).(j) in
+          if h.id <> h0.id || h.node != h0.node then
+            Alcotest.failf "fresh tree %d: domain %d has id %d, domain 0 %d" j
+              k h.id h0.id)
+        handles)
+    per_domain
 
 let test_concurrent_matcher_labelling () =
   (* Domains racing on one matcher's DP table must all see the same
@@ -115,32 +147,47 @@ let jobs_of objects =
 
 (* The job objects of the Table-1 jobs file. *)
 let table1_objects () =
-  let path = "../bench/jobs_table1.json" in
-  if not (Sys.file_exists path) then None
-  else
-    match
-      Result.map
-        (fun d -> Option.bind (Driver.Json.member "jobs" d) Driver.Json.to_list)
-        (Driver.Json.of_string (read_file path))
-    with
-    | Ok (Some objects) -> Some objects
-    | Ok None -> Alcotest.fail "jobs_table1.json has no jobs"
-    | Error msg -> Alcotest.fail msg
+  match
+    Result.map
+      (fun d -> Option.bind (Driver.Json.member "jobs" d) Driver.Json.to_list)
+      (Driver.Json.of_string (read_file (Paths.jobs_table1 ())))
+  with
+  | Ok (Some objects) -> objects
+  | Ok None -> Alcotest.fail "jobs_table1.json has no jobs"
+  | Error msg -> Alcotest.fail msg
 
-let table1_jobs () = Option.map jobs_of (table1_objects ())
+let table1_jobs () = jobs_of (table1_objects ())
 
 let doc jobs results =
   Driver.Json.to_string
     (Driver.Job.results_to_json ~deterministic:true ~jobs results)
 
+(* 200 programs of the seed-42 size-8 fuzz corpus as simulate jobs, spread
+   over the four bundled machines. *)
+let fuzz_jobs () =
+  let machines = Array.of_list (Driver.Registry.names ()) in
+  List.mapi
+    (fun i (c : Fuzz.Gen.case) ->
+      Driver.Job.make ~id:i
+        ~target:machines.(i mod Array.length machines)
+        ~inputs:c.inputs ~kind:Driver.Job.Simulate c.prog)
+    (Fuzz.Gen.cases ~config:(Fuzz.Gen.sized 8) ~seed:42 ~count:200 ())
+
 let test_pool_matches_sequential () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let sequential = List.map Driver.Job.run jobs in
-    let pooled = (Driver.Batch.run ~domains:4 jobs).Driver.Batch.results in
-    Alcotest.(check string) "4-domain run byte-identical to sequential"
-      (doc jobs sequential) (doc jobs pooled)
+  let jobs = table1_jobs () in
+  let sequential = List.map Driver.Job.run jobs in
+  let pooled = (Driver.Batch.run ~domains:4 jobs).Driver.Batch.results in
+  Alcotest.(check string) "4-domain run byte-identical to sequential"
+    (doc jobs sequential) (doc jobs pooled);
+  (* Table-1 jobs intern few new nodes. On an emptied intern table, the
+     pool's domains race to intern every tree and variant of these
+     programs, and to label them, before the sequential run sees them. *)
+  let jobs = fuzz_jobs () in
+  Ir.Hashcons.clear ();
+  let pooled = (Driver.Batch.run ~domains:4 jobs).Driver.Batch.results in
+  let sequential = List.map Driver.Job.run jobs in
+  Alcotest.(check string) "fuzz programs: 4-domain run byte-identical"
+    (doc jobs sequential) (doc jobs pooled)
 
 (* ---- per-job timeouts on the pool ----------------------------------------- *)
 
@@ -164,69 +211,65 @@ end|}
 let long_loop = Dfl.Lower.source (loop_source 200_000_000)
 
 let test_pool_timeout_isolates () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    (* The long job goes first, so on one domain every Table-1 job queues
-       behind it: a job's deadline counts from its own start. *)
-    let jobs =
-      List.map
-        (fun (j : Driver.Job.t) ->
-          { j with Driver.Job.id = j.Driver.Job.id + 1 })
-        jobs
-    in
-    let long =
-      Driver.Job.make ~id:0 ~target:"tic25" ~inputs:[ ("a", [| 1 |]) ]
-        ~kind:Driver.Job.Simulate long_loop
-    in
-    let json (r : Driver.Job.result) =
-      Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
-    in
-    let reference = List.map (fun j -> json (Driver.Job.run j)) jobs in
-    List.iter
-      (fun domains ->
-        let report = Driver.Batch.run ~domains ~timeout:1.0 (long :: jobs) in
-        match report.Driver.Batch.results with
-        | first :: rest ->
-          (match first.Driver.Job.status with
-          | Driver.Job.Timed_out s ->
-            Alcotest.(check (float 0.0)) "reports its timeout" 1.0 s
-          | _ ->
-            Alcotest.failf "%d domains: the long job should time out" domains);
-          Alcotest.(check (list string))
-            (Printf.sprintf "%d domains: every other job as without it" domains)
-            reference (List.map json rest)
-        | [] -> Alcotest.fail "no results")
-      [ 1; 4 ]
+  let jobs = table1_jobs () in
+  (* The long job goes first, so on one domain every Table-1 job queues
+     behind it: a job's deadline counts from its own start. *)
+  let jobs =
+    List.map
+      (fun (j : Driver.Job.t) ->
+        { j with Driver.Job.id = j.Driver.Job.id + 1 })
+      jobs
+  in
+  let long =
+    Driver.Job.make ~id:0 ~target:"tic25" ~inputs:[ ("a", [| 1 |]) ]
+      ~kind:Driver.Job.Simulate long_loop
+  in
+  let json (r : Driver.Job.result) =
+    Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
+  in
+  let reference = List.map (fun j -> json (Driver.Job.run j)) jobs in
+  List.iter
+    (fun domains ->
+      let report = Driver.Batch.run ~domains ~timeout:1.0 (long :: jobs) in
+      match report.Driver.Batch.results with
+      | first :: rest ->
+        (match first.Driver.Job.status with
+        | Driver.Job.Timed_out s ->
+          Alcotest.(check (float 0.0)) "reports its timeout" 1.0 s
+        | _ ->
+          Alcotest.failf "%d domains: the long job should time out" domains);
+        Alcotest.(check (list string))
+          (Printf.sprintf "%d domains: every other job as without it" domains)
+          reference (List.map json rest)
+      | [] -> Alcotest.fail "no results")
+    [ 1; 4 ]
 
 let test_expired_deadline_leaves_pool_clean () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let cache = Driver.Cache.create () in
-    let pool = Driver.Pool.create ~domains:2 () in
-    Fun.protect
-      ~finally:(fun () -> Driver.Pool.shutdown pool)
-      (fun () ->
-        (* The smallest timeout puts each deadline at its job's start, so
-           every job has expired before it runs. *)
-        List.iter
-          (fun (r : Driver.Job.result) ->
-            match r.Driver.Job.status with
-            | Driver.Job.Timed_out _ -> ()
-            | _ -> Alcotest.failf "%s should time out" r.Driver.Job.label)
-          (Driver.Pool.run_jobs pool ~cache ~timeout:Float.min_float jobs);
-        Alcotest.(check int) "no cache entry stored" 0
-          (Driver.Cache.counters cache).Driver.Cache.stores;
-        let reused = Driver.Pool.run_jobs pool ~cache jobs in
-        let fresh =
-          let pool = Driver.Pool.create ~domains:2 () in
-          Fun.protect
-            ~finally:(fun () -> Driver.Pool.shutdown pool)
-            (fun () -> Driver.Pool.run_jobs pool jobs)
-        in
-        Alcotest.(check string) "same pool afterwards = fresh pool"
-          (doc jobs fresh) (doc jobs reused))
+  let jobs = table1_jobs () in
+  let cache = Driver.Cache.create () in
+  let pool = Driver.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Pool.shutdown pool)
+    (fun () ->
+      (* The smallest timeout puts each deadline at its job's start, so
+         every job has expired before it runs. *)
+      List.iter
+        (fun (r : Driver.Job.result) ->
+          match r.Driver.Job.status with
+          | Driver.Job.Timed_out _ -> ()
+          | _ -> Alcotest.failf "%s should time out" r.Driver.Job.label)
+        (Driver.Pool.run_jobs pool ~cache ~timeout:Float.min_float jobs);
+      Alcotest.(check int) "no cache entry stored" 0
+        (Driver.Cache.counters cache).Driver.Cache.stores;
+      let reused = Driver.Pool.run_jobs pool ~cache jobs in
+      let fresh =
+        let pool = Driver.Pool.create ~domains:2 () in
+        Fun.protect
+          ~finally:(fun () -> Driver.Pool.shutdown pool)
+          (fun () -> Driver.Pool.run_jobs pool jobs)
+      in
+      Alcotest.(check string) "same pool afterwards = fresh pool"
+        (doc jobs fresh) (doc jobs reused))
 
 let test_timeout_must_be_positive () =
   List.iter
@@ -236,19 +279,17 @@ let test_timeout_must_be_positive () =
       | exception Invalid_argument _ -> ())
     [ 0.0; -1.0; Float.nan; Float.infinity; Float.neg_infinity ];
   (* The CLI turns the refusal into exit 1 and a message naming the flag. *)
-  if Sys.file_exists cli then begin
-    let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
-    List.iter
-      (fun t ->
-        let code, msg =
-          run_cli (Printf.sprintf "batch %s --no-cache --timeout=%s" jobs t)
-        in
-        Alcotest.(check int) ("--timeout=" ^ t ^ " exits 1") 1 code;
-        Alcotest.(check bool) (msg ^ " names --timeout") true
-          (contains ~sub:"--timeout" msg))
-      [ "0"; "-1"; "nan" ];
-    Sys.remove jobs
-  end
+  let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
+  List.iter
+    (fun t ->
+      let code, msg =
+        run_cli (Printf.sprintf "batch %s --no-cache --timeout=%s" jobs t)
+      in
+      Alcotest.(check int) ("--timeout=" ^ t ^ " exits 1") 1 code;
+      Alcotest.(check bool) (msg ^ " names --timeout") true
+        (contains ~sub:"--timeout" msg))
+    [ "0"; "-1"; "nan" ];
+  Sys.remove jobs
 
 let test_domains_must_start () =
   List.iter
@@ -259,103 +300,97 @@ let test_domains_must_start () =
         Alcotest.failf "a pool of %d domains should be refused" domains
       | exception Invalid_argument _ -> ())
     [ 0; -3 ];
-  if Sys.file_exists cli then begin
-    let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
-    List.iter
-      (fun (command, width, expected) ->
-        let code, msg =
-          run_cli (Printf.sprintf "%s --domains=%s" command width)
-        in
-        Alcotest.(check int) (command ^ " --domains=" ^ width ^ " exits 1") 1
-          code;
-        Alcotest.(check bool) (msg ^ " says why") true
-          (contains ~sub:expected msg))
-      [
-        ("batch " ^ jobs ^ " --no-cache", "0", "--domains");
-        ("batch " ^ jobs ^ " --no-cache", "-3", "--domains");
-        ("serve --no-cache < /dev/null", "0", "--domains");
-        ("dse --samples 1 --kernels fir --no-cache -o /dev/null", "-3",
-         "--domains");
-        (* Past the runtime's limit on live domains: the pool joins the
-           workers it started, and the CLI says why. *)
-        ("batch " ^ jobs ^ " --no-cache", "200", "could not start");
-      ];
-    Sys.remove jobs
-  end
+  let jobs = temp_file ".json" {|[{"kernel": "fir"}]|} in
+  List.iter
+    (fun (command, width, expected) ->
+      let code, msg =
+        run_cli (Printf.sprintf "%s --domains=%s" command width)
+      in
+      Alcotest.(check int) (command ^ " --domains=" ^ width ^ " exits 1") 1
+        code;
+      Alcotest.(check bool) (msg ^ " says why") true
+        (contains ~sub:expected msg))
+    [
+      ("batch " ^ jobs ^ " --no-cache", "0", "--domains");
+      ("batch " ^ jobs ^ " --no-cache", "-3", "--domains");
+      ("serve --no-cache < /dev/null", "0", "--domains");
+      ("dse --samples 1 --kernels fir --no-cache -o /dev/null", "-3",
+       "--domains");
+      (* Past the runtime's limit on live domains: the pool joins the
+         workers it started, and the CLI says why. *)
+      ("batch " ^ jobs ^ " --no-cache", "200", "could not start");
+    ];
+  Sys.remove jobs
 
 (* ---- the submitting domain computes too ----------------------------------- *)
 
 let test_caller_runs_batch () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let reference = doc jobs (List.map Driver.Job.run jobs) in
-    let pool = Driver.Pool.create ~domains:1 () in
-    (* Hold the pool's only worker until the gate opens. *)
-    let gate = Mutex.create () in
-    let blocked = Atomic.make false in
-    Mutex.lock gate;
-    Driver.Pool.submit pool (fun () ->
-        Atomic.set blocked true;
-        Mutex.lock gate;
-        Mutex.unlock gate);
-    while not (Atomic.get blocked) do
-      Domain.cpu_relax ()
-    done;
-    let result = Atomic.make None in
-    let submitter =
-      Thread.create
-        (fun () -> Atomic.set result (Some (Driver.Pool.run_jobs pool jobs)))
-        ()
-    in
-    (* Watchdog: a submitter that waits for the worker gets 30 s, then the
-       gate opens so the test fails instead of hanging. *)
-    let give_up = Unix.gettimeofday () +. 30.0 in
-    while Atomic.get result = None && Unix.gettimeofday () < give_up do
-      Thread.delay 0.01
-    done;
-    let before_release = Atomic.get result in
-    Mutex.unlock gate;
-    Thread.join submitter;
-    Driver.Pool.shutdown pool;
-    match before_release with
-    | None -> Alcotest.fail "run_jobs waited for the blocked worker"
-    | Some results ->
-      Alcotest.(check string) "the caller ran the batch alone" reference
-        (doc jobs results)
+  let jobs = table1_jobs () in
+  let reference = doc jobs (List.map Driver.Job.run jobs) in
+  let pool = Driver.Pool.create ~domains:1 () in
+  (* Hold the pool's only worker until the gate opens. *)
+  let gate = Mutex.create () in
+  let blocked = Atomic.make false in
+  Mutex.lock gate;
+  Driver.Pool.submit pool (fun () ->
+      Atomic.set blocked true;
+      Mutex.lock gate;
+      Mutex.unlock gate);
+  while not (Atomic.get blocked) do
+    Domain.cpu_relax ()
+  done;
+  let result = Atomic.make None in
+  let submitter =
+    Thread.create
+      (fun () -> Atomic.set result (Some (Driver.Pool.run_jobs pool jobs)))
+      ()
+  in
+  (* Watchdog: a submitter that waits for the worker gets 30 s, then the
+     gate opens so the test fails instead of hanging. *)
+  let give_up = Unix.gettimeofday () +. 30.0 in
+  while Atomic.get result = None && Unix.gettimeofday () < give_up do
+    Thread.delay 0.01
+  done;
+  let before_release = Atomic.get result in
+  Mutex.unlock gate;
+  Thread.join submitter;
+  Driver.Pool.shutdown pool;
+  match before_release with
+  | None -> Alcotest.fail "run_jobs waited for the blocked worker"
+  | Some results ->
+    Alcotest.(check string) "the caller ran the batch alone" reference
+      (doc jobs results)
 
 let test_concurrent_submitters () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let reference = doc jobs (List.map Driver.Job.run jobs) in
-    let pool = Driver.Pool.create ~domains:2 () in
-    Fun.protect
-      ~finally:(fun () -> Driver.Pool.shutdown pool)
-      (fun () ->
-        let batch () = doc jobs (Driver.Pool.run_jobs pool jobs) in
-        (* Four systhreads share the main domain's seat; the extra domain
-           has a seat of its own. *)
-        let threads =
-          List.init 4 (fun _ ->
-              let out = ref "" in
-              (Thread.create (fun () -> out := batch ()) (), out))
-        in
-        let other = Domain.spawn batch in
-        let docs =
-          List.map
-            (fun (thread, out) ->
-              Thread.join thread;
-              !out)
-            threads
-          @ [ Domain.join other ]
-        in
-        List.iteri
-          (fun i d ->
-            Alcotest.(check string)
-              (Printf.sprintf "submitter %d equals the sequential run" i)
-              reference d)
-          docs)
+  let jobs = table1_jobs () in
+  let reference = doc jobs (List.map Driver.Job.run jobs) in
+  let pool = Driver.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Driver.Pool.shutdown pool)
+    (fun () ->
+      let batch () = doc jobs (Driver.Pool.run_jobs pool jobs) in
+      (* Four systhreads share the main domain's seat; the extra domain
+         has a seat of its own. *)
+      let threads =
+        List.init 4 (fun _ ->
+            let out = ref "" in
+            (Thread.create (fun () -> out := batch ()) (), out))
+      in
+      let other = Domain.spawn batch in
+      let docs =
+        List.map
+          (fun (thread, out) ->
+            Thread.join thread;
+            !out)
+          threads
+        @ [ Domain.join other ]
+      in
+      List.iteri
+        (fun i d ->
+          Alcotest.(check string)
+            (Printf.sprintf "submitter %d equals the sequential run" i)
+            reference d)
+        docs)
 
 (* The seat keeps a job's deadline to itself: a job without a timeout
    must never see the deadline of a job that another systhread of its
@@ -441,78 +476,74 @@ let replied c =
   | _ -> true
 
 let test_serve_socket () =
-  match table1_objects () with
-  | None -> ()
-  | Some objects ->
-    (* Two requests, each half of Table 1, with the reply Batch.run's
-       results give for the same jobs. *)
-    let half keep =
-      let objects = List.filteri (fun i _ -> keep i) objects in
-      let jobs = jobs_of objects in
-      ( Driver.Json.to_string
-          (Driver.Json.Obj
-             [
-               ("jobs", Driver.Json.List objects);
-               ("deterministic", Driver.Json.Bool true);
-             ]),
-        doc jobs (Driver.Batch.run jobs).Driver.Batch.results )
-    in
-    let requests = [ half (fun i -> i mod 2 = 0); half (fun i -> i mod 2 = 1) ] in
-    let long = temp_file ".dfl" (loop_source 100_000_000) in
-    let path = Filename.temp_file "record" ".sock" in
-    let config =
-      {
-        Driver.Serve.domains = 2;
-        deterministic = false;
-        cache = Some (Driver.Cache.create ());
-        matcher = None;
-      }
-    in
-    let daemon = Domain.spawn (fun () -> Driver.Serve.run_socket config ~path) in
-    let clients = List.map (fun _ -> connect path) requests in
-    List.iter2 (fun c (line, _) -> send c line) clients requests;
-    List.iter2
-      (fun c (_, expected) ->
-        Alcotest.(check string) "reply equals Batch.run" expected
-          (input_line c.ic))
-      clients requests;
-    List.iter (fun c -> close_in c.ic) clients;
-    let slow = connect path in
-    send slow
-      (Printf.sprintf
-         {|[{"file": %S, "target": "tic25", "kind": "simulate", "inputs": {"a": [1]}}]|}
-         long);
-    Thread.delay 0.2;
-    let control = connect path in
-    send control {|{"op": "ping"}|};
-    Alcotest.(check string) "ping answered"
-      {|{"protocol":"record-serve-1","status":"ok"}|} (input_line control.ic);
-    Alcotest.(check bool) "before the long batch replies" false (replied slow);
-    Alcotest.(check bool) "the long batch completes" true
-      (contains ~sub:{|"status":"done"|} (input_line slow.ic));
-    close_in slow.ic;
-    send control {|{"op": "shutdown"}|};
-    ignore (input_line control.ic);
-    close_in control.ic;
-    Domain.join daemon;
-    Sys.remove long;
-    Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
+  let objects = table1_objects () in
+  (* Two requests, each half of Table 1, with the reply Batch.run's
+     results give for the same jobs. *)
+  let half keep =
+    let objects = List.filteri (fun i _ -> keep i) objects in
+    let jobs = jobs_of objects in
+    ( Driver.Json.to_string
+        (Driver.Json.Obj
+           [
+             ("jobs", Driver.Json.List objects);
+             ("deterministic", Driver.Json.Bool true);
+           ]),
+      doc jobs (Driver.Batch.run jobs).Driver.Batch.results )
+  in
+  let requests = [ half (fun i -> i mod 2 = 0); half (fun i -> i mod 2 = 1) ] in
+  let long = temp_file ".dfl" (loop_source 100_000_000) in
+  let path = Filename.temp_file "record" ".sock" in
+  let config =
+    {
+      Driver.Serve.domains = 2;
+      deterministic = false;
+      cache = Some (Driver.Cache.create ());
+      matcher = None;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Driver.Serve.run_socket config ~path) in
+  let clients = List.map (fun _ -> connect path) requests in
+  List.iter2 (fun c (line, _) -> send c line) clients requests;
+  List.iter2
+    (fun c (_, expected) ->
+      Alcotest.(check string) "reply equals Batch.run" expected
+        (input_line c.ic))
+    clients requests;
+  List.iter (fun c -> close_in c.ic) clients;
+  let slow = connect path in
+  send slow
+    (Printf.sprintf
+       {|[{"file": %S, "target": "tic25", "kind": "simulate", "inputs": {"a": [1]}}]|}
+       long);
+  Thread.delay 0.2;
+  let control = connect path in
+  send control {|{"op": "ping"}|};
+  Alcotest.(check string) "ping answered"
+    {|{"protocol":"record-serve-1","status":"ok"}|} (input_line control.ic);
+  Alcotest.(check bool) "before the long batch replies" false (replied slow);
+  Alcotest.(check bool) "the long batch completes" true
+    (contains ~sub:{|"status":"done"|} (input_line slow.ic));
+  close_in slow.ic;
+  send control {|{"op": "shutdown"}|};
+  ignore (input_line control.ic);
+  close_in control.ic;
+  Domain.join daemon;
+  Sys.remove long;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path)
 
 let test_pool_shared_cache () =
   (* Jobs repeated within one pooled run hit the shared memory tier. *)
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let cache = Driver.Cache.create () in
-    let some = List.filteri (fun i _ -> i < 8) jobs in
-    ignore (Driver.Batch.run ~domains:2 ~cache some);
-    let report = Driver.Batch.run ~domains:2 ~cache some in
-    Alcotest.(check int) "second pooled run all cache hits"
-      (Driver.Batch.completed report)
-      (Driver.Batch.hits report);
-    let c = Driver.Cache.counters cache in
-    Alcotest.(check bool) "memory hits recorded" true
-      (c.Driver.Cache.memory_hits >= List.length some)
+  let jobs = table1_jobs () in
+  let cache = Driver.Cache.create () in
+  let some = List.filteri (fun i _ -> i < 8) jobs in
+  ignore (Driver.Batch.run ~domains:2 ~cache some);
+  let report = Driver.Batch.run ~domains:2 ~cache some in
+  Alcotest.(check int) "second pooled run all cache hits"
+    (Driver.Batch.completed report)
+    (Driver.Batch.hits report);
+  let c = Driver.Cache.counters cache in
+  Alcotest.(check bool) "memory hits recorded" true
+    (c.Driver.Cache.memory_hits >= List.length some)
 
 (* ---- protocol hardening ---------------------------------------------------- *)
 
@@ -617,45 +648,41 @@ let test_inputs_checked () =
     ];
   (* [record compile --input] applies the same check, with or without
      --check, before anything runs. *)
-  if Sys.file_exists cli then begin
-    let src = temp_file ".dfl" fir4 in
-    List.iter
-      (fun check ->
-        let code, msg =
-          run_cli
-            (Printf.sprintf
-               "compile %s --no-cache -i x0=1,5,5,5,5 -i x=1,1,1,1%s" src check)
-        in
-        Alcotest.(check int) ("compile" ^ check ^ " exits 1") 1 code;
-        Alcotest.(check string) ("compile" ^ check ^ " names the input")
-          "record: input \"x0\" has 5 values, fir declares 1\n" msg)
-      [ ""; " --check" ];
-    Sys.remove src
-  end
+  let src = temp_file ".dfl" fir4 in
+  List.iter
+    (fun check ->
+      let code, msg =
+        run_cli
+          (Printf.sprintf
+             "compile %s --no-cache -i x0=1,5,5,5,5 -i x=1,1,1,1%s" src check)
+      in
+      Alcotest.(check int) ("compile" ^ check ^ " exits 1") 1 code;
+      Alcotest.(check string) ("compile" ^ check ^ " names the input")
+        "record: input \"x0\" has 5 values, fir declares 1\n" msg)
+    [ ""; " --check" ];
+  Sys.remove src
 
 (* compile, ise --compile and timing share one DFL loader: a source that
    cannot be read (a directory) or parsed exits 1 naming the file, never
    with an uncaught exception. *)
 let test_source_errors () =
-  if Sys.file_exists cli then begin
-    let dir = Filename.get_temp_dir_name () in
-    let bad = temp_file ".dfl" "program p; begin u = ; end" in
-    List.iter
-      (fun command ->
-        List.iter
-          (fun file ->
-            let code, msg =
-              run_cli (Printf.sprintf "%s %s" command (Filename.quote file))
-            in
-            Alcotest.(check int) (command ^ " " ^ file ^ " exits 1") 1 code;
-            Alcotest.(check bool)
-              (msg ^ " names " ^ file)
-              true
-              (String.starts_with ~prefix:("record: " ^ file ^ ": ") msg))
-          [ dir; bad ])
-      [ "compile --no-cache"; "ise --compile"; "timing" ];
-    Sys.remove bad
-  end
+  let dir = Filename.get_temp_dir_name () in
+  let bad = temp_file ".dfl" "program p; begin u = ; end" in
+  List.iter
+    (fun command ->
+      List.iter
+        (fun file ->
+          let code, msg =
+            run_cli (Printf.sprintf "%s %s" command (Filename.quote file))
+          in
+          Alcotest.(check int) (command ^ " " ^ file ^ " exits 1") 1 code;
+          Alcotest.(check bool)
+            (msg ^ " names " ^ file)
+            true
+            (String.starts_with ~prefix:("record: " ^ file ^ ": ") msg))
+        [ dir; bad ])
+    [ "compile --no-cache"; "ise --compile"; "timing" ];
+  Sys.remove bad
 
 (* The dp-vs-table differential over the Table-1 job matrix: every job run
    as decoded (the automaton) and again with the DP reference engine gives
@@ -664,44 +691,42 @@ let test_source_errors () =
    cache key (the options digest names the engine) and [variants_tried]
    (state pruning ranks fewer variants). *)
 let test_engines_agree_on_jobs () =
-  match table1_jobs () with
-  | None -> ()
-  | Some jobs ->
-    let table_variants = ref 0 and dp_variants = ref 0 in
-    let run variants (j : Driver.Job.t) =
-      let r = Driver.Job.run j in
-      let r =
-        match r.Driver.Job.status with
-        | Driver.Job.Done s ->
-          let tried = s.Driver.Job.stats.Record.Pipeline.variants_tried in
-          variants := !variants + tried;
-          let stats =
-            { s.Driver.Job.stats with Record.Pipeline.variants_tried = 0 }
-          in
-          { r with status = Driver.Job.Done { s with key = ""; stats } }
-        | Driver.Job.Unsupported _ | Driver.Job.Failed _
-        | Driver.Job.Timed_out _ | Driver.Job.Crashed _ ->
-          r
-      in
-      Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
-    in
-    Alcotest.(check int) "the 40 Table-1 jobs" 40 (List.length jobs);
-    List.iter
-      (fun (j : Driver.Job.t) ->
-        let dp =
-          {
-            j with
-            options = Record.Options.with_matcher Burg.Matcher.Dp j.options;
-          }
+  let jobs = table1_jobs () in
+  let table_variants = ref 0 and dp_variants = ref 0 in
+  let run variants (j : Driver.Job.t) =
+    let r = Driver.Job.run j in
+    let r =
+      match r.Driver.Job.status with
+      | Driver.Job.Done s ->
+        let tried = s.Driver.Job.stats.Record.Pipeline.variants_tried in
+        variants := !variants + tried;
+        let stats =
+          { s.Driver.Job.stats with Record.Pipeline.variants_tried = 0 }
         in
-        Alcotest.(check string) j.label (run table_variants j)
-          (run dp_variants dp))
-      jobs;
-    Alcotest.(check bool)
-      (Printf.sprintf "dp ranks more variants than table (%d > %d)"
-         !dp_variants !table_variants)
-      true
-      (!dp_variants > !table_variants)
+        { r with status = Driver.Job.Done { s with key = ""; stats } }
+      | Driver.Job.Unsupported _ | Driver.Job.Failed _
+      | Driver.Job.Timed_out _ | Driver.Job.Crashed _ ->
+        r
+    in
+    Driver.Json.to_string (Driver.Job.result_to_json ~deterministic:true r)
+  in
+  Alcotest.(check int) "the 40 Table-1 jobs" 40 (List.length jobs);
+  List.iter
+    (fun (j : Driver.Job.t) ->
+      let dp =
+        {
+          j with
+          options = Record.Options.with_matcher Burg.Matcher.Dp j.options;
+        }
+      in
+      Alcotest.(check string) j.label (run table_variants j)
+        (run dp_variants dp))
+    jobs;
+  Alcotest.(check bool)
+    (Printf.sprintf "dp ranks more variants than table (%d > %d)"
+       !dp_variants !table_variants)
+    true
+    (!dp_variants > !table_variants)
 
 let test_eviction_counter () =
   let cache = Driver.Cache.create ~memory_slots:2 () in

@@ -484,19 +484,16 @@ let test_json_errors () =
 let test_json_parses_jobs_file () =
   (* The checked-in CI jobs file must parse and have the advertised
      shape: 10 kernels x 4 targets. *)
-  let path = "../bench/jobs_table1.json" in
-  if Sys.file_exists path then begin
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Driver.Json.of_string text with
-    | Error msg -> Alcotest.fail msg
-    | Ok doc -> (
-      match Driver.Json.member "jobs" doc with
-      | Some (Driver.Json.List jobs) ->
-        Alcotest.(check int) "40 jobs" 40 (List.length jobs)
-      | Some _ | None -> Alcotest.fail "jobs array missing")
-  end
+  let ic = open_in (Paths.jobs_table1 ()) in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Driver.Json.of_string text with
+  | Error msg -> Alcotest.fail msg
+  | Ok doc -> (
+    match Driver.Json.member "jobs" doc with
+    | Some (Driver.Json.List jobs) ->
+      Alcotest.(check int) "40 jobs" 40 (List.length jobs)
+    | Some _ | None -> Alcotest.fail "jobs array missing")
 
 let suites =
   [

@@ -430,6 +430,142 @@ let test_compaction_sequential_machine_identity () =
   let packed = Opt.Compaction.run Target.Tic25.machine asm in
   Alcotest.(check int) "unchanged" 2 (Target.Asm.instr_count packed)
 
+(* The greedy packer as it was before dependence edges and ready counts:
+   for every candidate, [ready] rescans every earlier instruction with
+   {!Opt.Compaction.depends}.  Cubic, and kept as the reference the
+   packer must agree with word for word. *)
+let reference_pack slots word_ok (instrs : Target.Instr.t list) =
+  let depends = Opt.Compaction.depends in
+  let arr = Array.of_list instrs in
+  let n = Array.length arr in
+  let scheduled = Array.make n false in
+  let words = ref [] in
+  let ready k =
+    let rec ok l =
+      l >= k || ((scheduled.(l) || not (depends arr.(l) arr.(k))) && ok (l + 1))
+    in
+    ok 0
+  in
+  let capacity funit =
+    match List.assoc_opt funit slots with Some c -> c | None -> 0
+  in
+  let packable (i : Target.Instr.t) = capacity i.funit > 0 && i.words = 1 in
+  let remaining = ref n in
+  while !remaining > 0 do
+    let word = ref [] in
+    let used = Hashtbl.create 4 in
+    let take k =
+      let i = arr.(k) in
+      let cnt =
+        Option.value ~default:0 (Hashtbl.find_opt used i.Target.Instr.funit)
+      in
+      word := i :: !word;
+      Hashtbl.replace used i.Target.Instr.funit (cnt + 1);
+      scheduled.(k) <- true;
+      decr remaining
+    in
+    let opener =
+      let rec find k =
+        if k >= n then None
+        else if (not scheduled.(k)) && ready k then Some k
+        else find (k + 1)
+      in
+      find 0
+    in
+    (match opener with
+    | None -> assert false
+    | Some k0 ->
+      take k0;
+      if packable arr.(k0) then
+        for k = k0 + 1 to n - 1 do
+          let i = arr.(k) in
+          let cnt =
+            Option.value ~default:0
+              (Hashtbl.find_opt used i.Target.Instr.funit)
+          in
+          if
+            (not scheduled.(k)) && ready k && packable i
+            && capacity i.Target.Instr.funit > cnt
+            && List.for_all (fun j -> not (depends j i || depends i j)) !word
+            && word_ok (List.rev (i :: !word))
+          then take k
+        done);
+    match List.rev !word with
+    | [] -> ()
+    | [ single ] -> words := Target.Asm.Op single :: !words
+    | multi -> words := Target.Asm.Par multi :: !words
+  done;
+  List.rev !words
+
+(* Random blocks: register, direct, indirect and post-modifying operands
+   over a few registers and memory bases, mode reads and writes, units
+   with and without a slot, and two-word instructions. *)
+let gen_block =
+  let open QCheck.Gen in
+  let base = oneofl [ "a"; "b"; "c"; "d" ] in
+  let reg cls = map (fun idx -> Target.Instr.Reg { Target.Instr.cls; idx }) (int_bound 2) in
+  let operand =
+    frequency
+      [
+        (3, reg "acc");
+        (3, reg "xy");
+        (3, map (fun b -> dir b) base);
+        ( 3,
+          map3
+            (fun ar u over ->
+              Target.Instr.Ind (ar, u, Option.map Ir.Mref.scalar over))
+            (reg "ar")
+            (oneofl Target.Instr.[ No_update; Post_inc; Post_dec ])
+            (opt base) );
+        (1, map (fun k -> Target.Instr.Imm k) (int_bound 9));
+      ]
+  in
+  let mode = opt (map (fun v -> ("sm", v)) (int_bound 1)) in
+  let instr =
+    map
+      (fun ((defs, uses), (funit, words), (mode_req, mode_set)) ->
+        Target.Instr.make "OP" ~operands:(uses @ defs) ~defs ~uses ~funit
+          ~words ?mode_req ?mode_set)
+      (triple
+         (pair (list_size (int_bound 1) operand) (list_size (int_bound 2) operand))
+         (pair
+            (oneofl [ "alu"; "move"; "move"; "ctl"; "agu" ])
+            (frequency [ (5, return 1); (1, return 2) ]))
+         (pair mode (frequency [ (4, return None); (1, mode) ])))
+  in
+  list_size (int_bound 24) instr
+
+(* A bank rule like the 56000's: the direct operands of one word name
+   different banks, a and c in x, b and d in y. *)
+let bank_word_ok instrs =
+  let banks =
+    List.concat_map
+      (fun (i : Target.Instr.t) ->
+        List.filter_map
+          (function
+            | Target.Instr.Dir r ->
+              Some (if r.Ir.Mref.base = "a" || r.Ir.Mref.base = "c" then "x" else "y")
+            | _ -> None)
+          i.operands)
+      instrs
+  in
+  List.length (List.sort_uniq compare banks) = List.length banks
+
+let prop_compaction_matches_reference =
+  QCheck.Test.make ~name:"compaction packs the reference's words" ~count:500
+    (QCheck.make
+       ~print:(fun b ->
+         String.concat "; " (List.map Target.Instr.to_string b))
+       gen_block)
+    (fun block ->
+      let machine = Target.Dsp56.machine in
+      let slots = Option.get machine.Target.Machine.slots in
+      let packed =
+        Opt.Compaction.run ~word_ok:bank_word_ok machine
+          (Target.Asm.make ~name:"t" (List.map op block))
+      in
+      packed.Target.Asm.items = reference_pack slots bank_word_ok block)
+
 (* ---- Membank ------------------------------------------------------------------ *)
 
 let test_membank_splits_pairs () =
@@ -534,6 +670,7 @@ let suites =
           test_compaction_ctl_never_packs;
         Alcotest.test_case "sequential machine unchanged" `Quick
           test_compaction_sequential_machine_identity;
+        QCheck_alcotest.to_alcotest prop_compaction_matches_reference;
       ] );
     ( "opt.membank",
       [

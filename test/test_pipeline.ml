@@ -651,9 +651,8 @@ let long_statement prefix n =
 (* An 8x longer program may allocate at most 12x the words (8x is linear).
    Every compilation names its variables after (machine, shape, option set,
    n), so the rewrite memo and the matcher's labels start cold each time.
-   Left out until compaction and the variant search are linear too: the
-   straight-line program under [record_] on dsp56 (compaction, 58x) and
-   the long statement under [record_] (variant search, 24-55x). *)
+   Left out until the variant search is linear too: the long statement
+   under [record_] (24-55x). *)
 let max_growth = 12.0
 
 let check_growth label ~input ~run =
@@ -693,8 +692,7 @@ let scaling_suite =
   ( "pipeline.scaling",
     [
       case "straight-line program, conventional" line conv all;
-      case "straight-line program, record" line record
-        (List.filter (fun (m : Target.Machine.t) -> m.name <> "dsp56") all);
+      case "straight-line program, record" line record all;
       case "long statement, conventional" long conv all;
       Alcotest.test_case "bank-assignment pair weights" `Quick
         test_pair_weights_scaling;
