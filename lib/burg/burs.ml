@@ -121,15 +121,9 @@ let shape_binop op = 2 + n_unops + binop_tag op
 module Ktbl = Hashtbl.Make (struct
   type t = nkey
 
-  let rec sig_equal a b =
-    match (a, b) with
-    | [], [] -> true
-    | x :: a, y :: b -> x = y && sig_equal a b
-    | _ -> false
-
   let equal x y =
     x.k_shape = y.k_shape && x.k_a = y.k_a && x.k_b = y.k_b
-    && sig_equal x.k_sig y.k_sig
+    && List.equal Int.equal x.k_sig y.k_sig
 
   let step h x = (h * 0x2545F4914F6CDD1D) + x
 

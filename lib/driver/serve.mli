@@ -10,7 +10,13 @@
     line: the record-batch-1 results document, compact-encoded, or a
     record-serve-1 status document. Responses are byte-deterministic under
     [deterministic] exactly like [record batch --deterministic], whatever
-    the pool size. *)
+    the pool size.
+
+    A [stats] reply carries the pool width, the jobs served, the cache
+    counters, and the intern table's [hashcons] object: [live], [hits],
+    [misses], and [max_chain], the longest probe run of its interior-node
+    table ({!Ir.Hashcons.max_chain}; it stays in the tens while shard and
+    slot indices come from disjoint hash bits). *)
 
 type config = {
   domains : int;  (** worker domains in the pool *)

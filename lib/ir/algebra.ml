@@ -80,28 +80,14 @@ let root_rewrites rs (h : Hashcons.h) tail =
     | Tree.Unop (Op.Neg, Tree.Const k) -> const (-k) :: acc
     | _ -> acc
 
-(* The spine rebuilt above each rewrite of an operand, in the operand's
-   rewrite order, consed onto [tail]: one pass, one list. *)
-let rec under_unop op l =
-  match l with
-  | [] -> []
-  | a' :: rest ->
-    let v = Hashcons.unop op a' in
-    v :: under_unop op rest
-
-let rec with_left op l b tail =
+(* [f] of each element in order, consed onto [tail]: the spine rebuilt
+   above each rewrite of an operand, in one pass and one list. *)
+let rec map_onto f l tail =
   match l with
   | [] -> tail
-  | a' :: rest ->
-    let v = Hashcons.binop op a' b in
-    v :: with_left op rest b tail
-
-let rec with_right op a l =
-  match l with
-  | [] -> []
-  | b' :: rest ->
-    let v = Hashcons.binop op a b' in
-    v :: with_right op a rest
+  | x :: rest ->
+    let y = f x in
+    y :: map_onto f rest tail
 
 (* One-step rewrites anywhere in the tree, in pre-order (root first, then
    the left subtree's positions, then the right's).  The list is a pure
@@ -127,11 +113,12 @@ let rec rw rs (h : Hashcons.h) =
     let below =
       match h.node with
       | Tree.Const _ | Tree.Ref _ -> []
-      | Tree.Unop (op, _) -> under_unop op (rw rs h.kids.(0))
+      | Tree.Unop (op, _) ->
+        map_onto (fun a' -> Hashcons.unop op a') (rw rs h.kids.(0)) []
       | Tree.Binop (op, _, _) ->
         let a = h.kids.(0) and b = h.kids.(1) in
-        let right = with_right op a (rw rs b) in
-        with_left op (rw rs a) b right
+        let right = map_onto (fun b' -> Hashcons.binop op a b') (rw rs b) [] in
+        map_onto (fun a' -> Hashcons.binop op a' b) (rw rs a) right
     in
     let l = root_rewrites rs h below in
     Idtab.set rs.memo h.id (Some l);

@@ -167,20 +167,15 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
       (Array.map (fun i -> List.sort_uniq compare (writes i)) arr)
   in
   let unscheduled = Array.map List.length preds in
-  let scheduled = Array.make n false in
-  (* The word each instruction went into. *)
+  (* The word each instruction went into, -1 while unscheduled. *)
   let word_of = Array.make n (-1) in
   let units = Array.of_list slots in
-  (* Each instruction's slot kind (the first of its unit), or -1. *)
+  (* Each instruction's slot kind (the first entry for its unit), or -1. *)
   let unit_of =
     Array.map
       (fun (i : Target.Instr.t) ->
-        let rec find u =
-          if u >= Array.length units then -1
-          else if fst units.(u) = i.funit then u
-          else find (u + 1)
-        in
-        find 0)
+        Option.value ~default:(-1)
+          (List.find_index (fun (u, _) -> u = i.funit) slots))
       arr
   in
   let capacity k = if unit_of.(k) < 0 then 0 else snd units.(unit_of.(k)) in
@@ -195,7 +190,6 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
     let take k =
       word := arr.(k) :: !word;
       if unit_of.(k) >= 0 then used.(unit_of.(k)) <- used.(unit_of.(k)) + 1;
-      scheduled.(k) <- true;
       word_of.(k) <- !w;
       List.iter (fun l -> unscheduled.(l) <- unscheduled.(l) - 1) succs.(k)
     in
@@ -204,7 +198,7 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
     if packable k0 then
       for k = k0 + 1 to n - 1 do
         if
-          (not scheduled.(k))
+          word_of.(k) < 0
           && unscheduled.(k) = 0 && packable k
           && capacity k > used.(unit_of.(k))
           && List.for_all (fun l -> word_of.(l) <> !w) preds.(k)
@@ -212,11 +206,10 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
         then take k
       done;
     (match List.rev !word with
-    | [] -> ()
     | [ single ] -> words := Target.Asm.Op single :: !words
     | multi -> words := Target.Asm.Par multi :: !words);
     incr w;
-    while !first < n && scheduled.(!first) do
+    while !first < n && word_of.(!first) >= 0 do
       incr first
     done
   done;
