@@ -76,7 +76,7 @@ let test_concurrent_interning_agrees () =
      test domain reproduces them. *)
   Alcotest.(check (list int)) "main domain agrees too" per_domain.(0)
     (List.map (fun i -> (Ir.Hashcons.intern (tree i)).Ir.Hashcons.id) indices);
-  (* Fresh structures, under names no other test uses: about 15,000 new
+  (* Fresh structures, under names no other test uses: about 12,000 new
      interior nodes, so every shard's table doubles several times while
      the domains race to fill it. Neighbouring trees share a subtree. *)
   let n_fresh = 3_000 in
