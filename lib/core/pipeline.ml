@@ -241,7 +241,7 @@ let rec lower machine matcher ctx (options : Options.t) stats variants dag
     | Options.Materialize_ivar | Options.Streams -> fun op -> op
   in
   let tree_stmt (s : Ir.Prog.stmt) =
-    Sim.Deadline.check ();
+    Ir.Deadline.check ();
     let rewrite = rewrite_for s in
     let addr_pre = Target.Machine.drain ctx in
     let cover = select matcher variants stats s.src in
@@ -256,7 +256,7 @@ let rec lower machine matcher ctx (options : Options.t) stats variants dag
     match dag with
     | None -> List.concat_map tree_stmt stmts
     | Some d ->
-      Sim.Deadline.check ();
+      Ir.Deadline.check ();
       let instrs =
         try
           Select.Dag.lower_run ~machine ~matcher ~variants
@@ -373,7 +373,7 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
     let t0 = Unix.gettimeofday () in
     let r = f () in
     spans := (name, (Unix.gettimeofday () -. t0) *. 1000.0) :: !spans;
-    Sim.Deadline.check ();
+    Ir.Deadline.check ();
     r
   in
   timed "validate" (fun () ->

@@ -83,9 +83,10 @@ val compile :
     @raise Error when the program cannot be compiled for the machine (no
     cover, AGU exhaustion, register pressure, mode verification failure).
     @raise Invalid_argument when [matcher] was built for another grammar.
-    @raise Sim.Deadline.Expired when the calling domain's deadline passes;
-    it is polled after every phase and, during selection, before every
-    statement (tree mode) or statement run (dag mode). *)
+    @raise Ir.Deadline.Expired when the calling domain's deadline passes;
+    it is polled after every phase; during selection, before every
+    statement (tree mode) or statement run (dag mode); and inside the long
+    passes (see {!Ir.Deadline}). *)
 
 val words : compiled -> int
 (** Code size in instruction words. *)

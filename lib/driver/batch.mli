@@ -12,7 +12,7 @@
     A job that raises is reported [Failed] without disturbing its
     neighbours. With [timeout], each job gets its own wall-clock deadline
     from the moment it starts; the pipeline and the compiled simulator
-    poll it ({!Sim.Deadline}), and a job that runs past it reports
+    poll it ({!Ir.Deadline}), and a job that runs past it reports
     [Timed_out] while the rest of the batch completes. *)
 
 type report = {

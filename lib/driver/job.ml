@@ -112,8 +112,8 @@ let run ?cache ?timeout job =
     match timeout with
     | None -> execute ()
     | Some seconds -> (
-      try Sim.Deadline.within seconds execute
-      with Sim.Deadline.Expired -> Timed_out seconds)
+      try Ir.Deadline.within seconds execute
+      with Ir.Deadline.Expired -> Timed_out seconds)
   in
   { job = job.id; label = job.label; status }
 

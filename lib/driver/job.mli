@@ -81,7 +81,7 @@ type result = { job : int; label : string; status : status }
 val run : ?cache:Cache.t -> ?timeout:float -> t -> result
 (** Execute one job in-process: resolve the target via {!Registry},
     compile through {!Service}, then simulate or analyze per [kind]. With
-    [timeout] (seconds, positive) the job runs under a {!Sim.Deadline}
+    [timeout] (seconds, positive) the job runs under a {!Ir.Deadline}
     that the pipeline and the compiled simulator poll; a job still running
     when it passes reports [Timed_out]. All failures are captured in the
     result — [run] does not raise. *)

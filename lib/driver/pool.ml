@@ -110,7 +110,7 @@ let exec ?cache ?timeout (job : Job.t) =
     }
 
 (* A domain's seat.  The rewrite memo ([Ir.Algebra]) and the job deadline
-   ([Sim.Deadline]) are domain-local and unsynchronized, and several
+   ([Ir.Deadline]) are domain-local and unsynchronized, and several
    systhreads of one domain may submit at once (serve's connection
    handlers), so a submitter computes jobs only while it holds its
    domain's seat. *)

@@ -120,6 +120,9 @@ let rec rw rs (h : Hashcons.h) =
         let right = map_onto (fun b' -> Hashcons.binop op a b') (rw rs b) [] in
         map_onto (fun a' -> Hashcons.binop op a' b) (rw rs a) right
     in
+    (* Polled on the way back up: the spines above the children's
+       rewrites, just built, are where a deep tree's work lies. *)
+    Deadline.check ();
     let l = root_rewrites rs h below in
     Idtab.set rs.memo h.id (Some l);
     l
@@ -240,6 +243,7 @@ let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
   let rec drain () =
     if (not (Queue.is_empty queue)) && !n < limit then begin
       let cur = Queue.pop queue in
+      Deadline.check ();
       List.iter
         (fun h' ->
           let key = Hashcons.id h' in

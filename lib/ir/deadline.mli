@@ -4,9 +4,13 @@
     job (a pool domain runs one job at a time). Long-running code polls it
     with {!check} at points where abandoning the work leaves no shared
     state half-updated: the pipeline between phases and between
-    statements or selection runs, and the compiled simulator once per
-    chunk of loop trips. Nothing polls inside a lock, so an expired job
-    leaves no lock held and no partial cache entry. *)
+    statements or selection runs; inside the long passes, the rewrite
+    memo of {!Algebra} once per miss (after the children's lists are
+    built), the variant search once per node it expands, peephole and
+    compaction once per block, register allocation once per attempt; and
+    the compiled simulator once per chunk of loop trips. Nothing polls
+    inside a lock, so an expired job leaves no lock held and no partial
+    cache entry. *)
 
 exception Expired
 

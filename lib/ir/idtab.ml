@@ -5,7 +5,12 @@
    deterministic per slot, so a lost write only costs a recomputation,
    never a wrong answer. *)
 
-let chunk_bits = 16
+(* 1,024 slots (8 KB): small enough that a table touching a few hundred
+   ids — a matcher that labels a handful of kernels — costs kilobytes, not
+   the 512 KB of a 65,536-slot chunk; still larger than the minor heap's
+   largest block, so a chunk is allocated directly in the major heap.  The
+   spine is the price: one cell per 1,024 ids up to the highest id set. *)
+let chunk_bits = 10
 let chunk_size = 1 lsl chunk_bits
 let chunk_mask = chunk_size - 1
 

@@ -8,6 +8,10 @@
     whichever write lands, readers see either the absent value (recompute)
     or the one correct value. OCaml values never tear.
 
+    Memory is in proportion to the ids a table touches: 8 KB for each
+    1,024-id range that holds at least one set slot, plus one spine cell
+    per 1,024 ids up to the highest id set.
+
     Each table has an {e absent} value, the value of every slot never set.
     Callers keep their payloads distinguishable from it: the BURS matcher
     packs [state_id >= 1] into the low bits of an [int] table whose absent

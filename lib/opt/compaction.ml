@@ -152,13 +152,25 @@ let edges (reads : loc list array) (writes : loc list array) =
   done;
   (preds, succs)
 
+(* Two ascending index lists merged; the tail of [l] past the last element
+   of [fresh] is shared, not copied. *)
+let rec merge fresh l =
+  match (fresh, l) with
+  | [], l | l, [] -> l
+  | f :: fs, k :: ks -> if f < k then f :: merge fs l else k :: merge fresh ks
+
 (* Greedy list compaction of one block: repeatedly open a word with the
    first unscheduled instruction (every earlier one is scheduled, so it is
    ready), then top it up with later ready instructions that fit a free
-   slot and depend on nothing already in the word.  Ready means that every
-   predecessor is scheduled: a count per instruction, decremented as its
-   predecessors are taken. *)
+   slot.  Ready means that every predecessor is scheduled: a count per
+   instruction, decremented as its predecessors are taken.  The ready
+   instructions are kept in index order, and only those ready when the
+   word opens are scanned: one that becomes ready on the way has a
+   predecessor in the word, while those ready at the opening have every
+   predecessor in earlier words, so no dependence test is needed.  The
+   scan stops once every slot is filled. *)
 let pack_block slots word_ok (instrs : Target.Instr.t list) =
+  Ir.Deadline.check ();
   let arr = Array.of_list instrs in
   let n = Array.length arr in
   let preds, succs =
@@ -167,8 +179,6 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
       (Array.map (fun i -> List.sort_uniq compare (writes i)) arr)
   in
   let unscheduled = Array.map List.length preds in
-  (* The word each instruction went into, -1 while unscheduled. *)
-  let word_of = Array.make n (-1) in
   let units = Array.of_list slots in
   (* Each instruction's slot kind (the first entry for its unit), or -1. *)
   let unit_of =
@@ -180,40 +190,50 @@ let pack_block slots word_ok (instrs : Target.Instr.t list) =
   in
   let capacity k = if unit_of.(k) < 0 then 0 else snd units.(unit_of.(k)) in
   let packable k = capacity k > 0 && arr.(k).Target.Instr.words = 1 in
+  let slot_count = List.fold_left (fun s (_, c) -> s + max 0 c) 0 slots in
   let used = Array.make (Array.length units) 0 in
-  let words = ref [] in
-  let first = ref 0 in
-  let w = ref 0 in
-  while !first < n do
-    let word = ref [] in
-    Array.fill used 0 (Array.length used) 0;
-    let take k =
-      word := arr.(k) :: !word;
-      if unit_of.(k) >= 0 then used.(unit_of.(k)) <- used.(unit_of.(k)) + 1;
-      word_of.(k) <- !w;
-      List.iter (fun l -> unscheduled.(l) <- unscheduled.(l) - 1) succs.(k)
-    in
-    let k0 = !first in
-    take k0;
-    if packable k0 then
-      for k = k0 + 1 to n - 1 do
-        if
-          word_of.(k) < 0
-          && unscheduled.(k) = 0 && packable k
-          && capacity k > used.(unit_of.(k))
-          && List.for_all (fun l -> word_of.(l) <> !w) preds.(k)
-          && word_ok (List.rev (arr.(k) :: !word))
-        then take k
-      done;
-    (match List.rev !word with
-    | [ single ] -> words := Target.Asm.Op single :: !words
-    | multi -> words := Target.Asm.Par multi :: !words);
-    incr w;
-    while !first < n && word_of.(!first) >= 0 do
-      incr first
-    done
-  done;
-  List.rev !words
+  (* The words packed from the ready list on, after [words] (last first). *)
+  let rec pack words = function
+    | [] -> List.rev words
+    | k0 :: ready ->
+      let word = ref [] and fresh = ref [] in
+      Array.fill used 0 (Array.length used) 0;
+      let take k =
+        word := arr.(k) :: !word;
+        if unit_of.(k) >= 0 then used.(unit_of.(k)) <- used.(unit_of.(k)) + 1;
+        List.iter
+          (fun l ->
+            unscheduled.(l) <- unscheduled.(l) - 1;
+            if unscheduled.(l) = 0 then fresh := l :: !fresh)
+          succs.(k)
+      in
+      (* The ready list without the instructions taken, in order. *)
+      let rec top_up free kept = function
+        | [] -> List.rev kept
+        | rest when free = 0 -> List.rev_append kept rest
+        | k :: rest ->
+          if
+            packable k
+            && capacity k > used.(unit_of.(k))
+            && word_ok (List.rev (arr.(k) :: !word))
+          then begin
+            take k;
+            top_up (free - 1) kept rest
+          end
+          else top_up free (k :: kept) rest
+      in
+      take k0;
+      let ready =
+        if packable k0 then top_up (slot_count - 1) [] ready else ready
+      in
+      let w =
+        match List.rev !word with
+        | [ single ] -> Target.Asm.Op single
+        | multi -> Target.Asm.Par multi
+      in
+      pack (w :: words) (merge (List.sort compare !fresh) ready)
+  in
+  pack [] (List.filter (fun k -> unscheduled.(k) = 0) (List.init n Fun.id))
 
 let run ?(word_ok = fun _ -> true) machine (asm : Target.Asm.t) =
   match machine.Target.Machine.slots with

@@ -170,6 +170,7 @@ let run items =
     let items =
       Target.Asm.map_runs
         (fun block ->
+          Ir.Deadline.check ();
           let block, c1 = forward_block block in
           let block, c2 = dce_block reads block in
           if c1 || c2 then changed := true;

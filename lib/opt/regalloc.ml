@@ -176,6 +176,7 @@ let insert_spill ctx ops items victim scratch =
 
 let run ?ctx machine (asm : Target.Asm.t) =
   let rec attempt items fuel =
+    Ir.Deadline.check ();
     let lin = linearize items in
     match allocate machine lin with
     | Ok assignment ->

@@ -263,7 +263,7 @@ let rec stage_items machine clobbers know items =
             while !left > chunk do
               trips chunk st;
               left := !left - chunk;
-              Deadline.check ()
+              Ir.Deadline.check ()
             done;
             trips !left st
           in

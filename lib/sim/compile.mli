@@ -37,5 +37,5 @@ val prepare :
 
 val run : plan -> inputs:(string * int array) list -> outcome
 (** Fresh machine state, inputs written to memory, plan executed. A long
-    loop polls the calling domain's {!Deadline} between chunks of trips
-    and raises [Deadline.Expired] once it has passed. *)
+    loop polls the calling domain's {!Ir.Deadline} between chunks of trips
+    and raises [Ir.Deadline.Expired] once it has passed. *)

@@ -1,5 +1,4 @@
 module Compile = Compile
-module Deadline = Deadline
 
 exception Mode_violation = Compile.Mode_violation
 exception Exec_error = Compile.Exec_error

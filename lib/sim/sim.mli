@@ -20,10 +20,6 @@ module Compile : module type of Compile
 (** the closure translator; use directly to amortize translation across
     many runs of one program *)
 
-module Deadline : module type of Deadline
-(** the calling domain's job deadline, polled by the compiled engine's
-    loops and by the compilation pipeline *)
-
 exception Mode_violation of string
 exception Exec_error of string
 

@@ -112,6 +112,38 @@ let test_concurrent_interning_agrees () =
         handles)
     per_domain
 
+(* ---- Idtab chunk edges ---------------------------------------------------- *)
+
+(* An id-indexed table is chunked by 1,024 ids on a spine that starts at
+   64 chunks.  Four domains set the ids on both sides of chunk edges,
+   including edges past the initial spine, each taking every fourth id,
+   so neighbours in one chunk race to install it and the spine grows
+   under them.  Untouched slots read as the absent value, inside a
+   touched chunk as elsewhere. *)
+let test_idtab_chunk_edges () =
+  let t = Ir.Idtab.create (-1) in
+  let ids =
+    0
+    :: List.concat_map
+         (fun k -> [ (k * 1024) - 1; k * 1024 ])
+         [ 1; 2; 3; 63; 64; 65; 200; 1000 ]
+  in
+  let value id = (7 * id) + 3 in
+  let worker d () =
+    List.iteri (fun i id -> if i mod 4 = d then Ir.Idtab.set t id (value id)) ids
+  in
+  Array.iter Domain.join (Array.init 4 (fun d -> Domain.spawn (worker d)));
+  List.iter
+    (fun id ->
+      Alcotest.(check int) (Printf.sprintf "id %d" id) (value id)
+        (Ir.Idtab.get t id))
+    ids;
+  List.iter
+    (fun id ->
+      Alcotest.(check int) (Printf.sprintf "untouched id %d" id) (-1)
+        (Ir.Idtab.get t id))
+    [ 1; 1022; 1025; (64 * 1024) + 1; (1000 * 1024) - 2; 5 * 1024; 10_000_000 ]
+
 let test_concurrent_matcher_labelling () =
   (* Domains racing on one matcher's DP table must all see the same
      optimal covers as a fresh single-domain matcher. *)
@@ -243,6 +275,47 @@ let test_pool_timeout_isolates () =
           reference (List.map json rest)
       | [] -> Alcotest.fail "no results")
     [ 1; 4 ]
+
+(* One statement of 4,000 terms, [y = a + b + a + ...]: its rewrites
+   rebuild a spine thousands of nodes deep at every position, which ran
+   18 s past a 0.2 s deadline before the rewrite memo, the variant search
+   and the passes polled it. *)
+let long_sum terms =
+  Dfl.Lower.source
+    (Printf.sprintf "program longsum;\ninput a, b;\noutput y;\nbegin\n  y = %s;\nend"
+       (String.concat " + "
+          (List.init terms (fun i -> if i mod 2 = 0 then "a" else "b"))))
+
+let test_deadline_bounds_long_statement () =
+  let kernels =
+    List.filter
+      (fun (j : Driver.Job.t) -> j.Driver.Job.target = "tic25")
+      (table1_jobs ())
+  in
+  let listings () =
+    List.map
+      (fun j ->
+        match (Driver.Job.run j).Driver.Job.status with
+        | Driver.Job.Done s -> s.Driver.Job.asm
+        | _ -> Alcotest.failf "%s should compile" j.Driver.Job.label)
+      kernels
+  in
+  let before = listings () in
+  let long =
+    Driver.Job.make ~id:0 ~target:"tic25"
+      ~inputs:[ ("a", [| 1 |]); ("b", [| 2 |]) ]
+      ~kind:Driver.Job.Simulate (long_sum 4_000)
+  in
+  let t0 = Unix.gettimeofday () in
+  (match (Driver.Job.run ~timeout:0.2 long).Driver.Job.status with
+  | Driver.Job.Timed_out _ -> ()
+  | _ -> Alcotest.fail "the 4,000-term statement should time out");
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 1.0 then
+    Alcotest.failf "timed out after %.2f s of wall time, not within 1 s"
+      elapsed;
+  Alcotest.(check (list string)) "Table-1 listings as before the timeout"
+    before (listings ())
 
 let test_expired_deadline_leaves_pool_clean () =
   let jobs = table1_jobs () in
@@ -750,12 +823,16 @@ let suites =
       [
         Alcotest.test_case "concurrent interning agrees on ids" `Quick
           test_concurrent_interning_agrees;
+        Alcotest.test_case "id tables across chunk edges" `Quick
+          test_idtab_chunk_edges;
         Alcotest.test_case "concurrent matcher labelling agrees" `Quick
           test_concurrent_matcher_labelling;
         Alcotest.test_case "4-domain pool byte-identical to sequential" `Quick
           test_pool_matches_sequential;
         Alcotest.test_case "timeout isolates the long job" `Quick
           test_pool_timeout_isolates;
+        Alcotest.test_case "deadline bounds a 4,000-term statement" `Quick
+          test_deadline_bounds_long_statement;
         Alcotest.test_case "expired deadline leaves pool clean" `Quick
           test_expired_deadline_leaves_pool_clean;
         Alcotest.test_case "timeout must be positive and finite" `Quick

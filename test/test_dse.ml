@@ -325,6 +325,48 @@ let test_serve_stats_evictions () =
         [ "memory_hits"; "disk_hits"; "misses"; "stores"; "evictions" ];
       counters "hashcons" [ "live"; "hits"; "misses"; "max_chain" ])
 
+(* ---- per-architecture memory ---------------------------------------------- *)
+
+(* Exploration builds one matcher per sampled architecture and labels only
+   the kernels' trees with it, so a matcher must cost memory in proportion
+   to the nodes it labels.  Each matcher's slot table is chunked by
+   hash-cons id; with 65,536-slot chunks these 64 matchers allocated
+   37 MB.  The intern table is emptied first so the trees get fresh,
+   adjacent ids wherever this test runs in the suite, as in a sweep that
+   interns its kernels once.  Ids are never reused, though, and each
+   table's spine holds a cell per 1,024 ids up to the highest it sets:
+   about 6 MB here at the ~400k ids the suite has minted by now, 11 MB
+   past 4M. *)
+let test_asip_matchers_stay_small () =
+  let trees =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun (s : Ir.Prog.stmt) -> s.Ir.Prog.src)
+          (Ir.Prog.stmts (Dspstone.Kernels.prog k)))
+      Dspstone.Kernels.all
+  in
+  Alcotest.(check int) "Table-1 statement trees" 29 (List.length trees);
+  Ir.Hashcons.clear ();
+  List.iter (fun t -> ignore (Ir.Hashcons.intern t)) trees;
+  (* [Gc.allocated_bytes], with the minor heap's words counted exactly. *)
+  let allocated_bytes () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words () +. major -. promoted) *. float (Sys.word_size / 8)
+  in
+  let before = allocated_bytes () in
+  List.iter
+    (fun (p : Dse.Sample.point) ->
+      let machine =
+        Target.Asip.machine ~name:p.Dse.Sample.name p.Dse.Sample.params
+      in
+      let m = Burg.Matcher.create machine.Target.Machine.grammar in
+      List.iter (fun t -> ignore (Burg.Matcher.label m t)) trees)
+    (Dse.Sample.points ~seed:3 ~count:64);
+  let mb = (allocated_bytes () -. before) /. 1e6 in
+  if mb > 12.0 then
+    Alcotest.failf "64 ASIP matchers allocated %.1f MB, more than 12 MB" mb
+
 let suites =
   [
     ( "dse sampler",
@@ -341,6 +383,11 @@ let suites =
           test_name_injective;
         Alcotest.test_case "validate reports the offending value" `Quick
           test_validate_reports_value;
+      ] );
+    ( "dse memory",
+      [
+        Alcotest.test_case "64 fresh ASIP matchers allocate at most 12 MB"
+          `Quick test_asip_matchers_stay_small;
       ] );
     ( "dse pareto",
       [
