@@ -12,12 +12,23 @@
    the batch path decode requests with the same code (same defaults,
    same error messages). *)
 
+(* A job's source file.  The open does not block (a FIFO without a writer
+   would hold the decoding thread forever), and anything but a regular file
+   is refused before a byte is read.  Failures are [Sys_error]s worded like
+   [open_in]'s. *)
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  let fd =
+    try Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+  in
+  let ic = Unix.in_channel_of_descr fd in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      if (Unix.fstat fd).Unix.st_kind <> Unix.S_REG then
+        raise (Sys_error (path ^ ": not a regular file"));
+      really_input_string ic (in_channel_length ic))
 
 (* An optional member of a job object: absent is [Ok None]; present with
    the wrong type is an error naming the job, never a silent fallback to

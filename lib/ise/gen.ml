@@ -226,21 +226,23 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
      reads/writes machine state.  The queue is drained at stage time in the
      same traversal order the interpreter used (leaves left-to-right, then
      the memory destination), so operand pairing is unchanged. *)
-  let semantics (i : Target.Instr.t) : Target.Mstate.t -> unit =
+  let semantics layout (i : Target.Instr.t) : Target.Mstate.t -> unit =
     match (i.Target.Instr.opcode, i.Target.Instr.operands) with
     | "LDC", [ Target.Instr.Reg c; Target.Instr.Imm k ]
     | "LDAR", [ Target.Instr.Reg c; Target.Instr.Imm k ] ->
       let sc = Target.Mstate.reg_slot c in
       fun st -> Target.Mstate.write_slot st sc k
     | "LDC", [ c; n ] | "LDAR", [ c; n ] ->
-      let wc = Target.Mstate.writer c and rn = Target.Mstate.reader n in
+      let wc = Target.Mstate.writer layout c
+      and rn = Target.Mstate.reader layout n in
       fun st -> wc st (rn st)
     | "DJNZ", [ Target.Instr.Reg c ] ->
       let sc = Target.Mstate.reg_slot c in
       fun st ->
         Target.Mstate.write_slot st sc (Target.Mstate.read_slot st sc - 1)
     | "DJNZ", [ c ] ->
-      let wc = Target.Mstate.writer c and rc = Target.Mstate.reader c in
+      let wc = Target.Mstate.writer layout c
+      and rc = Target.Mstate.reader layout c in
       fun st -> wc st (rc st - 1)
     | _ -> (
       let t =
@@ -264,7 +266,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
           Target.Mstate.reg_reader { Target.Instr.cls = r; idx = 0 }
         | Transfer.Leaf (Transfer.Mem_direct _)
         | Transfer.Leaf (Transfer.Imm _) ->
-          Target.Mstate.reader (next ())
+          Target.Mstate.reader layout (next ())
         | Transfer.Leaf (Transfer.Const k) -> fun _ -> k
         | Transfer.Unop (op, a) -> (
           let fa = stage a in
@@ -313,7 +315,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         let wr = Target.Mstate.reg_writer { Target.Instr.cls = r; idx = 0 } in
         fun st -> wr st (f st)
       | Transfer.Dmem _ ->
-        let w = Target.Mstate.writer (next ()) in
+        let w = Target.Mstate.writer layout (next ()) in
         fun st -> w st (f st))
   in
   let counter_cls, counter_count =

@@ -31,10 +31,10 @@
      field, a parallel word one cycle, a loop its body per iteration) and
      credited in one addition per run.
 
-   Translation is pure and the resulting plan is domain-safe: per-run
-   mutable state lives in the [Mstate.t] created by {!run}, and the only
-   shared mutation is the benign direct-address memo inside staged
-   operand closures (a single store of an immutable pair). *)
+   Translation is pure and the resulting plan is domain-safe.  Direct and
+   base addresses are resolved against the plan's layout while staging, so
+   a plan holds no mutable state: per-run mutable state lives only in the
+   [Mstate.t] that {!run} creates, on that layout. *)
 
 exception Mode_violation of string
 exception Exec_error of string
@@ -46,22 +46,17 @@ exception Raw_invalid of string
 type outcome = { cycles : int; state : Target.Mstate.t }
 type step = Target.Mstate.t -> unit
 
+module Smap = Map.Make (String)
+
 type plan = {
   width : int;
   machine : Target.Machine.t;
   layout : Target.Layout.t;
   steps : step array;
   static_cycles : int;
-  var_index : (string, Target.Layout.entry) Hashtbl.t;
-      (* name -> layout entry, resolved once per plan; read-only after
-         [prepare], so sharing across domains is safe *)
+  var_index : Target.Layout.entry Smap.t;
+      (* name -> layout entry, resolved once per plan *)
   mode_seed : (int * int) list; (* (mode slot, reset value) *)
-  mutable input_memo :
-    ((string * int array) list * (Target.Layout.entry * int array) list) option;
-      (* last input list (by physical identity) with its entries resolved —
-         repeated runs over one image skip the name lookups.  Race-benign
-         across domains: a single store of an immutable pair, like the
-         direct-address memo in [Mstate]. *)
 }
 
 (* ---- static mode knowledge ---------------------------------------------- *)
@@ -75,8 +70,6 @@ type plan = {
    write modes directly.  A machine whose [exec] mutates modes under an
    opcode [mode_change] never emits would defeat this probe — the
    differential suite is the backstop for such exotics. *)
-module Smap = Map.Make (String)
-
 let mode_clobbers (machine : Target.Machine.t) =
   List.concat_map
     (fun (mode, reset) ->
@@ -170,8 +163,8 @@ let has_update (i : Target.Instr.t) =
   || List.exists operand_has_update i.Target.Instr.defs
   || List.exists operand_has_update i.Target.Instr.uses
 
-let stage_instr (machine : Target.Machine.t) clobbers know (i : Target.Instr.t)
-    : step * int Smap.t =
+let stage_instr (machine : Target.Machine.t) layout clobbers know
+    (i : Target.Instr.t) : step * int Smap.t =
   let know_checked =
     match i.Target.Instr.mode_req with
     | Some (m, v) -> Smap.add m v know
@@ -189,7 +182,7 @@ let stage_instr (machine : Target.Machine.t) clobbers know (i : Target.Instr.t)
         else know_checked
       in
       let action =
-        match machine.Target.Machine.semantics i with
+        match machine.Target.Machine.semantics layout i with
         | f -> f (* run-time [Invalid_argument] is converted by [run] *)
         | exception Invalid_argument msg -> fun _ -> raise (Exec_error msg)
         | exception e -> fun _ -> raise e
@@ -220,12 +213,12 @@ let stage_instr (machine : Target.Machine.t) clobbers know (i : Target.Instr.t)
 let check_cycles = 1 lsl 16
 
 (* Returns (steps in reverse, knowledge after, static cycles). *)
-let rec stage_items machine clobbers know items =
+let rec stage_items machine layout clobbers know items =
   List.fold_left
     (fun (acc, know, cyc) item ->
       match item with
       | Target.Asm.Op i ->
-        let s, know = stage_instr machine clobbers know i in
+        let s, know = stage_instr machine layout clobbers know i in
         (s :: acc, know, cyc + i.Target.Instr.cycles)
       | Target.Asm.Par is ->
         (* one instruction word: members execute in slot order, each with
@@ -233,7 +226,7 @@ let rec stage_items machine clobbers know items =
         let ss, know =
           List.fold_left
             (fun (ss, know) i ->
-              let s, know = stage_instr machine clobbers know i in
+              let s, know = stage_instr machine layout clobbers know i in
               (s :: ss, know))
             ([], know) is
         in
@@ -243,7 +236,9 @@ let rec stage_items machine clobbers know items =
           (* never executed: not staged, zero cycles, knowledge unchanged *)
         else
           let entry = loop_entry clobbers know body in
-          let body_rev, _, body_cyc = stage_items machine clobbers entry body in
+          let body_rev, _, body_cyc =
+            stage_items machine layout clobbers entry body
+          in
           let arr = Array.of_list (List.rev body_rev) in
           let n = Array.length arr in
           let trips k st =
@@ -275,14 +270,17 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
   let clobbers = mode_clobbers machine in
   let know = initial_knowledge machine in
   let steps_rev, _, static_cycles =
-    stage_items machine clobbers know asm.Target.Asm.items
+    stage_items machine layout clobbers know asm.Target.Asm.items
   in
-  let var_index = Hashtbl.create 17 in
-  List.iter
-    (fun (e : Target.Layout.entry) ->
-      if not (Hashtbl.mem var_index e.Target.Layout.name) then
-        Hashtbl.add var_index e.Target.Layout.name e)
-    layout.Target.Layout.entries;
+  (* the first entry of a name wins, as in [Layout.find] *)
+  let var_index =
+    List.fold_left
+      (fun index (e : Target.Layout.entry) ->
+        Smap.update e.Target.Layout.name
+          (function None -> Some e | first -> first)
+          index)
+      Smap.empty layout.Target.Layout.entries
+  in
   {
     width;
     machine;
@@ -294,7 +292,6 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
       List.map
         (fun (m, v) -> (Target.Mstate.mode_slot m, v))
         machine.Target.Machine.modes;
-    input_memo = None;
   }
 
 let run plan ~inputs =
@@ -304,19 +301,10 @@ let run plan ~inputs =
   List.iter
     (fun (s, v) -> Target.Mstate.mode_write_slot st s v)
     plan.mode_seed;
-  let resolved =
-    match plan.input_memo with
-    | Some (last, resolved) when last == inputs -> resolved
-    | _ ->
-      let resolved =
-        List.map
-          (fun (name, values) -> (Hashtbl.find plan.var_index name, values))
-          inputs
-      in
-      plan.input_memo <- Some (inputs, resolved);
-      resolved
-  in
-  List.iter (fun (e, values) -> Target.Mstate.blit_entry st e values) resolved;
+  List.iter
+    (fun (name, values) ->
+      Target.Mstate.blit_entry st (Smap.find name plan.var_index) values)
+    inputs;
   let steps = plan.steps in
   (try
      for j = 0 to Array.length steps - 1 do

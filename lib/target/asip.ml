@@ -337,13 +337,13 @@ let machine ?(name = "asip") p =
   in
   (* Staged: operand shapes and the opcode dispatch resolve once per
      instruction; see the note on [Machine.t.semantics]. *)
-  let semantics (i : Instr.t) : Mstate.t -> unit =
+  let semantics layout (i : Instr.t) : Mstate.t -> unit =
     let op n = List.nth i.Instr.operands n in
-    let rd n = Mstate.reader (op n) in
-    let use n = Mstate.reader (List.nth i.Instr.uses n) in
+    let rd n = Mstate.reader layout (op n) in
+    let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
     let def () =
       match i.Instr.defs with
-      | d :: _ -> Mstate.writer d
+      | d :: _ -> Mstate.writer layout d
       | [] ->
         invalid_arg (name ^ ": " ^ i.Instr.opcode ^ " without destination")
     in
@@ -362,7 +362,7 @@ let machine ?(name = "asip") p =
       let w = def () and r0 = rd 0 in
       fun st -> w st (r0 st)
     | "ST" ->
-      let w0 = Mstate.writer (op 0) and a = use 0 in
+      let w0 = Mstate.writer layout (op 0) and a = use 0 in
       fun st -> w0 st (a st)
     | "ADD" | "ADDI" -> use_op ( + )
     | "SUB" -> use_op ( - )
@@ -379,13 +379,13 @@ let machine ?(name = "asip") p =
       fun st -> w st (a st + (k0 st * k1 st))
     | "SAT" | "SATS" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
     | "LDC" | "LDAR" ->
-      let w0 = Mstate.writer (op 0) and r1 = rd 1 in
+      let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
       fun st -> w0 st (r1 st)
     | "DJNZ" ->
-      let w0 = Mstate.writer (op 0) and r0 = rd 0 in
+      let w0 = Mstate.writer layout (op 0) and r0 = rd 0 in
       fun st -> w0 st (r0 st - 1)
     | "LDARI" ->
-      let w0 = Mstate.writer (op 0) in
+      let w0 = Mstate.writer layout (op 0) in
       let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
       fun st -> w0 st (r1 st + (r3 st * r2 st))
     | opc -> invalid_arg (Printf.sprintf "%s: cannot execute %s" name opc)

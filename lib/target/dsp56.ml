@@ -261,13 +261,13 @@ let spill_via cls =
 
 (* Staged: operand shapes and the opcode dispatch resolve once per
    instruction; see the note on [Machine.t.semantics]. *)
-let semantics (i : Instr.t) : Mstate.t -> unit =
+let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader (op n) in
-  let use n = Mstate.reader (List.nth i.Instr.uses n) in
+  let rd n = Mstate.reader layout (op n) in
+  let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
   let def () =
     match i.Instr.defs with
-    | d :: _ -> Mstate.writer d
+    | d :: _ -> Mstate.writer layout d
     | [] -> invalid_arg ("dsp56: " ^ i.Instr.opcode ^ " without destination")
   in
   (* all-register shapes — the dominant ALU case — flatten to direct slot
@@ -298,7 +298,7 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
   | "MOVE" -> (
     match i.Instr.defs with
     | (Instr.Dir _ | Instr.Ind _) :: _ -> (
-      let w0 = Mstate.writer (op 0) in
+      let w0 = Mstate.writer layout (op 0) in
       match i.Instr.uses with
       | Instr.Reg a :: _ ->
         let sa = Mstate.reg_slot a in
@@ -355,10 +355,10 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
       let w = def () and a = use 0 and k = rd 0 in
       fun st -> w st (a st + k st))
   | "DO" | "LEA" ->
-    let w0 = Mstate.writer (op 0) and r1 = rd 1 in
+    let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
     fun st -> w0 st (r1 st)
   | "LEAI" ->
-    let w0 = Mstate.writer (op 0) in
+    let w0 = Mstate.writer layout (op 0) in
     let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
   | opc -> invalid_arg ("dsp56: cannot execute " ^ opc)

@@ -66,19 +66,26 @@ type t = {
   agu : agu_support option;
   naive_agu : naive_support option;
   spills : (string * spill_ops) list;
-  semantics : Instr.t -> Mstate.t -> unit;
-      (** staged executable semantics: the opcode dispatch and operand
-          resolution happen once per instruction, the returned closure many
-          times.  The interpretive simulator applies it immediately
-          ({!exec}); the compiled simulator ([Sim.Compile]) keeps the
-          closure, so both engines share one definition of every opcode. *)
+  semantics : Layout.t -> Instr.t -> Mstate.t -> unit;
+      (** staged executable semantics: [semantics layout i] does the opcode
+          dispatch and operand resolution once, direct and base addresses
+          included (resolved against [layout]), and the returned closure
+          runs many times on states created on [layout].  The closure holds
+          no mutable state.  The interpretive simulator applies it
+          immediately ({!exec}); the compiled simulator ([Sim.Compile])
+          keeps the closure, so both engines share one definition of every
+          opcode. *)
   classification : Classify.t;
 }
 
 (* The unstaged view: stage and run in one go.  This is what the
    interpretive engine and hand-written tests call per executed
-   instruction. *)
-let exec m st i = m.semantics i st
+   instruction.  The machines' [semantics] take two arguments and return
+   the staged closure; applying all three at once through the field would
+   build a partial application on every instruction. *)
+let exec m st i =
+  let run = m.semantics st.Mstate.layout i in
+  run st
 
 let create_ctx () =
   { buffer = []; next_vreg = 0; next_scratch = 0; scratch = []; consts = [] }

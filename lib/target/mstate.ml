@@ -60,6 +60,22 @@ type t = {
   mutable pend_deltas : int array;
 }
 
+(* Word copies between int arrays.  [Array.blit] and [Array.sub] cannot
+   tell an int array from an array of pointers, so once the destination is
+   in the major heap (more than 256 words, as in every state of a loop over
+   a few hundred elements) they pass each word through [caml_modify] or
+   [caml_initialize]; a loop over int-typed arrays is plain loads and
+   stores. *)
+let copy_ints (src : int array) src_pos (dst : int array) dst_pos n =
+  if
+    n < 0 || src_pos < 0 || dst_pos < 0
+    || src_pos > Array.length src - n
+    || dst_pos > Array.length dst - n
+  then invalid_arg "Mstate.copy_ints";
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+  done
+
 let grown a n fill =
   let b = Array.make (max n (2 * Array.length a)) fill in
   Array.blit a 0 b 0 (Array.length a);
@@ -149,7 +165,9 @@ let set_mode t m v = mode_write_slot t (mode_slot m) v
 
 let get_var t name =
   let e = Layout.find t.layout name in
-  Array.sub t.mem e.Layout.addr e.Layout.size
+  let values = Array.make e.Layout.size 0 in
+  copy_ints t.mem e.Layout.addr values 0 e.Layout.size;
+  values
 
 (* [set_var] with the layout entry already resolved — the compiled engine
    looks entries up once per plan instead of once per run.  A write never
@@ -160,7 +178,7 @@ let blit_entry t (e : Layout.entry) values =
     invalid_arg
       (Printf.sprintf "Mstate: %s holds %d values, got %d" e.Layout.name
          e.Layout.size n);
-  Array.blit values 0 t.mem e.Layout.addr n
+  copy_ints values 0 t.mem e.Layout.addr n
 
 let set_var t name values = blit_entry t (Layout.find t.layout name) values
 
@@ -223,12 +241,10 @@ let write_operand t (o : Instr.operand) v =
 (* The compiled simulator ([Sim.Compile]) resolves each operand's shape once
    at translation time instead of re-dispatching on every execution: a
    reader/writer is a closure with the constructor match, the operand-list
-   walks, and the register-slot interning already done.  Direct addresses
-   with a static index are memoized per closure, keyed on the layout's
-   identity, so a staged closure remains correct when one translated program
-   is run against many states — and race-benign across domains, because the
-   cache entry is a single immutable pair written with one atomic pointer
-   store. *)
+   walks, the register-slot interning and the layout lookup already done.
+   A staged closure holds no mutable state of its own, so one translated
+   program can run on many states, from any domain, as long as each state
+   was created on the layout the closure was staged for. *)
 
 let reg_reader r =
   let s = reg_slot r in
@@ -244,40 +260,24 @@ let mode_reader name =
     let v = mode_read_slot t s in
     if v = absent then unknown_mode name else v
 
-let direct_address cache t r =
-  match !cache with
-  | Some (lay, addr) when lay == t.layout -> addr
-  | _ ->
-    let addr = Layout.address t.layout r ~ienv:[] in
-    cache := Some (t.layout, addr);
-    addr
-
-let base_address_memo cache t r =
-  match !cache with
-  | Some (lay, addr) when lay == t.layout -> addr
-  | _ ->
-    let addr = Layout.base_address t.layout r in
-    cache := Some (t.layout, addr);
-    addr
-
-let rec reader (o : Instr.operand) : t -> int =
+(* [reader layout o] and [writer layout o] resolve [Dir] and [Adr]
+   addresses against [layout] once, here.  A reference the layout cannot
+   resolve (an unknown variable, an index out of bounds, an induction
+   variable the simulator has no value for) raises what [read_operand]
+   would, when the operand is accessed and not before, so both engines fail
+   at the same instruction. *)
+let rec reader layout (o : Instr.operand) : t -> int =
   match o with
   | Instr.Reg r -> reg_reader r
   | Instr.Imm k -> fun _ -> k
-  | Instr.Dir ({ Ir.Mref.index = Ir.Mref.Direct | Ir.Mref.Elem _; _ } as r) ->
-    (* [Layout.address] bounds-checks the offset against the entry and the
-       state's memory spans the whole layout, so a memoized address is
-       always in range for the layout it was resolved against *)
-    let cache = ref None in
-    fun t -> Array.unsafe_get t.mem (direct_address cache t r)
-  | Instr.Dir r ->
-    (* induction-indexed direct reference: the address depends on an
-       environment the simulator does not carry, so resolve per read like
-       [read_operand] (and fail the same way) *)
-    fun t -> load t (Layout.address t.layout r ~ienv:[])
-  | Instr.Adr r ->
-    let cache = ref None in
-    fun t -> base_address_memo cache t r
+  | Instr.Dir r -> (
+    match Layout.address layout r ~ienv:[] with
+    | addr -> fun t -> load t addr
+    | exception ((Not_found | Invalid_argument _) as e) -> fun _ -> raise e)
+  | Instr.Adr r -> (
+    match Layout.base_address layout r with
+    | addr -> fun _ -> addr
+    | exception (Not_found as e) -> fun _ -> raise e)
   | Instr.Ind (Instr.Reg r, u, _) -> (
     (* register-indirect: the dominant AGU shape — fully flattened, no
        inner-reader closure *)
@@ -295,7 +295,7 @@ let rec reader (o : Instr.operand) : t -> int =
         push_update t s (-1);
         v)
   | Instr.Ind (inner, u, _) -> (
-    let rd_inner = reader inner in
+    let rd_inner = reader layout inner in
     match u with
     | Instr.No_update -> fun t -> load t (rd_inner t)
     | _ ->
@@ -305,14 +305,13 @@ let rec reader (o : Instr.operand) : t -> int =
         v)
   | Instr.Vreg _ -> fun _ -> vreg_error ()
 
-let writer (o : Instr.operand) : t -> int -> unit =
+let writer layout (o : Instr.operand) : t -> int -> unit =
   match o with
   | Instr.Reg r -> reg_writer r
-  | Instr.Dir ({ Ir.Mref.index = Ir.Mref.Direct | Ir.Mref.Elem _; _ } as r) ->
-    let cache = ref None in
-    fun t v ->
-      Array.unsafe_set t.mem (direct_address cache t r) (wrap t.width v)
-  | Instr.Dir r -> fun t v -> store t (Layout.address t.layout r ~ienv:[]) v
+  | Instr.Dir r -> (
+    match Layout.address layout r ~ienv:[] with
+    | addr -> fun t v -> store t addr v
+    | exception ((Not_found | Invalid_argument _) as e) -> fun _ _ -> raise e)
   | Instr.Ind (Instr.Reg r, u, _) -> (
     let s = reg_slot r in
     match u with
@@ -326,7 +325,7 @@ let writer (o : Instr.operand) : t -> int -> unit =
         store t (read_slot t s) v;
         push_update t s (-1))
   | Instr.Ind (inner, u, _) -> (
-    let rd_inner = reader inner in
+    let rd_inner = reader layout inner in
     match u with
     | Instr.No_update -> fun t v -> store t (rd_inner t) v
     | _ ->

@@ -233,13 +233,13 @@ let spills =
 
 (* Staged: operand shapes and the opcode dispatch resolve once per
    instruction; see the note on [Machine.t.semantics]. *)
-let semantics (i : Instr.t) : Mstate.t -> unit =
+let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader (op n) in
-  let use n = Mstate.reader (List.nth i.Instr.uses n) in
+  let rd n = Mstate.reader layout (op n) in
+  let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
   let def () =
     match i.Instr.defs with
-    | d :: _ -> Mstate.writer d
+    | d :: _ -> Mstate.writer layout d
     | [] -> invalid_arg ("risc32: " ^ i.Instr.opcode ^ " without destination")
   in
   (* all-register shapes — the common case after allocation — flatten to
@@ -286,7 +286,7 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
       let w = def () in
       fun st -> w st (r0 st))
   | "SW" -> (
-    let w0 = Mstate.writer (op 0) in
+    let w0 = Mstate.writer layout (op 0) in
     match i.Instr.uses with
     | Instr.Reg a :: _ ->
       let sa = Mstate.reg_slot a in
@@ -300,7 +300,7 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
       let w = def () in
       fun st -> w st k
     | [ c; Instr.Imm k ] ->
-      let wc = Mstate.writer c in
+      let wc = Mstate.writer layout c in
       fun st -> wc st k
     | _ -> invalid_arg "risc32: LI operands")
   | "ADDI" -> shift ( + )
@@ -317,10 +317,10 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
   | "SSAT" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
   | "BNEZ" -> fun _ -> ()
   | "LA" ->
-    let w0 = Mstate.writer (op 0) and r1 = rd 1 in
+    let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
     fun st -> w0 st (r1 st)
   | "LAI" ->
-    let w0 = Mstate.writer (op 0) in
+    let w0 = Mstate.writer layout (op 0) in
     let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
   | opc -> invalid_arg ("risc32: cannot execute " ^ opc)

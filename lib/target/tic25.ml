@@ -478,16 +478,16 @@ let sat_if st v =
   let ovm = Mstate.mode_read_slot st s_ovm in
   if ovm = 0 then v else sat_slow ovm v
 
-let semantics (i : Instr.t) : Mstate.t -> unit =
+let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader (op n) in
+  let rd n = Mstate.reader layout (op n) in
   match i.Instr.opcode with
   | "ZAC" -> fun st -> wr_acc st 0
   | "LACK" | "LAC" ->
     let r0 = rd 0 in
     fun st -> wr_acc st (r0 st)
   | "SACL" ->
-    let w0 = Mstate.writer (op 0) in
+    let w0 = Mstate.writer layout (op 0) in
     fun st -> w0 st (rd_acc st)
   | "ADD" | "ADDK" ->
     let r0 = rd 0 in
@@ -520,7 +520,7 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
   | "DMOV" -> (
     match op 0 with
     | Instr.Dir r ->
-      let rd_a = Mstate.reader (Instr.Adr r) in
+      let rd_a = Mstate.reader layout (Instr.Adr r) in
       fun st ->
         let a = rd_a st in
         Mstate.store st (a + 1) (Mstate.load st a)
@@ -540,11 +540,11 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
       let s = Mstate.reg_slot r in
       fun st -> Mstate.write_slot st s k
     | _ ->
-      let w0 = Mstate.writer (op 0) in
+      let w0 = Mstate.writer layout (op 0) in
       let r1 = rd 1 in
       fun st -> w0 st (r1 st))
   | "LARI" ->
-    let w0 = Mstate.writer (op 0) in
+    let w0 = Mstate.writer layout (op 0) in
     let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
   | "BANZ" -> (
@@ -553,7 +553,7 @@ let semantics (i : Instr.t) : Mstate.t -> unit =
       let s = Mstate.reg_slot r in
       fun st -> Mstate.write_slot st s (Mstate.read_slot st s - 1)
     | o ->
-      let w0 = Mstate.writer o and r0 = Mstate.reader o in
+      let w0 = Mstate.writer layout o and r0 = Mstate.reader layout o in
       fun st -> w0 st (r0 st - 1))
   | "RPTMAC" ->
     let r0 = rd 0 and r1 = rd 1 and r2 = rd 2 in

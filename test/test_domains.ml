@@ -757,6 +757,49 @@ let test_source_errors () =
     [ "compile --no-cache"; "ise --compile"; "timing" ];
   Sys.remove bad
 
+(* A "file" job naming a FIFO is refused while decoding, without waiting
+   for a writer.  Were the open to block, a watchdog would open the FIFO
+   for writing after 5 s to release it, and the elapsed time would fail
+   the test instead of hanging the suite. *)
+let test_fifo_refused () =
+  let path = Filename.temp_file "record" ".fifo" in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  let decoded = Atomic.make false in
+  let watchdog =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get decoded)) && Unix.gettimeofday () -. t0 < 5.0 do
+          Thread.delay 0.01
+        done;
+        if not (Atomic.get decoded) then
+          try
+            Unix.close
+              (Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0)
+          with Unix.Unix_error _ -> ())
+      ()
+  in
+  let t0 = Unix.gettimeofday () in
+  let decoded_jobs =
+    Driver.Protocol.jobs_of_json
+      Driver.Json.(List [ Obj [ ("file", String path) ] ])
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Atomic.set decoded true;
+  Thread.join watchdog;
+  Sys.remove path;
+  (match decoded_jobs with
+  | Ok _ -> Alcotest.fail "a FIFO was decoded as a source file"
+  | Error msg ->
+    Alcotest.(check string)
+      "refused"
+      ("job 0: " ^ path ^ ": not a regular file")
+      msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "refused at once (%.3f s)" elapsed)
+    true (elapsed < 1.0)
+
 (* The dp-vs-table differential over the Table-1 job matrix: every job run
    as decoded (the automaton) and again with the DP reference engine gives
    the same deterministic result — words, cycles, outputs, listing digest
@@ -866,5 +909,7 @@ let suites =
           test_inputs_checked;
         Alcotest.test_case "unreadable or malformed source exits 1" `Quick
           test_source_errors;
+        Alcotest.test_case "a FIFO file job is refused at once" `Quick
+          test_fifo_refused;
       ] );
   ]

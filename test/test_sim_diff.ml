@@ -106,6 +106,85 @@ let test_fuzz_corpus () =
     cases;
   if !ran < 300 then Alcotest.failf "only %d fuzz cases executed" !ran
 
+(* ---- dsp-long sizes ------------------------------------------------------ *)
+
+(* The looped DSPStone kernels re-parameterised to thousands of trips, as
+   the dsp-long benchmark runs them.  Their state's memory is larger than
+   256 words, so it lives in the major heap.  Inputs in [-3, 3] are redrawn
+   until the exact evaluation stays inside the word, so both engines must
+   also match [Ir.Eval]. *)
+let long_kernels =
+  [ "dot_product"; "fir"; "convolution"; "n_real_updates"; "n_complex_updates" ]
+
+let with_trips (k : Dspstone.Kernels.t) n =
+  let from = "param N = 16;" and src = k.Dspstone.Kernels.source in
+  let m = String.length from in
+  let rec find i =
+    if i + m > String.length src then Alcotest.failf "%s: no %s" k.name from
+    else if String.sub src i m = from then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub src 0 i
+  ^ Printf.sprintf "param N = %d;" n
+  ^ String.sub src (i + m) (String.length src - i - m)
+
+let long_inputs st ~width (prog : Ir.Prog.t) =
+  let draw () =
+    List.filter_map
+      (fun (d : Ir.Prog.decl) ->
+        match d.Ir.Prog.storage with
+        | Ir.Prog.Input ->
+          Some
+            ( d.Ir.Prog.name,
+              Array.init d.Ir.Prog.size (fun _ -> Random.State.int st 7 - 3) )
+        | Ir.Prog.Output | Ir.Prog.Temp -> None)
+      prog.Ir.Prog.decls
+  in
+  let rec go attempts =
+    let inputs = draw () in
+    if Fuzz.Oracle.within_contract ~width prog inputs then inputs
+    else if attempts = 0 then Alcotest.fail "no input draw inside the contract"
+    else go (attempts - 1)
+  in
+  go 100
+
+let test_long_kernels () =
+  let st = Random.State.make [| 1000; 3999 |] in
+  let ran = ref 0 in
+  List.iter
+    (fun name ->
+      let k = Dspstone.Kernels.find name in
+      List.iter
+        (fun n ->
+          let prog = Dfl.Lower.source (with_trips k n) in
+          List.iter
+            (fun (m : Target.Machine.t) ->
+              let width = m.Target.Machine.word_bits in
+              let inputs = long_inputs st ~width prog in
+              match
+                Record.Pipeline.compile ~options:Record.Options.record_ m prog
+              with
+              | exception Record.Pipeline.Error _ -> ()
+              | c -> (
+                let label = Printf.sprintf "%s at N = %d on %s" name n m.name in
+                match
+                  check_engines label (fun engine ->
+                      Record.Pipeline.execute ~engine c ~inputs)
+                with
+                | Finished (outs, _) ->
+                  Alcotest.(check (list (pair string (array int))))
+                    (label ^ " against Ir.Eval")
+                    (Ir.Eval.run_with_inputs ~width prog inputs)
+                    outs;
+                  incr ran
+                | r -> Alcotest.failf "%s: %a" label pp_result r))
+            (machines ()))
+        [ 1000; 3999 ])
+    long_kernels;
+  (* the default asip compiles neither update kernel *)
+  if !ran < 36 then Alcotest.failf "only %d kernel/N/machine runs" !ran
+
 (* ---- engine-boundary properties ------------------------------------------ *)
 
 (* Hand-built tic25 assembly aimed at specific translator decisions. *)
@@ -273,6 +352,55 @@ let test_dead_loop_skipped () =
   Alcotest.(check int) "no cycles" 0 interp.Sim.cycles;
   Alcotest.(check int) "compiled no cycles" 0 compiled.Sim.cycles
 
+(* Addresses are resolved while staging, but one the layout cannot resolve
+   still fails only when its instruction runs: an earlier mode violation
+   wins, the out-of-bounds store is an [Exec_error] in both engines, and a
+   repeat count of zero never touches its operands. *)
+let test_unresolved_address_fails_at_run () =
+  let layout = Target.Layout.make ~banks:[ "data" ] [ ("x", 1, "data") ] in
+  let bad = Target.Instr.Dir (Ir.Mref.elem "x" 5) in
+  let sacl_bad = Target.Instr.make "SACL" ~operands:[ bad ] ~defs:[ bad ] in
+  let exec items engine =
+    let o =
+      Sim.run ~engine machine ~layout ~inputs:[]
+        (Target.Asm.make ~name:"prop" items)
+    in
+    ([ ("x", Target.Mstate.get_var o.Sim.state "x") ], o.Sim.cycles)
+  in
+  List.iter
+    (fun (label, items, expected) ->
+      Alcotest.check result label expected (check_engines label (exec items)))
+    [
+      ( "mode violation first",
+        [ op (lack 1); op sat_neg; op sacl_bad ],
+        Mode "NEG requires ovm=1, machine has ovm=0" );
+      ( "out-of-bounds store",
+        [ op (lack 1); op sacl_bad ],
+        Exec "Layout.address: x[5] index 5 out of bounds" );
+      ( "zero repeats read nothing",
+        [ op (Target.Instr.make "RPTMAC" ~operands:[ imm 0; bad; bad ]) ],
+        Finished ([ ("x", [| 0 |]) ], 1) );
+    ]
+
+(* Both engines write the inputs in order, so a bad input list fails the
+   same way in each: at the over-long value, before the unknown name. *)
+let test_bad_inputs_fail_alike () =
+  let layout = Target.Layout.make ~banks:[ "data" ] [ ("x", 1, "data") ] in
+  let asm = Target.Asm.make ~name:"prop" [] in
+  let outcome engine =
+    match
+      Sim.run ~engine machine ~layout
+        ~inputs:[ ("x", [| 1; 2 |]); ("nosuch", [| 3 |]) ]
+        asm
+    with
+    | _ -> "ran"
+    | exception e -> Printexc.to_string e
+  in
+  Alcotest.(check string)
+    "interp" {|Invalid_argument("Mstate: x holds 1 values, got 2")|}
+    (outcome Sim.Interp);
+  Alcotest.(check string) "compiled" (outcome Sim.Interp) (outcome Sim.Compiled)
+
 (* One translated plan, shared across domains: every domain must get the
    interpreter's answer. *)
 let test_plan_shared_across_domains () =
@@ -315,6 +443,8 @@ let suites =
         Alcotest.test_case "hand assemblies" `Quick test_hand_assemblies;
         Alcotest.test_case "fuzz corpus (500 seeded cases)" `Slow
           test_fuzz_corpus;
+        Alcotest.test_case "looped kernels at N = 1,000 and 3,999" `Quick
+          test_long_kernels;
       ] );
     ( "sim.engine-props",
       [
@@ -332,5 +462,9 @@ let suites =
           test_dead_loop_skipped;
         Alcotest.test_case "plan shared across 4 domains" `Quick
           test_plan_shared_across_domains;
+        Alcotest.test_case "unresolved address fails when it runs" `Quick
+          test_unresolved_address_fails_at_run;
+        Alcotest.test_case "bad inputs fail alike" `Quick
+          test_bad_inputs_fail_alike;
       ] );
   ]

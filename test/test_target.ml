@@ -147,7 +147,24 @@ let test_mstate_writes_stay_inside () =
       Target.Mstate.blit_entry st (Target.Layout.find l "v")
         [| 1; 2; 3; 4; 5; 6 |]);
   Alcotest.(check (array int)) "the next variable is untouched" [| 8; 9 |]
-    (Target.Mstate.get_var st "w")
+    (Target.Mstate.get_var st "w");
+  (* past 256 words the state's memory is allocated in the major heap *)
+  let l =
+    Target.Layout.make ~banks:[ "data" ]
+      [ ("v", 300, "data"); ("w", 2, "data") ]
+  in
+  let st = Target.Mstate.create ~layout:l ~modes:[] () in
+  Target.Mstate.set_var st "w" [| 8; 9 |];
+  Alcotest.check_raises "one value too many on a long layout"
+    (Invalid_argument "Mstate: v holds 300 values, got 301") (fun () ->
+      Target.Mstate.set_var st "v" (Array.init 301 (fun i -> i + 1)));
+  Alcotest.(check (array int)) "the next variable is still untouched"
+    [| 8; 9 |]
+    (Target.Mstate.get_var st "w");
+  let long = Array.init 300 (fun i -> i - 150) in
+  Target.Mstate.set_var st "v" long;
+  Alcotest.(check (array int)) "a long variable round-trips" long
+    (Target.Mstate.get_var st "v")
 
 (* ---- Asm ----------------------------------------------------------------------- *)
 
