@@ -150,7 +150,7 @@ let compile_cmd file target target_file conventional selection check inputs
     end
   in
   if json then begin
-    let asm_text = Format.asprintf "%a" Target.Asm.pp compiled.Record.Pipeline.asm in
+    let asm_text = Target.Asm.to_string compiled.Record.Pipeline.asm in
     let sim_fields =
       match simulated with
       | None -> [ ("cycles", Driver.Json.Null); ("outputs", Driver.Json.Obj []) ]

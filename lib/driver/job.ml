@@ -79,7 +79,7 @@ let run ?cache ?timeout job =
             outputs = [];
             static_cycles = None;
             deadline_met = None;
-            asm = Format.asprintf "%a" Target.Asm.pp c.Record.Pipeline.asm;
+            asm = Target.Asm.to_string c.Record.Pipeline.asm;
             key = outcome.Service.key;
             cache = outcome.Service.provenance;
             wall_ms = outcome.Service.wall_ms;

@@ -314,6 +314,23 @@ let extended = [ lms; matrix_1x3 ]
 
 let find name = List.find (fun k -> k.name = name) (all @ extended)
 
-let prog k = Dfl.Lower.source k.source
+(* Each bundled kernel is lowered once per process, on first use, and
+   shared by every domain. *)
+let lowered : (t * Ir.Prog.t) list Atomic.t = Atomic.make []
+
+let rec remember k p =
+  let cur = Atomic.get lowered in
+  match List.assq_opt k cur with
+  | Some p -> p
+  | None ->
+    if Atomic.compare_and_set lowered cur ((k, p) :: cur) then p
+    else remember k p
+
+let prog k =
+  match List.assq_opt k (Atomic.get lowered) with
+  | Some p -> p
+  | None ->
+    let p = Dfl.Lower.source k.source in
+    if List.memq k all || List.memq k extended then remember k p else p
 
 let reference_outputs k = Ir.Eval.run_with_inputs (prog k) k.inputs

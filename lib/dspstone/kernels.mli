@@ -25,7 +25,8 @@ val find : string -> t
 (** @raise Not_found *)
 
 val prog : t -> Ir.Prog.t
-(** Parse and lower the kernel's source. *)
+(** Parse and lower the kernel's source.  A kernel of {!all} or
+    {!extended} is lowered once per process and the program shared. *)
 
 val reference_outputs : t -> (string * int array) list
 (** What the reference interpreter computes on the kernel's inputs. *)

@@ -23,17 +23,35 @@ let ivars r =
   | Direct | Elem _ -> []
   | Induct { ivar; _ } -> [ ivar ]
 
+let add_to_buffer b r =
+  let int k = Buffer.add_string b (string_of_int k) in
+  Buffer.add_string b r.base;
+  match r.index with
+  | Direct -> ()
+  | Elem k ->
+    Buffer.add_char b '[';
+    int k;
+    Buffer.add_char b ']'
+  | Induct { ivar; offset; step } ->
+    Buffer.add_char b '[';
+    if step = 1 then begin
+      Buffer.add_string b ivar;
+      if offset > 0 then Buffer.add_char b '+';
+      if offset <> 0 then int offset
+    end
+    else begin
+      int offset;
+      Buffer.add_char b '-';
+      Buffer.add_string b ivar
+    end;
+    Buffer.add_char b ']'
+
 let to_string r =
   match r.index with
   | Direct -> r.base
-  | Elem k -> Printf.sprintf "%s[%d]" r.base k
-  | Induct { ivar; offset = 0; step = 1 } ->
-    Printf.sprintf "%s[%s]" r.base ivar
-  | Induct { ivar; offset; step = 1 } when offset > 0 ->
-    Printf.sprintf "%s[%s+%d]" r.base ivar offset
-  | Induct { ivar; offset; step = 1 } ->
-    Printf.sprintf "%s[%s%d]" r.base ivar offset
-  | Induct { ivar; offset; step = _ } ->
-    Printf.sprintf "%s[%d-%s]" r.base offset ivar
+  | Elem _ | Induct _ ->
+    let b = Buffer.create 16 in
+    add_to_buffer b r;
+    Buffer.contents b
 
 let pp ppf r = Format.pp_print_string ppf (to_string r)

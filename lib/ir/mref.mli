@@ -28,4 +28,10 @@ val ivars : t -> string list
 (** Induction variables the reference depends on (empty or singleton). *)
 
 val to_string : t -> string
+(** [a], [a[3]], [a[i]], [a[i+1]], [a[i-1]]; a descending stream prints
+    as [x[15-i]]. *)
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text. *)
+
 val pp : Format.formatter -> t -> unit

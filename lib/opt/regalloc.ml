@@ -1,221 +1,310 @@
 exception Pressure of string
 
-(* Linearize the program: each instruction gets a position; loops record
-   their [start, end] span. Lifetime endpoints use 2*pos for uses and
-   2*pos + 1 for defs so a def can reuse the register an operand releases
-   at the same instruction. *)
+(* Lifetimes, definition counts and the assignment live in per-class
+   tables indexed by vreg id: [Machine.ctx] mints every id from one
+   counter, so the ids of a program are dense.  Each instruction gets a
+   position; lifetime endpoints use 2*pos for uses and 2*pos + 1 for defs,
+   so a def can reuse the register an operand releases at the same
+   instruction. *)
 
-type lin = {
-  spans : (int * int) list;
-  ranges : (Target.Instr.vreg, int * int) Hashtbl.t;
-  def_positions : (Target.Instr.vreg, int list) Hashtbl.t;
-  use_positions : (Target.Instr.vreg, int list) Hashtbl.t;
+type cls = {
+  name : string;
+  count : int;  (* registers in the class; -1 when the machine has none *)
+  spill : Target.Machine.spill_ops option;
+  mutable first : int array;  (* lifetime start by vid; max_int if absent *)
+  mutable last : int array;  (* lifetime end by vid; -1 if absent *)
+  mutable defs : int array;  (* definitions by vid *)
+  mutable reg : int array;  (* assigned register by vid *)
+  mutable free : int list;
+  mutable active : interval list;  (* the most recently placed first *)
 }
 
-let note lin v point =
-  match Hashtbl.find_opt lin.ranges v with
-  | None -> Hashtbl.replace lin.ranges v (point, point)
-  | Some (lo, hi) ->
-    Hashtbl.replace lin.ranges v (min lo point, max hi point)
+(* A lifetime [lo, hi] and its extension [elo, ehi] over the loops it
+   straddles. *)
+and interval = {
+  cls : cls;
+  vid : int;
+  lo : int;
+  hi : int;
+  elo : int;
+  ehi : int;
+}
 
-let push tbl v p =
-  Hashtbl.replace tbl v (p :: Option.value ~default:[] (Hashtbl.find_opt tbl v))
+(* The classes of one run: the machine's, then any other a vreg names. *)
+type tables = { mutable classes : cls list; mutable ids : int }
 
-let scan_instr lin p (i : Target.Instr.t) =
-  let vregs ops = List.concat_map Target.Instr.vregs_of_operand ops in
-  List.iter
-    (fun v ->
-      note lin v (2 * p);
-      push lin.use_positions v p)
-    (vregs i.uses);
-  List.iter
-    (fun v ->
-      note lin v ((2 * p) + 1);
-      push lin.def_positions v p)
-    (vregs i.defs);
-  (* Address registers inside printable operands that appear in neither defs
-     nor uses still occupy their register: treat as uses. *)
-  List.iter
-    (fun v ->
-      note lin v (2 * p);
-      push lin.use_positions v p)
-    (vregs i.operands)
-
-let linearize items =
-  let lin =
+let new_class t name ~count ~spill =
+  let c =
     {
-      spans = [];
-      ranges = Hashtbl.create 64;
-      def_positions = Hashtbl.create 64;
-      use_positions = Hashtbl.create 64;
+      name;
+      count;
+      spill;
+      first = Array.make t.ids max_int;
+      last = Array.make t.ids (-1);
+      defs = Array.make t.ids 0;
+      reg = Array.make t.ids 0;
+      free = [];
+      active = [];
     }
   in
-  let spans = Target.Asm.loop_spans (scan_instr lin) items in
-  (* A loop spans from the use point of its first instruction to the def
-     point of its last. *)
-  let span (first, last) = (2 * first, (2 * last) + 1) in
-  { lin with spans = List.map span spans }
+  t.classes <- t.classes @ [ c ];
+  c
+
+let tables machine ids =
+  let t = { classes = []; ids } in
+  List.iter
+    (fun (c : Target.Regfile.cls) ->
+      ignore
+        (new_class t c.cls_name ~count:c.count
+           ~spill:(List.assoc_opt c.cls_name machine.Target.Machine.spills)))
+    machine.Target.Machine.regfile.Target.Regfile.classes;
+  t
+
+(* Empty every class's tables for a program whose ids are below [ids];
+   a register is always set before it is read. *)
+let reset t ids =
+  List.iter
+    (fun c ->
+      if ids <= Array.length c.first then begin
+        Array.fill c.first 0 t.ids max_int;
+        Array.fill c.last 0 t.ids (-1);
+        Array.fill c.defs 0 t.ids 0
+      end
+      else begin
+        let room = Int.max ids (2 * Array.length c.first) in
+        c.first <- Array.make room max_int;
+        c.last <- Array.make room (-1);
+        c.defs <- Array.make room 0;
+        c.reg <- Array.make room 0
+      end)
+    t.classes;
+  t.ids <- ids
+
+let class_of t name =
+  let rec find = function
+    | c :: rest -> if String.equal c.name name then c else find rest
+    | [] -> new_class t name ~count:(-1) ~spill:None
+  in
+  find t.classes
+
+let rec max_id acc = function
+  | Target.Instr.Vreg v ->
+    if v.vid < 0 then invalid_arg "Regalloc: negative vreg id";
+    Int.max acc v.vid
+  | Target.Instr.Ind (inner, _, _) -> max_id acc inner
+  | Target.Instr.Reg _ | Target.Instr.Imm _ | Target.Instr.Adr _
+  | Target.Instr.Dir _ ->
+    acc
+
+let id_bound items =
+  let m = ref (-1) in
+  Target.Asm.iter_items
+    (fun (i : Target.Instr.t) ->
+      m :=
+        List.fold_left max_id
+          (List.fold_left max_id (List.fold_left max_id !m i.uses) i.defs)
+          i.operands)
+    items;
+  !m + 1
+
+let rec note t point ~def = function
+  | Target.Instr.Vreg v ->
+    let c = class_of t v.vcls and id = v.vid in
+    if point < c.first.(id) then c.first.(id) <- point;
+    if point > c.last.(id) then c.last.(id) <- point;
+    if def then c.defs.(id) <- c.defs.(id) + 1
+  | Target.Instr.Ind (inner, _, _) -> note t point ~def inner
+  | Target.Instr.Reg _ | Target.Instr.Imm _ | Target.Instr.Adr _
+  | Target.Instr.Dir _ ->
+    ()
+
+(* Fill the tables; returns the number of endpoints and the loop spans,
+   each from the use point of its first instruction to the def point of
+   its last.  Address registers inside printable operands that appear in
+   neither defs nor uses still occupy their register: they count as
+   uses. *)
+let linearize t items =
+  let points = ref 0 in
+  let rec note_all point ~def = function
+    | [] -> ()
+    | o :: rest ->
+      note t point ~def o;
+      note_all point ~def rest
+  in
+  let scan p (i : Target.Instr.t) =
+    points := (2 * p) + 2;
+    note_all (2 * p) ~def:false i.uses;
+    note_all ((2 * p) + 1) ~def:true i.defs;
+    note_all (2 * p) ~def:false i.operands
+  in
+  let spans = Target.Asm.loop_spans scan items in
+  (!points, List.map (fun (first, last) -> (2 * first, (2 * last) + 1)) spans)
 
 (* Extend a lifetime over every loop it straddles, to fixpoint. *)
 let extend spans (lo, hi) =
-  let rec fix (lo, hi) =
-    let lo', hi' =
-      List.fold_left
-        (fun (lo, hi) (s, e) ->
-          let intersects = lo <= e && hi >= s in
-          let inside = lo >= s && hi <= e in
-          if intersects && not inside then (min lo s, max hi e) else (lo, hi))
-        (lo, hi) spans
-    in
-    if (lo', hi') = (lo, hi) then (lo, hi) else fix (lo', hi')
+  let rec pass lo hi = function
+    | [] -> (lo, hi)
+    | (s, e) :: rest ->
+      if lo <= e && hi >= s && not (lo >= s && hi <= e) then
+        pass (Int.min lo s) (Int.max hi e) rest
+      else pass lo hi rest
   in
-  fix (lo, hi)
+  let rec fix lo hi =
+    let lo', hi' = pass lo hi spans in
+    if lo' = lo && hi' = hi then (lo, hi) else fix lo' hi'
+  in
+  fix lo hi
 
-type interval = {
-  vreg : Target.Instr.vreg;
-  raw : int * int;
-  ext : int * int;
-}
+(* Every lifetime, ordered by (extended start, vid, class name): bucketed
+   by extended start, each bucket filled in descending (vid, name) order.
+   [points] bounds the lifetime endpoints. *)
+let intervals t spans ~points =
+  let buckets = Array.make points [] in
+  let classes = List.sort (fun a b -> String.compare b.name a.name) t.classes in
+  for vid = t.ids - 1 downto 0 do
+    List.iter
+      (fun c ->
+        let hi = c.last.(vid) in
+        if hi >= 0 then begin
+          let lo = c.first.(vid) in
+          let elo, ehi =
+            match spans with [] -> (lo, hi) | _ :: _ -> extend spans (lo, hi)
+          in
+          buckets.(elo) <- { cls = c; vid; lo; hi; elo; ehi } :: buckets.(elo)
+        end)
+      classes
+  done;
+  let ordered = ref [] in
+  for p = points - 1 downto 0 do
+    ordered := buckets.(p) @ !ordered
+  done;
+  !ordered
 
-(* Linear scan. Returns the assignment, or the failing interval together
-   with the same-class intervals live at its start (spill candidates). *)
-let allocate machine lin =
-  let intervals =
-    Hashtbl.fold
-      (fun v raw acc -> { vreg = v; raw; ext = extend lin.spans raw } :: acc)
-      lin.ranges []
-    |> List.sort (fun a b -> compare (fst a.ext) (fst b.ext))
-  in
-  let assignment : (Target.Instr.vreg, int) Hashtbl.t = Hashtbl.create 64 in
-  let active : (string, (interval * int) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let free : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-  let class_state cls =
-    match Hashtbl.find_opt free cls with
-    | Some f -> (f, Hashtbl.find active cls)
-    | None ->
-      let count =
-        match Target.Regfile.find machine.Target.Machine.regfile cls with
-        | c -> c.Target.Regfile.count
-        | exception Not_found ->
-          invalid_arg ("Regalloc: unknown register class " ^ cls)
-      in
-      let f = ref (List.init count (fun i -> i)) in
-      let a = ref [] in
-      Hashtbl.replace free cls f;
-      Hashtbl.replace active cls a;
-      (f, a)
-  in
-  let failure = ref None in
+(* Linear scan.  Returns the failing interval together with the
+   same-class intervals live at its start (spill candidates), or [None]
+   when every interval has a register. *)
+let allocate t ivs =
+  List.iter
+    (fun c ->
+      c.free <- List.init (Int.max c.count 0) Fun.id;
+      c.active <- [])
+    t.classes;
   let rec place = function
-    | [] -> ()
-    | iv :: rest -> (
-      let f, a = class_state iv.vreg.vcls in
-      let lo, hi = iv.ext in
-      let expired, live =
-        List.partition (fun (other, _) -> snd other.ext < lo) !a
-      in
-      a := live;
-      List.iter (fun (_, idx) -> f := idx :: !f) expired;
-      match !f with
-      | idx :: restf ->
-        f := restf;
-        a := (iv, idx) :: !a;
-        Hashtbl.replace assignment iv.vreg idx;
-        ignore hi;
+    | [] -> None
+    | iv :: rest ->
+      let c = iv.cls in
+      if c.count < 0 then
+        invalid_arg ("Regalloc: unknown register class " ^ c.name);
+      let expired o = o.ehi < iv.elo in
+      if List.exists expired c.active then begin
+        let gone, live = List.partition expired c.active in
+        c.active <- live;
+        List.iter (fun o -> c.free <- c.reg.(o.vid) :: c.free) gone
+      end;
+      match c.free with
+      | r :: free ->
+        c.free <- free;
+        c.active <- iv :: c.active;
+        c.reg.(iv.vid) <- r;
         place rest
-      | [] -> failure := Some (iv, List.map fst !a))
+      | [] -> Some (iv, c.active)
   in
-  place intervals;
-  match !failure with
-  | None -> Ok assignment
-  | Some (iv, actives) -> Error (iv, actives)
+  place ivs
 
 (* ---- Spilling ------------------------------------------------------------- *)
 
-let mentions_vreg ops v =
-  List.exists
-    (fun op -> List.mem v (Target.Instr.vregs_of_operand op))
-    ops
-
-let subst_vreg ~from ~into i =
-  Target.Instr.map_operands
-    (fun op ->
-      match op with
-      | Target.Instr.Vreg v when v = from -> Target.Instr.Vreg into
-      | _ -> op)
-    i
+let rec names_vreg name vid = function
+  | Target.Instr.Vreg v -> v.vid = vid && String.equal v.vcls name
+  | Target.Instr.Ind (inner, _, _) -> names_vreg name vid inner
+  | Target.Instr.Reg _ | Target.Instr.Imm _ | Target.Instr.Adr _
+  | Target.Instr.Dir _ ->
+    false
 
 (* A spill candidate: single definition, the defining instruction does not
    read it, its lifetime does not straddle a loop boundary, and its class
    has spill instructions. *)
-let spillable machine lin (iv : interval) =
-  iv.raw = iv.ext
-  && List.mem_assoc iv.vreg.vcls machine.Target.Machine.spills
-  &&
-  match Hashtbl.find_opt lin.def_positions iv.vreg with
-  | Some [ _ ] -> true
-  | _ -> false
+let spillable iv =
+  iv.lo = iv.elo && iv.hi = iv.ehi
+  && Option.is_some iv.cls.spill
+  && iv.cls.defs.(iv.vid) = 1
 
 (* Rewrite: store after the definition, reload into a fresh register before
-   every use. *)
-let insert_spill ctx ops items victim scratch =
-  Target.Asm.map_runs
-    (List.concat_map (fun (i : Target.Instr.t) ->
-         if mentions_vreg i.defs victim then
-           [ Target.Asm.Op i;
-             Target.Asm.Op (ops.Target.Machine.spill_store victim scratch) ]
-         else if mentions_vreg i.uses victim || mentions_vreg i.operands victim
-         then
-           let nv = Target.Machine.fresh_vreg ctx victim.Target.Instr.vcls in
-           [ Target.Asm.Op (ops.Target.Machine.spill_load scratch nv);
-             Target.Asm.Op (subst_vreg ~from:victim ~into:nv i) ]
-         else [ Target.Asm.Op i ]))
-    items
+   every use.  Instructions of [Par] words are left as they are, and the
+   unchanged tail of a list is shared. *)
+let insert_spill ctx (ops : Target.Machine.spill_ops) items (victim : interval)
+    scratch =
+  let name = victim.cls.name and vid = victim.vid in
+  let mentions = List.exists (names_vreg name vid) in
+  let subst into = function
+    | Target.Instr.Vreg v when v.vid = vid && String.equal v.vcls name ->
+      Target.Instr.Vreg into
+    | op -> op
+  in
+  let rec go items =
+    match items with
+    | [] -> items
+    | (Target.Asm.Op i as item) :: rest when mentions i.defs ->
+      let store = ops.spill_store { Target.Instr.vcls = name; vid } scratch in
+      item :: Target.Asm.Op store :: go rest
+    | Target.Asm.Op i :: rest when mentions i.uses || mentions i.operands ->
+      let into = Target.Machine.fresh_vreg ctx name in
+      let load = Target.Asm.Op (ops.spill_load scratch into) in
+      let i = Target.Asm.Op (Target.Instr.map_operands (subst into) i) in
+      load :: i :: go rest
+    | ((Target.Asm.Op _ | Target.Asm.Par _) as item) :: rest ->
+      let rest' = go rest in
+      if rest' == rest then items else item :: rest'
+    | (Target.Asm.Loop l as item) :: rest ->
+      let body = go l.body in
+      let rest' = go rest in
+      if body == l.body && rest' == rest then items
+      else (if body == l.body then item else Target.Asm.Loop { l with body })
+           :: rest'
+  in
+  go items
 
 let run ?ctx machine (asm : Target.Asm.t) =
+  let t = tables machine (id_bound asm.Target.Asm.items) in
   let rec attempt items fuel =
     Ir.Deadline.check ();
-    let lin = linearize items in
-    match allocate machine lin with
-    | Ok assignment ->
+    let points, spans = linearize t items in
+    match allocate t (intervals t spans ~points) with
+    | None ->
       let rewrite op =
         match op with
         | Target.Instr.Vreg v ->
-          Target.Instr.Reg { cls = v.vcls; idx = Hashtbl.find assignment v }
+          let idx = (class_of t v.vcls).reg.(v.vid) in
+          Target.Instr.Reg { cls = v.vcls; idx }
         | Target.Instr.Reg _ | Target.Instr.Imm _ | Target.Instr.Adr _
         | Target.Instr.Dir _ | Target.Instr.Ind _ ->
           op
       in
-      Target.Asm.map (Target.Instr.map_operands rewrite)
-        { asm with items }
-    | Error (iv, actives) -> (
+      Target.Asm.map (Target.Instr.map_operands rewrite) { asm with items }
+    | Some (iv, actives) -> (
       let fail () =
         raise
           (Pressure
              (Printf.sprintf
                 "class %s: no free register for %%%s%d (live range %d..%d)"
-                iv.vreg.vcls iv.vreg.vcls iv.vreg.vid (fst iv.ext)
-                (snd iv.ext)))
+                iv.cls.name iv.cls.name iv.vid iv.elo iv.ehi))
       in
       match ctx with
-      | None -> fail ()
       | Some ctx when fuel > 0 -> (
         (* Spill the candidate whose lifetime reaches furthest. *)
         let candidates =
-          List.filter (spillable machine lin) (iv :: actives)
-          |> List.sort (fun a b -> compare (snd b.ext) (snd a.ext))
+          List.filter spillable (iv :: actives)
+          |> List.stable_sort (fun a b -> Int.compare b.ehi a.ehi)
         in
         match candidates with
         | [] -> fail ()
         | victim :: _ ->
-          let ops =
-            List.assoc victim.vreg.vcls machine.Target.Machine.spills
-          in
           let scratch = Target.Machine.fresh_scratch ctx in
-          attempt (insert_spill ctx ops items victim.vreg scratch) (fuel - 1))
-      | Some _ -> fail ())
+          let items =
+            insert_spill ctx (Option.get victim.cls.spill) items victim scratch
+          in
+          reset t (Int.max t.ids ctx.Target.Machine.next_vreg);
+          attempt items (fuel - 1))
+      | Some _ | None -> fail ())
   in
   (* Each round inserts one spill, so allow one round per instruction (with
      some headroom for tiny programs); the bound only guards against a

@@ -3,7 +3,8 @@
 
     Virtual registers are class-typed by the emitters; the allocator maps
     each to a physical register of its class with a loop-aware linear scan.
-    Lifetimes that cross a loop boundary are extended over the whole loop.
+    Lifetimes that cross a loop boundary are extended over the whole loop;
+    the scan takes them in order of extended start, then of id.
 
     Under pressure the allocator spills: it parks the interfering value with
     the furthest use in a scratch memory cell (using the machine's
@@ -24,7 +25,9 @@ val run :
     registers for spilling; without it, pressure is fatal immediately.
     @raise Pressure when allocation is impossible.
     @raise Invalid_argument when a virtual register's class is not in the
-    machine's register file. *)
+    machine's register file, or a virtual register's id is negative (ids
+    are dense from 0, as {!Target.Machine.fresh_vreg} mints them: the
+    allocator's tables are arrays indexed by id). *)
 
 val extend : (int * int) list -> int * int -> int * int
 (** [extend spans (lo, hi)] widens a lifetime over every loop span

@@ -4,7 +4,10 @@
     through memory; their lifetimes are short and properly nested, so after
     allocation the cells are renamed with a loop-aware linear scan.  The
     data-segment cost of scratch traffic becomes the peak number of
-    simultaneously live scratch values rather than the total count.
+    simultaneously live scratch values rather than the total count.  A
+    scratch cell is named [$s<n>], the way {!Target.Machine.fresh_scratch}
+    names it; no other name is renamed.  Cells with equal lifetimes take
+    slots in the order of their numbers.
 
     Cells whose lifetime straddles a loop boundary (induction-variable
     cells) are extended over the whole loop and never share storage with

@@ -98,16 +98,34 @@ let map f t =
   in
   { t with items = List.map go t.items }
 
-let pp ppf t =
+let to_string t =
+  let b = Buffer.create 1024 in
   let rec go indent = function
-    | Op i -> Format.fprintf ppf "%s%s@." indent (Instr.to_string i)
+    | Op i ->
+      Buffer.add_string b indent;
+      Instr.add_to_buffer b i;
+      Buffer.add_char b '\n'
     | Par is ->
-      Format.fprintf ppf "%s%s@." indent
-        (String.concat "  ||  " (List.map Instr.to_string is))
+      Buffer.add_string b indent;
+      List.iteri
+        (fun k i ->
+          if k > 0 then Buffer.add_string b "  ||  ";
+          Instr.add_to_buffer b i)
+        is;
+      Buffer.add_char b '\n'
     | Loop l ->
-      Format.fprintf ppf "%s; loop x%d@." indent l.count;
+      Buffer.add_string b indent;
+      Buffer.add_string b "; loop x";
+      Buffer.add_string b (string_of_int l.count);
+      Buffer.add_char b '\n';
       List.iter (go (indent ^ "  ")) l.body;
-      Format.fprintf ppf "%s; end loop@." indent
+      Buffer.add_string b indent;
+      Buffer.add_string b "; end loop\n"
   in
-  Format.fprintf ppf "; %s@." t.name;
-  List.iter (go "") t.items
+  Buffer.add_string b "; ";
+  Buffer.add_string b t.name;
+  Buffer.add_char b '\n';
+  List.iter (go "") t.items;
+  Buffer.contents b
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)

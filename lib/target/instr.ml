@@ -60,23 +60,57 @@ let rec vregs_of_operand = function
   | Ind (inner, _, _) -> vregs_of_operand inner
   | Reg _ | Imm _ | Adr _ | Dir _ -> []
 
-let rec operand_to_string = function
-  | Reg r -> Printf.sprintf "%s%d" r.cls r.idx
-  | Vreg v -> Printf.sprintf "%%%s%d" v.vcls v.vid
-  | Imm k -> Printf.sprintf "#%d" k
-  | Adr r -> "&" ^ Ir.Mref.to_string r
-  | Dir r -> Ir.Mref.to_string r
-  | Ind (inner, u, _) ->
-    let suffix =
-      match u with No_update -> "" | Post_inc -> "+" | Post_dec -> "-"
-    in
-    "*" ^ operand_to_string inner ^ suffix
+let rec add_operand b = function
+  | Reg r ->
+    Buffer.add_string b r.cls;
+    Buffer.add_string b (string_of_int r.idx)
+  | Vreg v ->
+    Buffer.add_char b '%';
+    Buffer.add_string b v.vcls;
+    Buffer.add_string b (string_of_int v.vid)
+  | Imm k ->
+    Buffer.add_char b '#';
+    Buffer.add_string b (string_of_int k)
+  | Adr r ->
+    Buffer.add_char b '&';
+    Ir.Mref.add_to_buffer b r
+  | Dir r -> Ir.Mref.add_to_buffer b r
+  | Ind (inner, u, _) -> (
+    Buffer.add_char b '*';
+    add_operand b inner;
+    match u with
+    | No_update -> ()
+    | Post_inc -> Buffer.add_char b '+'
+    | Post_dec -> Buffer.add_char b '-')
+
+let operand_to_string o =
+  let b = Buffer.create 16 in
+  add_operand b o;
+  Buffer.contents b
+
+(* The opcode padded to six columns, then the operands. *)
+let add_to_buffer b i =
+  Buffer.add_string b i.opcode;
+  match i.operands with
+  | [] -> ()
+  | o :: os ->
+    for _ = String.length i.opcode to 5 do
+      Buffer.add_char b ' '
+    done;
+    Buffer.add_char b ' ';
+    add_operand b o;
+    List.iter
+      (fun o ->
+        Buffer.add_string b ", ";
+        add_operand b o)
+      os
 
 let to_string i =
   match i.operands with
   | [] -> i.opcode
-  | ops ->
-    Printf.sprintf "%-6s %s" i.opcode
-      (String.concat ", " (List.map operand_to_string ops))
+  | _ :: _ ->
+    let b = Buffer.create 32 in
+    add_to_buffer b i;
+    Buffer.contents b
 
 let pp ppf i = Format.pp_print_string ppf (to_string i)

@@ -106,7 +106,7 @@ let drain ctx =
    program variables (the IR validates identifiers) and so the peephole
    dead-store elimination can recognize them. *)
 let fresh_scratch ctx =
-  let name = Printf.sprintf "$s%d" ctx.next_scratch in
+  let name = "$s" ^ string_of_int ctx.next_scratch in
   ctx.next_scratch <- ctx.next_scratch + 1;
   ctx.scratch <- (name, 1) :: ctx.scratch;
   Ir.Mref.scalar name

@@ -766,3 +766,311 @@ let spill_suites =
   ]
 
 let suites = suites @ spill_suites
+
+(* ---- Dense allocation tables against the references ------------------------ *)
+
+(* Random allocation inputs: straight-line runs and counted loops, empty
+   ones included, over vregs of several classes, with direct, immediate,
+   indirect and post-modifying operands, some only in the printable
+   operands.  A value operand is drawn as a distance back: 0 in a def
+   names a new value, and k names the class's k-th most recent value (a
+   use, or a second definition), or one never defined when there are
+   fewer.  An address register's id comes from a pool of four for the
+   whole program. *)
+let gen_alloc_items ~classes ~addr ~uses =
+  let open QCheck.Gen in
+  let value back = map2 vreg (oneofl classes) back in
+  let ind =
+    map2
+      (fun vid u -> Target.Instr.Ind (vreg addr vid, u, None))
+      (int_bound 3)
+      (oneofl Target.Instr.[ No_update; Post_inc; Post_dec ])
+  in
+  let use =
+    frequency
+      [
+        (6, value (int_range 1 6));
+        (2, map dir (oneofl [ "a"; "b" ]));
+        (2, ind);
+        (1, map (fun k -> Target.Instr.Imm k) (int_bound 9));
+      ]
+  in
+  (* The printable operands are completed once the ids are known. *)
+  let instr =
+    map3
+      (fun defs uses extra -> Target.Instr.make "OP" ~operands:extra ~defs ~uses)
+      (list_size
+         (frequency [ (1, return 0); (3, return 1) ])
+         (frequency [ (8, value (return 0)); (1, value (int_range 1 6)); (2, ind) ]))
+      (list_size (int_bound uses) use)
+      (list_size (frequency [ (4, return 0); (1, return 1) ]) ind)
+  in
+  let rec items depth size =
+    list_size size
+      (frequency
+         ((8, map op instr)
+         ::
+         (if depth = 0 then []
+          else
+            [
+              ( 1,
+                map
+                  (fun body -> Target.Asm.Loop { ivar = None; count = 3; body })
+                  (items (depth - 1) (int_bound 5)) );
+            ])))
+  in
+  let resolve items =
+    let minted = ref 0 and recent = ref [] in
+    let id ~def = function
+      | Target.Instr.Vreg { vcls; vid } when vcls <> addr ->
+        let mine = Option.value ~default:[] (List.assoc_opt vcls !recent) in
+        if def && vid = 0 then begin
+          incr minted;
+          recent := (vcls, !minted :: mine) :: List.remove_assoc vcls !recent;
+          vreg vcls !minted
+        end
+        else vreg vcls (Option.value ~default:(500 + vid) (List.nth_opt mine (vid - 1)))
+      | o -> o
+    in
+    let rec go = function
+      | Target.Asm.Op (i : Target.Instr.t) ->
+        let uses = List.map (id ~def:false) i.uses in
+        let defs = List.map (id ~def:true) i.defs in
+        op (Target.Instr.make "OP" ~operands:(i.operands @ uses @ defs) ~defs ~uses)
+      | Target.Asm.Loop l -> Target.Asm.Loop { l with body = List.map go l.body }
+      | Target.Asm.Par _ as p -> p
+    in
+    List.map go items
+  in
+  map resolve (items 2 (int_range 1 24))
+
+let print_items items = Target.Asm.to_string (Target.Asm.make ~name:"t" items)
+
+(* An allocator's output or failure on a fresh context whose next id lies
+   past the program's, with the ids and cells it minted; without a
+   context when [with_ctx] is false. *)
+let allocation run with_ctx =
+  let ctx = Target.Machine.create_ctx () in
+  ctx.Target.Machine.next_vreg <- 1000;
+  let result = run (if with_ctx then Some ctx else None) in
+  (result, ctx.Target.Machine.next_vreg, Target.Machine.scratch_decls ctx)
+
+let ours machine asm ctx =
+  match Opt.Regalloc.run ?ctx machine asm with
+  | a -> Ok a.Target.Asm.items
+  | exception Opt.Regalloc.Pressure msg -> Error msg
+
+let reference machine asm ctx =
+  match Reference_alloc.Regalloc.run ?ctx machine asm with
+  | a -> Ok a.Target.Asm.items
+  | exception Reference_alloc.Regalloc.Pressure msg -> Error msg
+
+let prop_regalloc_matches_reference (label, machine, classes, addr, uses) =
+  QCheck.Test.make ~count:400
+    ~name:("regalloc allocates as the reference on " ^ label)
+    (QCheck.make ~print:print_items (gen_alloc_items ~classes ~addr ~uses))
+    (fun items ->
+      let asm = Target.Asm.make ~name:"t" items in
+      List.for_all
+        (fun with_ctx ->
+          allocation (ours machine asm) with_ctx
+          = allocation (reference machine asm) with_ctx)
+        [ false; true ])
+
+(* Per machine: the value classes (a repeated name is drawn more often),
+   the address class, and the most reads per instruction; two reads and
+   a definition of the ASIP's two accumulators at one instruction could
+   never be allocated, however much it spilled. *)
+let alloc_machines =
+  [
+    ("dsp56", Target.Dsp56.machine, [ "xy"; "xy"; "xy"; "acc"; "r" ], "r", 2);
+    ( "asip",
+      Target.Asip.machine ~name:"asip-a2r4"
+        { Target.Asip.default with accumulators = 2; address_regs = 4 },
+      [ "acc" ],
+      "ar",
+      1 );
+  ]
+
+(* The property's inputs reach every outcome of the spill path: some
+   allocate only after spilling, and some fail even with a context. *)
+let test_regalloc_reference_reaches_spills () =
+  let spilled = ref 0 and failed = ref 0 in
+  List.iter
+    (fun (_, machine, classes, addr, uses) ->
+      List.iter
+        (fun items ->
+          match allocation (ours machine (Target.Asm.make ~name:"t" items)) true with
+          | Ok _, _, _ :: _ -> incr spilled
+          | Error _, _, _ -> incr failed
+          | Ok _, _, [] -> ())
+        (QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:200
+           (gen_alloc_items ~classes ~addr ~uses)))
+    alloc_machines;
+  Alcotest.(check bool) "some inputs spill" true (!spilled > 20);
+  Alcotest.(check bool) "some inputs fail" true (!failed > 20)
+
+let test_regalloc_unknown_class () =
+  let asm = Target.Asm.make ~name:"t" [ op (Target.Instr.make "ZAC" ~defs:[ vreg "q" 0 ]) ] in
+  Alcotest.check_raises "named"
+    (Invalid_argument "Regalloc: unknown register class q") (fun () ->
+      ignore (Opt.Regalloc.run Target.Tic25.machine asm))
+
+(* Random scratch traffic: "$s" cells, program variables and a pool cell,
+   read and written directly, by address and as an indirect stream, in
+   runs and loops. *)
+let gen_scratch_items =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        (6, map (fun n -> "$s" ^ string_of_int n) (int_bound 15));
+        (1, oneofl [ "x"; "y"; "$k0" ]);
+      ]
+  in
+  let mref =
+    frequency
+      [
+        (4, map Ir.Mref.scalar base);
+        (1, map2 (fun b k -> Ir.Mref.elem b k) base (int_bound 3));
+      ]
+  in
+  let operand =
+    frequency
+      [
+        (4, map (fun r -> Target.Instr.Dir r) mref);
+        (1, map (fun r -> Target.Instr.Adr r) mref);
+        ( 1,
+          map (fun r -> Target.Instr.Ind (vreg "ar" 0, Target.Instr.Post_inc, Some r)) mref
+        );
+        (1, return (vreg "acc" 1));
+      ]
+  in
+  let instr =
+    map2
+      (fun defs uses -> Target.Instr.make "OP" ~operands:(uses @ defs) ~defs ~uses)
+      (list_size (int_bound 1) operand)
+      (list_size (int_bound 2) operand)
+  in
+  let rec items depth size =
+    list_size size
+      (frequency
+         ((5, map op instr)
+         ::
+         (if depth = 0 then []
+          else
+            [
+              ( 1,
+                map
+                  (fun body -> Target.Asm.Loop { ivar = None; count = 2; body })
+                  (items (depth - 1) (int_bound 6)) );
+            ])))
+  in
+  items 2 (int_range 1 16)
+
+let prop_scratchpack_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"scratchpack packs as the reference"
+    (QCheck.make ~print:print_items gen_scratch_items)
+    (fun items ->
+      let asm = Target.Asm.make ~name:"t" items in
+      let ours, decls = Opt.Scratchpack.run asm in
+      let theirs, decls' = Reference_alloc.Scratchpack.run asm in
+      ours.Target.Asm.items = theirs.Target.Asm.items && decls = decls')
+
+(* ---- Listings against the Format renderer ---------------------------------- *)
+
+let reference_listing asm = Format.asprintf "%a" Reference_alloc.Listing.pp asm
+
+let gen_listing =
+  let open QCheck.Gen in
+  let mref =
+    oneof
+      [
+        map Ir.Mref.scalar (oneofl [ "x"; "$s3"; "coefficients" ]);
+        map2 Ir.Mref.elem (oneofl [ "a"; "b" ]) (int_bound 12);
+        map3
+          (fun offset step ivar -> Ir.Mref.induct ~offset ~step "a" ~ivar)
+          (int_range (-3) 3) (oneofl [ 1; -1 ]) (oneofl [ "i"; "i1" ]);
+      ]
+  in
+  let operand =
+    oneof
+      [
+        map (fun idx -> Target.Instr.reg "ar" idx) (int_bound 7);
+        map (fun k -> Target.Instr.Imm k) (int_range (-300) 300);
+        map (fun r -> Target.Instr.Dir r) mref;
+        map (fun r -> Target.Instr.Adr r) mref;
+        map (fun vid -> vreg "xy" vid) (int_bound 20);
+        map2
+          (fun idx u -> Target.Instr.Ind (Target.Instr.reg "r" idx, u, None))
+          (int_bound 7)
+          (oneofl Target.Instr.[ No_update; Post_inc; Post_dec ]);
+      ]
+  in
+  let instr =
+    map2
+      (fun opcode operands -> Target.Instr.make opcode ~operands)
+      (oneofl [ "ZAC"; "MOVE"; "MACR"; "LDARI"; "LONGOPCODE" ])
+      (list_size (int_bound 4) operand)
+  in
+  let item =
+    frequency
+      [ (4, map op instr); (1, map (fun is -> Target.Asm.Par is) (list_size (int_range 1 3) instr)) ]
+  in
+  let body = list_size (int_bound 5) item in
+  map2
+    (fun pre body ->
+      Target.Asm.make ~name:"listing"
+        (pre @ [ Target.Asm.Loop { ivar = Some "i"; count = 7; body } ]))
+    body body
+
+let prop_listing_matches_format =
+  QCheck.Test.make ~count:500 ~name:"listing renders as the Format printer"
+    (QCheck.make ~print:reference_listing gen_listing)
+    (fun asm ->
+      let text = reference_listing asm in
+      Target.Asm.to_string asm = text && Format.asprintf "%a" Target.Asm.pp asm = text)
+
+(* Format breaks nothing at its 78-column margin here: a line that long
+   renders as one line, as it did through Format. *)
+let test_listing_long_line () =
+  let m =
+    Target.Instr.make "MACR"
+      ~operands:
+        [
+          Target.Instr.Dir (Ir.Mref.induct ~offset:(-15) ~step:(-1) "coefficients" ~ivar:"i1");
+          Target.Instr.Ind (Target.Instr.reg "r" 4, Target.Instr.Post_dec, None);
+          Target.Instr.Adr (Ir.Mref.elem "delay_line" 12);
+        ]
+  in
+  let asm =
+    Target.Asm.make ~name:"wide"
+      [ Target.Asm.Loop { ivar = None; count = 2; body = [ Target.Asm.Par [ m; m; m ] ] } ]
+  in
+  let text = Target.Asm.to_string asm in
+  Alcotest.(check bool) "a line passes column 78" true
+    (List.exists (fun l -> String.length l > 78) (String.split_on_char '\n' text));
+  Alcotest.(check string) "Format's text" (reference_listing asm) text;
+  Alcotest.(check string) "through pp" text (Format.asprintf "%a" Target.Asm.pp asm)
+
+let reference_suites =
+  [
+    ( "opt.regalloc.reference",
+      List.map
+        (fun m -> QCheck_alcotest.to_alcotest (prop_regalloc_matches_reference m))
+        alloc_machines
+      @ [
+          Alcotest.test_case "random inputs reach the spill path" `Quick
+            test_regalloc_reference_reaches_spills;
+          Alcotest.test_case "unknown class named" `Quick test_regalloc_unknown_class;
+        ] );
+    ( "opt.scratchpack",
+      [ QCheck_alcotest.to_alcotest prop_scratchpack_matches_reference ] );
+    ( "target.listing",
+      [
+        QCheck_alcotest.to_alcotest prop_listing_matches_format;
+        Alcotest.test_case "line longer than the margin" `Quick test_listing_long_line;
+      ] );
+  ]
+
+let suites = suites @ reference_suites
