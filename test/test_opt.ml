@@ -867,7 +867,7 @@ let reference machine asm ctx =
 
 let prop_regalloc_matches_reference (label, machine, classes, addr, uses) =
   QCheck.Test.make ~count:400
-    ~name:("regalloc allocates as the reference on " ^ label)
+    ~name:(label ^ ": regalloc allocates as the reference")
     (QCheck.make ~print:print_items (gen_alloc_items ~classes ~addr ~uses))
     (fun items ->
       let asm = Target.Asm.make ~name:"t" items in
@@ -1055,7 +1055,7 @@ let test_listing_long_line () =
 
 let reference_suites =
   [
-    ( "opt.regalloc.reference",
+    ( "opt.regalloc.ref",
       List.map
         (fun m -> QCheck_alcotest.to_alcotest (prop_regalloc_matches_reference m))
         alloc_machines
