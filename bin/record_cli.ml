@@ -157,16 +157,7 @@ let compile_cmd file target target_file conventional selection check inputs
       | Some (outputs, cycles, checked) ->
         [
           ("cycles", Driver.Json.Int cycles);
-          ( "outputs",
-            Driver.Json.Obj
-              (List.map
-                 (fun (name, values) ->
-                   ( name,
-                     Driver.Json.List
-                       (List.map
-                          (fun v -> Driver.Json.Int v)
-                          (Array.to_list values)) ))
-                 outputs) );
+          ("outputs", Driver.Job.outputs_to_json outputs);
           ( "check",
             match checked with
             | None -> Driver.Json.Null
@@ -199,15 +190,7 @@ let compile_cmd file target target_file conventional selection check inputs
            ( "selection",
              Driver.Job.selection_to_json compiled.Record.Pipeline.selection );
            ( "phase_ms",
-             Driver.Json.List
-               (List.map
-                  (fun (phase, ms) ->
-                    Driver.Json.Obj
-                      [
-                        ("phase", Driver.Json.String phase);
-                        ("ms", Driver.Json.Float ms);
-                      ])
-                  compiled.Record.Pipeline.phase_ms) );
+             Driver.Job.phase_ms_to_json compiled.Record.Pipeline.phase_ms );
          ]
         @ sim_fields)
     in

@@ -298,7 +298,7 @@ and lower_loop_item machine matcher ctx (options : Options.t) stats variants
     | Options.Materialize_ivar ->
       let naive = the_naive_agu machine in
       let cell = Target.Machine.fresh_scratch ctx in
-      naive.Target.Machine.zero_cell ctx cell;
+      machine.Target.Machine.store ctx cell (Target.Machine.Imm 0);
       let init = Target.Machine.drain ctx in
       let body_items = lower_body ((ivar, cell) :: cells) in
       naive.Target.Machine.incr_cell ctx cell;
@@ -460,7 +460,8 @@ let compile ?(options = Options.record_) ?matcher machine (prog : Ir.Prog.t) =
   let items =
     timed "select-emit" (fun () ->
         let items =
-          lower machine matcher ctx options stats variants dag [] prog'.body
+          try lower machine matcher ctx options stats variants dag [] prog'.body
+          with Target.Machine.Unsupported msg -> raise (Error msg)
         in
         check_no_induct items;
         items)

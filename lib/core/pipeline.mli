@@ -81,7 +81,9 @@ val compile :
     one per target); it must have been created from this machine's grammar.
     Without it a fresh matcher is created per run.
     @raise Error when the program cannot be compiled for the machine (no
-    cover, AGU exhaustion, register pressure, mode verification failure).
+    cover, AGU exhaustion, register pressure, mode verification failure,
+    or a construct the description raised {!Target.Machine.Unsupported}
+    on).
     @raise Invalid_argument when [matcher] was built for another grammar.
     @raise Ir.Deadline.Expired when the calling domain's deadline passes;
     it is polled after every phase; during selection, before every

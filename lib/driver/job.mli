@@ -100,6 +100,14 @@ val selection_to_json : Record.Pipeline.selection_stats -> Json.t
     section of a success: the matcher counters are deltas against matcher
     state shared across one process's jobs, so they depend on scheduling. *)
 
+val outputs_to_json : (string * int array) list -> Json.t
+(** Simulated outputs as an object of integer lists, one member per output
+    variable in order. *)
+
+val phase_ms_to_json : (string * float) list -> Json.t
+(** Phase spans as a list of [{"phase", "ms"}] objects in execution
+    order. *)
+
 val result_to_json : ?deterministic:bool -> result -> Json.t
 
 val results_to_json :

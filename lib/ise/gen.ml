@@ -1,4 +1,4 @@
-exception Unsupported of string
+exception Unsupported = Target.Machine.Unsupported
 
 (* ---- transfers -> iburg input ------------------------------------------ *)
 
@@ -56,14 +56,6 @@ let rules_of_transfers transfers =
         | None -> None))
     transfers
 
-(* A mem leaf rule so "mem" is producible from plain references. *)
-let mem_ref_rule =
-  Burg.Rule.make ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any
-
-(* Constants may come from a pre-initialized pool cell (one data word). *)
-let mem_const_rule =
-  Burg.Rule.make ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any
-
 (* ---- Emitters ------------------------------------------------------------ *)
 
 (* Walk the transfer expression and the matched subtree in parallel,
@@ -107,6 +99,11 @@ let build_operands (t : Transfer.t) node children =
   go t.expr node;
   (List.rev !operands, List.rev !uses)
 
+(* A store transfer as a move: [store_of t v m] stores register [v] to
+   [m]. *)
+let store_of (t : Transfer.t) =
+  Target.Machine.store_instr ~words:t.words ~cycles:t.cycles t.name
+
 let emitter_of (t : Transfer.t) dest_reg : Target.Machine.emitter =
  fun ctx node children ->
   let operands, uses = build_operands t node children in
@@ -146,77 +143,44 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         | _ -> false)
       transfers
   in
-  let rules = mem_ref_rule :: mem_const_rule :: rules_of_transfers transfers in
+  let rules = Target.Machine.mem_rules @ rules_of_transfers transfers in
   let grammar = Burg.Grammar.make ~name ~start:store_reg rules in
-  let emitters =
-    ( "mem_ref",
-      fun _ctx node _children ->
-        match node with
-        | Ir.Tree.Ref r -> Target.Machine.Mem r
-        | _ -> (assert false : Target.Machine.value) )
-    :: ( "mem_const",
-         fun ctx node _children ->
-           match node with
-           | Ir.Tree.Const k -> Target.Machine.Mem (Target.Machine.const_cell ctx k)
-           | _ -> (assert false : Target.Machine.value) )
-    :: List.filter_map
-         (fun (t : Transfer.t) ->
-           match t.dest with
-           | Transfer.Dreg r -> Some (t.name, emitter_of t r)
-           | Transfer.Dmem _ -> (
-             match is_store t with
-             | Some _r ->
-               (* Spill: store the register child to fresh scratch. *)
-               Some
-                 ( "spill_" ^ t.name,
-                   fun ctx _node children ->
-                     (match children with
-                     | [ Target.Machine.Vreg v ] ->
-                       let scratch = Target.Machine.fresh_scratch ctx in
-                       Target.Machine.emit ctx
-                         (Target.Instr.make t.name
-                            ~operands:[ Target.Instr.Dir scratch ]
-                            ~defs:[ Target.Instr.Dir scratch ]
-                            ~uses:[ Target.Instr.Vreg v ]
-                            ~words:t.words ~cycles:t.cycles ~funit:"move");
-                       Target.Machine.Mem scratch
-                     | _ -> assert false) )
-             | None -> None))
-         transfers
+  (* [store_reg]'s moves: register allocation spills and reloads through
+     a scratch word with the same store and load transfers. *)
+  let moves =
+    {
+      Target.Machine.spill_store = store_of store_transfer;
+      spill_load =
+        Target.Machine.load_instr ~words:load_transfer.words
+          ~cycles:load_transfer.cycles load_transfer.name;
+    }
   in
-  let store ctx dst value =
-    let store_from_vreg v =
-      Target.Machine.emit ctx
-        (Target.Instr.make store_transfer.Transfer.name
-           ~operands:[ Target.Instr.Dir dst ]
-           ~defs:[ Target.Instr.Dir dst ]
-           ~uses:[ Target.Instr.Vreg v ]
-           ~words:store_transfer.Transfer.words
-           ~cycles:store_transfer.Transfer.cycles ~funit:"move")
-    in
-    match value with
-    | Target.Machine.Vreg v -> store_from_vreg v
-    | Target.Machine.Mem src ->
-      let v = Target.Machine.fresh_vreg ctx store_reg in
-      Target.Machine.emit ctx
-        (Target.Instr.make load_transfer.Transfer.name
-           ~operands:[ Target.Instr.Dir src ]
-           ~defs:[ Target.Instr.Vreg v ]
-           ~uses:[ Target.Instr.Dir src ]
-           ~words:load_transfer.Transfer.words
-           ~cycles:load_transfer.Transfer.cycles ~funit:"move");
-      store_from_vreg v
-    | Target.Machine.Imm k -> (
-      match ldi_transfer with
-      | Some ldi ->
-        let v = Target.Machine.fresh_vreg ctx store_reg in
-        Target.Machine.emit ctx
-          (Target.Instr.make ldi.Transfer.name
-             ~operands:[ Target.Instr.Imm k ]
-             ~defs:[ Target.Instr.Vreg v ]
-             ~words:ldi.Transfer.words ~cycles:ldi.Transfer.cycles);
-        store_from_vreg v
-      | None -> raise (Unsupported "no immediate-load transfer"))
+  let emitters =
+    Target.Machine.mem_emitters
+    @ List.filter_map
+        (fun (t : Transfer.t) ->
+          match t.dest with
+          | Transfer.Dreg r -> Some (t.name, emitter_of t r)
+          | Transfer.Dmem _ -> (
+            match is_store t with
+            | Some _r ->
+              Some
+                ("spill_" ^ t.name, Target.Machine.spill_emitter (store_of t))
+            | None -> None))
+        transfers
+  in
+  let store =
+    Target.Machine.store_with moves store_reg ~imm:(fun ctx k ->
+        match ldi_transfer with
+        | Some ldi ->
+          let v = Target.Machine.fresh_vreg ctx store_reg in
+          Target.Machine.emit ctx
+            (Target.Instr.make ldi.Transfer.name
+               ~operands:[ Target.Instr.Imm k ]
+               ~defs:[ Target.Instr.Vreg v ]
+               ~words:ldi.Transfer.words ~cycles:ldi.Transfer.cycles);
+          v
+        | None -> raise (Unsupported "no immediate-load transfer"))
   in
   (* Executable semantics: interpret the transfer behind each opcode, plus
      the synthesized control pseudo-instructions. *)
@@ -362,41 +326,9 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         {
           Target.Machine.ar_cls = cls;
           ar_limit = limit;
-          load_ar =
-            (fun ctx v r ->
-              Target.Machine.emit ctx
-                (Target.Instr.make "LDAR"
-                   ~operands:[ Target.Instr.Vreg v; Target.Instr.Adr r ]
-                   ~defs:[ Target.Instr.Vreg v ]
-                   ~funit:"ctl"));
-          add_ar = None;
+          load_ar = Target.Machine.load_ar "LDAR";
         }
     | _ -> None
-  in
-  (* Register allocation can relieve pressure on [store_reg] by round-tripping
-     through a scratch word with the same store/load transfers. *)
-  let spills =
-    [
-      ( store_reg,
-        {
-          Target.Machine.spill_store =
-            (fun v m ->
-              Target.Instr.make store_transfer.Transfer.name
-                ~operands:[ Target.Instr.Dir m ]
-                ~defs:[ Target.Instr.Dir m ]
-                ~uses:[ Target.Instr.Vreg v ]
-                ~words:store_transfer.Transfer.words
-                ~cycles:store_transfer.Transfer.cycles ~funit:"move");
-          spill_load =
-            (fun m v ->
-              Target.Instr.make load_transfer.Transfer.name
-                ~operands:[ Target.Instr.Dir m ]
-                ~defs:[ Target.Instr.Vreg v ]
-                ~uses:[ Target.Instr.Dir m ]
-                ~words:load_transfer.Transfer.words
-                ~cycles:load_transfer.Transfer.cycles ~funit:"move");
-        } );
-    ]
   in
   {
     Target.Machine.name;
@@ -426,11 +358,10 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
       (fun m v -> invalid_arg (Printf.sprintf "%s: no mode %s=%d" name m v));
     slots = None;
     banks = [ "data" ];
-    default_bank = "data";
     loop_;
     agu;
     naive_agu = None;
-    spills;
+    spills = [ (store_reg, moves) ];
     semantics;
     classification =
       {

@@ -13,7 +13,11 @@
 
 exception Unsupported of string
 (** The instruction set cannot support compilation (e.g. no way to store a
-    register to memory, or no load). *)
+    register to memory, or no load). This is {!Target.Machine.Unsupported}:
+    a generated machine raises it while emitting a construct it lacks (a
+    loop without declared loop control, an immediate without an
+    immediate load), and {!Record.Pipeline.compile} reports that as
+    [Pipeline.Error]. *)
 
 val of_transfers :
   name:string ->

@@ -63,9 +63,8 @@ let machine ?(name = "asip") p =
     | _ -> false
   in
   let rules =
-    [
-      rule ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
-      rule ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
+    Machine.mem_rules
+    @ [
       rule ~name:"ld" ~lhs:"acc" ~cost:1 (nt "mem");
       rule ~name:"ldi" ~lhs:"acc" ~cost:1 ~guard:imm_guard
         Burg.Pattern.Const_any;
@@ -120,20 +119,8 @@ let machine ?(name = "asip") p =
   in
   let grammar = Burg.Grammar.make ~name ~start:"acc" rules in
   let bad rname = invalid_arg (name ^ ": bad children for " ^ rname) in
-  let load ctx m =
-    let v = Machine.fresh_vreg ctx "acc" in
-    Machine.emit ctx
-      (Instr.make "LD"
-         ~operands:[ Instr.Dir m ]
-         ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-    v
-  in
-  let store_from ctx dst v =
-    Machine.emit ctx
-      (Instr.make "ST"
-         ~operands:[ Instr.Dir dst ]
-         ~defs:[ Instr.Dir dst ] ~uses:[ Instr.Vreg v ] ~funit:"move")
-  in
+  let moves = Machine.moves ~load:"LD" ~store:"ST" in
+  let load ctx m = Machine.emit_load ctx moves "acc" m in
   let load_imm ctx k =
     let v = Machine.fresh_vreg ctx "acc" in
     Machine.emit ctx
@@ -188,17 +175,8 @@ let machine ?(name = "asip") p =
     Machine.Vreg d
   in
   let emitters : (string * Machine.emitter) list =
-    [
-      ( "mem_ref",
-        fun _ctx node _children ->
-          match node with
-          | Ir.Tree.Ref r -> Machine.Mem r
-          | _ -> bad "mem_ref" );
-      ( "mem_const",
-        fun ctx node _children ->
-          match node with
-          | Ir.Tree.Const k -> Machine.Mem (Machine.const_cell ctx k)
-          | _ -> bad "mem_const" );
+    Machine.mem_emitters
+    @ [
       ( "ld",
         fun ctx _node children ->
           match children with
@@ -236,22 +214,13 @@ let machine ?(name = "asip") p =
           | _ -> bad "mac" );
       ("sat", acc_unary "SAT");
       ("sat_soft", acc_unary ~words:3 ~cycles:3 "SATS");
-      ( "spill_st",
-        fun ctx _node children ->
-          match children with
-          | [ Machine.Vreg v ] ->
-            let s = Machine.fresh_scratch ctx in
-            store_from ctx s v;
-            Machine.Mem s
-          | _ -> bad "spill_st" );
+      ("spill_st", Machine.spill_emitter moves.Machine.spill_store);
     ]
   in
-  let store ctx dst (value : Machine.value) =
-    match value with
-    | Machine.Vreg v -> store_from ctx dst v
-    | Machine.Mem src -> store_from ctx dst (load ctx src)
-    | Machine.Imm k when fits_imm k -> store_from ctx dst (load_imm ctx k)
-    | Machine.Imm k -> store_from ctx dst (load ctx (Machine.const_cell ctx k))
+  let store =
+    Machine.store_with moves "acc" ~imm:(fun ctx k ->
+        if fits_imm k then load_imm ctx k
+        else load ctx (Machine.const_cell ctx k))
   in
   let loop_ =
     {
@@ -277,37 +246,12 @@ let machine ?(name = "asip") p =
     {
       Machine.ar_cls = "ar";
       ar_limit = p.address_regs;
-      load_ar =
-        (fun ctx v r ->
-          Machine.emit ctx
-            (Instr.make "LDAR"
-               ~operands:[ Instr.Vreg v; Instr.Adr r ]
-               ~defs:[ Instr.Vreg v ] ~funit:"ctl"));
-      add_ar = None;
+      load_ar = Machine.load_ar "LDAR";
     }
   in
   let naive_agu =
     {
-      Machine.address_into =
-        (fun ctx v ~ivar_cell ~stream ->
-          let step =
-            match stream.Ir.Mref.index with
-            | Ir.Mref.Induct { step; _ } -> step
-            | _ -> 1
-          in
-          Machine.emit ctx
-            (Instr.make "LDARI"
-               ~operands:
-                 [
-                   Instr.Vreg v;
-                   Instr.Adr stream;
-                   Instr.Dir ivar_cell;
-                   Instr.Imm step;
-                 ]
-               ~defs:[ Instr.Vreg v ]
-               ~uses:[ Instr.Dir ivar_cell ]
-               ~words:2 ~cycles:2 ~funit:"ctl"));
-      zero_cell = (fun ctx cell -> store_from ctx cell (load_imm ctx 0));
+      Machine.address_into = Machine.address_into "LDARI";
       incr_cell =
         (fun ctx cell ->
           let a = load ctx cell in
@@ -315,48 +259,19 @@ let machine ?(name = "asip") p =
           Machine.emit ctx
             (Instr.make "ADDI" ~operands:[ Instr.Imm 1 ]
                ~defs:[ Instr.Vreg a' ] ~uses:[ Instr.Vreg a ]);
-          store_from ctx cell a');
+          Machine.emit_store ctx moves cell a');
     }
-  in
-  let spills =
-    [
-      ( "acc",
-        {
-          Machine.spill_store =
-            (fun v m ->
-              Instr.make "ST"
-                ~operands:[ Instr.Dir m ]
-                ~defs:[ Instr.Dir m ] ~uses:[ Instr.Vreg v ] ~funit:"move");
-          spill_load =
-            (fun m v ->
-              Instr.make "LD"
-                ~operands:[ Instr.Dir m ]
-                ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-        } );
-    ]
   in
   (* Staged: operand shapes and the opcode dispatch resolve once per
      instruction; see the note on [Machine.t.semantics]. *)
   let semantics layout (i : Instr.t) : Mstate.t -> unit =
     let op n = List.nth i.Instr.operands n in
-    let rd n = Mstate.reader layout (op n) in
-    let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
-    let def () =
-      match i.Instr.defs with
-      | d :: _ -> Mstate.writer layout d
-      | [] ->
-        invalid_arg (name ^ ": " ^ i.Instr.opcode ^ " without destination")
-    in
-    let unary f =
-      let w = def () and a = use 0 in
-      fun st -> w st (f (a st))
-    in
-    let use_op f =
-      (* binary over the first use and the first operand, the ASIP's
-         accumulator-machine shape *)
-      let w = def () and a = use 0 and k = rd 0 in
-      fun st -> w st (f (a st) (k st))
-    in
+    let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
+    let def () = Machine.def name layout i in
+    let unary f = Machine.unary name layout i f in
+    (* binary over the first use and the first operand, the ASIP's
+       accumulator-machine shape *)
+    let use_op f = Machine.use_op name layout i f in
     match i.Instr.opcode with
     | "LD" | "LDI" ->
       let w = def () and r0 = rd 0 in
@@ -423,11 +338,10 @@ let machine ?(name = "asip") p =
       (fun m v -> invalid_arg (Printf.sprintf "%s: no mode %s=%d" name m v));
     slots = None;
     banks = [ "data" ];
-    default_bank = "data";
     loop_;
     agu = Some agu;
     naive_agu = Some naive_agu;
-    spills;
+    spills = [ ("acc", moves) ];
     semantics;
     classification =
       {

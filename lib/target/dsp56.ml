@@ -18,9 +18,8 @@ let shift_ok t =
 let shift_cost t = match shift_amount t with Some k -> k | None -> 1
 
 let rules =
-  [
-    rule ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
-    rule ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
+  Machine.mem_rules
+  @ [
     rule ~name:"ld_xy" ~lhs:"xy" ~cost:1 (nt "mem");
     rule ~name:"ld_acc" ~lhs:"acc" ~cost:1 (nt "mem");
     rule ~name:"acc_of_xy" ~lhs:"acc" ~cost:1 (nt "xy");
@@ -52,19 +51,8 @@ let grammar = Burg.Grammar.make ~name:"dsp56" ~start:"acc" rules
 
 let bad name = invalid_arg ("dsp56: bad children for " ^ name)
 
-let load ctx cls m =
-  let v = Machine.fresh_vreg ctx cls in
-  Machine.emit ctx
-    (Instr.make "MOVE"
-       ~operands:[ Instr.Dir m ]
-       ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-  v
-
-let store_from ctx dst v =
-  Machine.emit ctx
-    (Instr.make "MOVE"
-       ~operands:[ Instr.Dir dst ]
-       ~defs:[ Instr.Dir dst ] ~uses:[ Instr.Vreg v ] ~funit:"move")
+(* Both data classes move with MOVE. *)
+let moves = Machine.moves ~load:"MOVE" ~store:"MOVE"
 
 let load_imm ctx k =
   let v = Machine.fresh_vreg ctx "acc" in
@@ -110,24 +98,19 @@ let shift opcode : Machine.emitter =
   | _ -> bad opcode
 
 let emitters : (string * Machine.emitter) list =
-  [
-    ( "mem_ref",
-      fun _ctx node _children ->
-        match node with Ir.Tree.Ref r -> Machine.Mem r | _ -> bad "mem_ref" );
-    ( "mem_const",
-      fun ctx node _children ->
-        match node with
-        | Ir.Tree.Const k -> Machine.Mem (Machine.const_cell ctx k)
-        | _ -> bad "mem_const" );
+  Machine.mem_emitters
+  @ [
     ( "ld_xy",
       fun ctx _node children ->
         match children with
-        | [ Machine.Mem m ] -> Machine.Vreg (load ctx "xy" m)
+        | [ Machine.Mem m ] ->
+          Machine.Vreg (Machine.emit_load ctx moves "xy" m)
         | _ -> bad "ld_xy" );
     ( "ld_acc",
       fun ctx _node children ->
         match children with
-        | [ Machine.Mem m ] -> Machine.Vreg (load ctx "acc" m)
+        | [ Machine.Mem m ] ->
+          Machine.Vreg (Machine.emit_load ctx moves "acc" m)
         | _ -> bad "ld_acc" );
     ( "acc_of_xy",
       fun ctx _node children ->
@@ -156,29 +139,11 @@ let emitters : (string * Machine.emitter) list =
     ("asl", shift "ASL");
     ("asr", shift "ASR");
     ("sat", unary "SAT");
-    ( "spill_xy",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg v ] ->
-          let s = Machine.fresh_scratch ctx in
-          store_from ctx s v;
-          Machine.Mem s
-        | _ -> bad "spill_xy" );
-    ( "spill_acc",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg v ] ->
-          let s = Machine.fresh_scratch ctx in
-          store_from ctx s v;
-          Machine.Mem s
-        | _ -> bad "spill_acc" );
+    ("spill_xy", Machine.spill_emitter moves.Machine.spill_store);
+    ("spill_acc", Machine.spill_emitter moves.Machine.spill_store);
   ]
 
-let store ctx dst (value : Machine.value) =
-  match value with
-  | Machine.Vreg v -> store_from ctx dst v
-  | Machine.Mem src -> store_from ctx dst (load ctx "xy" src)
-  | Machine.Imm k -> store_from ctx dst (load_imm ctx k)
+let store = Machine.store_with moves "xy" ~imm:load_imm
 
 (* ---- loop / AGU -------------------------------------------------------- *)
 
@@ -198,63 +163,19 @@ let loop_ =
   }
 
 let agu =
-  {
-    Machine.ar_cls = "r";
-    ar_limit = 8;
-    load_ar =
-      (fun ctx v r ->
-        Machine.emit ctx
-          (Instr.make "LEA"
-             ~operands:[ Instr.Vreg v; Instr.Adr r ]
-             ~defs:[ Instr.Vreg v ] ~funit:"ctl"));
-    add_ar = None;
-  }
+  { Machine.ar_cls = "r"; ar_limit = 8; load_ar = Machine.load_ar "LEA" }
 
 let naive_agu =
   {
-    Machine.address_into =
-      (fun ctx v ~ivar_cell ~stream ->
-        let step =
-          match stream.Ir.Mref.index with
-          | Ir.Mref.Induct { step; _ } -> step
-          | _ -> 1
-        in
-        Machine.emit ctx
-          (Instr.make "LEAI"
-             ~operands:
-               [
-                 Instr.Vreg v;
-                 Instr.Adr stream;
-                 Instr.Dir ivar_cell;
-                 Instr.Imm step;
-               ]
-             ~defs:[ Instr.Vreg v ]
-             ~uses:[ Instr.Dir ivar_cell ]
-             ~words:2 ~cycles:2 ~funit:"ctl"));
-    zero_cell = (fun ctx cell -> store_from ctx cell (load_imm ctx 0));
+    Machine.address_into = Machine.address_into "LEAI";
     incr_cell =
       (fun ctx cell ->
-        let a = load ctx "acc" cell in
+        let a = Machine.emit_load ctx moves "acc" cell in
         let a' = Machine.fresh_vreg ctx "acc" in
         Machine.emit ctx
           (Instr.make "ADDI" ~operands:[ Instr.Imm 1 ]
              ~defs:[ Instr.Vreg a' ] ~uses:[ Instr.Vreg a ]);
-        store_from ctx cell a');
-  }
-
-let spill_via cls =
-  ignore cls;
-  {
-    Machine.spill_store =
-      (fun v m ->
-        Instr.make "MOVE"
-          ~operands:[ Instr.Dir m ]
-          ~defs:[ Instr.Dir m ] ~uses:[ Instr.Vreg v ] ~funit:"move");
-    spill_load =
-      (fun m v ->
-        Instr.make "MOVE"
-          ~operands:[ Instr.Dir m ]
-          ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
+        Machine.emit_store ctx moves cell a');
   }
 
 (* ---- executable semantics ---------------------------------------------- *)
@@ -263,37 +184,10 @@ let spill_via cls =
    instruction; see the note on [Machine.t.semantics]. *)
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader layout (op n) in
-  let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
-  let def () =
-    match i.Instr.defs with
-    | d :: _ -> Mstate.writer layout d
-    | [] -> invalid_arg ("dsp56: " ^ i.Instr.opcode ^ " without destination")
-  in
-  (* all-register shapes — the dominant ALU case — flatten to direct slot
-     accesses with no operand-closure chain *)
-  let unary f =
-    match (i.Instr.defs, i.Instr.uses) with
-    | Instr.Reg d :: _, Instr.Reg a :: _ ->
-      let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
-      fun st -> Mstate.write_slot st sd (f (Mstate.read_slot st sa))
-    | _ ->
-      let w = def () and a = use 0 in
-      fun st -> w st (f (a st))
-  in
-  let binary f =
-    match (i.Instr.defs, i.Instr.uses) with
-    | Instr.Reg d :: _, Instr.Reg a :: Instr.Reg b :: _ ->
-      let sd = Mstate.reg_slot d
-      and sa = Mstate.reg_slot a
-      and sb = Mstate.reg_slot b in
-      fun st ->
-        Mstate.write_slot st sd
-          (f (Mstate.read_slot st sa) (Mstate.read_slot st sb))
-    | _ ->
-      let w = def () and a = use 0 and b = use 1 in
-      fun st -> w st (f (a st) (b st))
-  in
+  let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
+  let def () = Machine.def "dsp56" layout i in
+  let unary f = Machine.unary "dsp56" layout i f
+  and binary f = Machine.binary "dsp56" layout i f in
   match i.Instr.opcode with
   | "MOVE" -> (
     match i.Instr.defs with
@@ -346,14 +240,7 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
   | "ASL" -> unary (fun a -> a * 2)
   | "ASR" -> unary (fun a -> a asr 1)
   | "SAT" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
-  | "ADDI" -> (
-    match (i.Instr.defs, i.Instr.uses, op 0) with
-    | Instr.Reg d :: _, Instr.Reg a :: _, Instr.Imm k ->
-      let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
-      fun st -> Mstate.write_slot st sd (Mstate.read_slot st sa + k)
-    | _ ->
-      let w = def () and a = use 0 and k = rd 0 in
-      fun st -> w st (a st + k st))
+  | "ADDI" -> Machine.use_op "dsp56" layout i ( + )
   | "DO" | "LEA" ->
     let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
     fun st -> w0 st (r1 st)
@@ -384,11 +271,10 @@ let machine =
       (fun m v -> invalid_arg (Printf.sprintf "dsp56: no mode %s=%d" m v));
     slots = Some [ ("alu", 1); ("move", 2) ];
     banks = [ "x"; "y" ];
-    default_bank = "x";
     loop_;
     agu = Some agu;
     naive_agu = Some naive_agu;
-    spills = [ ("xy", spill_via "xy"); ("acc", spill_via "acc") ];
+    spills = [ ("xy", moves); ("acc", moves) ];
     semantics;
     classification =
       {

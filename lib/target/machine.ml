@@ -5,6 +5,12 @@
    consume: register classes, memory banks, parallel slots, AGU support,
    loop control, mode changes, and executable semantics for the simulator. *)
 
+(* A description that cannot compile a construct it was asked to emit (a
+   generated machine without loop control, or without an immediate load)
+   raises this during emission; [Pipeline.compile] reports it as an
+   error. *)
+exception Unsupported of string
+
 type value =
   | Mem of Ir.Mref.t  (** value lives in a memory cell *)
   | Vreg of Instr.vreg  (** value lives in a virtual register *)
@@ -32,7 +38,6 @@ type agu_support = {
   ar_cls : string;
   ar_limit : int;
   load_ar : ctx -> Instr.vreg -> Ir.Mref.t -> unit;
-  add_ar : (ctx -> Instr.vreg -> int -> unit) option;
 }
 
 (* Conventional (non-AGU) addressing: materialize the induction variable in
@@ -40,10 +45,14 @@ type agu_support = {
 type naive_support = {
   address_into :
     ctx -> Instr.vreg -> ivar_cell:Ir.Mref.t -> stream:Ir.Mref.t -> unit;
-  zero_cell : ctx -> Ir.Mref.t -> unit;
   incr_cell : ctx -> Ir.Mref.t -> unit;
 }
 
+(* A register class's moves to and from a memory cell.  A description
+   spells them once, in its [spills]: register allocation spills and
+   reloads with them, and emission loads, stores and parks values with the
+   same two instructions (see [emit_load], [emit_store], [store_with] and
+   [spill_emitter]). *)
 type spill_ops = {
   spill_store : Instr.vreg -> Ir.Mref.t -> Instr.t;
   spill_load : Ir.Mref.t -> Instr.vreg -> Instr.t;
@@ -60,8 +69,7 @@ type t = {
   modes : (string * int) list;  (** mode names with reset values *)
   mode_change : string -> int -> Instr.t;
   slots : (string * int) list option;  (** parallel slot capacities *)
-  banks : string list;
-  default_bank : string;
+  banks : string list;  (** unassigned variables go to the first *)
   loop_ : loop_support;
   agu : agu_support option;
   naive_agu : naive_support option;
@@ -132,6 +140,151 @@ let rec run_cover m ctx (cover : Burg.Cover.t) =
   | Some e -> e ctx cover.Burg.Cover.node children
   | None -> invalid_arg (m.name ^ ": no emitter for rule " ^ name)
 
+(* ---- what every description shares ------------------------------------ *)
+
+(* Memory leaves, the first two rules of every grammar: a reference is a
+   memory operand as it stands, and a constant can come from a constant
+   pool cell (one data word). *)
+let mem_rules =
+  [
+    Burg.Rule.make ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
+    Burg.Rule.make ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
+  ]
+
+let mem_emitters : (string * emitter) list =
+  [
+    ( "mem_ref",
+      fun _ctx node _children ->
+        match node with
+        | Ir.Tree.Ref r -> Mem r
+        | _ -> invalid_arg "Machine: mem_ref on a non-reference" );
+    ( "mem_const",
+      fun ctx node _children ->
+        match node with
+        | Ir.Tree.Const k -> Mem (const_cell ctx k)
+        | _ -> invalid_arg "Machine: mem_const on a non-constant" );
+  ]
+
+(* The two instruction shapes of a move; [words] and [cycles] default as in
+   [Instr.make]. *)
+let load_instr ?words ?cycles opcode m v =
+  Instr.make opcode ~operands:[ Instr.Dir m ] ~defs:[ Instr.Vreg v ]
+    ~uses:[ Instr.Dir m ] ?words ?cycles ~funit:"move"
+
+let store_instr ?words ?cycles opcode v m =
+  Instr.make opcode ~operands:[ Instr.Dir m ] ~defs:[ Instr.Dir m ]
+    ~uses:[ Instr.Vreg v ] ?words ?cycles ~funit:"move"
+
+let moves ~load ~store =
+  { spill_store = store_instr store; spill_load = load_instr load }
+
+(* Load [m] into a fresh register of class [cls] with [ops]' load. *)
+let emit_load ctx ops cls m =
+  let v = fresh_vreg ctx cls in
+  emit ctx (ops.spill_load m v);
+  v
+
+let emit_store ctx ops dst v = emit ctx (ops.spill_store v dst)
+
+(* The emitter of a spill chain rule [mem <- reg]: park the register in a
+   fresh scratch cell with [store]. *)
+let spill_emitter store : emitter =
+ fun ctx _node children ->
+  match children with
+  | [ Vreg v ] ->
+    let s = fresh_scratch ctx in
+    emit ctx (store v s);
+    Mem s
+  | _ -> invalid_arg "Machine: spill of a non-register"
+
+(* A [store] built on one class's moves: a register is stored as it is, a
+   memory value goes through a fresh register of class [cls], and [imm]
+   loads an immediate into a fresh register. *)
+let store_with ops cls ~imm ctx dst value =
+  let v =
+    match value with
+    | Vreg v -> v
+    | Mem src -> emit_load ctx ops cls src
+    | Imm k -> imm ctx k
+  in
+  emit_store ctx ops dst v
+
+(* AGU set-up: [v] <- the address of stream [r]'s first element. *)
+let load_ar opcode ctx v r =
+  emit ctx
+    (Instr.make opcode
+       ~operands:[ Instr.Vreg v; Instr.Adr r ]
+       ~defs:[ Instr.Vreg v ] ~funit:"ctl")
+
+(* Conventional addressing: [v] <- the address of [stream]'s element at
+   the induction variable held in [ivar_cell]. *)
+let address_into opcode ctx v ~ivar_cell ~stream =
+  let step =
+    match stream.Ir.Mref.index with
+    | Ir.Mref.Induct { step; _ } -> step
+    | Ir.Mref.Direct | Ir.Mref.Elem _ -> 1
+  in
+  emit ctx
+    (Instr.make opcode
+       ~operands:
+         [ Instr.Vreg v; Instr.Adr stream; Instr.Dir ivar_cell; Instr.Imm step ]
+       ~defs:[ Instr.Vreg v ]
+       ~uses:[ Instr.Dir ivar_cell ]
+       ~words:2 ~cycles:2 ~funit:"ctl")
+
+(* ---- staging helpers for [semantics] ----------------------------------- *)
+
+(* Readers of an instruction's [n]th operand and [n]th use, and the writer
+   of its first definition, staged against [layout]; [name] is the
+   machine's, for the error.  A description wraps these helpers in local
+   functions ([let rd n = Machine.rd layout i n]) instead of applying them
+   partially: a partial application allocates its curried closures on
+   every staging, and the interpretive engine stages every instruction it
+   executes. *)
+let rd layout (i : Instr.t) n = Mstate.reader layout (List.nth i.operands n)
+let use layout (i : Instr.t) n = Mstate.reader layout (List.nth i.uses n)
+
+let def name layout (i : Instr.t) =
+  match i.defs with
+  | d :: _ -> Mstate.writer layout d
+  | [] -> invalid_arg (name ^ ": " ^ i.opcode ^ " without destination")
+
+(* [d <- f a] and [d <- f a b] over the first definition and the first
+   uses.  The all-register shapes, the common case after allocation,
+   flatten to direct slot accesses with no operand-closure chain. *)
+let unary name layout (i : Instr.t) f =
+  match (i.defs, i.uses) with
+  | Instr.Reg d :: _, Instr.Reg a :: _ ->
+    let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
+    fun st -> Mstate.write_slot st sd (f (Mstate.read_slot st sa))
+  | _ ->
+    let w = def name layout i and a = use layout i 0 in
+    fun st -> w st (f (a st))
+
+let binary name layout (i : Instr.t) f =
+  match (i.defs, i.uses) with
+  | Instr.Reg d :: _, Instr.Reg a :: Instr.Reg b :: _ ->
+    let sd = Mstate.reg_slot d
+    and sa = Mstate.reg_slot a
+    and sb = Mstate.reg_slot b in
+    fun st ->
+      Mstate.write_slot st sd
+        (f (Mstate.read_slot st sa) (Mstate.read_slot st sb))
+  | _ ->
+    let w = def name layout i and a = use layout i 0 and b = use layout i 1 in
+    fun st -> w st (f (a st) (b st))
+
+(* [d <- f a k] over the first use and the first operand, with a register
+   destination and source and an immediate [k] flattened likewise. *)
+let use_op name layout (i : Instr.t) f =
+  match (i.defs, i.uses, i.operands) with
+  | Instr.Reg d :: _, Instr.Reg a :: _, Instr.Imm k :: _ ->
+    let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
+    fun st -> Mstate.write_slot st sd (f (Mstate.read_slot st sa) k)
+  | _ ->
+    let w = def name layout i and a = use layout i 0 and k = rd layout i 0 in
+    fun st -> w st (f (a st) (k st))
+
 (* Static well-formedness of a machine description. *)
 let check m =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
@@ -144,8 +297,7 @@ let check m =
   in
   if missing <> [] then
     err "rules without emitters: %s" (String.concat ", " missing)
-  else if not (List.mem m.default_bank m.banks) then
-    err "default bank %s not among banks" m.default_bank
+  else if m.banks = [] then err "no memory bank"
   else if not (Regfile.mem m.regfile m.loop_.counter_cls) then
     err "loop counter class %s not in register file" m.loop_.counter_cls
   else

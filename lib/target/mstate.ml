@@ -211,40 +211,16 @@ let apply_updates t =
     t.pend_n <- 0
   end
 
-let rec read_operand t (o : Instr.operand) =
-  match o with
-  | Instr.Reg r -> get_reg t r
-  | Instr.Imm k -> k
-  | Instr.Dir r -> load t (Layout.address t.layout r ~ienv:[])
-  | Instr.Adr r -> Layout.base_address t.layout r
-  | Instr.Ind (inner, u, _) ->
-    let addr = read_operand t inner in
-    let v = load t addr in
-    post_update t inner u;
-    v
-  | Instr.Vreg _ -> vreg_error ()
-
-let write_operand t (o : Instr.operand) v =
-  match o with
-  | Instr.Reg r -> set_reg t r v
-  | Instr.Dir r -> store t (Layout.address t.layout r ~ienv:[]) v
-  | Instr.Ind (inner, u, _) ->
-    let addr = read_operand t inner in
-    store t addr v;
-    post_update t inner u
-  | Instr.Vreg _ -> vreg_error ()
-  | Instr.Imm _ | Instr.Adr _ ->
-    invalid_arg "Mstate: cannot write to an immediate operand"
-
 (* ---- staged operand access ---------------------------------------------- *)
 
-(* The compiled simulator ([Sim.Compile]) resolves each operand's shape once
-   at translation time instead of re-dispatching on every execution: a
-   reader/writer is a closure with the constructor match, the operand-list
-   walks, the register-slot interning and the layout lookup already done.
-   A staged closure holds no mutable state of its own, so one translated
-   program can run on many states, from any domain, as long as each state
-   was created on the layout the closure was staged for. *)
+(* Operands are read and written only through staged closures: a
+   reader/writer has the constructor match, the register-slot interning
+   and the layout lookup already done.  The compiled simulator
+   ([Sim.Compile]) stages once per program, the interpretive one stages
+   and runs each instruction as it executes.  A staged closure holds no
+   mutable state of its own, so one translated program can run on many
+   states, from any domain, as long as each state was created on the
+   layout the closure was staged for. *)
 
 let reg_reader r =
   let s = reg_slot r in
@@ -263,9 +239,9 @@ let mode_reader name =
 (* [reader layout o] and [writer layout o] resolve [Dir] and [Adr]
    addresses against [layout] once, here.  A reference the layout cannot
    resolve (an unknown variable, an index out of bounds, an induction
-   variable the simulator has no value for) raises what [read_operand]
-   would, when the operand is accessed and not before, so both engines fail
-   at the same instruction. *)
+   variable the simulator has no value for) raises [Layout]'s exception
+   when the operand is accessed and not before, so both engines fail at
+   the same instruction. *)
 let rec reader layout (o : Instr.operand) : t -> int =
   match o with
   | Instr.Reg r -> reg_reader r

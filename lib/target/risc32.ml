@@ -21,9 +21,8 @@ let imm12 = function
   | _ -> false
 
 let rules =
-  [
-    rule ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
-    rule ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
+  Machine.mem_rules
+  @ [
     rule ~name:"lw" ~lhs:"g" ~cost:1 (nt "mem");
     rule ~name:"li" ~lhs:"g" ~cost:1 Burg.Pattern.Const_any;
     rule ~name:"addi" ~lhs:"g" ~cost:1 ~guard:imm12
@@ -49,19 +48,7 @@ let grammar = Burg.Grammar.make ~name:"risc32" ~start:"g" rules
 
 let bad name = invalid_arg ("risc32: bad children for " ^ name)
 
-let load ctx m =
-  let v = Machine.fresh_vreg ctx "g" in
-  Machine.emit ctx
-    (Instr.make "LW"
-       ~operands:[ Instr.Dir m ]
-       ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-  v
-
-let store_from ctx dst v =
-  Machine.emit ctx
-    (Instr.make "SW"
-       ~operands:[ Instr.Dir dst ]
-       ~defs:[ Instr.Dir dst ] ~uses:[ Instr.Vreg v ] ~funit:"move")
+let moves = Machine.moves ~load:"LW" ~store:"SW"
 
 let load_imm ctx k =
   let v = Machine.fresh_vreg ctx "g" in
@@ -97,19 +84,12 @@ let unary ?words ?cycles opcode : Machine.emitter =
   | _ -> bad opcode
 
 let emitters : (string * Machine.emitter) list =
-  [
-    ( "mem_ref",
-      fun _ctx node _children ->
-        match node with Ir.Tree.Ref r -> Machine.Mem r | _ -> bad "mem_ref" );
-    ( "mem_const",
-      fun ctx node _children ->
-        match node with
-        | Ir.Tree.Const k -> Machine.Mem (Machine.const_cell ctx k)
-        | _ -> bad "mem_const" );
+  Machine.mem_emitters
+  @ [
     ( "lw",
       fun ctx _node children ->
         match children with
-        | [ Machine.Mem m ] -> Machine.Vreg (load ctx m)
+        | [ Machine.Mem m ] -> Machine.Vreg (Machine.emit_load ctx moves "g" m)
         | _ -> bad "lw" );
     ( "li",
       fun ctx node _children ->
@@ -128,21 +108,10 @@ let emitters : (string * Machine.emitter) list =
     ("neg", unary "NEG");
     ("not", unary "NOT");
     ("ssat", unary ~words:3 ~cycles:3 "SSAT");
-    ( "spill_sw",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg v ] ->
-          let s = Machine.fresh_scratch ctx in
-          store_from ctx s v;
-          Machine.Mem s
-        | _ -> bad "spill_sw" );
+    ("spill_sw", Machine.spill_emitter moves.Machine.spill_store);
   ]
 
-let store ctx dst (value : Machine.value) =
-  match value with
-  | Machine.Vreg v -> store_from ctx dst v
-  | Machine.Mem src -> store_from ctx dst (load ctx src)
-  | Machine.Imm k -> store_from ctx dst (load_imm ctx k)
+let store = Machine.store_with moves "g" ~imm:load_imm
 
 let loop_ =
   {
@@ -170,111 +139,30 @@ let loop_ =
   }
 
 let agu =
-  {
-    Machine.ar_cls = "g";
-    ar_limit = 8;
-    load_ar =
-      (fun ctx v r ->
-        Machine.emit ctx
-          (Instr.make "LA"
-             ~operands:[ Instr.Vreg v; Instr.Adr r ]
-             ~defs:[ Instr.Vreg v ] ~funit:"ctl"));
-    add_ar = None;
-  }
+  { Machine.ar_cls = "g"; ar_limit = 8; load_ar = Machine.load_ar "LA" }
 
 let naive_agu =
   {
-    Machine.address_into =
-      (fun ctx v ~ivar_cell ~stream ->
-        let step =
-          match stream.Ir.Mref.index with
-          | Ir.Mref.Induct { step; _ } -> step
-          | _ -> 1
-        in
-        Machine.emit ctx
-          (Instr.make "LAI"
-             ~operands:
-               [
-                 Instr.Vreg v;
-                 Instr.Adr stream;
-                 Instr.Dir ivar_cell;
-                 Instr.Imm step;
-               ]
-             ~defs:[ Instr.Vreg v ]
-             ~uses:[ Instr.Dir ivar_cell ]
-             ~words:2 ~cycles:2 ~funit:"ctl"));
-    zero_cell = (fun ctx cell -> store_from ctx cell (load_imm ctx 0));
+    Machine.address_into = Machine.address_into "LAI";
     incr_cell =
       (fun ctx cell ->
-        let a = load ctx cell in
+        let a = Machine.emit_load ctx moves "g" cell in
         let a' = Machine.fresh_vreg ctx "g" in
         Machine.emit ctx
           (Instr.make "ADDI" ~operands:[ Instr.Imm 1 ]
              ~defs:[ Instr.Vreg a' ] ~uses:[ Instr.Vreg a ]);
-        store_from ctx cell a');
+        Machine.emit_store ctx moves cell a');
   }
-
-let spills =
-  [
-    ( "g",
-      {
-        Machine.spill_store =
-          (fun v m ->
-            Instr.make "SW"
-              ~operands:[ Instr.Dir m ]
-              ~defs:[ Instr.Dir m ] ~uses:[ Instr.Vreg v ] ~funit:"move");
-        spill_load =
-          (fun m v ->
-            Instr.make "LW"
-              ~operands:[ Instr.Dir m ]
-              ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-      } );
-  ]
 
 (* Staged: operand shapes and the opcode dispatch resolve once per
    instruction; see the note on [Machine.t.semantics]. *)
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader layout (op n) in
-  let use n = Mstate.reader layout (List.nth i.Instr.uses n) in
-  let def () =
-    match i.Instr.defs with
-    | d :: _ -> Mstate.writer layout d
-    | [] -> invalid_arg ("risc32: " ^ i.Instr.opcode ^ " without destination")
-  in
-  (* all-register shapes — the common case after allocation — flatten to
-     direct slot accesses with no operand-closure chain *)
-  let unary f =
-    match (i.Instr.defs, i.Instr.uses) with
-    | Instr.Reg d :: _, Instr.Reg a :: _ ->
-      let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
-      fun st -> Mstate.write_slot st sd (f (Mstate.read_slot st sa))
-    | _ ->
-      let w = def () and a = use 0 in
-      fun st -> w st (f (a st))
-  in
-  let binary f =
-    match (i.Instr.defs, i.Instr.uses) with
-    | Instr.Reg d :: _, Instr.Reg a :: Instr.Reg b :: _ ->
-      let sd = Mstate.reg_slot d
-      and sa = Mstate.reg_slot a
-      and sb = Mstate.reg_slot b in
-      fun st ->
-        Mstate.write_slot st sd
-          (f (Mstate.read_slot st sa) (Mstate.read_slot st sb))
-    | _ ->
-      let w = def () and a = use 0 and b = use 1 in
-      fun st -> w st (f (a st) (b st))
-  in
-  let shift f =
-    match (i.Instr.defs, i.Instr.uses, i.Instr.operands) with
-    | Instr.Reg d :: _, Instr.Reg a :: _, Instr.Imm k :: _ ->
-      let sd = Mstate.reg_slot d and sa = Mstate.reg_slot a in
-      fun st -> Mstate.write_slot st sd (f (Mstate.read_slot st sa) k)
-    | _ ->
-      let w = def () and a = use 0 and k = rd 0 in
-      fun st -> w st (f (a st) (k st))
-  in
+  let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
+  let def () = Machine.def "risc32" layout i in
+  let unary f = Machine.unary "risc32" layout i f
+  and binary f = Machine.binary "risc32" layout i f
+  and shift f = Machine.use_op "risc32" layout i f in
   match i.Instr.opcode with
   | "LW" -> (
     let r0 = rd 0 in
@@ -341,11 +229,10 @@ let machine =
       (fun m v -> invalid_arg (Printf.sprintf "risc32: no mode %s=%d" m v));
     slots = None;
     banks = [ "data" ];
-    default_bank = "data";
     loop_;
     agu = Some agu;
     naive_agu = Some naive_agu;
-    spills;
+    spills = [ ("g", moves) ];
     semantics;
     classification =
       {

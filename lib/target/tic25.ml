@@ -58,9 +58,8 @@ let right_is_leaf = function
   | _ -> false
 
 let rules =
-  [
-    rule ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
-    rule ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
+  Machine.mem_rules
+  @ [
     (* multiplier path *)
     rule ~name:"lt" ~lhs:"t" ~cost:1 (nt "mem");
     rule ~name:"mpy" ~lhs:"p" ~cost:1 (binop Ir.Op.Mul (nt "t") (nt "mem"));
@@ -139,19 +138,19 @@ let const_of = function
   | Ir.Tree.Const k -> k
   | _ -> invalid_arg "tic25: constant expected"
 
-let emit_load ctx m =
+let moves = Machine.moves ~load:"LAC" ~store:"SACL"
+let emit_load ctx m = Machine.emit_load ctx moves "acc" m
+
+let zac ctx =
   let a = Machine.fresh_vreg ctx "acc" in
-  Machine.emit ctx
-    (Instr.make "LAC"
-       ~operands:[ Instr.Dir m ]
-       ~defs:[ Instr.Vreg a ] ~uses:[ Instr.Dir m ] ~funit:"move");
+  Machine.emit ctx (Instr.make "ZAC" ~defs:[ Instr.Vreg a ]);
   a
 
-let emit_store ctx dst a =
+let lack ctx k =
+  let a = Machine.fresh_vreg ctx "acc" in
   Machine.emit ctx
-    (Instr.make "SACL"
-       ~operands:[ Instr.Dir dst ]
-       ~defs:[ Instr.Dir dst ] ~uses:[ Instr.Vreg a ] ~funit:"move")
+    (Instr.make "LACK" ~operands:[ Instr.Imm k ] ~defs:[ Instr.Vreg a ]);
+  a
 
 (* acc <- acc OP operand, with the accumulator flowing through fresh
    virtual registers so liveness is explicit. *)
@@ -236,17 +235,8 @@ let unary opcode ?mode_req () : Machine.emitter =
   | _ -> bad_children opcode
 
 let emitters : (string * Machine.emitter) list =
-  [
-    ( "mem_ref",
-      fun _ctx node _children ->
-        match node with
-        | Ir.Tree.Ref r -> Machine.Mem r
-        | _ -> bad_children "mem_ref" );
-    ( "mem_const",
-      fun ctx node _children ->
-        match node with
-        | Ir.Tree.Const k -> Machine.Mem (Machine.const_cell ctx k)
-        | _ -> bad_children "mem_const" );
+  Machine.mem_emitters
+  @ [
     ( "lt",
       fun ctx _node children ->
         match children with
@@ -281,19 +271,8 @@ let emitters : (string * Machine.emitter) list =
                ~defs:[ Instr.Vreg p ] ~uses:[ Instr.Vreg t ]);
           Machine.Vreg p
         | _ -> bad_children "MPYK" );
-    ( "zac",
-      fun ctx _node _children ->
-        let a = Machine.fresh_vreg ctx "acc" in
-        Machine.emit ctx (Instr.make "ZAC" ~defs:[ Instr.Vreg a ]);
-        Machine.Vreg a );
-    ( "lack",
-      fun ctx node _children ->
-        let a = Machine.fresh_vreg ctx "acc" in
-        Machine.emit ctx
-          (Instr.make "LACK"
-             ~operands:[ Instr.Imm (const_of node) ]
-             ~defs:[ Instr.Vreg a ]);
-        Machine.Vreg a );
+    ("zac", fun ctx _node _children -> Machine.Vreg (zac ctx));
+    ("lack", fun ctx node _children -> Machine.Vreg (lack ctx (const_of node)));
     ( "lac",
       fun ctx _node children ->
         match children with
@@ -327,32 +306,16 @@ let emitters : (string * Machine.emitter) list =
     ( "sat_id",
       fun _ctx _node children ->
         match children with [ v ] -> v | _ -> bad_children "sat" );
-    ( "spill_sacl",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg v ] ->
-          let scratch = Machine.fresh_scratch ctx in
-          emit_store ctx scratch v;
-          Machine.Mem scratch
-        | _ -> bad_children "spill" );
+    ("spill_sacl", Machine.spill_emitter moves.Machine.spill_store);
   ]
 
 (* ---- machine record ---------------------------------------------------- *)
 
-let store ctx dst (value : Machine.value) =
-  match value with
-  | Machine.Vreg v -> emit_store ctx dst v
-  | Machine.Mem src -> emit_store ctx dst (emit_load ctx src)
-  | Machine.Imm 0 ->
-    let a = Machine.fresh_vreg ctx "acc" in
-    Machine.emit ctx (Instr.make "ZAC" ~defs:[ Instr.Vreg a ]);
-    emit_store ctx dst a
-  | Machine.Imm k when k >= 0 && k <= 255 ->
-    let a = Machine.fresh_vreg ctx "acc" in
-    Machine.emit ctx
-      (Instr.make "LACK" ~operands:[ Instr.Imm k ] ~defs:[ Instr.Vreg a ]);
-    emit_store ctx dst a
-  | Machine.Imm k -> emit_store ctx dst (emit_load ctx (Machine.const_cell ctx k))
+let store =
+  Machine.store_with moves "acc" ~imm:(fun ctx k ->
+      if k = 0 then zac ctx
+      else if k >= 0 && k <= 255 then lack ctx k
+      else emit_load ctx (Machine.const_cell ctx k))
 
 let mode_change m v =
   match (m, v) with
@@ -381,44 +344,11 @@ let loop_ =
   }
 
 let agu =
-  {
-    Machine.ar_cls = "ar";
-    ar_limit = 8;
-    load_ar =
-      (fun ctx v r ->
-        Machine.emit ctx
-          (Instr.make "LARK"
-             ~operands:[ Instr.Vreg v; Instr.Adr r ]
-             ~defs:[ Instr.Vreg v ] ~funit:"ctl"));
-    add_ar = None;
-  }
+  { Machine.ar_cls = "ar"; ar_limit = 8; load_ar = Machine.load_ar "LARK" }
 
 let naive_agu =
   {
-    Machine.address_into =
-      (fun ctx v ~ivar_cell ~stream ->
-        let step =
-          match stream.Ir.Mref.index with
-          | Ir.Mref.Induct { step; _ } -> step
-          | _ -> 1
-        in
-        Machine.emit ctx
-          (Instr.make "LARI"
-             ~operands:
-               [
-                 Instr.Vreg v;
-                 Instr.Adr stream;
-                 Instr.Dir ivar_cell;
-                 Instr.Imm step;
-               ]
-             ~defs:[ Instr.Vreg v ]
-             ~uses:[ Instr.Dir ivar_cell ]
-             ~words:2 ~cycles:2 ~funit:"ctl"));
-    zero_cell =
-      (fun ctx cell ->
-        let a = Machine.fresh_vreg ctx "acc" in
-        Machine.emit ctx (Instr.make "ZAC" ~defs:[ Instr.Vreg a ]);
-        emit_store ctx cell a);
+    Machine.address_into = Machine.address_into "LARI";
     incr_cell =
       (fun ctx cell ->
         let a = emit_load ctx cell in
@@ -426,25 +356,8 @@ let naive_agu =
         Machine.emit ctx
           (Instr.make "ADDK" ~operands:[ Instr.Imm 1 ]
              ~defs:[ Instr.Vreg a' ] ~uses:[ Instr.Vreg a ] ~mode_req:ovm0);
-        emit_store ctx cell a');
+        Machine.emit_store ctx moves cell a');
   }
-
-let spills =
-  [
-    ( "acc",
-      {
-        Machine.spill_store =
-          (fun v m ->
-            Instr.make "SACL"
-              ~operands:[ Instr.Dir m ]
-              ~defs:[ Instr.Dir m ] ~uses:[ Instr.Vreg v ] ~funit:"move");
-        spill_load =
-          (fun m v ->
-            Instr.make "LAC"
-              ~operands:[ Instr.Dir m ]
-              ~defs:[ Instr.Vreg v ] ~uses:[ Instr.Dir m ] ~funit:"move");
-      } );
-  ]
 
 (* ---- executable semantics ---------------------------------------------- *)
 
@@ -480,7 +393,7 @@ let sat_if st v =
 
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
   let op n = List.nth i.Instr.operands n in
-  let rd n = Mstate.reader layout (op n) in
+  let rd n = Machine.rd layout i n in
   match i.Instr.opcode with
   | "ZAC" -> fun st -> wr_acc st 0
   | "LACK" | "LAC" ->
@@ -591,11 +504,10 @@ let machine =
     mode_change;
     slots = None;
     banks = [ "data" ];
-    default_bank = "data";
     loop_;
     agu = Some agu;
     naive_agu = Some naive_agu;
-    spills;
+    spills = [ ("acc", moves) ];
     semantics;
     classification =
       {

@@ -757,6 +757,31 @@ let test_source_errors () =
     [ "compile --no-cache"; "ise --compile"; "timing" ];
   Sys.remove bad
 
+(* A loop on a generated machine that declares no loop control is an
+   error the CLI reports, not an uncaught exception: from a netlist
+   ([ise --compile]) and from a textual description without a counter
+   ([compile --target-file]). *)
+let test_loop_without_control () =
+  let src = temp_file ".dfl" fir4 in
+  let mdl =
+    temp_file ".mdl"
+      "machine nolo\nregister acc\nrule ld acc <- mem\nrule st mem <- acc\n\
+       rule add acc <- add(acc, mem)\n"
+  in
+  List.iter
+    (fun (args, expected) ->
+      let code, msg = run_cli args in
+      Alcotest.(check int) (args ^ " exits 1") 1 code;
+      Alcotest.(check string) args expected msg)
+    [
+      ( "ise --netlist acc16 --compile " ^ src,
+        "record: acc16: no loop control declared\n" );
+      ( Printf.sprintf "compile --no-cache --target-file %s %s" mdl src,
+        "record: nolo: no loop control declared\n" );
+    ];
+  Sys.remove src;
+  Sys.remove mdl
+
 (* A "file" job naming a FIFO is refused while decoding, without waiting
    for a writer.  Were the open to block, a watchdog would open the FIFO
    for writing after 5 s to release it, and the elapsed time would fail
@@ -911,5 +936,7 @@ let suites =
           test_source_errors;
         Alcotest.test_case "a FIFO file job is refused at once" `Quick
           test_fifo_refused;
+        Alcotest.test_case "a loop without loop control exits 1" `Quick
+          test_loop_without_control;
       ] );
   ]

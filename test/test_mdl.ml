@@ -100,9 +100,9 @@ rule add acc <- add(acc, mem)
       "program l; input a[4]; output y; var s;\n\
        begin s = 0; for i = 0 to 3 do s = s + a[i]; end; y = s; end"
   in
-  match Record.Pipeline.compile machine prog with
-  | _ -> Alcotest.fail "loop accepted without a counter"
-  | exception Ise.Gen.Unsupported _ -> ()
+  Alcotest.check_raises "pipeline error"
+    (Record.Pipeline.Error "nolo: no loop control declared") (fun () ->
+      ignore (Record.Pipeline.compile machine prog))
 
 let expect_error src =
   match Mdl.load src with

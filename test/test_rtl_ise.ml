@@ -265,9 +265,9 @@ let test_gen_rejects_loops () =
        begin acc = 0; for i = 0 to 3 do acc = acc + a[i]; end; y = acc; end"
   in
   let machine = Ise.Gen.machine Rtl.Samples.acc16 in
-  match Record.Pipeline.compile machine prog with
-  | _ -> Alcotest.fail "loop accepted by netlist machine"
-  | exception Ise.Gen.Unsupported _ -> ()
+  Alcotest.check_raises "pipeline error"
+    (Record.Pipeline.Error "acc16: no loop control declared") (fun () ->
+      ignore (Record.Pipeline.compile machine prog))
 
 let suites =
   [

@@ -102,30 +102,36 @@ let test_mstate_postinc () =
   Target.Mstate.set_reg st ar 1;
   Target.Mstate.store st 1 42;
   let ind u = Target.Instr.Ind (Target.Instr.Reg ar, u, None) in
-  let v = Target.Mstate.read_operand st (ind Target.Instr.Post_inc) in
+  let read op = Target.Mstate.reader st.Target.Mstate.layout op st in
+  let v = read (ind Target.Instr.Post_inc) in
   Alcotest.(check int) "value" 42 v;
   (* post-modify is deferred to the instruction boundary: a second operand
      of the same instruction still sees the pre-instruction register *)
   Alcotest.(check int) "not yet applied" 1 (Target.Mstate.get_reg st ar);
   Alcotest.(check int) "same addr within instr" 42
-    (Target.Mstate.read_operand st (ind Target.Instr.No_update));
+    (read (ind Target.Instr.No_update));
   Target.Mstate.apply_updates st;
   Alcotest.(check int) "incremented at boundary" 2 (Target.Mstate.get_reg st ar);
-  ignore (Target.Mstate.read_operand st (ind Target.Instr.Post_dec));
+  ignore (read (ind Target.Instr.Post_dec));
   Target.Mstate.apply_updates st;
   Alcotest.(check int) "decremented back" 1 (Target.Mstate.get_reg st ar)
 
 let test_mstate_adr_operand () =
   let st = mstate () in
   Alcotest.(check int) "address of v[2]" 2
-    (Target.Mstate.read_operand st (Target.Instr.Adr (Ir.Mref.elem "v" 2)))
+    (Target.Mstate.reader st.Target.Mstate.layout
+       (Target.Instr.Adr (Ir.Mref.elem "v" 2))
+       st)
 
 let test_mstate_vreg_rejected () =
   let st = mstate () in
   Alcotest.check_raises "vreg"
     (Invalid_argument "Mstate: virtual register reached the simulator")
     (fun () ->
-      ignore (Target.Mstate.read_operand st (Target.Instr.vreg "acc" 0)))
+      ignore
+        (Target.Mstate.reader st.Target.Mstate.layout
+           (Target.Instr.vreg "acc" 0)
+           st))
 
 let test_mstate_vars () =
   let st = mstate () in
