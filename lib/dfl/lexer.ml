@@ -1,19 +1,20 @@
 exception Error of string
 
-let keywords =
-  [
-    ("program", Token.Kprogram);
-    ("param", Token.Kparam);
-    ("input", Token.Kinput);
-    ("output", Token.Koutput);
-    ("var", Token.Kvar);
-    ("begin", Token.Kbegin);
-    ("end", Token.Kend);
-    ("for", Token.Kfor);
-    ("to", Token.Kto);
-    ("do", Token.Kdo);
-    ("sat", Token.Ksat);
-  ]
+(* A word's token: a keyword, matched on the string itself (no polymorphic
+   compare per keyword), or an identifier. *)
+let word_token = function
+  | "program" -> Token.Kprogram
+  | "param" -> Token.Kparam
+  | "input" -> Token.Kinput
+  | "output" -> Token.Koutput
+  | "var" -> Token.Kvar
+  | "begin" -> Token.Kbegin
+  | "end" -> Token.Kend
+  | "for" -> Token.Kfor
+  | "to" -> Token.Kto
+  | "do" -> Token.Kdo
+  | "sat" -> Token.Ksat
+  | word -> Token.Ident word
 
 let is_digit c = c >= '0' && c <= '9'
 let is_alpha c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
@@ -62,10 +63,7 @@ let tokenize src =
         while !j < n && is_alnum src.[!j] do
           incr j
         done;
-        let word = String.sub src i (!j - i) in
-        (match List.assoc_opt word keywords with
-        | Some k -> emit k
-        | None -> emit (Token.Ident word));
+        emit (word_token (String.sub src i (!j - i)));
         go !j
       end
       else if i + 1 < n && c = '<' && src.[i + 1] = '<' then begin

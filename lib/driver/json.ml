@@ -38,7 +38,7 @@ let to_string ?(indent = false) t =
     match t with
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int k -> Buffer.add_string buf (string_of_int k)
+    | Int k -> Ir.Decimal.add_int buf k
     | Float f -> Buffer.add_string buf (float_repr f)
     | String s -> escape buf s
     | List [] -> Buffer.add_string buf "[]"

@@ -24,7 +24,7 @@ let ivars r =
   | Induct { ivar; _ } -> [ ivar ]
 
 let add_to_buffer b r =
-  let int k = Buffer.add_string b (string_of_int k) in
+  let int k = Decimal.add_int b k in
   Buffer.add_string b r.base;
   match r.index with
   | Direct -> ()

@@ -181,12 +181,12 @@ let pp ppf prog =
 let fold_digest buf prog =
   let str s =
     (* Length-prefixed, so "ab"^"c" and "a"^"bc" cannot collide. *)
-    Buffer.add_string buf (string_of_int (String.length s));
+    Decimal.add_int buf (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
   in
   let int k =
-    Buffer.add_string buf (string_of_int k);
+    Decimal.add_int buf k;
     Buffer.add_char buf ';'
   in
   let mref (r : Mref.t) =

@@ -55,12 +55,12 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
    pretty-printer output). *)
 let fold_digest buf t =
   let str s =
-    Buffer.add_string buf (string_of_int (String.length s));
+    Decimal.add_int buf (String.length s);
     Buffer.add_char buf ':';
     Buffer.add_string buf s
   in
   let int k =
-    Buffer.add_string buf (string_of_int k);
+    Decimal.add_int buf k;
     Buffer.add_char buf ';'
   in
   let mref (r : Mref.t) =

@@ -197,17 +197,10 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
       let sc = Target.Mstate.reg_slot c in
       fun st -> Target.Mstate.write_slot st sc k
     | "LDC", [ c; n ] | "LDAR", [ c; n ] ->
-      let wc = Target.Mstate.writer layout c
-      and rn = Target.Mstate.reader layout n in
+      let wc = Target.Mstate.operand_writer layout i c
+      and rn = Target.Mstate.operand_reader layout i n in
       fun st -> wc st (rn st)
-    | "DJNZ", [ Target.Instr.Reg c ] ->
-      let sc = Target.Mstate.reg_slot c in
-      fun st ->
-        Target.Mstate.write_slot st sc (Target.Mstate.read_slot st sc - 1)
-    | "DJNZ", [ c ] ->
-      let wc = Target.Mstate.writer layout c
-      and rc = Target.Mstate.reader layout c in
-      fun st -> wc st (rc st - 1)
+    | "DJNZ", [ c ] -> Target.Mstate.operand_adder layout i c (-1)
     | _ -> (
       let t =
         match List.assoc_opt i.Target.Instr.opcode by_name with
@@ -230,7 +223,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
           Target.Mstate.reg_reader { Target.Instr.cls = r; idx = 0 }
         | Transfer.Leaf (Transfer.Mem_direct _)
         | Transfer.Leaf (Transfer.Imm _) ->
-          Target.Mstate.reader layout (next ())
+          Target.Mstate.operand_reader layout i (next ())
         | Transfer.Leaf (Transfer.Const k) -> fun _ -> k
         | Transfer.Unop (op, a) -> (
           let fa = stage a in
@@ -279,7 +272,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         let wr = Target.Mstate.reg_writer { Target.Instr.cls = r; idx = 0 } in
         fun st -> wr st (f st)
       | Transfer.Dmem _ ->
-        let w = Target.Mstate.writer layout (next ()) in
+        let w = Target.Mstate.operand_writer layout i (next ()) in
         fun st -> w st (f st))
   in
   let counter_cls, counter_count =

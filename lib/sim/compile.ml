@@ -2,17 +2,23 @@
    OCaml closures, following SimSoC's specialization approach (and the same
    de-interpretation trick used on [Algebra.equivalent]).  Each instruction
    becomes one closure specialized at translation time on its opcode and
-   addressing modes (via [Machine.t.semantics] and [Mstate.reader]/
-   [Mstate.writer]); straight-line regions are fused into flat step arrays
-   ("superblocks") iterated with a counted loop; [Loop] bodies are compiled
-   once and iterated by a single closure.
+   addressing modes (via [Machine.t.semantics] and
+   [Mstate.operand_reader]/[Mstate.operand_writer]); straight-line regions
+   are fused into flat step arrays ("superblocks") iterated with a counted
+   loop; a [Loop] body is compiled once into one closure that calls its
+   steps directly, linked in groups of four ([chain]), and iterated by a
+   counted loop.
 
    Observable behaviour is kept exactly aligned with the interpretive
    engine in [Sim]:
 
-   - post-modify address updates become visible at instruction boundaries
-     ([Mstate.apply_updates] after every instruction that can queue one —
-     the call is elided when no operand, def, or use can);
+   - post-modify address updates become visible at instruction boundaries.
+     Where [Mstate.updates_at_once] finds the walking operand the only
+     access to its register (every post-modify of the DSPStone loops), the
+     staged access writes the register itself and the step is the bare
+     semantics; an instruction that still queues an update (two operands
+     on one register, a bare mention of it) is followed by
+     [Mstate.apply_updates] ([Mstate.queues_update] decides);
    - mode requirement checks run before the instruction, raising
      [Mode_violation] with the same message; when the mode value is
      statically known the check is hoisted out entirely (elided if
@@ -86,6 +92,12 @@ let initial_knowledge (machine : Target.Machine.t) =
     (fun k (m, v) -> Smap.add m v k)
     Smap.empty machine.Target.Machine.modes
 
+(* Is [i]'s opcode one of [clobbers]?  Asked of every staged instruction,
+   so by [String.equal], not the polymorphic [List.mem]. *)
+let rec clobbers_mem (i : Target.Instr.t) = function
+  | [] -> false
+  | c :: cs -> String.equal c i.Target.Instr.opcode || clobbers_mem i cs
+
 (* Abstract transfer of one instruction over the knowledge map. *)
 let transfer_instr clobbers know (i : Target.Instr.t) =
   let know =
@@ -95,7 +107,7 @@ let transfer_instr clobbers know (i : Target.Instr.t) =
   in
   match i.Target.Instr.mode_set with
   | Some (m, v) -> Smap.add m v know
-  | None -> if List.mem i.Target.Instr.opcode clobbers then Smap.empty else know
+  | None -> if clobbers_mem i clobbers then Smap.empty else know
 
 (* Meet: keep only bindings both sides agree on. *)
 let meet a b =
@@ -149,20 +161,6 @@ let stage_check know (i : Target.Instr.t) : step option =
           in
           if actual <> v then raise (Mode_violation (violation_msg i m v actual))))
 
-(* Can executing [i] queue a post-modify update?  Readers and writers
-   enqueue only for [Ind] operands with an update mode, and the semantics
-   reach operands through [operands], [defs], and [uses]. *)
-let rec operand_has_update (o : Target.Instr.operand) =
-  match o with
-  | Target.Instr.Ind (inner, u, _) ->
-    u <> Target.Instr.No_update || operand_has_update inner
-  | _ -> false
-
-let has_update (i : Target.Instr.t) =
-  List.exists operand_has_update i.Target.Instr.operands
-  || List.exists operand_has_update i.Target.Instr.defs
-  || List.exists operand_has_update i.Target.Instr.uses
-
 let stage_instr (machine : Target.Machine.t) layout clobbers know
     (i : Target.Instr.t) : step * int Smap.t =
   let know_checked =
@@ -178,8 +176,7 @@ let stage_instr (machine : Target.Machine.t) layout clobbers know
       ((fun st -> Target.Mstate.mode_write_slot st s v), Smap.add m v know_checked)
     | None ->
       let know' =
-        if List.mem i.Target.Instr.opcode clobbers then Smap.empty
-        else know_checked
+        if clobbers_mem i clobbers then Smap.empty else know_checked
       in
       let action =
         match machine.Target.Machine.semantics layout i with
@@ -190,7 +187,7 @@ let stage_instr (machine : Target.Machine.t) layout clobbers know
       (action, know')
   in
   let step =
-    match (check, has_update i) with
+    match (check, Target.Mstate.queues_update i) with
     | None, false -> action
     | None, true ->
       fun st ->
@@ -209,6 +206,36 @@ let stage_instr (machine : Target.Machine.t) layout clobbers know
   (step, know')
 
 (* ---- staging item lists into superblocks -------------------------------- *)
+
+(* A loop body as one closure: its steps linked in groups of four, each
+   group calling the next in tail position, so a trip is direct calls and
+   no walk over an array. *)
+let rec chain : step list -> step = function
+  | [] -> fun _ -> ()
+  | [ a ] -> a
+  | [ a; b ] ->
+    fun st ->
+      a st;
+      b st
+  | [ a; b; c ] ->
+    fun st ->
+      a st;
+      b st;
+      c st
+  | [ a; b; c; d ] ->
+    fun st ->
+      a st;
+      b st;
+      c st;
+      d st
+  | a :: b :: c :: d :: rest ->
+    let k = chain rest in
+    fun st ->
+      a st;
+      b st;
+      c st;
+      d st;
+      k st
 
 let check_cycles = 1 lsl 16
 
@@ -239,13 +266,10 @@ let rec stage_items machine layout clobbers know items =
           let body_rev, _, body_cyc =
             stage_items machine layout clobbers entry body
           in
-          let arr = Array.of_list (List.rev body_rev) in
-          let n = Array.length arr in
+          let trip = chain (List.rev body_rev) in
           let trips k st =
             for _ = 1 to k do
-              for j = 0 to n - 1 do
-                (Array.unsafe_get arr j) st
-              done
+              trip st
             done
           in
           (* The job's deadline is polled between chunks of trips worth

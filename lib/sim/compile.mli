@@ -2,9 +2,11 @@
     closures, then execute the resulting plan many times.
 
     The translator specializes each instruction on its opcode and
-    addressing modes, fuses straight-line regions into flat step arrays,
-    compiles loop bodies once, hoists statically-decidable mode checks, and
-    counts cycles statically.  A plan's observable behaviour — final state,
+    addressing modes, applies post-modifies at the operand where nothing
+    else in the instruction names the register, fuses straight-line
+    regions into flat step arrays, compiles each loop body once into one
+    closure that calls its steps directly, hoists statically-decidable mode
+    checks, and counts cycles statically.  A plan's observable behaviour — final state,
     cycle count, and raised errors — is identical to the interpretive
     engine's ([Sim.run ~engine:Interp]); the differential suite
     ([test_sim_diff.ml]) enforces this.

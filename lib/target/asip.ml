@@ -265,43 +265,42 @@ let machine ?(name = "asip") p =
   (* Staged: operand shapes and the opcode dispatch resolve once per
      instruction; see the note on [Machine.t.semantics]. *)
   let semantics layout (i : Instr.t) : Mstate.t -> unit =
-    let op n = List.nth i.Instr.operands n in
-    let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
-    let def () = Machine.def name layout i in
-    let unary f = Machine.unary name layout i f in
-    (* binary over the first use and the first operand, the ASIP's
-       accumulator-machine shape *)
-    let use_op f = Machine.use_op name layout i f in
     match i.Instr.opcode with
     | "LD" | "LDI" ->
-      let w = def () and r0 = rd 0 in
+      let w = Machine.def name layout i and r0 = Machine.rd layout i 0 in
       fun st -> w st (r0 st)
     | "ST" ->
-      let w0 = Mstate.writer layout (op 0) and a = use 0 in
+      let w0 = Machine.wr layout i 0 and a = Machine.use layout i 0 in
       fun st -> w0 st (a st)
-    | "ADD" | "ADDI" -> use_op ( + )
-    | "SUB" -> use_op ( - )
-    | "AND" -> use_op ( land )
-    | "OR" -> use_op ( lor )
-    | "XOR" -> use_op ( lxor )
-    | "SHL" -> use_op (Ir.Op.eval_binop Ir.Op.Shl)
-    | "SHR" -> use_op (Ir.Op.eval_binop Ir.Op.Shr)
-    | "NEG" -> unary (fun a -> -a)
-    | "NOT" -> unary lnot
-    | "MUL" | "MULS" -> use_op ( * )
+    (* binary over the first use and the first operand, the ASIP's
+       accumulator-machine shape *)
+    | "ADD" | "ADDI" -> Machine.use_op name layout i ( + )
+    | "SUB" -> Machine.use_op name layout i ( - )
+    | "AND" -> Machine.use_op name layout i ( land )
+    | "OR" -> Machine.use_op name layout i ( lor )
+    | "XOR" -> Machine.use_op name layout i ( lxor )
+    | "SHL" -> Machine.use_op name layout i (Ir.Op.eval_binop Ir.Op.Shl)
+    | "SHR" -> Machine.use_op name layout i (Ir.Op.eval_binop Ir.Op.Shr)
+    | "NEG" -> Machine.unary name layout i (fun a -> -a)
+    | "NOT" -> Machine.unary name layout i lnot
+    | "MUL" | "MULS" -> Machine.use_op name layout i ( * )
     | "MAC" ->
-      let w = def () and a = use 0 and k0 = rd 0 and k1 = rd 1 in
+      let w = Machine.def name layout i
+      and a = Machine.use layout i 0
+      and k0 = Machine.rd layout i 0
+      and k1 = Machine.rd layout i 1 in
       fun st -> w st (a st + (k0 st * k1 st))
-    | "SAT" | "SATS" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
+    | "SAT" | "SATS" ->
+      Machine.unary name layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
     | "LDC" | "LDAR" ->
-      let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
+      let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
       fun st -> w0 st (r1 st)
-    | "DJNZ" ->
-      let w0 = Mstate.writer layout (op 0) and r0 = rd 0 in
-      fun st -> w0 st (r0 st - 1)
+    | "DJNZ" -> Mstate.operand_adder layout i (List.nth i.Instr.operands 0) (-1)
     | "LDARI" ->
-      let w0 = Mstate.writer layout (op 0) in
-      let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
+      let w0 = Machine.wr layout i 0 in
+      let r1 = Machine.rd layout i 1
+      and r2 = Machine.rd layout i 2
+      and r3 = Machine.rd layout i 3 in
       fun st -> w0 st (r1 st + (r3 st * r2 st))
     | opc -> invalid_arg (Printf.sprintf "%s: cannot execute %s" name opc)
   in

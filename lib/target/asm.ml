@@ -116,7 +116,7 @@ let to_string t =
     | Loop l ->
       Buffer.add_string b indent;
       Buffer.add_string b "; loop x";
-      Buffer.add_string b (string_of_int l.count);
+      Ir.Decimal.add_int b l.count;
       Buffer.add_char b '\n';
       List.iter (go (indent ^ "  ")) l.body;
       Buffer.add_string b indent;

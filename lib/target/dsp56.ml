@@ -183,44 +183,39 @@ let naive_agu =
 (* Staged: operand shapes and the opcode dispatch resolve once per
    instruction; see the note on [Machine.t.semantics]. *)
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
-  let op n = List.nth i.Instr.operands n in
-  let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
-  let def () = Machine.def "dsp56" layout i in
-  let unary f = Machine.unary "dsp56" layout i f
-  and binary f = Machine.binary "dsp56" layout i f in
   match i.Instr.opcode with
   | "MOVE" -> (
     match i.Instr.defs with
     | (Instr.Dir _ | Instr.Ind _) :: _ -> (
-      let w0 = Mstate.writer layout (op 0) in
+      let w0 = Machine.wr layout i 0 in
       match i.Instr.uses with
       | Instr.Reg a :: _ ->
         let sa = Mstate.reg_slot a in
         fun st -> w0 st (Mstate.read_slot st sa)
       | _ ->
-        let a = use 0 in
+        let a = Machine.use layout i 0 in
         fun st -> w0 st (a st))
     | Instr.Reg d :: _ ->
-      let sd = Mstate.reg_slot d and r0 = rd 0 in
+      let sd = Mstate.reg_slot d and r0 = Machine.rd layout i 0 in
       fun st -> Mstate.write_slot st sd (r0 st)
     | _ ->
-      let w = def () and r0 = rd 0 in
+      let w = Machine.def "dsp56" layout i and r0 = Machine.rd layout i 0 in
       fun st -> w st (r0 st))
   | "MOVEI" -> (
-    match (i.Instr.defs, op 0) with
+    match (i.Instr.defs, List.nth i.Instr.operands 0) with
     | Instr.Reg d :: _, Instr.Imm k ->
       let sd = Mstate.reg_slot d in
       fun st -> Mstate.write_slot st sd k
     | _ ->
-      let w = def () and r0 = rd 0 in
+      let w = Machine.def "dsp56" layout i and r0 = Machine.rd layout i 0 in
       fun st -> w st (r0 st))
-  | "TFR" -> unary (fun a -> a)
-  | "ADD" -> binary ( + )
-  | "SUB" -> binary ( - )
-  | "AND" -> binary ( land )
-  | "OR" -> binary ( lor )
-  | "EOR" -> binary ( lxor )
-  | "MPY" -> binary ( * )
+  | "TFR" -> Machine.unary "dsp56" layout i (fun a -> a)
+  | "ADD" -> Machine.binary "dsp56" layout i ( + )
+  | "SUB" -> Machine.binary "dsp56" layout i ( - )
+  | "AND" -> Machine.binary "dsp56" layout i ( land )
+  | "OR" -> Machine.binary "dsp56" layout i ( lor )
+  | "EOR" -> Machine.binary "dsp56" layout i ( lxor )
+  | "MPY" -> Machine.binary "dsp56" layout i ( * )
   | "MAC" -> (
     match (i.Instr.defs, i.Instr.uses) with
     | Instr.Reg d :: _, [ Instr.Reg a; Instr.Reg b; Instr.Reg c ] ->
@@ -233,20 +228,25 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
           (Mstate.read_slot st sa
           + (Mstate.read_slot st sb * Mstate.read_slot st sc))
     | _ ->
-      let w = def () and a = use 0 and b = use 1 and c = use 2 in
+      let w = Machine.def "dsp56" layout i
+      and a = Machine.use layout i 0
+      and b = Machine.use layout i 1
+      and c = Machine.use layout i 2 in
       fun st -> w st (a st + (b st * c st)))
-  | "NEG" -> unary (fun a -> -a)
-  | "NOT" -> unary lnot
-  | "ASL" -> unary (fun a -> a * 2)
-  | "ASR" -> unary (fun a -> a asr 1)
-  | "SAT" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
+  | "NEG" -> Machine.unary "dsp56" layout i (fun a -> -a)
+  | "NOT" -> Machine.unary "dsp56" layout i lnot
+  | "ASL" -> Machine.unary "dsp56" layout i (fun a -> a * 2)
+  | "ASR" -> Machine.unary "dsp56" layout i (fun a -> a asr 1)
+  | "SAT" -> Machine.unary "dsp56" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
   | "ADDI" -> Machine.use_op "dsp56" layout i ( + )
   | "DO" | "LEA" ->
-    let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
+    let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
     fun st -> w0 st (r1 st)
   | "LEAI" ->
-    let w0 = Mstate.writer layout (op 0) in
-    let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
+    let w0 = Machine.wr layout i 0 in
+    let r1 = Machine.rd layout i 1
+    and r2 = Machine.rd layout i 2
+    and r3 = Machine.rd layout i 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
   | opc -> invalid_arg ("dsp56: cannot execute " ^ opc)
 

@@ -63,14 +63,14 @@ let rec vregs_of_operand = function
 let rec add_operand b = function
   | Reg r ->
     Buffer.add_string b r.cls;
-    Buffer.add_string b (string_of_int r.idx)
+    Ir.Decimal.add_int b r.idx
   | Vreg v ->
     Buffer.add_char b '%';
     Buffer.add_string b v.vcls;
-    Buffer.add_string b (string_of_int v.vid)
+    Ir.Decimal.add_int b v.vid
   | Imm k ->
     Buffer.add_char b '#';
-    Buffer.add_string b (string_of_int k)
+    Ir.Decimal.add_int b k
   | Adr r ->
     Buffer.add_char b '&';
     Ir.Mref.add_to_buffer b r

@@ -82,7 +82,10 @@ type t = {
           no mutable state.  The interpretive simulator applies it
           immediately ({!exec}); the compiled simulator ([Sim.Compile])
           keeps the closure, so both engines share one definition of every
-          opcode. *)
+          opcode.  It stages operands with the helpers below (or
+          [Mstate.operand_reader]/[operand_writer]), reaches memory only
+          through operands, and reads no address register that no operand
+          names: [Mstate.updates_at_once] relies on all three. *)
   classification : Classify.t;
 }
 
@@ -234,19 +237,25 @@ let address_into opcode ctx v ~ivar_cell ~stream =
 
 (* ---- staging helpers for [semantics] ----------------------------------- *)
 
-(* Readers of an instruction's [n]th operand and [n]th use, and the writer
-   of its first definition, staged against [layout]; [name] is the
-   machine's, for the error.  A description wraps these helpers in local
-   functions ([let rd n = Machine.rd layout i n]) instead of applying them
-   partially: a partial application allocates its curried closures on
-   every staging, and the interpretive engine stages every instruction it
-   executes. *)
-let rd layout (i : Instr.t) n = Mstate.reader layout (List.nth i.operands n)
-let use layout (i : Instr.t) n = Mstate.reader layout (List.nth i.uses n)
+(* Readers of an instruction's [n]th operand and [n]th use, the writer of
+   its [n]th operand and of its first definition, staged against [layout]
+   through [Mstate.operand_reader]/[operand_writer], so a walking operand
+   post-modifies at once where [Mstate.updates_at_once] allows; [name] is
+   the machine's, for the error.  A description applies them fully inside
+   the opcode arm that needs them: a local helper or a partial application
+   allocates a closure on every staging, and the interpretive engine
+   stages every instruction it executes. *)
+let rd layout (i : Instr.t) n =
+  Mstate.operand_reader layout i (List.nth i.operands n)
+
+let wr layout (i : Instr.t) n =
+  Mstate.operand_writer layout i (List.nth i.operands n)
+
+let use layout (i : Instr.t) n = Mstate.operand_reader layout i (List.nth i.uses n)
 
 let def name layout (i : Instr.t) =
   match i.defs with
-  | d :: _ -> Mstate.writer layout d
+  | d :: _ -> Mstate.operand_writer layout i d
   | [] -> invalid_arg (name ^ ": " ^ i.opcode ^ " without destination")
 
 (* [d <- f a] and [d <- f a b] over the first definition and the first

@@ -191,9 +191,12 @@ let vreg_error () =
 (* Post-modify addressing updates the address register AFTER the instruction
    completes, like the AGU hardware: every operand of one instruction reads
    the pre-instruction register state, even when two operands walk the same
-   register (e.g. squaring a stream element with [MAC *ar0, *ar0+]).
-   Operand reads queue their updates here; the simulator applies the queue
-   at each instruction boundary ([apply_updates]). *)
+   register (e.g. squaring a stream element with [MAC *ar0, *ar0+]).  The
+   plain [reader]/[writer] queue their updates here, and the simulator
+   applies the queue at each instruction boundary ([apply_updates]).  When
+   nothing else in the instruction names the register, the update can land
+   straight after the access instead, with the same result and no queue:
+   see [updates_at_once] and [operand_reader]. *)
 let post_update t inner u =
   match (inner, u) with
   | _, Instr.No_update -> ()
@@ -311,3 +314,132 @@ let writer layout (o : Instr.operand) : t -> int -> unit =
   | Instr.Vreg _ -> fun _ _ -> vreg_error ()
   | Instr.Imm _ | Instr.Adr _ ->
     fun _ _ -> invalid_arg "Mstate: cannot write to an immediate operand"
+
+(* ---- post-modify at the operand ------------------------------------------ *)
+
+(* Class names are short and differ in length more often than not. *)
+let same_reg (a : Instr.reg) (b : Instr.reg) =
+  a.Instr.idx = b.Instr.idx
+  && String.length a.Instr.cls = String.length b.Instr.cls
+  && String.equal a.Instr.cls b.Instr.cls
+
+let rec names r (o : Instr.operand) =
+  match o with
+  | Instr.Reg r' -> same_reg r r'
+  | Instr.Ind (inner, _, _) -> names r inner
+  | Instr.Vreg _ | Instr.Imm _ | Instr.Adr _ | Instr.Dir _ -> false
+
+let rec count_naming r = function
+  | [] -> 0
+  | o :: os -> (if names r o then 1 else 0) + count_naming r os
+
+(* Streams are compared on every staged walk; a copy usually shares its
+   walk's reference, so physical equality settles most. *)
+let same_stream (a : Ir.Mref.t option) (b : Ir.Mref.t option) =
+  match (a, b) with
+  | None, None -> true
+  | Some x, Some y -> x == y || Ir.Mref.equal x y
+  | None, Some _ | Some _, None -> false
+
+(* Every mention of [r] in [os] is a no-update copy of the walk over
+   [stream]. *)
+let rec only_copies r stream = function
+  | [] -> true
+  | o :: os ->
+    (match o with
+    | Instr.Ind (Instr.Reg r', Instr.No_update, s) when same_reg r r' ->
+      same_stream stream s
+    | _ -> not (names r o))
+    && only_copies r stream os
+
+(* The one decision, made at staging time: may operand [o] of instruction
+   [i], an updating [Ind (Reg r, _, s)], post-modify [r] at once?  Yes
+   when [o] is the only operand of [i] that names [r] and every mention
+   of [r] in [defs] and [uses] is a no-update copy [Ind (Reg r, No_update,
+   s)] — [Opt.Agu] leaves such a copy beside the walking operand for
+   dependence analysis (tic25 [LT *ar0+] uses [*ar0]).  Descriptions
+   reach memory through operands, never through such a copy, and read no
+   address register that no operand names, so no other access of the
+   instruction can see [r] move.  Two operands on one register
+   ([RPTMAC #2, *ar0+, *ar0+], asip [MAC *ar0, *ar0+]), a bare [r]
+   anywhere, a walk in [defs] or [uses], or a walk nested inside another
+   indirect keep the queue. *)
+let updates_at_once (i : Instr.t) (o : Instr.operand) =
+  match o with
+  | Instr.Ind (Instr.Reg r, (Instr.Post_inc | Instr.Post_dec), s) ->
+    count_naming r i.Instr.operands = 1
+    && only_copies r s i.Instr.defs
+    && only_copies r s i.Instr.uses
+  | Instr.Ind _ | Instr.Reg _ | Instr.Vreg _ | Instr.Imm _ | Instr.Adr _
+  | Instr.Dir _ ->
+    false
+
+let rec walks (o : Instr.operand) =
+  match o with
+  | Instr.Ind (inner, u, _) -> u <> Instr.No_update || walks inner
+  | Instr.Reg _ | Instr.Vreg _ | Instr.Imm _ | Instr.Adr _ | Instr.Dir _ ->
+    false
+
+let rec any_queues i = function
+  | [] -> false
+  | o :: os -> (walks o && not (updates_at_once i o)) || any_queues i os
+
+(* Does some access of [i], staged through [operand_reader],
+   [operand_writer] or [operand_adder], queue a post-modify?  The compiled
+   simulator calls [apply_updates] after exactly those instructions. *)
+let queues_update (i : Instr.t) =
+  any_queues i i.Instr.operands
+  || any_queues i i.Instr.defs
+  || any_queues i i.Instr.uses
+
+let delta = function
+  | Instr.Post_inc -> 1
+  | Instr.Post_dec -> -1
+  | Instr.No_update -> 0
+
+(* [reader] and [writer] for operand [o] of instruction [i]: the staging
+   entry points of every description.  An access [updates_at_once] allows
+   writes [r ± 1] straight after touching memory; any other operand gets
+   the queuing [reader]/[writer]. *)
+let operand_reader layout (i : Instr.t) (o : Instr.operand) : t -> int =
+  match o with
+  | Instr.Ind (Instr.Reg r, ((Instr.Post_inc | Instr.Post_dec) as u), _)
+    when updates_at_once i o ->
+    let s = reg_slot r and d = delta u in
+    fun t ->
+      let a = read_slot t s in
+      let v = load t a in
+      write_slot t s (a + d);
+      v
+  | _ -> reader layout o
+
+let operand_writer layout (i : Instr.t) (o : Instr.operand) : t -> int -> unit
+    =
+  match o with
+  | Instr.Ind (Instr.Reg r, ((Instr.Post_inc | Instr.Post_dec) as u), _)
+    when updates_at_once i o ->
+    let s = reg_slot r and d = delta u in
+    fun t v ->
+      let a = read_slot t s in
+      store t a v;
+      write_slot t s (a + d)
+  | _ -> writer layout o
+
+(* [o <- o + k] on operand [o] of [i], a loop counter's decrement: read and
+   written at one address.  Reading and writing an updating operand walk it
+   twice, as the two updates a [reader] and a [writer] queue do. *)
+let operand_adder layout (i : Instr.t) (o : Instr.operand) k : t -> unit =
+  match o with
+  | Instr.Reg r ->
+    let s = reg_slot r in
+    fun t -> write_slot t s (read_slot t s + k)
+  | Instr.Ind (Instr.Reg r, ((Instr.Post_inc | Instr.Post_dec) as u), _)
+    when updates_at_once i o ->
+    let s = reg_slot r and d = 2 * delta u in
+    fun t ->
+      let a = read_slot t s in
+      store t a (load t a + k);
+      write_slot t s (a + d)
+  | _ ->
+    let rd = reader layout o and wr = writer layout o in
+    fun t -> wr t (rd t + k)

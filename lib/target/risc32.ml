@@ -157,59 +157,55 @@ let naive_agu =
 (* Staged: operand shapes and the opcode dispatch resolve once per
    instruction; see the note on [Machine.t.semantics]. *)
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
-  let op n = List.nth i.Instr.operands n in
-  let rd n = Machine.rd layout i n and use n = Machine.use layout i n in
-  let def () = Machine.def "risc32" layout i in
-  let unary f = Machine.unary "risc32" layout i f
-  and binary f = Machine.binary "risc32" layout i f
-  and shift f = Machine.use_op "risc32" layout i f in
   match i.Instr.opcode with
   | "LW" -> (
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     match i.Instr.defs with
     | Instr.Reg d :: _ ->
       let sd = Mstate.reg_slot d in
       fun st -> Mstate.write_slot st sd (r0 st)
     | _ ->
-      let w = def () in
+      let w = Machine.def "risc32" layout i in
       fun st -> w st (r0 st))
   | "SW" -> (
-    let w0 = Mstate.writer layout (op 0) in
+    let w0 = Machine.wr layout i 0 in
     match i.Instr.uses with
     | Instr.Reg a :: _ ->
       let sa = Mstate.reg_slot a in
       fun st -> w0 st (Mstate.read_slot st sa)
     | _ ->
-      let a = use 0 in
+      let a = Machine.use layout i 0 in
       fun st -> w0 st (a st))
   | "LI" -> (
     match i.Instr.operands with
     | [ Instr.Imm k ] ->
-      let w = def () in
+      let w = Machine.def "risc32" layout i in
       fun st -> w st k
     | [ c; Instr.Imm k ] ->
-      let wc = Mstate.writer layout c in
+      let wc = Mstate.operand_writer layout i c in
       fun st -> wc st k
     | _ -> invalid_arg "risc32: LI operands")
-  | "ADDI" -> shift ( + )
-  | "ADD" -> binary ( + )
-  | "SUB" -> binary ( - )
-  | "MUL" -> binary ( * )
-  | "AND" -> binary ( land )
-  | "OR" -> binary ( lor )
-  | "XOR" -> binary ( lxor )
-  | "SLLI" -> shift (Ir.Op.eval_binop Ir.Op.Shl)
-  | "SRAI" -> shift (Ir.Op.eval_binop Ir.Op.Shr)
-  | "NEG" -> unary (fun a -> -a)
-  | "NOT" -> unary lnot
-  | "SSAT" -> unary (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
+  | "ADDI" -> Machine.use_op "risc32" layout i ( + )
+  | "ADD" -> Machine.binary "risc32" layout i ( + )
+  | "SUB" -> Machine.binary "risc32" layout i ( - )
+  | "MUL" -> Machine.binary "risc32" layout i ( * )
+  | "AND" -> Machine.binary "risc32" layout i ( land )
+  | "OR" -> Machine.binary "risc32" layout i ( lor )
+  | "XOR" -> Machine.binary "risc32" layout i ( lxor )
+  | "SLLI" -> Machine.use_op "risc32" layout i (Ir.Op.eval_binop Ir.Op.Shl)
+  | "SRAI" -> Machine.use_op "risc32" layout i (Ir.Op.eval_binop Ir.Op.Shr)
+  | "NEG" -> Machine.unary "risc32" layout i (fun a -> -a)
+  | "NOT" -> Machine.unary "risc32" layout i lnot
+  | "SSAT" -> Machine.unary "risc32" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
   | "BNEZ" -> fun _ -> ()
   | "LA" ->
-    let w0 = Mstate.writer layout (op 0) and r1 = rd 1 in
+    let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
     fun st -> w0 st (r1 st)
   | "LAI" ->
-    let w0 = Mstate.writer layout (op 0) in
-    let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
+    let w0 = Machine.wr layout i 0 in
+    let r1 = Machine.rd layout i 1
+    and r2 = Machine.rd layout i 2
+    and r3 = Machine.rd layout i 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
   | opc -> invalid_arg ("risc32: cannot execute " ^ opc)
 

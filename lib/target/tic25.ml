@@ -392,46 +392,44 @@ let sat_if st v =
   if ovm = 0 then v else sat_slow ovm v
 
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
-  let op n = List.nth i.Instr.operands n in
-  let rd n = Machine.rd layout i n in
   match i.Instr.opcode with
   | "ZAC" -> fun st -> wr_acc st 0
   | "LACK" | "LAC" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (r0 st)
   | "SACL" ->
-    let w0 = Mstate.writer layout (op 0) in
+    let w0 = Machine.wr layout i 0 in
     fun st -> w0 st (rd_acc st)
   | "ADD" | "ADDK" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (sat_if st (rd_acc st + r0 st))
   | "SUB" | "SUBK" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (sat_if st (rd_acc st - r0 st))
   | "AND" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (rd_acc st land r0 st)
   | "OR" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (rd_acc st lor r0 st)
   | "XOR" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_acc st (rd_acc st lxor r0 st)
   | "NEG" -> fun st -> wr_acc st (sat_if st (-rd_acc st))
   | "CMPL" -> fun st -> wr_acc st (lnot (rd_acc st))
   | "SFL" -> fun st -> wr_acc st (sat_if st (rd_acc st * 2))
   | "SFR" -> fun st -> wr_acc st (rd_acc st asr 1)
   | "LT" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_treg st (r0 st)
   | "MPY" | "MPYK" ->
-    let r0 = rd 0 in
+    let r0 = Machine.rd layout i 0 in
     fun st -> wr_preg st (rd_treg st * r0 st)
   | "PAC" -> fun st -> wr_acc st (sat_if st (rd_preg st))
   | "APAC" -> fun st -> wr_acc st (sat_if st (rd_acc st + rd_preg st))
   | "SPAC" -> fun st -> wr_acc st (sat_if st (rd_acc st - rd_preg st))
   | "DMOV" -> (
-    match op 0 with
+    match List.nth i.Instr.operands 0 with
     | Instr.Dir r ->
       let rd_a = Mstate.reader layout (Instr.Adr r) in
       fun st ->
@@ -453,23 +451,20 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
       let s = Mstate.reg_slot r in
       fun st -> Mstate.write_slot st s k
     | _ ->
-      let w0 = Mstate.writer layout (op 0) in
-      let r1 = rd 1 in
+      let w0 = Machine.wr layout i 0 in
+      let r1 = Machine.rd layout i 1 in
       fun st -> w0 st (r1 st))
   | "LARI" ->
-    let w0 = Mstate.writer layout (op 0) in
-    let r1 = rd 1 and r2 = rd 2 and r3 = rd 3 in
+    let w0 = Machine.wr layout i 0 in
+    let r1 = Machine.rd layout i 1
+    and r2 = Machine.rd layout i 2
+    and r3 = Machine.rd layout i 3 in
     fun st -> w0 st (r1 st + (r3 st * r2 st))
-  | "BANZ" -> (
-    match op 0 with
-    | Instr.Reg r ->
-      let s = Mstate.reg_slot r in
-      fun st -> Mstate.write_slot st s (Mstate.read_slot st s - 1)
-    | o ->
-      let w0 = Mstate.writer layout o and r0 = Mstate.reader layout o in
-      fun st -> w0 st (r0 st - 1))
+  | "BANZ" -> Mstate.operand_adder layout i (List.nth i.Instr.operands 0) (-1)
   | "RPTMAC" ->
-    let r0 = rd 0 and r1 = rd 1 and r2 = rd 2 in
+    let r0 = Machine.rd layout i 0
+    and r1 = Machine.rd layout i 1
+    and r2 = Machine.rd layout i 2 in
     fun st ->
       let n = r0 st in
       for _ = 1 to n do

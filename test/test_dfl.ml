@@ -21,6 +21,38 @@ let test_lex_keywords () =
     ()
   | _ -> Alcotest.fail "keyword stream")
 
+(* Each keyword alone lexes as its token; a word that extends or shortens
+   one, or differs in case, is an identifier. *)
+let test_lex_keyword_words () =
+  List.iter
+    (fun (word, tok) ->
+      match toks word with
+      | [ t; Dfl.Token.Eof ] when t = tok -> ()
+      | _ -> Alcotest.failf "%S is not its keyword" word)
+    [
+      ("program", Dfl.Token.Kprogram);
+      ("param", Dfl.Token.Kparam);
+      ("input", Dfl.Token.Kinput);
+      ("output", Dfl.Token.Koutput);
+      ("var", Dfl.Token.Kvar);
+      ("begin", Dfl.Token.Kbegin);
+      ("end", Dfl.Token.Kend);
+      ("for", Dfl.Token.Kfor);
+      ("to", Dfl.Token.Kto);
+      ("do", Dfl.Token.Kdo);
+      ("sat", Dfl.Token.Ksat);
+    ];
+  List.iter
+    (fun word ->
+      match toks word with
+      | [ Dfl.Token.Ident w; Dfl.Token.Eof ] when w = word -> ()
+      | _ -> Alcotest.failf "%S is not an identifier" word)
+    [
+      "ends"; "format"; "dot"; "sat2"; "t"; "d"; "fo"; "programs"; "params";
+      "inputs"; "outputs"; "vars"; "begins"; "tox"; "do_"; "_for"; "End";
+      "SAT"; "Program";
+    ]
+
 let test_lex_operators () =
   (match toks "<< >> & | ^ ~ * - [ ] ( ) ," with
   | [ Dfl.Token.Shl; Dfl.Token.Shr; Dfl.Token.Amp; Dfl.Token.Pipe;
@@ -243,6 +275,8 @@ let suites =
       [
         Alcotest.test_case "basic tokens" `Quick test_lex_basic;
         Alcotest.test_case "keywords" `Quick test_lex_keywords;
+        Alcotest.test_case "words extending a keyword" `Quick
+          test_lex_keyword_words;
         Alcotest.test_case "operators" `Quick test_lex_operators;
         Alcotest.test_case "comments" `Quick test_lex_comments;
         Alcotest.test_case "line numbers" `Quick test_lex_line_numbers;

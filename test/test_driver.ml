@@ -84,6 +84,55 @@ let test_key_invalidation () =
   Alcotest.(check bool) "version-salt change invalidates" false
     (base = k ~salt:"next-compiler-version" tic25 Record.Options.record_)
 
+(* Keys of three Table-1 kernels on the four bundled machines under a fixed
+   salt.  How the digest texts are written (program fold, options,
+   machine fingerprint) may change, the bytes may not: a change that moves
+   one of these keys turns every cache entry stale, and must say so and
+   bump the cache magic. *)
+let test_key_pinned () =
+  let machines =
+    [
+      Target.Tic25.machine;
+      Target.Dsp56.machine;
+      Target.Risc32.machine;
+      Target.Asip.machine Target.Asip.default;
+    ]
+  in
+  List.iter
+    (fun (kernel, pins) ->
+      let prog = Dspstone.Kernels.prog (Dspstone.Kernels.find kernel) in
+      List.iter2
+        (fun (m : Target.Machine.t) want ->
+          Alcotest.(check string)
+            (kernel ^ " on " ^ m.Target.Machine.name)
+            want
+            (Driver.Key.make ~salt:"fixed-salt" ~machine:m
+               ~options:Record.Options.record_ prog))
+        machines pins)
+    [
+      ( "real_update",
+        [
+          "9669e2e293b1071d49e82c35008307a1";
+          "47dce03e0dbac6fff8a33b56d61e7586";
+          "9cf0316cf6c69e63534b420e2db9850c";
+          "ea8423102e2253124b982c734a0ab39f";
+        ] );
+      ( "fir",
+        [
+          "0b979b1674ba4482d2d42f6ef90c9227";
+          "bbd70301c45cc1c1dfa772b1749c61db";
+          "0dcec3e5e884940b8e408735affb5546";
+          "467d5bdbc7bdcc1973da3c45a803a25f";
+        ] );
+      ( "convolution",
+        [
+          "5b3f6076cb1a2b68c8307d6b79205f28";
+          "632ba8f0c8488a0d07c5d5b3ed6f14bb";
+          "00cc141fde167fa8d419c1d27a53c37d";
+          "8de3a8bc49cbb93a0266297b8485386a";
+        ] );
+    ]
+
 (* ---- machine fingerprint memo ------------------------------------------- *)
 
 (* [Key.make] memoizes a machine's fingerprint per machine value.  A value
@@ -547,5 +596,6 @@ let suites =
           test_key_memo_same_name;
         Alcotest.test_case "4 domains agree with sequential" `Quick
           test_key_memo_domains;
+        Alcotest.test_case "fixed-salt keys pinned" `Quick test_key_pinned;
       ] );
   ]

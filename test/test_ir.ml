@@ -40,6 +40,30 @@ let test_mref_print () =
   Alcotest.(check string) "induct+1" "a[i+1]"
     (Ir.Mref.to_string (Ir.Mref.induct ~offset:1 "a" ~ivar:"i"))
 
+(* [Ir.Decimal.add_int] writes what [string_of_int] returns, appended to
+   what the buffer holds: the extremes, every digit-count boundary, and
+   random ints of every magnitude. *)
+let test_decimal () =
+  let st = Random.State.make [| 7 |] in
+  let powers = List.init 18 (fun k -> int_of_float (10. ** float (k + 1))) in
+  let edges =
+    [ 0; 1; -1; 9; -9; max_int; min_int; max_int - 1; min_int + 1 ]
+    @ List.concat_map (fun p -> [ p; p - 1; -p; 1 - p ]) powers
+  in
+  let random =
+    List.init 2000 (fun k ->
+        let v = Random.State.bits st lsr (k mod 30) in
+        if k land 1 = 0 then v else -v)
+  in
+  List.iter
+    (fun n ->
+      let b = Buffer.create 4 in
+      Buffer.add_string b "x=";
+      Ir.Decimal.add_int b n;
+      Alcotest.(check string) "as string_of_int" ("x=" ^ string_of_int n)
+        (Buffer.contents b))
+    (edges @ random)
+
 let test_tree_size () =
   let t = Ir.Tree.(var "x" + (var "y" * const 3)) in
   Alcotest.(check int) "size" 5 (Ir.Tree.size t);
@@ -336,6 +360,7 @@ let suites =
     ( "ir.tree",
       [
         Alcotest.test_case "mref printing" `Quick test_mref_print;
+        Alcotest.test_case "decimal digits" `Quick test_decimal;
         Alcotest.test_case "size/depth/refs" `Quick test_tree_size;
         Alcotest.test_case "ivars" `Quick test_tree_ivars;
       ] );

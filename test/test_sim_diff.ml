@@ -434,6 +434,426 @@ let test_plan_shared_across_domains () =
         expected)
     domains
 
+(* ---- post-modify at the operand ----------------------------------------- *)
+
+(* Every register named in an operand, outside or inside an indirect. *)
+let rec operand_regs acc (o : Target.Instr.operand) =
+  match o with
+  | Target.Instr.Reg r -> r :: acc
+  | Target.Instr.Ind (inner, _, _) -> operand_regs acc inner
+  | Target.Instr.Vreg _ | Target.Instr.Imm _ | Target.Instr.Adr _
+  | Target.Instr.Dir _ ->
+    acc
+
+let instr_operands (i : Target.Instr.t) =
+  i.Target.Instr.operands @ i.Target.Instr.defs @ i.Target.Instr.uses
+
+(* Address registers: the ones inside an indirect. *)
+let address_regs (i : Target.Instr.t) =
+  List.sort_uniq compare
+    (List.concat_map
+       (function
+         | Target.Instr.Ind (inner, _, _) -> operand_regs [] inner
+         | _ -> [])
+       (instr_operands i))
+
+(* Rename [i]'s address registers to random free indices of their class
+   (copies stay copies) and draw each walking operand's direction. *)
+let reshuffle st (i : Target.Instr.t) =
+  let ars = address_regs i in
+  let bare =
+    List.concat_map
+      (function Target.Instr.Reg r -> [ r ] | _ -> [])
+      (instr_operands i)
+  in
+  let taken = ref bare in
+  let fresh (r : Target.Instr.reg) =
+    let rec draw () =
+      let r' = { r with Target.Instr.idx = Random.State.int st 8 } in
+      if List.mem r' !taken then draw ()
+      else begin
+        taken := r' :: !taken;
+        r'
+      end
+    in
+    draw ()
+  in
+  let map = List.map (fun r -> (r, fresh r)) ars in
+  let rename = function
+    | Target.Instr.Reg r when List.mem_assoc r map ->
+      Target.Instr.Reg (List.assoc r map)
+    | o -> o
+  in
+  let i = Target.Instr.map_operands rename i in
+  let redirect = function
+    | Target.Instr.Ind (inner, (Target.Instr.Post_inc | Target.Instr.Post_dec), s)
+      ->
+      Target.Instr.Ind
+        ( inner,
+          (if Random.State.bool st then Target.Instr.Post_inc
+           else Target.Instr.Post_dec),
+          s )
+    | o -> o
+  in
+  { i with Target.Instr.operands = List.map redirect i.Target.Instr.operands }
+
+let has_walk (i : Target.Instr.t) =
+  List.exists
+    (function
+      | Target.Instr.Ind (_, (Target.Instr.Post_inc | Target.Instr.Post_dec), _)
+        ->
+        true
+      | _ -> false)
+    i.Target.Instr.operands
+
+(* Instructions that walk an address register, from the looped DSPStone
+   kernels compiled with AGU streams (tic25 adds its hand assemblies,
+   RPTMAC included), each with its layout. *)
+let walking_instrs (m : Target.Machine.t) =
+  let rec items layout acc = function
+    | Target.Asm.Op i -> if has_walk i then (layout, i) :: acc else acc
+    | Target.Asm.Par is ->
+      List.fold_left (fun acc i -> items layout acc (Target.Asm.Op i)) acc is
+    | Target.Asm.Loop { body; _ } -> List.fold_left (items layout) acc body
+  in
+  let of_asm layout (asm : Target.Asm.t) acc =
+    List.fold_left (items layout) acc asm.Target.Asm.items
+  in
+  let kernels = Dspstone.Kernels.all @ Dspstone.Kernels.extended in
+  let compiled =
+    List.fold_left
+      (fun acc (k : Dspstone.Kernels.t) ->
+        match
+          Record.Pipeline.compile ~options:Record.Options.record_ m
+            (Dspstone.Kernels.prog k)
+        with
+        | exception Record.Pipeline.Error _ -> acc
+        | c -> of_asm c.Record.Pipeline.layout c.Record.Pipeline.asm acc)
+      [] kernels
+  in
+  if m.Target.Machine.name <> "tic25" then compiled
+  else
+    List.fold_left
+      (fun acc (k : Dspstone.Kernels.t) ->
+        of_asm (Dspstone.Handasm.layout_for k) (Dspstone.Handasm.find k.name) acc)
+      compiled kernels
+
+(* A generated machine cannot compile a loop, so its walking instructions
+   are built here: every opcode with four operands, each an indirect on
+   its own register (an opcode reads as many as its transfer has memory
+   and immediate leaves, and ignores the rest), walking or not. *)
+let netlist_walks st (m : Target.Machine.t) net =
+  let layout = Target.Layout.make ~banks:[ "data" ] [ ("m", 64, "data") ] in
+  List.concat_map
+    (fun (t : Ise.Transfer.t) ->
+      List.init 4 (fun _ ->
+          let operands =
+            List.init 4 (fun k ->
+                let u =
+                  match Random.State.int st 3 with
+                  | 0 -> Target.Instr.No_update
+                  | 1 -> Target.Instr.Post_inc
+                  | _ -> Target.Instr.Post_dec
+                in
+                Target.Instr.Ind (reg { Target.Instr.cls = "ix"; idx = k }, u, None))
+          in
+          (layout, Target.Instr.make t.Ise.Transfer.name ~operands)))
+    (Ise.Extract.run net)
+  |> List.filter (fun (_, i) -> has_walk i)
+  |> List.map (fun p -> (m, p))
+
+(* One step of an instruction whose walks [Mstate.updates_at_once] allows,
+   against the queued reference: the same instruction with each address
+   register also named bare in [uses] (which the semantics never read), so
+   every walk queues and [apply_updates] runs after it.  Registers, memory
+   and modes must come out equal, and the fast step must queue nothing. *)
+let test_at_once_equals_queue () =
+  let st = Random.State.make [| 27 |] in
+  let bundled =
+    List.concat_map
+      (fun m -> List.map (fun p -> (m, p)) (walking_instrs m))
+      (machines ())
+  in
+  let netlist net = netlist_walks st (Ise.Gen.machine net) net in
+  (* a loop counter kept in memory through a walking register: read and
+     written at one address ([Mstate.operand_adder]) *)
+  let counters =
+    let layout = Target.Layout.make ~banks:[ "data" ] [ ("m", 64, "data") ] in
+    let dec opcode cls =
+      let r = { Target.Instr.cls; idx = 0 } in
+      (layout, Target.Instr.make opcode ~operands:[ post_inc r ])
+    in
+    [
+      (machine, dec "BANZ" "ar");
+      (Target.Asip.machine Target.Asip.default, dec "DJNZ" "ar");
+      (Ise.Gen.machine Rtl.Samples.acc16, dec "DJNZ" "ix");
+    ]
+  in
+  let pool =
+    Array.of_list
+      (bundled @ counters
+      @ netlist Rtl.Samples.acc16
+      @ netlist Rtl.Samples.mac16)
+  in
+  let ran = Hashtbl.create 8 in
+  for _ = 1 to 3000 do
+    let (m : Target.Machine.t), (layout, template) =
+      pool.(Random.State.int st (Array.length pool))
+    in
+    let i = reshuffle st template in
+    if not (Target.Mstate.queues_update i) then begin
+      let ars = address_regs i in
+      let reference =
+        {
+          i with
+          Target.Instr.uses =
+            i.Target.Instr.uses @ List.map (fun r -> Target.Instr.Reg r) ars;
+        }
+      in
+      if not (Target.Mstate.queues_update reference) then
+        Alcotest.failf "%s: a bare register still walks at once"
+          (Target.Instr.to_string i);
+      let size = Target.Layout.total_size layout in
+      let mem = Array.init size (fun _ -> Random.State.int st 201 - 100) in
+      let regs =
+        List.map
+          (fun r -> (r, Random.State.int st size))
+          (List.sort_uniq compare
+             (ars
+             @ List.concat_map (operand_regs []) (instr_operands i)
+             @ List.concat_map
+                 (fun (c : Target.Regfile.cls) ->
+                   List.init c.Target.Regfile.count (fun idx ->
+                       { Target.Instr.cls = c.Target.Regfile.cls_name; idx }))
+                 m.Target.Machine.regfile.Target.Regfile.classes))
+      in
+      let modes =
+        List.map (fun (n, _) -> (n, Random.State.int st 2)) m.Target.Machine.modes
+      in
+      let state () =
+        let s = Target.Mstate.create ~layout ~modes () in
+        Target.Mstate.copy_ints mem 0 s.Target.Mstate.mem 0 size;
+        List.iter (fun (r, v) -> Target.Mstate.set_reg s r v) regs;
+        s
+      in
+      let run instr after =
+        let s = state () in
+        match m.Target.Machine.semantics layout instr s with
+        | () ->
+          after s;
+          Ok s
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let label = m.Target.Machine.name ^ ": " ^ Target.Instr.to_string i in
+      match (run i ignore, run reference Target.Mstate.apply_updates) with
+      | Ok fast, Ok slow ->
+        Alcotest.(check int) (label ^ ": nothing queued") 0
+          fast.Target.Mstate.pend_n;
+        Alcotest.(check (array int)) (label ^ ": memory") slow.Target.Mstate.mem
+          fast.Target.Mstate.mem;
+        List.iter
+          (fun (r, _) ->
+            Alcotest.(check int)
+              (label ^ ": " ^ Target.Instr.operand_to_string (Target.Instr.Reg r))
+              (Target.Mstate.get_reg slow r) (Target.Mstate.get_reg fast r))
+          regs;
+        List.iter
+          (fun (n, _) ->
+            Alcotest.(check int) (label ^ ": mode " ^ n)
+              (Target.Mstate.get_mode slow n) (Target.Mstate.get_mode fast n))
+          modes;
+        Hashtbl.replace ran m.Target.Machine.name ()
+      | Error a, Error b -> Alcotest.(check string) (label ^ ": error") b a
+      | Ok _, Error e | Error e, Ok _ ->
+        Alcotest.failf "%s: only one side raised %s" label e
+    end
+  done;
+  Alcotest.(check (list string))
+    "every machine ran"
+    [ "acc16"; "asip"; "dsp56"; "mac16"; "risc32"; "tic25" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) ran []))
+
+(* Shapes that keep the queue, on both engines: two operands on one
+   register, and a register named bare beside its walk.  Each reads the
+   pre-instruction register everywhere, then the update lands. *)
+let test_queued_shapes () =
+  let layout =
+    Target.Layout.make ~banks:[ "data" ]
+      [ ("a", 4, "data"); ("y", 1, "data") ]
+  in
+  let base = Target.Layout.base_address layout (Ir.Mref.scalar "a") in
+  let a1 = Target.Instr.Adr (Ir.Mref.elem "a" 1) in
+  let y = Target.Instr.Dir (Ir.Mref.scalar "y") in
+  let inputs = [ ("a", [| 5; 3; 4; 7 |]) ] in
+  let check (m : Target.Machine.t) label shape items expect =
+    Alcotest.(check bool) (label ^ " queues") true
+      (Target.Mstate.queues_update shape);
+    List.iter
+      (fun engine ->
+        let o =
+          Sim.run ~engine m ~layout ~inputs
+            (Target.Asm.make ~name:"queued" (List.map op items))
+        in
+        expect o.Sim.state)
+      [ Sim.Interp; Sim.Compiled ]
+  in
+  (* asip squares a stream element: both operands read a[1] *)
+  let asip = Target.Asip.machine Target.Asip.default in
+  let acc0 = { Target.Instr.cls = "acc"; idx = 0 } in
+  let ar0' = { Target.Instr.cls = "ar"; idx = 0 } in
+  let mac =
+    Target.Instr.make "MAC"
+      ~operands:[ ind ar0'; post_inc ar0' ]
+      ~defs:[ reg acc0 ]
+      ~uses:[ reg acc0; ind ar0'; ind ar0' ]
+  in
+  check asip "MAC *ar0, *ar0+" mac
+    [
+      Target.Instr.make "LDAR" ~operands:[ reg ar0'; a1 ] ~defs:[ reg ar0' ];
+      Target.Instr.make "LDI" ~operands:[ imm 10 ] ~defs:[ reg acc0 ];
+      mac;
+      Target.Instr.make "ST" ~operands:[ y ] ~defs:[ y ] ~uses:[ reg acc0 ];
+    ]
+    (fun s ->
+      Alcotest.(check (array int)) "acc + a[1] * a[1]" [| 19 |]
+        (Target.Mstate.get_var s "y");
+      Alcotest.(check int) "ar0 walked once" (base + 2)
+        (Target.Mstate.get_reg s ar0'));
+  (* tic25 loads ar0 through itself: the load sees a[0], then ar0 moves *)
+  let lark_self = lark [ reg ar0; post_inc ar0 ] in
+  check machine "LARK ar0, *ar0+" lark_self
+    [ Target.Instr.make "LARK" ~operands:[ reg ar0; adr "a" ]; lark_self ]
+    (fun s ->
+      Alcotest.(check int) "ar0 = a[0] + 1" 6 (Target.Mstate.get_reg s ar0));
+  (* risc32 loads g1 through itself, the bare register in [defs] *)
+  let g1 = { Target.Instr.cls = "g"; idx = 1 } in
+  let lw =
+    Target.Instr.make "LW" ~operands:[ post_inc g1 ] ~defs:[ reg g1 ]
+      ~uses:[ ind g1 ]
+  in
+  check Target.Risc32.machine "LW g1, *g1+" lw
+    [ Target.Instr.make "LA" ~operands:[ reg g1; adr "a" ]; lw ]
+    (fun s ->
+      Alcotest.(check int) "g1 = a[0] + 1" 6 (Target.Mstate.get_reg s g1));
+  Alcotest.(check bool) "RPTMAC #2, *ar0+, *ar0+ queues" true
+    (Target.Mstate.queues_update
+       (Target.Instr.make "RPTMAC" ~operands:[ imm 2; post_inc ar0; post_inc ar0 ]))
+
+(* ---- loop bodies as one closure ------------------------------------------ *)
+
+(* Hand-built tic25 loops beside a DFL twin: both engines and [Ir.Eval] on
+   the twin must produce the same outputs. *)
+let check_loop ~name ~decls ~inputs ~twin items =
+  let layout = Target.Layout.make ~banks:[ "data" ] decls in
+  let asm = Target.Asm.make ~name items in
+  let prog = Dfl.Lower.source twin in
+  let want = Ir.Eval.run_with_inputs ~width:16 prog inputs in
+  List.iter
+    (fun (label, engine) ->
+      let o = Sim.run ~engine machine ~layout ~inputs asm in
+      List.iter
+        (fun (out, values) ->
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s, %s: %s" name label out)
+            values
+            (Target.Mstate.get_var o.Sim.state out))
+        want)
+    [ ("interp", Sim.Interp); ("compiled", Sim.Compiled) ]
+
+let test_loop_bodies () =
+  let st = Random.State.make [| 13 |] in
+  let data n = Array.init n (fun _ -> Random.State.int st 7 - 3) in
+  let trips = 6 in
+  let ar j = Target.Tic25.ar j in
+  let zac = Target.Instr.make "ZAC" in
+  let add o = Target.Instr.make "ADD" ~operands:[ o ] in
+  let sacl o = Target.Instr.make "SACL" ~operands:[ o ] ~defs:[ o ] in
+  let y = Target.Instr.Dir (Ir.Mref.scalar "y") in
+  let loop count body = Target.Asm.Loop { ivar = None; count; body } in
+  (* bodies of 1 to 13 steps, step j adding stream x<j> *)
+  for n = 1 to 13 do
+    let xs = List.init n (fun j -> Printf.sprintf "x%d" j) in
+    check_loop
+      ~name:(Printf.sprintf "body of %d" n)
+      ~decls:(List.map (fun x -> (x, trips, "data")) xs @ [ ("y", 1, "data") ])
+      ~inputs:(List.map (fun x -> (x, data trips)) xs)
+      ~twin:
+        (Printf.sprintf
+           "program body;\ninput %s;\noutput y;\nbegin\n  y = 0;\n\
+            \  for i = 0 to %d do\n    y = y%s;\n  end;\nend\n"
+           (String.concat ", "
+              (List.map (fun x -> Printf.sprintf "%s[%d]" x trips) xs))
+           (trips - 1)
+           (String.concat "" (List.map (fun x -> " + " ^ x ^ "[i]") xs)))
+      (List.mapi (fun j x -> op (lark [ reg (ar j); adr x ])) xs
+      @ [
+          op zac;
+          loop trips (List.mapi (fun j _ -> op (add (post_inc (ar j)))) xs);
+          op (sacl y);
+        ])
+  done;
+  (* a nested loop: the inner walk restarts every outer trip *)
+  check_loop ~name:"nested loop"
+    ~decls:[ ("x", 4, "data"); ("z", 3, "data"); ("y", 1, "data") ]
+    ~inputs:[ ("x", data 4); ("z", data 3) ]
+    ~twin:
+      "program nested;\ninput x[4], z[3];\noutput y;\nbegin\n  y = 0;\n\
+      \  for i = 0 to 2 do\n    for j = 0 to 3 do\n      y = y + x[j];\n\
+      \    end;\n    y = y + z[i];\n  end;\nend\n"
+    [
+      op (lark [ reg (ar 1); adr "z" ]);
+      op zac;
+      loop 3
+        [
+          op (lark [ reg (ar 0); adr "x" ]);
+          loop 4 [ op (add (post_inc (ar 0))) ];
+          op (add (post_inc (ar 1)));
+        ];
+      op (sacl y);
+    ];
+  (* a mode check left to run time: SOVM and ROVM run bare, without a
+     [mode_set], so the translator knows nothing of OVM inside the body *)
+  check_loop ~name:"mode check in the body"
+    ~decls:[ ("x", trips, "data"); ("y", 1, "data") ]
+    ~inputs:[ ("x", data trips) ]
+    ~twin:
+      (Printf.sprintf
+         "program modes;\ninput x[%d];\noutput y;\nbegin\n  y = 0;\n\
+          \  for i = 0 to %d do\n    y = sat(sat(-y) + x[i]);\n  end;\nend\n"
+         trips (trips - 1))
+    [
+      op (lark [ reg (ar 0); adr "x" ]);
+      op zac;
+      loop trips
+        [
+          op (Target.Instr.make "SOVM");
+          op sat_neg;
+          op (add (post_inc (ar 0)));
+          op (Target.Instr.make "ROVM");
+        ];
+      op (sacl y);
+    ];
+  (* a parallel word: the store sees the sum its slot-mate just formed *)
+  check_loop ~name:"par word in the body"
+    ~decls:[ ("x", trips, "data"); ("y", trips, "data") ]
+    ~inputs:[ ("x", data trips) ]
+    ~twin:
+      (Printf.sprintf
+         "program par;\ninput x[%d];\noutput y[%d];\nvar s;\nbegin\n\
+          \  s = 0;\n  for i = 0 to %d do\n    s = s + x[i];\n\
+          \    y[i] = s;\n  end;\nend\n"
+         trips trips (trips - 1))
+    [
+      op (lark [ reg (ar 0); adr "x" ]);
+      op (lark [ reg (ar 1); adr "y" ]);
+      op zac;
+      loop trips
+        [
+          Target.Asm.Par
+            [ add (post_inc (ar 0)); sacl (post_inc (ar 1)) ];
+        ];
+    ]
+
 let suites =
   [
     ( "sim.diff",
@@ -466,5 +886,11 @@ let suites =
           test_unresolved_address_fails_at_run;
         Alcotest.test_case "bad inputs fail alike" `Quick
           test_bad_inputs_fail_alike;
+        Alcotest.test_case "post-modify at once equals the queue" `Quick
+          test_at_once_equals_queue;
+        Alcotest.test_case "shapes that keep the queue" `Quick
+          test_queued_shapes;
+        Alcotest.test_case "loop bodies of 1 to 13 steps, nested, mode, par"
+          `Quick test_loop_bodies;
       ] );
   ]
