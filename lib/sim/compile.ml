@@ -3,11 +3,10 @@
    de-interpretation trick used on [Algebra.equivalent]).  Each instruction
    becomes one closure specialized at translation time on its opcode and
    addressing modes (via [Machine.t.semantics] and
-   [Mstate.operand_reader]/[Mstate.operand_writer]); straight-line regions
-   are fused into flat step arrays ("superblocks") iterated with a counted
-   loop; a [Loop] body is compiled once into one closure that calls its
-   steps directly, linked in groups of four ([chain]), and iterated by a
-   counted loop.
+   [Mstate.operand_reader]/[Mstate.operand_writer]); the program and every
+   [Loop] body become one closure each that calls its steps directly,
+   linked in groups of four ([chain]), and a loop's closure is iterated by
+   a counted loop.
 
    Observable behaviour is kept exactly aligned with the interpretive
    engine in [Sim]:
@@ -27,7 +26,7 @@
      translation time (unknown opcode, missing operand) or at run time
      (out-of-range address) — surfaces as [Exec_error] when the
      corresponding step executes, never earlier.  The conversion handler is
-     installed once around the whole step loop rather than per step:
+     installed once around the whole program rather than per step:
      execution aborts at the raising step either way, so the observable
      exception is identical and the hot path carries no handler.  A runtime
      mode check that trips on a mode the state does not carry re-raises its
@@ -58,7 +57,7 @@ type plan = {
   width : int;
   machine : Target.Machine.t;
   layout : Target.Layout.t;
-  steps : step array;
+  body : step;
   static_cycles : int;
   var_index : Target.Layout.entry Smap.t;
       (* name -> layout entry, resolved once per plan *)
@@ -161,55 +160,43 @@ let stage_check know (i : Target.Instr.t) : step option =
           in
           if actual <> v then raise (Mode_violation (violation_msg i m v actual))))
 
-let stage_instr (machine : Target.Machine.t) layout clobbers know
-    (i : Target.Instr.t) : step * int Smap.t =
-  let know_checked =
-    match i.Target.Instr.mode_req with
-    | Some (m, v) -> Smap.add m v know
-    | None -> know
-  in
+(* One instruction's step, staged with the knowledge [know] that holds
+   before it; [transfer_instr] gives the knowledge after it. *)
+let stage_instr (machine : Target.Machine.t) layout know (i : Target.Instr.t)
+    : step =
   let check = stage_check know i in
-  let action, know' =
+  let action =
     match i.Target.Instr.mode_set with
     | Some (m, v) ->
       let s = Target.Mstate.mode_slot m in
-      ((fun st -> Target.Mstate.mode_write_slot st s v), Smap.add m v know_checked)
-    | None ->
-      let know' =
-        if clobbers_mem i clobbers then Smap.empty else know_checked
-      in
-      let action =
-        match machine.Target.Machine.semantics layout i with
-        | f -> f (* run-time [Invalid_argument] is converted by [run] *)
-        | exception Invalid_argument msg -> fun _ -> raise (Exec_error msg)
-        | exception e -> fun _ -> raise e
-      in
-      (action, know')
+      fun st -> Target.Mstate.mode_write_slot st s v
+    | None -> (
+      match machine.Target.Machine.semantics layout i with
+      | f -> f (* run-time [Invalid_argument] is converted by [run] *)
+      | exception Invalid_argument msg -> fun _ -> raise (Exec_error msg)
+      | exception e -> fun _ -> raise e)
   in
-  let step =
-    match (check, Target.Mstate.queues_update i) with
-    | None, false -> action
-    | None, true ->
-      fun st ->
-        action st;
-        Target.Mstate.apply_updates st
-    | Some c, false ->
-      fun st ->
-        c st;
-        action st
-    | Some c, true ->
-      fun st ->
-        c st;
-        action st;
-        Target.Mstate.apply_updates st
-  in
-  (step, know')
+  match (check, Target.Mstate.queues_update i) with
+  | None, false -> action
+  | None, true ->
+    fun st ->
+      action st;
+      Target.Mstate.apply_updates st
+  | Some c, false ->
+    fun st ->
+      c st;
+      action st
+  | Some c, true ->
+    fun st ->
+      c st;
+      action st;
+      Target.Mstate.apply_updates st
 
-(* ---- staging item lists into superblocks -------------------------------- *)
+(* ---- staging item lists into closures ----------------------------------- *)
 
-(* A loop body as one closure: its steps linked in groups of four, each
-   group calling the next in tail position, so a trip is direct calls and
-   no walk over an array. *)
+(* A program or loop body as one closure: its steps linked in groups of
+   four, each group calling the next in tail position, so a run or a trip
+   is direct calls and no walk over an array. *)
 let rec chain : step list -> step = function
   | [] -> fun _ -> ()
   | [ a ] -> a
@@ -239,62 +226,67 @@ let rec chain : step list -> step = function
 
 let check_cycles = 1 lsl 16
 
-(* Returns (steps in reverse, knowledge after, static cycles). *)
-let rec stage_items machine layout clobbers know items =
-  List.fold_left
-    (fun (acc, know, cyc) item ->
-      match item with
-      | Target.Asm.Op i ->
-        let s, know = stage_instr machine layout clobbers know i in
-        (s :: acc, know, cyc + i.Target.Instr.cycles)
-      | Target.Asm.Par is ->
-        (* one instruction word: members execute in slot order, each with
-           its own boundary, the bundle costs one cycle *)
-        let ss, know =
-          List.fold_left
-            (fun (ss, know) i ->
-              let s, know = stage_instr machine layout clobbers know i in
-              (s :: ss, know))
-            ([], know) is
-        in
-        (List.rev_append (List.rev ss) acc, know, cyc + 1)
-      | Target.Asm.Loop { count; body; _ } ->
-        if count <= 0 then (acc, know, cyc)
-          (* never executed: not staged, zero cycles, knowledge unchanged *)
-        else
-          let entry = loop_entry clobbers know body in
-          let body_rev, _, body_cyc =
-            stage_items machine layout clobbers entry body
-          in
-          let trip = chain (List.rev body_rev) in
-          let trips k st =
-            for _ = 1 to k do
-              trip st
-            done
-          in
-          (* The job's deadline is polled between chunks of trips worth
-             about [check_cycles] simulated cycles, nested loops' trips
-             included through [body_cyc], so a loop that finishes within
-             one chunk never polls and no trip carries a check. *)
-          let chunk = max 1 (check_cycles / max 1 body_cyc) in
-          let s st =
-            let left = ref count in
-            while !left > chunk do
-              trips chunk st;
-              left := !left - chunk;
-              Ir.Deadline.check ()
-            done;
-            trips !left st
-          in
-          let exit_know = transfer_items clobbers entry body in
-          (s :: acc, exit_know, cyc + (count * body_cyc)))
-    ([], know, 0) items
+(* Stages [items] after the steps [acc] (in reverse), with knowledge [know]
+   and [cyc] static cycles so far; returns the steps in reverse, the
+   knowledge after the items and the static cycles. *)
+let rec stage_items machine layout clobbers know acc cyc = function
+  | [] -> (acc, know, cyc)
+  | Target.Asm.Op i :: rest ->
+    let s = stage_instr machine layout know i in
+    stage_items machine layout clobbers
+      (transfer_instr clobbers know i)
+      (s :: acc)
+      (cyc + i.Target.Instr.cycles)
+      rest
+  | Target.Asm.Par is :: rest ->
+    (* one instruction word: members execute in slot order, each with its
+       own boundary, the bundle costs one cycle *)
+    let acc, know =
+      List.fold_left
+        (fun (acc, know) i ->
+          ( stage_instr machine layout know i :: acc,
+            transfer_instr clobbers know i ))
+        (acc, know) is
+    in
+    stage_items machine layout clobbers know acc (cyc + 1) rest
+  | Target.Asm.Loop { count; body; _ } :: rest ->
+    if count <= 0 then
+      (* never executed: not staged, zero cycles, knowledge unchanged *)
+      stage_items machine layout clobbers know acc cyc rest
+    else
+      let entry = loop_entry clobbers know body in
+      let body_rev, exit_know, body_cyc =
+        stage_items machine layout clobbers entry [] 0 body
+      in
+      let trip = chain (List.rev body_rev) in
+      let trips k st =
+        for _ = 1 to k do
+          trip st
+        done
+      in
+      (* The job's deadline is polled between chunks of trips worth about
+         [check_cycles] simulated cycles, nested loops' trips included
+         through [body_cyc], so a loop that finishes within one chunk never
+         polls and no trip carries a check. *)
+      let chunk = max 1 (check_cycles / max 1 body_cyc) in
+      let s st =
+        let left = ref count in
+        while !left > chunk do
+          trips chunk st;
+          left := !left - chunk;
+          Ir.Deadline.check ()
+        done;
+        trips !left st
+      in
+      stage_items machine layout clobbers exit_know (s :: acc)
+        (cyc + (count * body_cyc))
+        rest
 
 let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
   let clobbers = mode_clobbers machine in
   let know = initial_knowledge machine in
   let steps_rev, _, static_cycles =
-    stage_items machine layout clobbers know asm.Target.Asm.items
+    stage_items machine layout clobbers know [] 0 asm.Target.Asm.items
   in
   (* the first entry of a name wins, as in [Layout.find] *)
   let var_index =
@@ -309,7 +301,7 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
     width;
     machine;
     layout;
-    steps = Array.of_list (List.rev steps_rev);
+    body = chain (List.rev steps_rev);
     static_cycles;
     var_index;
     mode_seed =
@@ -329,12 +321,7 @@ let run plan ~inputs =
     (fun (name, values) ->
       Target.Mstate.blit_entry st (Smap.find name plan.var_index) values)
     inputs;
-  let steps = plan.steps in
-  (try
-     for j = 0 to Array.length steps - 1 do
-       (Array.unsafe_get steps j) st
-     done
-   with
+  (try plan.body st with
   | Invalid_argument msg -> raise (Exec_error msg)
   | Raw_invalid msg -> invalid_arg msg);
   Target.Mstate.add_cycles st plan.static_cycles;

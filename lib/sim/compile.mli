@@ -3,13 +3,13 @@
 
     The translator specializes each instruction on its opcode and
     addressing modes, applies post-modifies at the operand where nothing
-    else in the instruction names the register, fuses straight-line
-    regions into flat step arrays, compiles each loop body once into one
-    closure that calls its steps directly, hoists statically-decidable mode
-    checks, and counts cycles statically.  A plan's observable behaviour — final state,
-    cycle count, and raised errors — is identical to the interpretive
-    engine's ([Sim.run ~engine:Interp]); the differential suite
-    ([test_sim_diff.ml]) enforces this.
+    else in the instruction names the register, compiles the program and
+    each loop body once into one closure that calls its steps directly,
+    hoists statically-decidable mode checks, and counts cycles statically.
+    A plan's observable behaviour — final state, cycle count, and raised
+    errors — is identical to the interpretive engine's
+    ([Sim.run ~engine:Interp]); the differential suite ([test_sim_diff.ml])
+    enforces this.
 
     One caveat on mode tracking: static hoisting assumes the only opcodes
     whose semantics write machine modes are the ones the machine's

@@ -237,7 +237,8 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
   | "NOT" -> Machine.unary "dsp56" layout i lnot
   | "ASL" -> Machine.unary "dsp56" layout i (fun a -> a * 2)
   | "ASR" -> Machine.unary "dsp56" layout i (fun a -> a asr 1)
-  | "SAT" -> Machine.unary "dsp56" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
+  | "SAT" ->
+    Machine.unary "dsp56" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
   | "ADDI" -> Machine.use_op "dsp56" layout i ( + )
   | "DO" | "LEA" ->
     let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in

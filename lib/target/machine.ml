@@ -251,7 +251,8 @@ let rd layout (i : Instr.t) n =
 let wr layout (i : Instr.t) n =
   Mstate.operand_writer layout i (List.nth i.operands n)
 
-let use layout (i : Instr.t) n = Mstate.operand_reader layout i (List.nth i.uses n)
+let use layout (i : Instr.t) n =
+  Mstate.operand_reader layout i (List.nth i.uses n)
 
 let def name layout (i : Instr.t) =
   match i.defs with

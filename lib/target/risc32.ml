@@ -196,7 +196,8 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
   | "SRAI" -> Machine.use_op "risc32" layout i (Ir.Op.eval_binop Ir.Op.Shr)
   | "NEG" -> Machine.unary "risc32" layout i (fun a -> -a)
   | "NOT" -> Machine.unary "risc32" layout i lnot
-  | "SSAT" -> Machine.unary "risc32" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
+  | "SSAT" ->
+    Machine.unary "risc32" layout i (Ir.Op.eval_unop Ir.Op.Sat ~width:16)
   | "BNEZ" -> fun _ -> ()
   | "LA" ->
     let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in

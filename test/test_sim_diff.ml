@@ -486,8 +486,8 @@ let reshuffle st (i : Target.Instr.t) =
   in
   let i = Target.Instr.map_operands rename i in
   let redirect = function
-    | Target.Instr.Ind (inner, (Target.Instr.Post_inc | Target.Instr.Post_dec), s)
-      ->
+    | Target.Instr.Ind
+        (inner, (Target.Instr.Post_inc | Target.Instr.Post_dec), s) ->
       Target.Instr.Ind
         ( inner,
           (if Random.State.bool st then Target.Instr.Post_inc
@@ -535,7 +535,9 @@ let walking_instrs (m : Target.Machine.t) =
   else
     List.fold_left
       (fun acc (k : Dspstone.Kernels.t) ->
-        of_asm (Dspstone.Handasm.layout_for k) (Dspstone.Handasm.find k.name) acc)
+        of_asm (Dspstone.Handasm.layout_for k)
+          (Dspstone.Handasm.find k.name)
+          acc)
       compiled kernels
 
 (* A generated machine cannot compile a loop, so its walking instructions
@@ -555,7 +557,8 @@ let netlist_walks st (m : Target.Machine.t) net =
                   | 1 -> Target.Instr.Post_inc
                   | _ -> Target.Instr.Post_dec
                 in
-                Target.Instr.Ind (reg { Target.Instr.cls = "ix"; idx = k }, u, None))
+                Target.Instr.Ind
+                  (reg { Target.Instr.cls = "ix"; idx = k }, u, None))
           in
           (layout, Target.Instr.make t.Ise.Transfer.name ~operands)))
     (Ise.Extract.run net)
@@ -628,7 +631,9 @@ let test_at_once_equals_queue () =
                  m.Target.Machine.regfile.Target.Regfile.classes))
       in
       let modes =
-        List.map (fun (n, _) -> (n, Random.State.int st 2)) m.Target.Machine.modes
+        List.map
+          (fun (n, _) -> (n, Random.State.int st 2))
+          m.Target.Machine.modes
       in
       let state () =
         let s = Target.Mstate.create ~layout ~modes () in
@@ -654,7 +659,8 @@ let test_at_once_equals_queue () =
         List.iter
           (fun (r, _) ->
             Alcotest.(check int)
-              (label ^ ": " ^ Target.Instr.operand_to_string (Target.Instr.Reg r))
+              (label ^ ": "
+              ^ Target.Instr.operand_to_string (Target.Instr.Reg r))
               (Target.Mstate.get_reg slow r) (Target.Mstate.get_reg fast r))
           regs;
         List.iter
@@ -737,7 +743,8 @@ let test_queued_shapes () =
       Alcotest.(check int) "g1 = a[0] + 1" 6 (Target.Mstate.get_reg s g1));
   Alcotest.(check bool) "RPTMAC #2, *ar0+, *ar0+ queues" true
     (Target.Mstate.queues_update
-       (Target.Instr.make "RPTMAC" ~operands:[ imm 2; post_inc ar0; post_inc ar0 ]))
+       (Target.Instr.make "RPTMAC"
+          ~operands:[ imm 2; post_inc ar0; post_inc ar0 ]))
 
 (* ---- loop bodies as one closure ------------------------------------------ *)
 
