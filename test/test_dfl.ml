@@ -275,12 +275,12 @@ let suites =
       [
         Alcotest.test_case "basic tokens" `Quick test_lex_basic;
         Alcotest.test_case "keywords" `Quick test_lex_keywords;
-        Alcotest.test_case "words extending a keyword" `Quick
-          test_lex_keyword_words;
         Alcotest.test_case "operators" `Quick test_lex_operators;
         Alcotest.test_case "comments" `Quick test_lex_comments;
         Alcotest.test_case "line numbers" `Quick test_lex_line_numbers;
         Alcotest.test_case "illegal char" `Quick test_lex_illegal;
+        Alcotest.test_case "words extending a keyword" `Quick
+          test_lex_keyword_words;
       ] );
     ( "dfl.parser",
       [

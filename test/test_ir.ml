@@ -360,9 +360,9 @@ let suites =
     ( "ir.tree",
       [
         Alcotest.test_case "mref printing" `Quick test_mref_print;
-        Alcotest.test_case "decimal digits" `Quick test_decimal;
         Alcotest.test_case "size/depth/refs" `Quick test_tree_size;
         Alcotest.test_case "ivars" `Quick test_tree_ivars;
+        Alcotest.test_case "decimal digits" `Quick test_decimal;
       ] );
     ( "ir.prog",
       [
