@@ -267,11 +267,6 @@ let member name = function
 
 let to_int = function Int k -> Some k | _ -> None
 
-let to_float = function
-  | Float f -> Some f
-  | Int k -> Some (float_of_int k)
-  | _ -> None
-
 let to_string_lit = function String s -> Some s | _ -> None
 let to_list = function List items -> Some items | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None

@@ -37,7 +37,6 @@ val member : string -> t -> t option
 (** Field of an object; [None] on missing field or non-object. *)
 
 val to_int : t -> int option
-val to_float : t -> float option
 
 val to_string_lit : t -> string option
 (** The payload of a [String]. *)

@@ -113,7 +113,7 @@ let shared_count g =
 
 (* Decomposition: walk roots in order; materialize shared interior nodes into
    temporaries the first time they are needed. *)
-let to_stmts ?(temp_prefix = "$cse") g =
+let to_stmts g =
   let temp_of : (int, string) Hashtbl.t = Hashtbl.create 8 in
   let fresh = ref 0 in
   let out = ref [] in
@@ -135,7 +135,7 @@ let to_stmts ?(temp_prefix = "$cse") g =
           Tree.Binop (op, ta, tc)
       in
       if (not (is_leaf n)) && n.uses > 1 && not n.protected then begin
-        let name = Printf.sprintf "%s%d" temp_prefix !fresh in
+        let name = "$cse" ^ string_of_int !fresh in
         incr fresh;
         decls := Prog.scalar_decl name :: !decls;
         emit { Prog.dst = Mref.scalar name; src = body };
@@ -151,4 +151,4 @@ let to_stmts ?(temp_prefix = "$cse") g =
     g.roots;
   (List.rev !out, List.rev !decls)
 
-let decompose ?temp_prefix stmts = to_stmts ?temp_prefix (of_block stmts)
+let decompose stmts = to_stmts (of_block stmts)

@@ -15,12 +15,12 @@ val of_block : Prog.stmt list -> t
 val shared_count : t -> int
 (** Nodes with more than one use — the cut points of the decomposition. *)
 
-val to_stmts : ?temp_prefix:string -> t -> Prog.stmt list * Prog.decl list
+val to_stmts : t -> Prog.stmt list * Prog.decl list
 (** Decomposition into trees: returns a semantically equivalent statement
     list in which every shared interior node has been replaced by an
-    assignment to a fresh temporary, plus the declarations of those
-    temporaries. Leaf nodes (constants and references) are never cut. *)
+    assignment to a fresh temporary ([$cse0], [$cse1], ...), plus the
+    declarations of those temporaries. Leaf nodes (constants and
+    references) are never cut. *)
 
-val decompose :
-  ?temp_prefix:string -> Prog.stmt list -> Prog.stmt list * Prog.decl list
+val decompose : Prog.stmt list -> Prog.stmt list * Prog.decl list
 (** [of_block] followed by [to_stmts]. *)

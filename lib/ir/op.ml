@@ -46,6 +46,3 @@ let binop_name = function
   | Xor -> "xor"
   | Shl -> "shl"
   | Shr -> "shr"
-
-let pp_unop ppf op = Format.pp_print_string ppf (unop_name op)
-let pp_binop ppf op = Format.pp_print_string ppf (binop_name op)

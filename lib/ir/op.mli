@@ -36,6 +36,3 @@ val eval_binop : binop -> int -> int -> int
 
 val unop_name : unop -> string
 val binop_name : binop -> string
-
-val pp_unop : Format.formatter -> unop -> unit
-val pp_binop : Format.formatter -> binop -> unit

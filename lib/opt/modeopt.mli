@@ -6,11 +6,16 @@
 
     Two strategies:
     - [Lazy] (RECORD): track the statically known mode through the code and
-      change it only when a requirement differs; a loop body is compiled
-      against its entry state when that state is a fixpoint of the body,
-      otherwise against an unknown state.
+      change it only when a requirement differs.
     - [Naive] (conventional compiler): set the mode before every requiring
-      instruction, unconditionally. *)
+      instruction, unconditionally.
+
+    The knowledge is [Target.Modes], the one mode analysis, which the
+    compiled simulator ([Sim.Compile]) hoists its mode checks with too: a
+    loop body is compiled against its entry knowledge when one trip gives
+    that knowledge back, otherwise against an unknown state, and a bare
+    mode-changing opcode (one [mode_change] emits, without a [mode_set])
+    forgets everything. *)
 
 type strategy = Lazy | Naive
 
@@ -23,5 +28,7 @@ val changes_inserted : Target.Asm.item list -> int
 (** Number of mode-setting instructions in the code (reporting). *)
 
 val verify : Target.Machine.t -> Target.Asm.item list -> (unit, string) result
-(** Abstract interpretation check that every mode requirement is satisfied
-    on every path (loops entered with their fixpoint or unknown state). *)
+(** Checks with [Target.Modes] that every mode requirement is known to hold
+    where it is made, a loop body against its entry knowledge as [run]
+    compiles it.  Every requirement it proves costs the compiled simulator
+    no run-time check. *)

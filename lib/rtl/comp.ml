@@ -31,17 +31,6 @@ let is_storage c =
   | Register | Memory _ -> true
   | Alu _ | Mux _ | Constant _ | Field _ -> false
 
-let is_control_input c port =
-  match (c.kind, port) with
-  | Register, "we" | Memory _, "we" | Alu _, "sel" | Mux _, "sel" -> true
-  | _ -> false
-
-let field_width c =
-  match c.kind with
-  | Field (lo, hi) -> hi - lo + 1
-  | Register | Memory _ | Alu _ | Mux _ | Constant _ ->
-    invalid_arg (c.name ^ " is not an instruction field")
-
 let eval_alu op a b =
   match op with
   | Fadd -> a + b

@@ -42,12 +42,6 @@ val outputs : t -> string list
 val is_storage : t -> bool
 (** Registers and memories — the endpoints of instruction-set extraction. *)
 
-val is_control_input : t -> string -> bool
-(** [we], [sel] — inputs that carry control rather than data. *)
-
-val field_width : t -> int
-(** Bit width of a [Field] component. @raise Invalid_argument otherwise. *)
-
 val eval_alu : alu_op -> int -> int -> int
 
 val pp : Format.formatter -> t -> unit

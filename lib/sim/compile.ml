@@ -19,19 +19,18 @@
      on one register, a bare mention of it) is followed by
      [Mstate.apply_updates] ([Mstate.queues_update] decides);
    - mode requirement checks run before the instruction, raising
-     [Mode_violation] with the same message; when the mode value is
-     statically known the check is hoisted out entirely (elided if
-     satisfied, folded to an unconditional raise if violated);
+     [Mode_violation] with the same message; where [Target.Modes], the
+     analysis [Opt.Modeopt] places and verifies mode changes with, knows
+     the mode's value, the check is hoisted out entirely (elided if
+     satisfied, folded to an unconditional raise if violated), and
+     otherwise it reads the mode's register-file slot;
    - [Invalid_argument] escaping an instruction's semantics — whether at
      translation time (unknown opcode, missing operand) or at run time
      (out-of-range address) — surfaces as [Exec_error] when the
      corresponding step executes, never earlier.  The conversion handler is
      installed once around the whole program rather than per step:
      execution aborts at the raising step either way, so the observable
-     exception is identical and the hot path carries no handler.  A runtime
-     mode check that trips on a mode the state does not carry re-raises its
-     raw [Invalid_argument] through [Raw_invalid], because the interpretive
-     engine does not wrap that one;
+     exception is identical and the hot path carries no handler;
    - cycles are counted statically (an instruction costs its [cycles]
      field, a parallel word one cycle, a loop its body per iteration) and
      credited in one addition per run.
@@ -43,10 +42,6 @@
 
 exception Mode_violation of string
 exception Exec_error of string
-
-(* Internal: carries an [Invalid_argument] payload that must cross the
-   [run]-level conversion handler unconverted (see the header comment). *)
-exception Raw_invalid of string
 
 type outcome = { cycles : int; state : Target.Mstate.t }
 type step = Target.Mstate.t -> unit
@@ -61,79 +56,7 @@ type plan = {
   static_cycles : int;
   var_index : Target.Layout.entry Smap.t;
       (* name -> layout entry, resolved once per plan *)
-  mode_seed : (int * int) list; (* (mode slot, reset value) *)
 }
-
-(* ---- static mode knowledge ---------------------------------------------- *)
-
-(* Map from mode name to its statically-known value at a program point.
-   Seeded from the machine's reset values; [mode_set] refines it; a
-   successful [mode_req] check refines it too (execution only continues if
-   the check passed); executing an opcode that the machine's own
-   [mode_change] emits (e.g. tic25's SOVM/ROVM run bare, without a
-   [mode_set] annotation) invalidates everything, since its semantics may
-   write modes directly.  A machine whose [exec] mutates modes under an
-   opcode [mode_change] never emits would defeat this probe — the
-   differential suite is the backstop for such exotics. *)
-let mode_clobbers (machine : Target.Machine.t) =
-  List.concat_map
-    (fun (mode, reset) ->
-      List.filter_map
-        (fun v ->
-          match machine.Target.Machine.mode_change mode v with
-          | i -> Some i.Target.Instr.opcode
-          | exception _ -> None)
-        [ 0; 1; reset ])
-    machine.Target.Machine.modes
-
-let initial_knowledge (machine : Target.Machine.t) =
-  List.fold_left
-    (fun k (m, v) -> Smap.add m v k)
-    Smap.empty machine.Target.Machine.modes
-
-(* Is [i]'s opcode one of [clobbers]?  Asked of every staged instruction,
-   so by [String.equal], not the polymorphic [List.mem]. *)
-let rec clobbers_mem (i : Target.Instr.t) = function
-  | [] -> false
-  | c :: cs -> String.equal c i.Target.Instr.opcode || clobbers_mem i cs
-
-(* Abstract transfer of one instruction over the knowledge map. *)
-let transfer_instr clobbers know (i : Target.Instr.t) =
-  let know =
-    match i.Target.Instr.mode_req with
-    | Some (m, v) -> Smap.add m v know
-    | None -> know
-  in
-  match i.Target.Instr.mode_set with
-  | Some (m, v) -> Smap.add m v know
-  | None -> if clobbers_mem i clobbers then Smap.empty else know
-
-(* Meet: keep only bindings both sides agree on. *)
-let meet a b =
-  Smap.merge
-    (fun _ x y ->
-      match (x, y) with Some vx, Some vy when vx = vy -> Some vx | _ -> None)
-    a b
-
-let rec transfer_item clobbers know = function
-  | Target.Asm.Op i -> transfer_instr clobbers know i
-  | Target.Asm.Par is -> List.fold_left (transfer_instr clobbers) know is
-  | Target.Asm.Loop { count; body; _ } ->
-    if count <= 0 then know
-    else transfer_items clobbers (loop_entry clobbers know body) body
-
-and transfer_items clobbers know items =
-  List.fold_left (transfer_item clobbers) know items
-
-(* Knowledge valid on entry to every iteration: the greatest fixpoint of
-   [meet know (transfer body)] — iteration 1 enters with [know], later
-   iterations with the body's transfer of whatever held before. *)
-and loop_entry clobbers know body =
-  let rec go e =
-    let e' = meet e (transfer_items clobbers e body) in
-    if Smap.equal ( = ) e' e then e else go e'
-  in
-  go know
 
 (* ---- staging one instruction -------------------------------------------- *)
 
@@ -145,23 +68,21 @@ let stage_check know (i : Target.Instr.t) : step option =
   match i.Target.Instr.mode_req with
   | None -> None
   | Some (m, v) -> (
-    match Smap.find_opt m know with
+    match Target.Modes.Smap.find_opt m know with
     | Some k when k = v -> None (* statically satisfied: hoisted out *)
     | Some k ->
       (* statically violated: the message is known at translation time *)
       let msg = violation_msg i m v k in
       Some (fun _ -> raise (Mode_violation msg))
     | None ->
-      let rd_mode = Target.Mstate.mode_reader m in
+      let s = Target.Mstate.mode_slot m in
       Some
         (fun st ->
-          let actual =
-            try rd_mode st with Invalid_argument msg -> raise (Raw_invalid msg)
-          in
+          let actual = Target.Mstate.read_slot st s in
           if actual <> v then raise (Mode_violation (violation_msg i m v actual))))
 
 (* One instruction's step, staged with the knowledge [know] that holds
-   before it; [transfer_instr] gives the knowledge after it. *)
+   before it; [Target.Modes.after] gives the knowledge after it. *)
 let stage_instr (machine : Target.Machine.t) layout know (i : Target.Instr.t)
     : step =
   let check = stage_check know i in
@@ -169,7 +90,7 @@ let stage_instr (machine : Target.Machine.t) layout know (i : Target.Instr.t)
     match i.Target.Instr.mode_set with
     | Some (m, v) ->
       let s = Target.Mstate.mode_slot m in
-      fun st -> Target.Mstate.mode_write_slot st s v
+      fun st -> Target.Mstate.write_slot st s v
     | None -> (
       match machine.Target.Machine.semantics layout i with
       | f -> f (* run-time [Invalid_argument] is converted by [run] *)
@@ -234,7 +155,7 @@ let rec stage_items machine layout clobbers know acc cyc = function
   | Target.Asm.Op i :: rest ->
     let s = stage_instr machine layout know i in
     stage_items machine layout clobbers
-      (transfer_instr clobbers know i)
+      (Target.Modes.after clobbers know i)
       (s :: acc)
       (cyc + i.Target.Instr.cycles)
       rest
@@ -245,7 +166,7 @@ let rec stage_items machine layout clobbers know acc cyc = function
       List.fold_left
         (fun (acc, know) i ->
           ( stage_instr machine layout know i :: acc,
-            transfer_instr clobbers know i ))
+            Target.Modes.after clobbers know i ))
         (acc, know) is
     in
     stage_items machine layout clobbers know acc (cyc + 1) rest
@@ -254,7 +175,7 @@ let rec stage_items machine layout clobbers know acc cyc = function
       (* never executed: not staged, zero cycles, knowledge unchanged *)
       stage_items machine layout clobbers know acc cyc rest
     else
-      let entry = loop_entry clobbers know body in
+      let entry = Target.Modes.loop_entry clobbers know body in
       let body_rev, exit_know, body_cyc =
         stage_items machine layout clobbers entry [] 0 body
       in
@@ -283,10 +204,11 @@ let rec stage_items machine layout clobbers know acc cyc = function
         rest
 
 let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
-  let clobbers = mode_clobbers machine in
-  let know = initial_knowledge machine in
   let steps_rev, _, static_cycles =
-    stage_items machine layout clobbers know [] 0 asm.Target.Asm.items
+    stage_items machine layout
+      (Target.Modes.clobbers machine)
+      (Target.Modes.reset machine)
+      [] 0 asm.Target.Asm.items
   in
   (* the first entry of a name wins, as in [Layout.find] *)
   let var_index =
@@ -304,25 +226,17 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
     body = chain (List.rev steps_rev);
     static_cycles;
     var_index;
-    mode_seed =
-      List.map
-        (fun (m, v) -> (Target.Mstate.mode_slot m, v))
-        machine.Target.Machine.modes;
   }
 
 let run plan ~inputs =
   let st =
-    Target.Mstate.create ~width:plan.width ~layout:plan.layout ~modes:[] ()
+    Target.Mstate.create ~width:plan.width ~layout:plan.layout
+      ~modes:plan.machine.Target.Machine.modes ()
   in
-  List.iter
-    (fun (s, v) -> Target.Mstate.mode_write_slot st s v)
-    plan.mode_seed;
   List.iter
     (fun (name, values) ->
       Target.Mstate.blit_entry st (Smap.find name plan.var_index) values)
     inputs;
-  (try plan.body st with
-  | Invalid_argument msg -> raise (Exec_error msg)
-  | Raw_invalid msg -> invalid_arg msg);
+  (try plan.body st with Invalid_argument msg -> raise (Exec_error msg));
   Target.Mstate.add_cycles st plan.static_cycles;
   { cycles = Target.Mstate.cycles st; state = st }

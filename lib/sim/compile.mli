@@ -11,10 +11,13 @@
     ([Sim.run ~engine:Interp]); the differential suite ([test_sim_diff.ml])
     enforces this.
 
-    One caveat on mode tracking: static hoisting assumes the only opcodes
-    whose semantics write machine modes are the ones the machine's
-    [mode_change] emits.  All bundled machines satisfy this; a machine
-    violating it would be caught by the differential suite.
+    Mode knowledge comes from [Target.Modes], the same analysis that
+    [Opt.Modeopt] places and verifies mode changes with, so a requirement
+    that [Opt.Modeopt.verify] proves costs nothing at run time.  One
+    caveat: the analysis assumes the only opcodes whose semantics write
+    machine modes are the ones the machine's [mode_change] emits.  All
+    bundled machines satisfy this; a machine violating it would be caught
+    by the differential suite.
 
     Plans are immutable after translation and safe to share across
     domains: every {!run} builds a fresh machine state. *)

@@ -296,12 +296,7 @@ let machine ?(name = "asip") p =
       let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
       fun st -> w0 st (r1 st)
     | "DJNZ" -> Mstate.operand_adder layout i (List.nth i.Instr.operands 0) (-1)
-    | "LDARI" ->
-      let w0 = Machine.wr layout i 0 in
-      let r1 = Machine.rd layout i 1
-      and r2 = Machine.rd layout i 2
-      and r3 = Machine.rd layout i 3 in
-      fun st -> w0 st (r1 st + (r3 st * r2 st))
+    | "LDARI" -> Machine.address_into_semantics layout i
     | opc -> invalid_arg (Printf.sprintf "%s: cannot execute %s" name opc)
   in
   {

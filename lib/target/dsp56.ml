@@ -243,12 +243,7 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
   | "DO" | "LEA" ->
     let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
     fun st -> w0 st (r1 st)
-  | "LEAI" ->
-    let w0 = Machine.wr layout i 0 in
-    let r1 = Machine.rd layout i 1
-    and r2 = Machine.rd layout i 2
-    and r3 = Machine.rd layout i 3 in
-    fun st -> w0 st (r1 st + (r3 st * r2 st))
+  | "LEAI" -> Machine.address_into_semantics layout i
   | opc -> invalid_arg ("dsp56: cannot execute " ^ opc)
 
 let machine =

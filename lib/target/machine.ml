@@ -219,22 +219,6 @@ let load_ar opcode ctx v r =
        ~operands:[ Instr.Vreg v; Instr.Adr r ]
        ~defs:[ Instr.Vreg v ] ~funit:"ctl")
 
-(* Conventional addressing: [v] <- the address of [stream]'s element at
-   the induction variable held in [ivar_cell]. *)
-let address_into opcode ctx v ~ivar_cell ~stream =
-  let step =
-    match stream.Ir.Mref.index with
-    | Ir.Mref.Induct { step; _ } -> step
-    | Ir.Mref.Direct | Ir.Mref.Elem _ -> 1
-  in
-  emit ctx
-    (Instr.make opcode
-       ~operands:
-         [ Instr.Vreg v; Instr.Adr stream; Instr.Dir ivar_cell; Instr.Imm step ]
-       ~defs:[ Instr.Vreg v ]
-       ~uses:[ Instr.Dir ivar_cell ]
-       ~words:2 ~cycles:2 ~funit:"ctl")
-
 (* ---- staging helpers for [semantics] ----------------------------------- *)
 
 (* Readers of an instruction's [n]th operand and [n]th use, the writer of
@@ -294,6 +278,32 @@ let use_op name layout (i : Instr.t) f =
   | _ ->
     let w = def name layout i and a = use layout i 0 and k = rd layout i 0 in
     fun st -> w st (f (a st) (k st))
+
+(* ---- conventional addressing ------------------------------------------- *)
+
+(* [v] <- the address of [stream]'s element at the induction variable held
+   in [ivar_cell]: one instruction under the description's [opcode], whose
+   operands are [v], the stream's base, the cell and the stride. *)
+let address_into opcode ctx v ~ivar_cell ~stream =
+  let step =
+    match stream.Ir.Mref.index with
+    | Ir.Mref.Induct { step; _ } -> step
+    | Ir.Mref.Direct | Ir.Mref.Elem _ -> 1
+  in
+  emit ctx
+    (Instr.make opcode
+       ~operands:
+         [ Instr.Vreg v; Instr.Adr stream; Instr.Dir ivar_cell; Instr.Imm step ]
+       ~defs:[ Instr.Vreg v ]
+       ~uses:[ Instr.Dir ivar_cell ]
+       ~words:2 ~cycles:2 ~funit:"ctl")
+
+(* That instruction's semantics on every description: [v <- base + stride
+   * ivar]. *)
+let address_into_semantics layout (i : Instr.t) =
+  let w0 = wr layout i 0 in
+  let r1 = rd layout i 1 and r2 = rd layout i 2 and r3 = rd layout i 3 in
+  fun st -> w0 st (r1 st + (r3 st * r2 st))
 
 (* Static well-formedness of a machine description. *)
 let check m =

@@ -2,28 +2,33 @@
    register classes, machine modes, and a cycle counter.  Memory cells wrap
    to the machine word width on store; registers hold exact values (real
    accumulators are wider than a memory word, and the evaluation contract
-   keeps intermediates in range anyway).
+   keeps intermediates in range anyway).  A mode is one more register
+   ([mode_slot]): it reads 0 until written, so a mode the machine does not
+   declare reads 0.
 
-   Registers and modes live in dense int arrays indexed by a process-wide
-   interning table, not in per-state hash tables.  The compiled simulator
+   Registers and modes live in one dense int array indexed by a
+   process-wide interning table, not in per-state hash tables.  The compiled simulator
    ([Sim.Compile]) resolves a register name to its slot once at translation
    time and the staged closure then runs on raw array accesses; the unstaged
    [get_reg]/[set_reg] entry points pay the interning lookup per call, which
    is the interpretive engine's (acceptable) price for re-staging every
-   instruction.  The interning tables are append-only immutable maps swapped
+   instruction.  The interning table is an append-only immutable map swapped
    with a compare-and-set, so staging is safe from any domain and the hot
    path never takes a lock. *)
 
+(* Registers, modes among them, compare on the index first, then the
+   class name: two ints and a string, without the polymorphic [compare]
+   walking the record.  The interpretive engine looks a slot up here for
+   every register and mode an executed instruction names. *)
 module Rmap = Map.Make (struct
   type t = Instr.reg
 
-  let compare = Stdlib.compare
+  let compare (a : Instr.reg) (b : Instr.reg) =
+    let c = Int.compare a.Instr.idx b.Instr.idx in
+    if c <> 0 then c else String.compare a.Instr.cls b.Instr.cls
 end)
 
-module Smap = Map.Make (String)
-
 let reg_table : (int Rmap.t * int) Atomic.t = Atomic.make (Rmap.empty, 0)
-let mode_table : (int Smap.t * int) Atomic.t = Atomic.make (Smap.empty, 0)
 
 let rec reg_slot (r : Instr.reg) =
   let ((m, n) as cur) = Atomic.get reg_table in
@@ -33,24 +38,16 @@ let rec reg_slot (r : Instr.reg) =
     if Atomic.compare_and_set reg_table cur (Rmap.add r n m, n + 1) then n
     else reg_slot r
 
-let rec mode_slot (name : string) =
-  let ((m, n) as cur) = Atomic.get mode_table in
-  match Smap.find_opt name m with
-  | Some s -> s
-  | None ->
-    if Atomic.compare_and_set mode_table cur (Smap.add name n m, n + 1) then n
-    else mode_slot name
-
-(* Modes hold small ints (0/1 in every current machine); [absent] marks a
-   mode the state has never seen so [get_mode] can fail on it. *)
-let absent = min_int
+(* Mode [m] is the register [m] at index -1: no register index is
+   negative, so no register shares its slot. *)
+let mode_slot m = reg_slot { Instr.cls = m; idx = -1 }
 
 type t = {
   width : int;
   layout : Layout.t;
   mem : int array;
-  mutable rfile : int array; (* register values by global slot; default 0 *)
-  mutable mfile : int array; (* mode values by global slot; [absent] = unset *)
+  mutable rfile : int array;
+      (* register and mode values by global slot; default 0 *)
   mutable cycles : int;
   (* queued post-updates as parallel (register slot, delta) arrays in FIFO
      order — a preallocated buffer, not a list, so the post-modify hot path
@@ -93,18 +90,6 @@ let write_slot t s v =
   let a = t.rfile in
   if s < Array.length a then Array.unsafe_set a s v else write_slot_slow t s v
 
-let mode_read_slot t s =
-  let a = t.mfile in
-  if s < Array.length a then Array.unsafe_get a s else absent
-
-let mode_write_slot t s v =
-  let a = t.mfile in
-  if s < Array.length a then Array.unsafe_set a s v
-  else begin
-    t.mfile <- grown a (s + 1) absent;
-    t.mfile.(s) <- v
-  end
-
 let push_update_slow t s d =
   t.pend_slots <- grown t.pend_slots (max 8 (t.pend_n + 1)) 0;
   t.pend_deltas <- grown t.pend_deltas (max 8 (t.pend_n + 1)) 0;
@@ -121,11 +106,10 @@ let push_update t s d =
   end
   else push_update_slow t s d
 
-(* Mode and pending-update arrays start as a shared empty array and are
-   only allocated on first write (every write path grows through [grown],
-   never mutating the shared empty) — most states never queue a post-modify
-   or touch a mode, and state creation is on the compiled engine's per-run
-   path. *)
+(* The pending-update arrays start as a shared empty array and are only
+   allocated on first write (every write path grows through [grown], never
+   mutating the shared empty) — most states never queue a post-modify, and
+   state creation is on the compiled engine's per-run path. *)
 let no_ints : int array = [||]
 
 let create ?(width = 16) ~layout ~modes () =
@@ -135,14 +119,13 @@ let create ?(width = 16) ~layout ~modes () =
       layout;
       mem = Array.make (max 1 (Layout.total_size layout)) 0;
       rfile = Array.make (max 8 (snd (Atomic.get reg_table))) 0;
-      mfile = no_ints;
       cycles = 0;
       pend_n = 0;
       pend_slots = no_ints;
       pend_deltas = no_ints;
     }
   in
-  List.iter (fun (m, v) -> mode_write_slot t (mode_slot m) v) modes;
+  List.iter (fun (m, v) -> write_slot t (mode_slot m) v) modes;
   t
 
 let wrap width v =
@@ -155,13 +138,8 @@ let load t addr = t.mem.(addr)
 let get_reg t r = read_slot t (reg_slot r)
 let set_reg t r v = write_slot t (reg_slot r) v
 
-let unknown_mode m = invalid_arg ("Mstate: unknown mode " ^ m)
-
-let get_mode t m =
-  let v = mode_read_slot t (mode_slot m) in
-  if v = absent then unknown_mode m else v
-
-let set_mode t m v = mode_write_slot t (mode_slot m) v
+let get_mode t m = read_slot t (mode_slot m)
+let set_mode t m v = write_slot t (mode_slot m) v
 
 let get_var t name =
   let e = Layout.find t.layout name in
@@ -232,12 +210,6 @@ let reg_reader r =
 let reg_writer r =
   let s = reg_slot r in
   fun t v -> write_slot t s v
-
-let mode_reader name =
-  let s = mode_slot name in
-  fun t ->
-    let v = mode_read_slot t s in
-    if v = absent then unknown_mode name else v
 
 (* [reader layout o] and [writer layout o] resolve [Dir] and [Adr]
    addresses against [layout] once, here.  A reference the layout cannot

@@ -202,12 +202,7 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
   | "LA" ->
     let w0 = Machine.wr layout i 0 and r1 = Machine.rd layout i 1 in
     fun st -> w0 st (r1 st)
-  | "LAI" ->
-    let w0 = Machine.wr layout i 0 in
-    let r1 = Machine.rd layout i 1
-    and r2 = Machine.rd layout i 2
-    and r3 = Machine.rd layout i 3 in
-    fun st -> w0 st (r1 st + (r3 st * r2 st))
+  | "LAI" -> Machine.address_into_semantics layout i
   | opc -> invalid_arg ("risc32: cannot execute " ^ opc)
 
 let machine =

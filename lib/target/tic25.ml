@@ -381,14 +381,12 @@ let rd_preg st = Mstate.read_slot st s_preg
 let wr_preg st v = Mstate.write_slot st s_preg v
 
 (* [sat_if] splits so the dominant OVM=0 path is small enough to inline:
-   one mode-slot read, one compare. *)
+   one slot read, one compare. *)
 let sat_slow ovm v =
-  if ovm = 1 then Ir.Op.eval_unop Ir.Op.Sat ~width:16 v
-  else if ovm = Mstate.absent then invalid_arg "Mstate: unknown mode ovm"
-  else v
+  if ovm = 1 then Ir.Op.eval_unop Ir.Op.Sat ~width:16 v else v
 
 let sat_if st v =
-  let ovm = Mstate.mode_read_slot st s_ovm in
+  let ovm = Mstate.read_slot st s_ovm in
   if ovm = 0 then v else sat_slow ovm v
 
 let semantics layout (i : Instr.t) : Mstate.t -> unit =
@@ -454,12 +452,7 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
       let w0 = Machine.wr layout i 0 in
       let r1 = Machine.rd layout i 1 in
       fun st -> w0 st (r1 st))
-  | "LARI" ->
-    let w0 = Machine.wr layout i 0 in
-    let r1 = Machine.rd layout i 1
-    and r2 = Machine.rd layout i 2
-    and r3 = Machine.rd layout i 3 in
-    fun st -> w0 st (r1 st + (r3 st * r2 st))
+  | "LARI" -> Machine.address_into_semantics layout i
   | "BANZ" -> Mstate.operand_adder layout i (List.nth i.Instr.operands 0) (-1)
   | "RPTMAC" ->
     let r0 = Machine.rd layout i 0
@@ -475,8 +468,8 @@ let semantics layout (i : Instr.t) : Mstate.t -> unit =
            execution, so its post-modifies land at the repetition boundary *)
         Mstate.apply_updates st
       done
-  | "SOVM" -> fun st -> Mstate.set_mode st "ovm" 1
-  | "ROVM" -> fun st -> Mstate.set_mode st "ovm" 0
+  | "SOVM" -> fun st -> Mstate.write_slot st s_ovm 1
+  | "ROVM" -> fun st -> Mstate.write_slot st s_ovm 0
   | opc -> invalid_arg ("tic25: cannot execute " ^ opc)
 
 let machine =

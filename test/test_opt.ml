@@ -228,6 +228,30 @@ let test_modeopt_verify_catches () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "unsatisfied mode requirement not caught"
 
+(* A loop of count 0 never runs, so a mode it sets does not hold after
+   it: the saturating add finds ovm=0 on both engines, and verify says
+   so. *)
+let test_modeopt_dead_loop () =
+  let sovm = Target.Tic25.machine.Target.Machine.mode_change "ovm" 1 in
+  let dead = Target.Asm.Loop { ivar = None; count = 0; body = [ op sovm ] } in
+  let verify items = Opt.Modeopt.verify Target.Tic25.machine items in
+  Alcotest.(check (result unit string))
+    "after a dead loop" (Error "ADD requires ovm=1 but ovm=0 holds")
+    (verify [ dead; op sat_add ]);
+  let layout = Target.Layout.make ~banks:[ "data" ] [] in
+  List.iter
+    (fun engine ->
+      Alcotest.check_raises "a run raises"
+        (Sim.Mode_violation "ADD requires ovm=1, machine has ovm=0")
+        (fun () ->
+          ignore
+            (Sim.run ~engine Target.Tic25.machine ~layout ~inputs:[]
+               (Target.Asm.make ~name:"dead" [ dead; op sat_add ]))))
+    [ Sim.Interp; Sim.Compiled ];
+  Alcotest.(check (result unit string))
+    "reset value after a dead loop" (Ok ())
+    (verify [ dead; op plain_add ])
+
 (* ---- Peephole --------------------------------------------------------------- *)
 
 let test_peephole_forwarding () =
@@ -646,6 +670,8 @@ let suites =
         Alcotest.test_case "loop fixpoint" `Quick test_modeopt_loop_fixpoint;
         Alcotest.test_case "verify catches violations" `Quick
           test_modeopt_verify_catches;
+        Alcotest.test_case "verify: a dead loop changes nothing" `Quick
+          test_modeopt_dead_loop;
       ] );
     ( "opt.peephole",
       [

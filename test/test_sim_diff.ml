@@ -382,6 +382,38 @@ let test_unresolved_address_fails_at_run () =
         Finished ([ ("x", [| 0 |]) ], 1) );
     ]
 
+(* A mode the machine does not declare is one more register: it reads 0
+   until written, so an instruction that requires or sets it behaves the
+   same on both engines, at top level and inside a loop body. *)
+let test_undeclared_mode () =
+  let layout = Target.Layout.make ~banks:[ "data" ] [ ("x", 1, "data") ] in
+  let req v = op (Target.Instr.make "NEG" ~mode_req:("m", v)) in
+  let set v = op (Target.Instr.make "SM" ~mode_set:("m", v) ~funit:"ctl") in
+  let loop body = Target.Asm.Loop { ivar = None; count = 2; body } in
+  let exec items engine =
+    let o =
+      Sim.run ~engine machine ~layout ~inputs:[]
+        (Target.Asm.make ~name:"prop" items)
+    in
+    ([ ("x", Target.Mstate.get_var o.Sim.state "x") ], o.Sim.cycles)
+  in
+  let finished cycles = Finished ([ ("x", [| 0 |]) ], cycles) in
+  List.iter
+    (fun (label, items, expected) ->
+      Alcotest.check result label expected (check_engines label (exec items)))
+    [
+      ("m=0 holds", [ req 0 ], finished 1);
+      ("m=1 fails", [ req 1 ], Mode "NEG requires m=1, machine has m=0");
+      ("set m=1, then m=1 holds", [ set 1; req 1 ], finished 2);
+      ("m=0 holds in a body", [ loop [ req 0 ] ], finished 2);
+      ( "m=1 fails in a body",
+        [ loop [ req 1 ] ],
+        Mode "NEG requires m=1, machine has m=0" );
+      ( "set m=1 in a body fails its second trip",
+        [ loop [ req 0; set 1 ] ],
+        Mode "NEG requires m=0, machine has m=1" );
+    ]
+
 (* Both engines write the inputs in order, so a bad input list fails the
    same way in each: at the over-long value, before the unknown name. *)
 let test_bad_inputs_fail_alike () =
@@ -899,5 +931,7 @@ let suites =
           test_queued_shapes;
         Alcotest.test_case "loop bodies of 1 to 13 steps, nested, mode, par"
           `Quick test_loop_bodies;
+        Alcotest.test_case "a mode the machine does not declare reads 0"
+          `Quick test_undeclared_mode;
       ] );
   ]

@@ -192,6 +192,61 @@ let test_asm_accounting () =
   Alcotest.(check int) "loop body count" 3
     (snd (List.nth counts 3))
 
+(* ---- Modes ---------------------------------------------------------------------- *)
+
+let tic25 = Target.Tic25.machine
+let clobbers = Target.Modes.clobbers tic25
+let reset = Target.Modes.reset tic25
+let knowledge = Alcotest.(list (pair string int))
+let known k = Target.Modes.Smap.bindings k
+let needs v = Target.Instr.make "ADD" ~mode_req:("ovm", v)
+let loop count body = Target.Asm.Loop { ivar = None; count; body }
+
+let test_modes_requirement_known () =
+  Alcotest.check knowledge "reset" [ ("ovm", 0) ] (known reset);
+  Alcotest.check knowledge "after an unknown entry" [ ("ovm", 1) ]
+    (known (Target.Modes.after clobbers Target.Modes.Smap.empty (needs 1)));
+  Alcotest.check knowledge "after a violated one" [ ("ovm", 1) ]
+    (known (Target.Modes.after clobbers reset (needs 1)))
+
+let test_modes_bare_change_forgets () =
+  Alcotest.(check (list string))
+    "clobbers" [ "ROVM"; "SOVM" ]
+    (List.sort_uniq compare clobbers);
+  List.iter
+    (fun opcode ->
+      Alcotest.check knowledge (opcode ^ " bare") []
+        (known
+           (Target.Modes.after clobbers reset (Target.Instr.make opcode))))
+    [ "SOVM"; "ROVM" ];
+  Alcotest.check knowledge "SOVM with its mode_set" [ ("ovm", 1) ]
+    (known
+       (Target.Modes.after clobbers reset
+          (tic25.Target.Machine.mode_change "ovm" 1)))
+
+let test_modes_loop_entry () =
+  let entry body = known (Target.Modes.loop_entry clobbers reset body) in
+  let rovm = tic25.Target.Machine.mode_change "ovm" 0 in
+  Alcotest.check knowledge "a trip keeps ovm=0" [ ("ovm", 0) ]
+    (entry [ Target.Asm.Op (needs 0) ]);
+  Alcotest.check knowledge "a trip leaves ovm=1" []
+    (entry [ Target.Asm.Op (needs 1) ]);
+  Alcotest.check knowledge "a trip restores ovm=0" [ ("ovm", 0) ]
+    (entry [ Target.Asm.Op (needs 1); Target.Asm.Op rovm ]);
+  Alcotest.check knowledge "a bare ROVM in the trip" []
+    (entry [ Target.Asm.Op (Target.Instr.make "ROVM") ])
+
+let test_modes_dead_loop () =
+  let entry count =
+    known
+      (Target.Modes.loop_entry clobbers reset
+         [ loop count [ Target.Asm.Op (needs 1) ] ])
+  in
+  Alcotest.check knowledge "an inner loop of count 0" [ ("ovm", 0) ]
+    (entry 0);
+  Alcotest.check knowledge "of count -1" [ ("ovm", 0) ] (entry (-1));
+  Alcotest.check knowledge "of count 1" [] (entry 1)
+
 (* ---- Classify ------------------------------------------------------------------- *)
 
 let test_classify_corners () =
@@ -338,6 +393,17 @@ let suites =
       [ Alcotest.test_case "size accounting" `Quick test_asm_accounting ] );
     ( "target.classify",
       [ Alcotest.test_case "cube corners" `Quick test_classify_corners ] );
+    ( "target.modes",
+      [
+        Alcotest.test_case "a passed requirement is known" `Quick
+          test_modes_requirement_known;
+        Alcotest.test_case "a bare mode change forgets everything" `Quick
+          test_modes_bare_change_forgets;
+        Alcotest.test_case "a loop keeps entry knowledge one trip returns"
+          `Quick test_modes_loop_entry;
+        Alcotest.test_case "a loop of count 0 changes nothing" `Quick
+          test_modes_dead_loop;
+      ] );
     ( "target.machines",
       [
         Alcotest.test_case "well-formedness" `Quick test_machines_check;
