@@ -559,8 +559,5 @@ let words c = Target.Asm.words c.asm
 let execute ?engine c ~inputs =
   (* The constant pool is load-time data, part of the program image. *)
   let image = inputs @ List.map (fun (n, v) -> (n, [| v |])) c.pool in
-  let outcome =
-    Sim.run ~width:c.machine.Target.Machine.word_bits ?engine c.machine
-      ~layout:c.layout ~inputs:image c.asm
-  in
-  (Sim.outputs outcome c.prog, outcome.Sim.cycles)
+  Sim.simulate ~width:c.machine.Target.Machine.word_bits ?engine c.machine
+    ~layout:c.layout ~inputs:image c.asm c.prog

@@ -95,6 +95,7 @@ val words : compiled -> int
 
 val execute : ?engine:Sim.engine -> compiled -> inputs:(string * int array) list
   -> (string * int array) list * int
-(** Runs the code on the simulator; returns the program outputs and the
-    cycle count.  [engine] selects the simulator engine (default
+(** Runs the code on the simulator ({!Sim.simulate}, on the calling
+    domain's spare data memory); returns the program outputs and the cycle
+    count.  [engine] selects the simulator engine (default
     [Sim.Compiled]). *)

@@ -14,21 +14,33 @@
 
 (* A job's source file.  The open does not block (a FIFO without a writer
    would hold the decoding thread forever), and anything but a regular file
-   is refused before a byte is read.  Failures are [Sys_error]s worded like
-   [open_in]'s. *)
+   is refused before a byte is read.  The file is read with [Unix.read]
+   straight into a buffer of its [fstat] size: an [in_channel] would carry
+   a 64 KB buffer that only its finaliser frees.  Failures are
+   [Sys_error]s worded like [open_in]'s. *)
 let read_file path =
+  let fail e = raise (Sys_error (path ^ ": " ^ Unix.error_message e)) in
   let fd =
     try Unix.openfile path [ Unix.O_RDONLY; Unix.O_NONBLOCK; Unix.O_CLOEXEC ] 0
-    with Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+    with Unix.Unix_error (e, _, _) -> fail e
   in
-  let ic = Unix.in_channel_of_descr fd in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      if (Unix.fstat fd).Unix.st_kind <> Unix.S_REG then
+      let stat = try Unix.fstat fd with Unix.Unix_error (e, _, _) -> fail e in
+      if stat.Unix.st_kind <> Unix.S_REG then
         raise (Sys_error (path ^ ": not a regular file"));
-      really_input_string ic (in_channel_length ic))
+      let buf = Bytes.create stat.Unix.st_size in
+      let rec fill off =
+        if off < Bytes.length buf then
+          match Unix.read fd buf off (Bytes.length buf - off) with
+          | 0 -> Bytes.sub_string buf 0 off (* the file shrank *)
+          | n -> fill (off + n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+          | exception Unix.Unix_error (e, _, _) -> fail e
+        else Bytes.unsafe_to_string buf
+      in
+      fill 0)
 
 (* An optional member of a job object: absent is [Ok None]; present with
    the wrong type is an error naming the job, never a silent fallback to

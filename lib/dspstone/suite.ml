@@ -18,11 +18,8 @@ let machine = Target.Tic25.machine
 let run_hand ?engine (k : Kernels.t) =
   let asm = Handasm.find k.name in
   let layout = Handasm.layout_for k in
-  let outcome =
-    Sim.run ~width:machine.Target.Machine.word_bits ?engine machine ~layout
-      ~inputs:k.inputs asm
-  in
-  (Sim.outputs outcome (Kernels.prog k), outcome.Sim.cycles)
+  Sim.simulate ~width:machine.Target.Machine.word_bits ?engine machine ~layout
+    ~inputs:k.inputs asm (Kernels.prog k)
 
 let same_outputs expected got =
   List.for_all

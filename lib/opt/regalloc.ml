@@ -17,6 +17,9 @@ type cls = {
   mutable reg : int array;  (* assigned register by vid *)
   mutable free : int list;
   mutable active : interval list;  (* the most recently placed first *)
+  mutable crowded : bool option;
+      (* whether some instruction needs more registers than [count]; found
+         at the class's first failure, and kept: spills never change it *)
 }
 
 (* A lifetime [lo, hi] and its extension [elo, ehi] over the loops it
@@ -45,6 +48,7 @@ let new_class t name ~count ~spill =
       reg = Array.make t.ids 0;
       free = [];
       active = [];
+      crowded = None;
     }
   in
   t.classes <- t.classes @ [ c ];
@@ -263,6 +267,40 @@ let insert_spill ctx (ops : Target.Machine.spill_ops) items (victim : interval)
   in
   go items
 
+(* Does some instruction need more registers of class [c] than it has?
+   Every vreg an instruction reads or names in its operands is live at its
+   use point, and every vreg it defines at its def point.  A spill renames
+   a vreg to one reload at each instruction or keeps it, so no spill
+   lowers either count: a program with such an instruction cannot be
+   allocated.  [seen] holds the distinct ids met at the current point. *)
+let oversubscribed c items =
+  let seen = Array.make c.count 0 and n = ref 0 and over = ref false in
+  let rec known vid k = k < !n && (seen.(k) = vid || known vid (k + 1)) in
+  let rec note = function
+    | Target.Instr.Vreg v ->
+      if String.equal v.vcls c.name && not (known v.vid 0) then
+        if !n = c.count then over := true
+        else begin
+          seen.(!n) <- v.vid;
+          incr n
+        end
+    | Target.Instr.Ind (inner, _, _) -> note inner
+    | Target.Instr.Reg _ | Target.Instr.Imm _ | Target.Instr.Adr _
+    | Target.Instr.Dir _ ->
+      ()
+  in
+  Target.Asm.iter_items
+    (fun (i : Target.Instr.t) ->
+      if not !over then begin
+        n := 0;
+        List.iter note i.uses;
+        List.iter note i.operands;
+        n := 0;
+        List.iter note i.defs
+      end)
+    items;
+  !over
+
 let run ?ctx machine (asm : Target.Asm.t) =
   let t = tables machine (id_bound asm.Target.Asm.items) in
   let rec attempt items fuel =
@@ -288,8 +326,18 @@ let run ?ctx machine (asm : Target.Asm.t) =
                 "class %s: no free register for %%%s%d (live range %d..%d)"
                 iv.cls.name iv.cls.name iv.vid iv.elo iv.ehi))
       in
+      let hopeless () =
+        Option.is_some iv.cls.spill
+        &&
+        match iv.cls.crowded with
+        | Some crowded -> crowded
+        | None ->
+          let crowded = oversubscribed iv.cls items in
+          iv.cls.crowded <- Some crowded;
+          crowded
+      in
       match ctx with
-      | Some ctx when fuel > 0 -> (
+      | Some ctx when fuel > 0 && not (hopeless ()) -> (
         (* Spill the candidate whose lifetime reaches furthest. *)
         let candidates =
           List.filter spillable (iv :: actives)

@@ -38,7 +38,10 @@
    Translation is pure and the resulting plan is domain-safe.  Direct and
    base addresses are resolved against the plan's layout while staging, so
    a plan holds no mutable state: per-run mutable state lives only in the
-   [Mstate.t] that {!run} creates, on that layout. *)
+   [Mstate.t] a run is given, made on that layout — by {!run} with
+   [Mstate.create], a state of its own that the outcome returns, or by
+   [Sim.simulate] with [Mstate.borrow], on the domain's spare data memory,
+   through the same {!exec}. *)
 
 exception Mode_violation of string
 exception Exec_error of string
@@ -228,15 +231,20 @@ let prepare ?(width = 16) machine ~layout (asm : Target.Asm.t) =
     var_index;
   }
 
-let run plan ~inputs =
-  let st =
-    Target.Mstate.create ~width:plan.width ~layout:plan.layout
-      ~modes:plan.machine.Target.Machine.modes ()
-  in
+let exec plan ~inputs st =
+  if st.Target.Mstate.layout != plan.layout then
+    invalid_arg "Sim.Compile.exec: a state made on another layout";
   List.iter
     (fun (name, values) ->
       Target.Mstate.blit_entry st (Smap.find name plan.var_index) values)
     inputs;
   (try plan.body st with Invalid_argument msg -> raise (Exec_error msg));
   Target.Mstate.add_cycles st plan.static_cycles;
-  { cycles = Target.Mstate.cycles st; state = st }
+  Target.Mstate.cycles st
+
+let run plan ~inputs =
+  let st =
+    Target.Mstate.create ~width:plan.width ~layout:plan.layout
+      ~modes:plan.machine.Target.Machine.modes ()
+  in
+  { cycles = exec plan ~inputs st; state = st }

@@ -20,7 +20,11 @@
     by the differential suite.
 
     Plans are immutable after translation and safe to share across
-    domains: every {!run} builds a fresh machine state. *)
+    domains: a run's mutable state is the machine state it is given.
+    {!run} builds a fresh one of its own, of exactly the layout's size,
+    which its outcome returns; [Sim.simulate] runs {!exec} on a state
+    borrowed from the calling domain ([Target.Mstate.borrow]) and reads the
+    outputs before the memory goes back. *)
 
 exception Mode_violation of string
 exception Exec_error of string
@@ -40,7 +44,15 @@ val prepare :
 (** One-pass translation.  [width] is the memory word width (default 16),
     matching [Sim.run]. *)
 
+val exec : plan -> inputs:(string * int array) list -> Target.Mstate.t -> int
+(** [exec plan ~inputs st] writes the inputs into [st] and executes the
+    plan on it; returns the cycle count. [st] must be fresh, made on the
+    plan's layout with the machine's modes ([Target.Mstate.create] or
+    [Target.Mstate.borrow]); a state made on another layout is an
+    [Invalid_argument]. A long loop polls the calling domain's
+    {!Ir.Deadline} between chunks of trips and raises
+    [Ir.Deadline.Expired] once it has passed. *)
+
 val run : plan -> inputs:(string * int array) list -> outcome
-(** Fresh machine state, inputs written to memory, plan executed. A long
-    loop polls the calling domain's {!Ir.Deadline} between chunks of trips
-    and raises [Ir.Deadline.Expired] once it has passed. *)
+(** {!exec} on a fresh machine state of its own, which the outcome
+    returns. *)

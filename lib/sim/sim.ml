@@ -25,10 +25,8 @@ let exec_instr machine st (i : Target.Instr.t) =
   (* post-modify addressing becomes visible at the instruction boundary *)
   Target.Mstate.apply_updates st
 
-let run_interp ~width machine ~layout ~inputs (asm : Target.Asm.t) =
-  let st =
-    Target.Mstate.create ~width ~layout ~modes:machine.Target.Machine.modes ()
-  in
+(* The interpreter on [st], a fresh state; returns the cycle count. *)
+let interp machine ~inputs (asm : Target.Asm.t) st =
   List.iter (fun (name, values) -> Target.Mstate.set_var st name values) inputs;
   let rec go = function
     | Target.Asm.Op i ->
@@ -43,18 +41,37 @@ let run_interp ~width machine ~layout ~inputs (asm : Target.Asm.t) =
       done
   in
   List.iter go asm.Target.Asm.items;
-  { cycles = Target.Mstate.cycles st; state = st }
+  Target.Mstate.cycles st
+
+(* Either engine, ready to run on a fresh state made on [layout]. *)
+let engine_exec ~width engine machine ~layout ~inputs asm =
+  match engine with
+  | Interp -> interp machine ~inputs asm
+  | Compiled ->
+    Compile.exec (Compile.prepare ~width machine ~layout asm) ~inputs
 
 let run ?(width = 16) ?(engine = Compiled) machine ~layout ~inputs
     (asm : Target.Asm.t) =
-  match engine with
-  | Interp -> run_interp ~width machine ~layout ~inputs asm
-  | Compiled -> Compile.run (Compile.prepare ~width machine ~layout asm) ~inputs
+  let exec = engine_exec ~width engine machine ~layout ~inputs asm in
+  let st =
+    Target.Mstate.create ~width ~layout ~modes:machine.Target.Machine.modes ()
+  in
+  { cycles = exec st; state = st }
 
-let outputs outcome (prog : Ir.Prog.t) =
+let read_outputs st (prog : Ir.Prog.t) =
   List.filter_map
     (fun (d : Ir.Prog.decl) ->
       match d.storage with
-      | Ir.Prog.Output -> Some (d.name, Target.Mstate.get_var outcome.state d.name)
+      | Ir.Prog.Output -> Some (d.name, Target.Mstate.get_var st d.name)
       | Ir.Prog.Input | Ir.Prog.Temp -> None)
     prog.decls
+
+let outputs outcome prog = read_outputs outcome.state prog
+
+let simulate ?(width = 16) ?(engine = Compiled) machine ~layout ~inputs
+    (asm : Target.Asm.t) prog =
+  let exec = engine_exec ~width engine machine ~layout ~inputs asm in
+  Target.Mstate.borrow ~width ~layout ~modes:machine.Target.Machine.modes
+    (fun st ->
+      let cycles = exec st in
+      (read_outputs st prog, cycles))

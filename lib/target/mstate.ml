@@ -14,7 +14,16 @@
    is the interpretive engine's (acceptable) price for re-staging every
    instruction.  The interning table is an append-only immutable map swapped
    with a compare-and-set, so staging is safe from any domain and the hot
-   path never takes a lock. *)
+   path never takes a lock.
+
+   Data memory comes two ways.  [create] gives a state its own array of
+   exactly its layout's size, which the caller may keep.  [borrow] runs a
+   function on a state whose memory is the calling domain's spare block,
+   zeroed up to the layout's size and given back when the function
+   returns: a simulated job then allocates no data image of its own.  A
+   state records its layout's size, and [load] and [store] check addresses
+   against it, so a longer borrowed block reads and writes exactly like an
+   array of that size. *)
 
 (* Registers, modes among them, compare on the index first, then the
    class name: two ints and a string, without the polymorphic [compare]
@@ -45,7 +54,8 @@ let mode_slot m = reg_slot { Instr.cls = m; idx = -1 }
 type t = {
   width : int;
   layout : Layout.t;
-  mem : int array;
+  size : int;  (* the layout's words (at least one): the addresses in range *)
+  mem : int array;  (* [size] words, or a longer borrowed block *)
   mutable rfile : int array;
       (* register and mode values by global slot; default 0 *)
   mutable cycles : int;
@@ -109,15 +119,17 @@ let push_update t s d =
 (* The pending-update arrays start as a shared empty array and are only
    allocated on first write (every write path grows through [grown], never
    mutating the shared empty) — most states never queue a post-modify, and
-   state creation is on the compiled engine's per-run path. *)
+   state creation is on the compiled engine's per-run path.  The same empty
+   array stands for "no spare block" in [borrow]. *)
 let no_ints : int array = [||]
 
-let create ?(width = 16) ~layout ~modes () =
+let make ~width ~layout ~modes ~size mem =
   let t =
     {
       width;
       layout;
-      mem = Array.make (max 1 (Layout.total_size layout)) 0;
+      size;
+      mem;
       rfile = Array.make (max 8 (snd (Atomic.get reg_table))) 0;
       cycles = 0;
       pend_n = 0;
@@ -128,13 +140,63 @@ let create ?(width = 16) ~layout ~modes () =
   List.iter (fun (m, v) -> write_slot t (mode_slot m) v) modes;
   t
 
+let words layout = max 1 (Layout.total_size layout)
+
+let create ?(width = 16) ~layout ~modes () =
+  let size = words layout in
+  make ~width ~layout ~modes ~size (Array.make size 0)
+
+(* Each domain keeps one spare data-memory block.  The connection threads
+   of [record serve] run jobs too, so two threads of one domain may
+   simulate at once: [Atomic.exchange] hands the block to one of them and
+   leaves the other the empty array, and a thread that finds no block
+   large enough allocates one.  A block is kept only up to [max_spare]
+   words, the C25's data space and each DSP56000 memory space; a larger
+   image is allocated per run, as by [create]. *)
+let max_spare = 65_536
+
+let spare : int array Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make no_ints)
+
+let borrow ?(width = 16) ~layout ~modes f =
+  let size = words layout in
+  if size > max_spare then f (create ~width ~layout ~modes ())
+  else begin
+    let cell = Domain.DLS.get spare in
+    let block = Atomic.exchange cell no_ints in
+    let mem =
+      if Array.length block < size then Array.make size 0
+      else begin
+        (* an int loop: [Array.fill] would pass each word of a block in the
+           major heap through the write barrier *)
+        for i = 0 to size - 1 do
+          Array.unsafe_set block i 0
+        done;
+        block
+      end
+    in
+    Fun.protect
+      ~finally:(fun () -> Atomic.set cell mem)
+      (fun () -> f (make ~width ~layout ~modes ~size mem))
+  end
+
 let wrap width v =
   let m = 1 lsl width in
   let v = v land (m - 1) in
   if v >= m lsr 1 then v - m else v
 
-let store t addr v = t.mem.(addr) <- wrap t.width v
-let load t addr = t.mem.(addr)
+(* The addresses in range are the layout's, whatever the length of the
+   block: an access past them fails as the array's own check would. *)
+let out_of_bounds () = invalid_arg "index out of bounds"
+
+let store t addr v =
+  if addr < 0 || addr >= t.size then out_of_bounds ();
+  Array.unsafe_set t.mem addr (wrap t.width v)
+
+let load t addr =
+  if addr < 0 || addr >= t.size then out_of_bounds ();
+  Array.unsafe_get t.mem addr
+
 let get_reg t r = read_slot t (reg_slot r)
 let set_reg t r v = write_slot t (reg_slot r) v
 

@@ -4,7 +4,10 @@
    passes must agree with output for output.  Two changes make them
    deterministic where they used to follow [Hashtbl.fold]'s bucket order:
    equal extended starts are ordered by vreg id (then class name), and
-   equal extended cell lifetimes by cell number. *)
+   equal extended cell lifetimes by cell number.  One change follows the
+   production allocator: when some instruction needs more registers of the
+   failing spillable class than the class has, the allocator fails at once
+   instead of spilling. *)
 
 module Regalloc = struct
   exception Pressure of string
@@ -139,6 +142,30 @@ module Regalloc = struct
            else [ Target.Asm.Op i ]))
       items
 
+  (* Does some instruction need more registers of the spillable class
+     [cls] than it has: more distinct vregs of the class read or named in
+     its operands, all live at its use point, or defined? *)
+  let hopeless machine items cls =
+    List.mem_assoc cls machine.Target.Machine.spills
+    &&
+    let count =
+      (Target.Regfile.find machine.Target.Machine.regfile cls).Target.Regfile.count
+    in
+    let distinct ops =
+      List.length
+        (List.sort_uniq compare
+           (List.filter
+              (fun (v : Target.Instr.vreg) -> v.vcls = cls)
+              (List.concat_map Target.Instr.vregs_of_operand ops)))
+    in
+    let over = ref false in
+    Target.Asm.iter_items
+      (fun (i : Target.Instr.t) ->
+        if distinct (i.uses @ i.operands) > count || distinct i.defs > count
+        then over := true)
+      items;
+    !over
+
   let run ?ctx machine (asm : Target.Asm.t) =
     let rec attempt items fuel =
       let lin = linearize items in
@@ -160,7 +187,7 @@ module Regalloc = struct
         in
         match ctx with
         | None -> fail ()
-        | Some ctx when fuel > 0 -> (
+        | Some ctx when fuel > 0 && not (hopeless machine items iv.vreg.vcls) -> (
           let candidates =
             List.filter (spillable machine lin) (iv :: actives)
             |> List.sort (fun a b -> compare (snd b.ext) (snd a.ext))

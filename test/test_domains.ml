@@ -825,6 +825,37 @@ let test_fifo_refused () =
     (Printf.sprintf "refused at once (%.3f s)" elapsed)
     true (elapsed < 1.0)
 
+(* A "file" job's source is read whole with one buffer of the file's
+   size: an empty file and one over 64 KB (a long DFL comment) decode as
+   [Dfl.Lower.source] lowers their text, errors included. *)
+let test_file_read_whole () =
+  let lowered path text =
+    match Dfl.Lower.source text with
+    | prog -> Ok (Ir.Prog.digest prog)
+    | exception (Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg)
+      ->
+      Error (Printf.sprintf "job 0: %s: %s" path msg)
+  in
+  let decoded path =
+    match
+      Driver.Protocol.jobs_of_json
+        Driver.Json.(List [ Obj [ ("file", String path) ] ])
+    with
+    | Ok [ job ] -> Ok (Ir.Prog.digest job.Driver.Job.prog)
+    | Ok jobs -> Alcotest.failf "%d jobs decoded" (List.length jobs)
+    | Error msg -> Error msg
+  in
+  let long = "(* " ^ String.make 70_000 'c' ^ " *)\n" ^ fir4 in
+  List.iter
+    (fun (label, text) ->
+      let path = temp_file ".dfl" text in
+      let want = lowered path text and got = decoded path in
+      Sys.remove path;
+      Alcotest.(check (result string string)) label want got)
+    [ ("empty", ""); ("over 64 KB", long) ];
+  Alcotest.(check bool) "the long file lowers" true
+    (Result.is_ok (lowered "" long))
+
 (* The dp-vs-table differential over the Table-1 job matrix: every job run
    as decoded (the automaton) and again with the DP reference engine gives
    the same deterministic result — words, cycles, outputs, listing digest
@@ -938,5 +969,7 @@ let suites =
           test_fifo_refused;
         Alcotest.test_case "a loop without loop control exits 1" `Quick
           test_loop_without_control;
+        Alcotest.test_case "empty and 64 KB+ files read whole" `Quick
+          test_file_read_whole;
       ] );
   ]

@@ -716,39 +716,58 @@ let suites =
 
 (* ---- Spilling ----------------------------------------------------------------- *)
 
+let xy_load k =
+  Target.Instr.make "MOVE"
+    ~operands:[ dir (Printf.sprintf "x%d" k); vreg "xy" k ]
+    ~defs:[ vreg "xy" k ]
+    ~uses:[ dir (Printf.sprintf "x%d" k) ]
+    ~funit:"move"
+
 let test_regalloc_spills_under_pressure () =
-  (* Five simultaneously-live xy values on dsp56 (4 registers): without a
-     ctx this is fatal; with one, the allocator spills and succeeds. *)
-  let mk_load k =
-    Target.Instr.make "MOVE"
-      ~operands:[ dir (Printf.sprintf "x%d" k); vreg "xy" k ]
-      ~defs:[ vreg "xy" k ]
-      ~uses:[ dir (Printf.sprintf "x%d" k) ]
-      ~funit:"move"
+  (* Five simultaneously-live xy values on dsp56 (4 registers), each
+     consumer reading two: without a ctx this is fatal; with one, the
+     allocator spills and succeeds.  The ctx mints ids past the program's
+     (xy 0-4, acc 5-9), as the one that lowered it would. *)
+  let pair k = [ k; (k + 1) mod 5 ] in
+  let consumer k =
+    Target.Instr.make "USE2"
+      ~uses:(List.map (vreg "xy") (pair k))
+      ~defs:[ vreg "acc" (5 + k) ]
   in
-  let consumer =
-    Target.Instr.make "USEALL"
-      ~uses:(List.init 5 (fun k -> vreg "xy" k))
-      ~defs:[ vreg "acc" 9 ]
+  let items =
+    List.init 5 (fun k -> op (xy_load k)) @ List.init 5 (fun k -> op (consumer k))
   in
-  let items = List.init 5 (fun k -> op (mk_load k)) @ [ op consumer ] in
   let asm = Target.Asm.make ~name:"t" items in
   (match Opt.Regalloc.run Target.Dsp56.machine asm with
   | _ -> Alcotest.fail "expected pressure without a context"
   | exception Opt.Regalloc.Pressure _ -> ());
   let ctx = Target.Machine.create_ctx () in
+  ctx.Target.Machine.next_vreg <- 10;
   let spilled = Opt.Regalloc.run ~ctx Target.Dsp56.machine asm in
   Alcotest.(check bool) "spill code inserted" true
     (Opt.Regalloc.spills_inserted ~before:asm ~after:spilled >= 2);
-  (* No virtual registers survive. *)
+  (* No virtual registers survive, and following each loaded value through
+     registers and scratch cells, every consumer reads the two values it
+     was written against. *)
+  let held = Hashtbl.create 16 and read = ref [] in
+  let name = function Target.Instr.Dir m -> m.Ir.Mref.base | _ -> "?" in
   Target.Asm.iter
-    (fun i ->
+    (fun (i : Target.Instr.t) ->
       List.iter
         (fun o ->
           if Target.Instr.vregs_of_operand o <> [] then
             Alcotest.fail "vreg survived")
-        (i.Target.Instr.defs @ i.Target.Instr.uses @ i.Target.Instr.operands))
-    spilled
+        (i.defs @ i.uses @ i.operands);
+      match (i.opcode, i.defs, i.uses) with
+      | "USE2", _, uses -> read := List.map (Hashtbl.find held) uses :: !read
+      | _, [ d ], [ u ] ->
+        Hashtbl.replace held d (Option.value (Hashtbl.find_opt held u) ~default:u)
+      | _ -> Alcotest.fail "unexpected instruction")
+    spilled;
+  Alcotest.(check (list (list string)))
+    "values read"
+    (List.init 5 (fun k -> List.map (Printf.sprintf "x%d") (pair k)))
+    (List.rev_map (List.map name) !read)
 
 let test_regalloc_spill_not_loop_crossing () =
   (* A value live across a loop must not be chosen as a spill victim
@@ -780,6 +799,47 @@ let test_regalloc_spill_not_loop_crossing () =
   | _ -> Alcotest.fail "expected pressure (no safe victim)"
   | exception Opt.Regalloc.Pressure _ -> ()
 
+(* Pressure no spill relieves: one instruction needs more registers of a
+   spillable class than it has, so the allocator gives up at once, with
+   the message of the interval that failed first, minting no scratch cell
+   and no vreg.  On dsp56 (two accumulators, four xy registers): an
+   instruction reading %acc0 and %acc1 and defining %acc2, all three in
+   its operands and so live at its use point; and five loaded xy values
+   one instruction reads together. *)
+let test_regalloc_hopeless_pressure () =
+  let acc k = vreg "acc" k in
+  let add3 =
+    Target.Instr.make "ADD3"
+      ~operands:[ acc 0; acc 1; acc 2 ]
+      ~defs:[ acc 2 ]
+      ~uses:[ acc 0; acc 1 ]
+  in
+  let useall =
+    Target.Instr.make "USEALL"
+      ~uses:(List.init 5 (fun k -> vreg "xy" k))
+      ~defs:[ acc 5 ]
+  in
+  List.iter
+    (fun (items, ids, expected) ->
+      let asm = Target.Asm.make ~name:"t" items in
+      let ctx = Target.Machine.create_ctx () in
+      ctx.Target.Machine.next_vreg <- ids;
+      (match Opt.Regalloc.run ~ctx Target.Dsp56.machine asm with
+      | _ -> Alcotest.fail "oversubscribed instruction allocated"
+      | exception Opt.Regalloc.Pressure msg ->
+        Alcotest.(check string) "the first failing interval" expected msg);
+      Alcotest.(check int) "no scratch cell minted" 0
+        ctx.Target.Machine.next_scratch;
+      Alcotest.(check int) "no vreg minted" ids ctx.Target.Machine.next_vreg)
+    [
+      ( [ op add3 ],
+        3,
+        "class acc: no free register for %acc2 (live range 0..1)" );
+      ( List.init 5 (fun k -> op (xy_load k)) @ [ op useall ],
+        6,
+        "class xy: no free register for %xy4 (live range 8..10)" );
+    ]
+
 let spill_suites =
   [
     ( "opt.spill",
@@ -788,6 +848,8 @@ let spill_suites =
           test_regalloc_spills_under_pressure;
         Alcotest.test_case "loop-crossing values are not victims" `Quick
           test_regalloc_spill_not_loop_crossing;
+        Alcotest.test_case "pressure no spill relieves fails at once" `Quick
+          test_regalloc_hopeless_pressure;
       ] );
   ]
 

@@ -466,6 +466,268 @@ let test_plan_shared_across_domains () =
         expected)
     domains
 
+(* ---- borrowed data memory ------------------------------------------------ *)
+
+(* A program's declarations as [Sim.simulate] reads them. *)
+let decls_prog decls =
+  Ir.Prog.make ~name:"prop"
+    ~decls:
+      (List.map
+         (fun (name, size, storage) -> Ir.Prog.array_decl ~storage name size)
+         decls)
+    []
+
+let decls_layout decls =
+  Target.Layout.make ~banks:[ "data" ]
+    (List.map (fun (name, size, _) -> (name, size, "data")) decls)
+
+(* One hand-built program, given its declarations and its items, on a
+   borrowed state. *)
+let simulate ?(inputs = []) engine decls items =
+  Sim.simulate ~engine machine ~layout:(decls_layout decls) ~inputs
+    (Target.Asm.make ~name:"prop" items)
+    (decls_prog decls)
+
+(* The same program on a state of its own, exactly its layout's size. *)
+let run_exclusive ?(inputs = []) engine decls items =
+  let o =
+    Sim.run ~engine machine ~layout:(decls_layout decls) ~inputs
+      (Target.Asm.make ~name:"prop" items)
+  in
+  (Sim.outputs o (decls_prog decls), o.Sim.cycles)
+
+let engines = [ ("interp", Sim.Interp); ("compiled", Sim.Compiled) ]
+
+(* A domain's spare block is longer than most layouts, yet an address past
+   a state's own layout still fails: after a run on a 30,000-word layout
+   on this domain, a load and a store one word past a 10-word layout raise
+   the [Exec_error] an array of exactly 10 words raises, on both
+   engines. *)
+let test_bounds_after_large_run () =
+  let big = [ ("big", 30_000, Ir.Prog.Input) ] in
+  let small = [ ("x", 10, Ir.Prog.Output) ] in
+  let past = op (lark [ reg ar0; imm 10 ]) in
+  let sacl o = Target.Instr.make "SACL" ~operands:[ o ] ~defs:[ o ] in
+  List.iter
+    (fun (access, items) ->
+      List.iter
+        (fun (label, engine) ->
+          let label = access ^ ", " ^ label in
+          ignore
+            (simulate engine big [] ~inputs:[ ("big", Array.make 30_000 7) ]);
+          Alcotest.check result (label ^ ": borrowed")
+            (Exec "index out of bounds")
+            (capture (fun () -> simulate engine small items));
+          Alcotest.check result (label ^ ": exact size")
+            (Exec "index out of bounds")
+            (capture (fun () -> run_exclusive engine small items)))
+        engines)
+    [
+      ("load", [ past; op (Target.Instr.make "LAC" ~operands:[ ind ar0 ]) ]);
+      ("store", [ past; op (lack 1); op (sacl (ind ar0)) ]);
+    ]
+
+(* A run that fails leaves its data in the domain's spare block; the next
+   run must still start from zeroed memory.  Each failing run first writes
+   sevens over 64 words through its inputs; the next run adds [x] to [y],
+   which no input writes, and must give [x], as on a state of its own.
+   The interpreter polls no deadline, so only the compiled engine runs
+   past one. *)
+let test_run_after_failure () =
+  let junk = [ ("junk", 64, Ir.Prog.Input) ] in
+  let sevens = [ ("junk", Array.make 64 7) ] in
+  let dir name = Target.Instr.Dir (Ir.Mref.scalar name) in
+  let next = [ ("y", 1, Ir.Prog.Output); ("x", 1, Ir.Prog.Input) ] in
+  let add_x =
+    [
+      op (Target.Instr.make "LAC" ~operands:[ dir "y" ]);
+      op (Target.Instr.make "ADD" ~operands:[ dir "x" ]);
+      op (Target.Instr.make "SACL" ~operands:[ dir "y" ] ~defs:[ dir "y" ]);
+    ]
+  in
+  let inputs = [ ("x", [| 5 |]) ] in
+  let long_loop =
+    [
+      Target.Asm.Loop
+        {
+          ivar = None;
+          count = 1_000_000_000;
+          body = [ op (Target.Instr.make "ZAC") ];
+        };
+    ]
+  in
+  let failures =
+    [
+      ( "Exec_error",
+        engines,
+        fun engine ->
+          simulate engine junk ~inputs:sevens
+            [
+              op (lark [ reg ar0; imm 64 ]);
+              op (Target.Instr.make "LAC" ~operands:[ ind ar0 ]);
+            ] );
+      ( "Mode_violation",
+        engines,
+        fun engine ->
+          simulate engine junk ~inputs:sevens [ op (lack 1); op sat_neg ] );
+      ( "Ir.Deadline.Expired",
+        [ ("compiled", Sim.Compiled) ],
+        fun engine ->
+          Ir.Deadline.within 0.001 (fun () ->
+              simulate engine junk ~inputs:sevens long_loop) );
+    ]
+  in
+  List.iter
+    (fun (raised, engines, fails) ->
+      List.iter
+        (fun (label, engine) ->
+          let label = raised ^ ", " ^ label in
+          (match fails engine with
+          | _ -> Alcotest.failf "%s: the failing run finished" label
+          | exception
+              (Sim.Exec_error _ | Sim.Mode_violation _ | Ir.Deadline.Expired) ->
+            ());
+          Alcotest.check result label
+            (capture (fun () -> run_exclusive engine next add_x ~inputs))
+            (capture (fun () -> simulate engine next add_x ~inputs)))
+        engines)
+    failures
+
+(* Two domains, each simulating its own dsp-long kernel over and over at
+   the same time, and two threads of one domain, one holding a borrowed
+   state while the other simulates a kernel, get what running alone
+   gives: a second borrower on a domain gets a block of its own and
+   leaves the first one's memory as it was. *)
+let test_concurrent_borrowers () =
+  let st = Random.State.make [| 29 |] in
+  let job name (m : Target.Machine.t) =
+    let k = Dspstone.Kernels.find name in
+    let prog = Dfl.Lower.source (with_trips k 2999) in
+    let c = Record.Pipeline.compile ~options:Record.Options.record_ m prog in
+    let inputs = long_inputs st ~width:m.Target.Machine.word_bits prog in
+    let run () = Record.Pipeline.execute c ~inputs in
+    (run, run ())
+  in
+  let repeat (run, expected) () =
+    List.for_all (fun _ -> run () = expected) (List.init 20 Fun.id)
+  in
+  let domains =
+    List.map
+      (fun j -> Domain.spawn (repeat j))
+      [
+        job "n_real_updates" Target.Tic25.machine; job "fir" Target.Dsp56.machine;
+      ]
+  in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check bool) (Printf.sprintf "domain %d" i) true (Domain.join d))
+    domains;
+  (* The holder's layout is larger than the kernel's image, so a block
+     shared between the threads would be large enough for the kernel. *)
+  let run, expected = job "n_complex_updates" Target.Dsp56.machine in
+  let words = 30_000 in
+  let layout = Target.Layout.make ~banks:[ "data" ] [ ("v", words, "data") ] in
+  (* the domain's spare block now holds the layout, so the holder takes
+     it rather than allocating *)
+  Target.Mstate.borrow ~layout ~modes:[] ignore;
+  let held = Atomic.make false and ran = Atomic.make false in
+  let wait flag =
+    while not (Atomic.get flag) do
+      Thread.yield ()
+    done
+  in
+  let intact = ref false and result = ref None in
+  let holder =
+    Thread.create
+      (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set held true)
+          (fun () ->
+            Target.Mstate.borrow ~layout ~modes:[] (fun st ->
+                for a = 0 to words - 1 do
+                  Target.Mstate.store st a (a land 0x3fff)
+                done;
+                Atomic.set held true;
+                wait ran;
+                intact := true;
+                for a = 0 to words - 1 do
+                  if Target.Mstate.load st a <> a land 0x3fff then
+                    intact := false
+                done)))
+      ()
+  in
+  let other =
+    Thread.create
+      (fun () ->
+        wait held;
+        result := Some (try Ok (run ()) with e -> Error (Printexc.to_string e));
+        Atomic.set ran true)
+      ()
+  in
+  Thread.join holder;
+  Thread.join other;
+  Alcotest.(check bool) "the holder's memory is intact" true !intact;
+  Alcotest.(check bool) "the other thread's outputs" true
+    (!result = Some (Ok expected))
+
+(* [Sim.run]'s state is its own: jobs simulated after it on the same
+   domain borrow the domain's spare block and leave that state as it
+   was. *)
+let test_escaping_state_intact () =
+  let k = Dspstone.Kernels.find "fir" in
+  let layout = Dspstone.Handasm.layout_for k in
+  let prog = Dspstone.Kernels.prog k in
+  List.iter
+    (fun (label, engine) ->
+      let o =
+        Sim.run ~width:machine.Target.Machine.word_bits ~engine machine ~layout
+          ~inputs:k.inputs (Dspstone.Handasm.find k.name)
+      in
+      let memory = Array.copy o.Sim.state.Target.Mstate.mem in
+      let outputs = Sim.outputs o prog in
+      List.iter
+        (fun name ->
+          let k = Dspstone.Kernels.find name in
+          let c =
+            Record.Pipeline.compile ~options:Record.Options.record_ machine
+              (Dspstone.Kernels.prog k)
+          in
+          ignore (Record.Pipeline.execute ~engine c ~inputs:k.inputs))
+        [ "fir"; "dot_product"; "n_real_updates"; "matrix_1x3" ];
+      Alcotest.(check (array int)) (label ^ ": memory") memory
+        o.Sim.state.Target.Mstate.mem;
+      Alcotest.(check (list (pair string (array int))))
+        (label ^ ": outputs") outputs (Sim.outputs o prog))
+    engines
+
+(* The second execution of a job allocates no data image: words allocated
+   directly in the major heap (major minus promoted) stay below the
+   image's size on every bundled machine, for an N = 2,000 fir. *)
+let test_execute_allocates_no_image () =
+  let st = Random.State.make [| 2000 |] in
+  let prog = Dfl.Lower.source (with_trips (Dspstone.Kernels.find "fir") 2000) in
+  let ran = ref 0 in
+  List.iter
+    (fun (m : Target.Machine.t) ->
+      match Record.Pipeline.compile ~options:Record.Options.record_ m prog with
+      | exception Record.Pipeline.Error _ -> ()
+      | c ->
+        let inputs = long_inputs st ~width:m.Target.Machine.word_bits prog in
+        ignore (Record.Pipeline.execute c ~inputs);
+        let _, promoted0, major0 = Gc.counters () in
+        ignore (Record.Pipeline.execute c ~inputs);
+        let _, promoted1, major1 = Gc.counters () in
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        let image = Target.Layout.total_size c.Record.Pipeline.layout in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f words directly in the major heap, image %d"
+             m.Target.Machine.name direct image)
+          true
+          (direct < float_of_int image);
+        incr ran)
+    (machines ());
+  Alcotest.(check int) "every bundled machine compiled fir" 4 !ran
+
 (* ---- post-modify at the operand ----------------------------------------- *)
 
 (* Every register named in an operand, outside or inside an indirect. *)
@@ -933,5 +1195,15 @@ let suites =
           `Quick test_loop_bodies;
         Alcotest.test_case "a mode the machine does not declare reads 0"
           `Quick test_undeclared_mode;
+        Alcotest.test_case "past the layout fails on a longer block" `Quick
+          test_bounds_after_large_run;
+        Alcotest.test_case "a failed run leaves no data behind" `Quick
+          test_run_after_failure;
+        Alcotest.test_case "domains and threads borrow apart" `Quick
+          test_concurrent_borrowers;
+        Alcotest.test_case "Sim.run's state outlives later jobs" `Quick
+          test_escaping_state_intact;
+        Alcotest.test_case "a job allocates no data image" `Quick
+          test_execute_allocates_no_image;
       ] );
   ]
