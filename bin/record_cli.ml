@@ -51,30 +51,23 @@ let or_die = function
     prerr_endline ("record: " ^ msg);
     exit 1
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* The one DFL loader of compile, ise and timing: a source that cannot be
-   read, lexed, parsed or lowered exits 1 as "record: FILE: msg". *)
+   read, lexed, parsed or lowered exits 1 as "record: FILE: msg".  Like
+   every file the CLI reads, the source is read as a job's file is
+   ([Driver.Protocol.read_file]): only a regular file, and without waiting
+   for a FIFO's writer. *)
 let load_dfl file =
-  let fail msg = or_die (Error (file ^ ": " ^ msg)) in
-  try Dfl.Lower.source (read_file file) with
-  | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg -> fail msg
-  | Sys_error msg ->
-    (* A failed open already names the file; a failed read does not. *)
-    if String.starts_with ~prefix:(file ^ ": ") msg then or_die (Error msg)
-    else fail msg
+  try Dfl.Lower.source (Driver.Protocol.read_file file) with
+  | Dfl.Lexer.Error msg | Dfl.Parser.Error msg | Dfl.Lower.Error msg ->
+    or_die (Error (file ^ ": " ^ msg))
+  | Sys_error msg -> or_die (Error msg)
 
 (* ---- compile -------------------------------------------------------------- *)
 
 let machine_of target target_file =
   match target_file with
   | Some path -> (
-    match Mdl.load (read_file path) with
+    match Mdl.load (Driver.Protocol.read_file path) with
     | m -> m
     | exception Mdl.Error msg -> or_die (Error (path ^ ": " ^ msg))
     | exception Ise.Gen.Unsupported msg -> or_die (Error (path ^ ": " ^ msg))
@@ -362,19 +355,50 @@ let parse_var spec =
 
 let asm_cmd file vars inputs =
   let asm =
-    try Target.Tic25_asm.parse (read_file file) with
+    try Target.Tic25_asm.parse (Driver.Protocol.read_file file) with
     | Target.Tic25_asm.Parse_error msg -> or_die (Error (file ^ ": " ^ msg))
     | Sys_error msg -> or_die (Error msg)
   in
   Format.printf "%a; %d words@.@." Target.Asm.pp asm (Target.Asm.words asm);
+  let vars = List.map (fun v -> or_die (parse_var v)) vars in
+  let inputs = List.map (fun s -> or_die (parse_input s)) inputs in
+  (* The declarations as a program without statements, so the inputs are
+     checked as [compile -i] checks them. *)
+  let prog =
+    {
+      Ir.Prog.name = file;
+      decls = List.map (fun (name, size) -> Ir.Prog.array_decl name size) vars;
+      body = [];
+    }
+  in
+  or_die (Result.map_error (( ^ ) "--var: ") (Ir.Prog.validate prog));
+  or_die (Ir.Prog.check_inputs prog inputs);
   if vars <> [] then begin
-    let vars = List.map (fun v -> or_die (parse_var v)) vars in
+    Target.Asm.iter
+      (fun (i : Target.Instr.t) ->
+        List.iter
+          (function
+            | Target.Instr.Dir r | Target.Instr.Adr r
+              when Ir.Prog.find_decl prog r.Ir.Mref.base = None ->
+              or_die
+                (Error
+                   (Printf.sprintf "%s: %s names %s, which no --var declares"
+                      file i.opcode r.Ir.Mref.base))
+            | _ -> ())
+          i.operands)
+      asm;
     let layout =
       Target.Layout.make ~banks:[ "data" ]
         (List.map (fun (name, size) -> (name, size, "data")) vars)
     in
-    let inputs = List.map (fun s -> or_die (parse_input s)) inputs in
-    let outcome = Sim.run Target.Tic25.machine ~layout ~inputs asm in
+    let outcome =
+      (* worded as a simulate job's failure *)
+      match Sim.run Target.Tic25.machine ~layout ~inputs asm with
+      | outcome -> outcome
+      | exception Sim.Mode_violation msg ->
+        or_die (Error ("mode violation: " ^ msg))
+      | exception Sim.Exec_error msg -> or_die (Error ("exec error: " ^ msg))
+    in
     List.iter
       (fun (name, _) ->
         Format.printf "%s = %s@." name
@@ -559,7 +583,7 @@ let batch_cmd jobs_file domains timeout selection no_cache cache_dir out json
             t))
   | Some _ | None -> ());
   let doc =
-    match Driver.Json.of_string (read_file jobs_file) with
+    match Driver.Json.of_string (Driver.Protocol.read_file jobs_file) with
     | Ok doc -> doc
     | Error msg -> or_die (Error (jobs_file ^ ": " ^ msg))
     | exception Sys_error msg -> or_die (Error msg)

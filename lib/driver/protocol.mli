@@ -15,6 +15,13 @@
     a member present with the wrong type (a numeric ["target"], a string
     ["deadline"]) is an error naming the job, like an unknown spelling. *)
 
+val read_file : string -> string
+(** The contents of a regular file, read without blocking: a FIFO, a
+    directory or a device is refused before a byte is read, so a FIFO
+    without a writer cannot hold the caller.  Failures are [Sys_error]s
+    that name the path, e.g. [F: not a regular file]. A job's ["file"]
+    and every file the CLI reads go through it. *)
+
 val job_of_json :
   ?selection:Record.Options.selection_mode ->
   int ->

@@ -37,81 +37,35 @@ let is_store (t : Transfer.t) =
   | Transfer.Dmem _, Transfer.Leaf (Transfer.Reg r) -> Some r
   | _ -> None
 
-let rules_of_transfers transfers =
+(* A store transfer as a move: [store_of t v m] stores register [v] to
+   [m]. *)
+let store_of (t : Transfer.t) =
+  Target.Machine.store_instr ~words:t.words ~cycles:t.cycles t.name
+
+(* Each register-destination transfer is a rule whose emitter is its
+   instruction, and each store a spill chain rule. *)
+let pairs_of_transfers transfers =
   List.filter_map
     (fun (t : Transfer.t) ->
       match t.dest with
       | Transfer.Dreg r ->
         let guard = if has_imm t.expr then Some (imm_guard t.expr) else None in
         Some
-          (Burg.Rule.make ?guard ~name:t.name ~lhs:r ~cost:t.words
-             (pattern_of t.expr))
+          (Target.Machine.instr ~words:t.words ~cycles:t.cycles t.name
+             (Burg.Rule.make ?guard ~name:t.name ~lhs:r ~cost:t.words
+                (pattern_of t.expr)))
       | Transfer.Dmem _ -> (
         match is_store t with
         | Some r ->
           (* Store to a fresh scratch word: the spill chain rule. *)
           Some
-            (Burg.Rule.make ~name:("spill_" ^ t.name) ~lhs:"mem" ~cost:t.words
-               (Burg.Pattern.Nonterm r))
+            ( Burg.Rule.make ~name:("spill_" ^ t.name) ~lhs:"mem"
+                ~cost:t.words (Burg.Pattern.Nonterm r),
+              Target.Machine.spill_emitter (store_of t) )
         | None -> None))
     transfers
 
-(* ---- Emitters ------------------------------------------------------------ *)
-
-(* Walk the transfer expression and the matched subtree in parallel,
-   consuming child values for register/memory leaves and reading constants
-   for immediate leaves; returns the consumable operand list in leaf order
-   plus the use set. *)
-let build_operands (t : Transfer.t) node children =
-  let children = ref children in
-  let next_child () =
-    match !children with
-    | c :: rest ->
-      children := rest;
-      c
-    | [] -> assert false
-  in
-  let operands = ref [] in
-  let uses = ref [] in
-  let rec go e (n : Ir.Tree.t) =
-    match (e, n) with
-    | Transfer.Leaf (Transfer.Reg _), _ -> (
-      match next_child () with
-      | Target.Machine.Vreg v -> uses := Target.Instr.Vreg v :: !uses
-      | Target.Machine.Mem _ | Target.Machine.Imm _ -> assert false)
-    | Transfer.Leaf (Transfer.Mem_direct _), _ -> (
-      match next_child () with
-      | Target.Machine.Mem r ->
-        operands := Target.Instr.Dir r :: !operands;
-        uses := Target.Instr.Dir r :: !uses
-      | Target.Machine.Vreg _ | Target.Machine.Imm _ -> assert false)
-    | Transfer.Leaf (Transfer.Imm _), Ir.Tree.Const k ->
-      operands := Target.Instr.Imm k :: !operands
-    | Transfer.Leaf (Transfer.Imm _), _ -> assert false
-    | Transfer.Leaf (Transfer.Const _), _ -> ()
-    | Transfer.Unop (_, a), Ir.Tree.Unop (_, na) -> go a na
-    | Transfer.Unop _, _ -> assert false
-    | Transfer.Binop (_, a, b), Ir.Tree.Binop (_, na, nb) ->
-      go a na;
-      go b nb
-    | Transfer.Binop _, _ -> assert false
-  in
-  go t.expr node;
-  (List.rev !operands, List.rev !uses)
-
-(* A store transfer as a move: [store_of t v m] stores register [v] to
-   [m]. *)
-let store_of (t : Transfer.t) =
-  Target.Machine.store_instr ~words:t.words ~cycles:t.cycles t.name
-
-let emitter_of (t : Transfer.t) dest_reg : Target.Machine.emitter =
- fun ctx node children ->
-  let operands, uses = build_operands t node children in
-  let d = Target.Machine.fresh_vreg ctx dest_reg in
-  Target.Machine.emit ctx
-    (Target.Instr.make t.name ~operands ~defs:[ Target.Instr.Vreg d ] ~uses
-       ~words:t.words ~cycles:t.cycles);
-  Target.Machine.Vreg d
+let rules_of_transfers transfers = List.map fst (pairs_of_transfers transfers)
 
 (* ---- Machine assembly ----------------------------------------------------- *)
 
@@ -143,8 +97,10 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         | _ -> false)
       transfers
   in
-  let rules = Target.Machine.mem_rules @ rules_of_transfers transfers in
-  let grammar = Burg.Grammar.make ~name ~start:store_reg rules in
+  let rules = Target.Machine.mem_rules @ pairs_of_transfers transfers in
+  let grammar =
+    Burg.Grammar.make ~name ~start:store_reg (List.map fst rules)
+  in
   (* [store_reg]'s moves: register allocation spills and reloads through
      a scratch word with the same store and load transfers. *)
   let moves =
@@ -154,20 +110,6 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
         Target.Machine.load_instr ~words:load_transfer.words
           ~cycles:load_transfer.cycles load_transfer.name;
     }
-  in
-  let emitters =
-    Target.Machine.mem_emitters
-    @ List.filter_map
-        (fun (t : Transfer.t) ->
-          match t.dest with
-          | Transfer.Dreg r -> Some (t.name, emitter_of t r)
-          | Transfer.Dmem _ -> (
-            match is_store t with
-            | Some _r ->
-              Some
-                ("spill_" ^ t.name, Target.Machine.spill_emitter (store_of t))
-            | None -> None))
-        transfers
   in
   let store =
     Target.Machine.store_with moves store_reg ~imm:(fun ctx k ->
@@ -328,7 +270,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
     description;
     word_bits = 16;
     grammar;
-    emitters;
+    rules;
     store;
     regfile =
       Target.Regfile.make

@@ -2,8 +2,11 @@
 
     [of_transfers] is the generic generator: given the transfers (from
     instruction-set extraction, or from a textual machine description — see
-    the [mdl] library), it builds grammar, emitters, store, register file,
-    and executable semantics. Control structure is not part of a transfer
+    the [mdl] library), it builds the selection rules, store, register
+    file, and executable semantics. Each register-destination transfer is
+    a rule whose emitter is {!Target.Machine.instr} of the transfer (its
+    instruction, with its words and cycles), and each store a spill chain
+    rule. Control structure is not part of a transfer
     set, so counted-loop and address-stream support are synthesized on
     request over a declared register class ([LDC]/[DJNZ]/[LDAR] pseudo
     instructions with fixed semantics).
@@ -41,5 +44,7 @@ val machine : Rtl.Netlist.t -> Target.Machine.t
 val rules_of_transfers : Transfer.t list -> Burg.Rule.t list
 (** The "ISE output to iburg input format" conversion alone (Fig. 2):
     selection rules for the register-destination transfers plus spill
-    chain rules from the store transfers. Exposed for inspection and
+    chain rules from the store transfers, without their emitters. These
+    are the rules {!of_transfers} pairs with emitters (after the shared
+    memory-leaf rules), in the same order. Exposed for inspection and
     tests. *)

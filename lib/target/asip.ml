@@ -62,62 +62,6 @@ let machine ?(name = "asip") p =
     | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> fits_imm k
     | _ -> false
   in
-  let rules =
-    Machine.mem_rules
-    @ [
-      rule ~name:"ld" ~lhs:"acc" ~cost:1 (nt "mem");
-      rule ~name:"ldi" ~lhs:"acc" ~cost:1 ~guard:imm_guard
-        Burg.Pattern.Const_any;
-      rule ~name:"add" ~lhs:"acc" ~cost:1
-        (binop Ir.Op.Add (nt "acc") (nt "mem"));
-      rule ~name:"addi" ~lhs:"acc" ~cost:1 ~guard:imm_guard
-        (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any);
-      rule ~name:"sub" ~lhs:"acc" ~cost:1
-        (binop Ir.Op.Sub (nt "acc") (nt "mem"));
-      rule ~name:"and" ~lhs:"acc" ~cost:1
-        (binop Ir.Op.And (nt "acc") (nt "mem"));
-      rule ~name:"or" ~lhs:"acc" ~cost:1 (binop Ir.Op.Or (nt "acc") (nt "mem"));
-      rule ~name:"xor" ~lhs:"acc" ~cost:1
-        (binop Ir.Op.Xor (nt "acc") (nt "mem"));
-      rule ~name:"shl" ~lhs:"acc" ~cost:1 ~guard:shift_ok
-        (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any);
-      rule ~name:"shr" ~lhs:"acc" ~cost:1 ~guard:shift_ok
-        (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any);
-      rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc"));
-      rule ~name:"not" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc"));
-      rule ~name:"spill_st" ~lhs:"mem" ~cost:1 (nt "acc");
-    ]
-    @ (if p.has_multiplier then
-         [
-           rule ~name:"mul" ~lhs:"acc" ~cost:1
-             (binop Ir.Op.Mul (nt "acc") (nt "mem"));
-         ]
-       else if p.has_mac then
-         (* no multiplier, but the MAC unit can multiply into a zeroed
-            accumulator *)
-         [
-           rule ~name:"mul_via_mac" ~lhs:"acc" ~cost:2
-             (binop Ir.Op.Mul (nt "mem") (nt "mem"));
-         ]
-       else
-         [
-           rule ~name:"mul_soft" ~lhs:"acc" ~cost:2
-             (binop Ir.Op.Mul (nt "acc") (nt "mem"));
-         ])
-    @ (if p.has_mac then
-         [
-           rule ~name:"mac" ~lhs:"acc" ~cost:1
-             (binop Ir.Op.Add (nt "acc")
-                (binop Ir.Op.Mul (nt "mem") (nt "mem")));
-         ]
-       else [])
-    @
-    if p.has_saturation then
-      [ rule ~name:"sat" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "acc")) ]
-    else
-      [ rule ~name:"sat_soft" ~lhs:"acc" ~cost:3 (unop Ir.Op.Sat (nt "acc")) ]
-  in
-  let grammar = Burg.Grammar.make ~name ~start:"acc" rules in
   let bad rname = invalid_arg (name ^ ": bad children for " ^ rname) in
   let moves = Machine.moves ~load:"LD" ~store:"ST" in
   let load ctx m = Machine.emit_load ctx moves "acc" m in
@@ -128,43 +72,6 @@ let machine ?(name = "asip") p =
          ~funit:"move");
     v
   in
-  let acc_mem ?(words = 1) ?cycles opcode : Machine.emitter =
-   fun ctx _node children ->
-    match children with
-    | [ Machine.Vreg a; Machine.Mem m ] ->
-      let d = Machine.fresh_vreg ctx "acc" in
-      Machine.emit ctx
-        (Instr.make opcode
-           ~operands:[ Instr.Dir m ]
-           ~defs:[ Instr.Vreg d ]
-           ~uses:[ Instr.Vreg a; Instr.Dir m ]
-           ~words ?cycles);
-      Machine.Vreg d
-    | _ -> bad opcode
-  in
-  let acc_imm opcode : Machine.emitter =
-   fun ctx node children ->
-    match (children, node) with
-    | [ Machine.Vreg a ], Ir.Tree.Binop (_, _, Ir.Tree.Const k) ->
-      let d = Machine.fresh_vreg ctx "acc" in
-      Machine.emit ctx
-        (Instr.make opcode ~operands:[ Instr.Imm k ]
-           ~defs:[ Instr.Vreg d ]
-           ~uses:[ Instr.Vreg a ]);
-      Machine.Vreg d
-    | _ -> bad opcode
-  in
-  let acc_unary ?(words = 1) ?cycles opcode : Machine.emitter =
-   fun ctx _node children ->
-    match children with
-    | [ Machine.Vreg a ] ->
-      let d = Machine.fresh_vreg ctx "acc" in
-      Machine.emit ctx
-        (Instr.make opcode ~defs:[ Instr.Vreg d ] ~uses:[ Instr.Vreg a ]
-           ~words ?cycles);
-      Machine.Vreg d
-    | _ -> bad opcode
-  in
   let mac_emit ctx a m1 m2 =
     let d = Machine.fresh_vreg ctx "acc" in
     Machine.emit ctx
@@ -174,49 +81,96 @@ let machine ?(name = "asip") p =
          ~uses:[ Instr.Vreg a; Instr.Dir m1; Instr.Dir m2 ]);
     Machine.Vreg d
   in
-  let emitters : (string * Machine.emitter) list =
-    Machine.mem_emitters
+  let rules =
+    Machine.mem_rules
     @ [
-      ( "ld",
-        fun ctx _node children ->
-          match children with
-          | [ Machine.Mem m ] -> Machine.Vreg (load ctx m)
-          | _ -> bad "ld" );
-      ( "ldi",
-        fun ctx node _children ->
-          match node with
-          | Ir.Tree.Const k -> Machine.Vreg (load_imm ctx k)
-          | _ -> bad "ldi" );
-      ("add", acc_mem "ADD");
-      ("addi", acc_imm "ADDI");
-      ("sub", acc_mem "SUB");
-      ("and", acc_mem "AND");
-      ("or", acc_mem "OR");
-      ("xor", acc_mem "XOR");
-      ("shl", acc_imm "SHL");
-      ("shr", acc_imm "SHR");
-      ("neg", acc_unary "NEG");
-      ("not", acc_unary "NOT");
-      ("mul", acc_mem "MUL");
-      ("mul_soft", acc_mem ~words:2 ~cycles:17 "MULS");
-      ( "mul_via_mac",
-        fun ctx _node children ->
-          match children with
-          | [ Machine.Mem m1; Machine.Mem m2 ] ->
-            let z = load_imm ctx 0 in
-            mac_emit ctx z m1 m2
-          | _ -> bad "mul_via_mac" );
-      ( "mac",
-        fun ctx _node children ->
-          match children with
-          | [ Machine.Vreg a; Machine.Mem m1; Machine.Mem m2 ] ->
-            mac_emit ctx a m1 m2
-          | _ -> bad "mac" );
-      ("sat", acc_unary "SAT");
-      ("sat_soft", acc_unary ~words:3 ~cycles:3 "SATS");
-      ("spill_st", Machine.spill_emitter moves.Machine.spill_store);
+      ( rule ~name:"ld" ~lhs:"acc" ~cost:1 (nt "mem"),
+        Machine.load_emitter moves "acc" );
+      ( rule ~name:"ldi" ~lhs:"acc" ~cost:1 ~guard:imm_guard
+          Burg.Pattern.Const_any,
+        Machine.imm_emitter load_imm );
+      Machine.instr "ADD"
+        (rule ~name:"add" ~lhs:"acc" ~cost:1
+           (binop Ir.Op.Add (nt "acc") (nt "mem")));
+      Machine.instr "ADDI"
+        (rule ~name:"addi" ~lhs:"acc" ~cost:1 ~guard:imm_guard
+           (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any));
+      Machine.instr "SUB"
+        (rule ~name:"sub" ~lhs:"acc" ~cost:1
+           (binop Ir.Op.Sub (nt "acc") (nt "mem")));
+      Machine.instr "AND"
+        (rule ~name:"and" ~lhs:"acc" ~cost:1
+           (binop Ir.Op.And (nt "acc") (nt "mem")));
+      Machine.instr "OR"
+        (rule ~name:"or" ~lhs:"acc" ~cost:1
+           (binop Ir.Op.Or (nt "acc") (nt "mem")));
+      Machine.instr "XOR"
+        (rule ~name:"xor" ~lhs:"acc" ~cost:1
+           (binop Ir.Op.Xor (nt "acc") (nt "mem")));
+      Machine.instr "SHL"
+        (rule ~name:"shl" ~lhs:"acc" ~cost:1 ~guard:shift_ok
+           (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any));
+      Machine.instr "SHR"
+        (rule ~name:"shr" ~lhs:"acc" ~cost:1 ~guard:shift_ok
+           (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any));
+      Machine.instr "NEG"
+        (rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc")));
+      Machine.instr "NOT"
+        (rule ~name:"not" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc")));
+      ( rule ~name:"spill_st" ~lhs:"mem" ~cost:1 (nt "acc"),
+        Machine.spill_emitter moves.Machine.spill_store );
     ]
+    @ (if p.has_multiplier then
+         [
+           Machine.instr "MUL"
+             (rule ~name:"mul" ~lhs:"acc" ~cost:1
+                (binop Ir.Op.Mul (nt "acc") (nt "mem")));
+         ]
+       else if p.has_mac then
+         (* no multiplier, but the MAC unit can multiply into a zeroed
+            accumulator *)
+         [
+           ( rule ~name:"mul_via_mac" ~lhs:"acc" ~cost:2
+               (binop Ir.Op.Mul (nt "mem") (nt "mem")),
+             fun ctx _node children ->
+               match children with
+               | [ Machine.Mem m1; Machine.Mem m2 ] ->
+                 let z = load_imm ctx 0 in
+                 mac_emit ctx z m1 m2
+               | _ -> bad "mul_via_mac" );
+         ]
+       else
+         [
+           Machine.instr ~words:2 ~cycles:17 "MULS"
+             (rule ~name:"mul_soft" ~lhs:"acc" ~cost:2
+                (binop Ir.Op.Mul (nt "acc") (nt "mem")));
+         ])
+    @ (if p.has_mac then
+         [
+           ( rule ~name:"mac" ~lhs:"acc" ~cost:1
+               (binop Ir.Op.Add (nt "acc")
+                  (binop Ir.Op.Mul (nt "mem") (nt "mem"))),
+             fun ctx _node children ->
+               match children with
+               | [ Machine.Vreg a; Machine.Mem m1; Machine.Mem m2 ] ->
+                 mac_emit ctx a m1 m2
+               | _ -> bad "mac" );
+         ]
+       else [])
+    @
+    if p.has_saturation then
+      [
+        Machine.instr "SAT"
+          (rule ~name:"sat" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "acc")));
+      ]
+    else
+      [
+        Machine.instr ~words:3 ~cycles:3 "SATS"
+          (rule ~name:"sat_soft" ~lhs:"acc" ~cost:3
+             (unop Ir.Op.Sat (nt "acc")));
+      ]
   in
+  let grammar = Burg.Grammar.make ~name ~start:"acc" (List.map fst rules) in
   let store =
     Machine.store_with moves "acc" ~imm:(fun ctx k ->
         if fits_imm k then load_imm ctx k
@@ -311,7 +265,7 @@ let machine ?(name = "asip") p =
         p.imm_bits p.address_regs;
     word_bits = 16;
     grammar;
-    emitters;
+    rules;
     store;
     regfile =
       Regfile.make

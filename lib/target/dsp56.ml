@@ -17,40 +17,6 @@ let shift_ok t =
 
 let shift_cost t = match shift_amount t with Some k -> k | None -> 1
 
-let rules =
-  Machine.mem_rules
-  @ [
-    rule ~name:"ld_xy" ~lhs:"xy" ~cost:1 (nt "mem");
-    rule ~name:"ld_acc" ~lhs:"acc" ~cost:1 (nt "mem");
-    rule ~name:"acc_of_xy" ~lhs:"acc" ~cost:1 (nt "xy");
-    rule ~name:"ld_imm" ~lhs:"acc" ~cost:1 Burg.Pattern.Const_any;
-    rule ~name:"mac" ~lhs:"acc" ~cost:1
-      (binop Ir.Op.Add (nt "acc") (binop Ir.Op.Mul (nt "xy") (nt "xy")));
-    rule ~name:"mpy" ~lhs:"acc" ~cost:1 (binop Ir.Op.Mul (nt "xy") (nt "xy"));
-    rule ~name:"add" ~lhs:"acc" ~cost:1 (binop Ir.Op.Add (nt "acc") (nt "xy"));
-    rule ~name:"sub" ~lhs:"acc" ~cost:1 (binop Ir.Op.Sub (nt "acc") (nt "xy"));
-    rule ~name:"and" ~lhs:"acc" ~cost:1 (binop Ir.Op.And (nt "acc") (nt "xy"));
-    rule ~name:"or" ~lhs:"acc" ~cost:1 (binop Ir.Op.Or (nt "acc") (nt "xy"));
-    rule ~name:"eor" ~lhs:"acc" ~cost:1 (binop Ir.Op.Xor (nt "acc") (nt "xy"));
-    rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc"));
-    rule ~name:"not" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc"));
-    rule ~name:"asl" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
-      (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any);
-    rule ~name:"asr" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
-      (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any);
-    (* registers hold exact values, so one SAT after the exact computation
-       implements the saturating expression *)
-    rule ~name:"sat" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "acc"));
-    rule ~name:"spill_xy" ~lhs:"mem" ~cost:1 (nt "xy");
-    rule ~name:"spill_acc" ~lhs:"mem" ~cost:1 (nt "acc");
-  ]
-
-let grammar = Burg.Grammar.make ~name:"dsp56" ~start:"acc" rules
-
-(* ---- emission helpers -------------------------------------------------- *)
-
-let bad name = invalid_arg ("dsp56: bad children for " ^ name)
-
 (* Both data classes move with MOVE. *)
 let moves = Machine.moves ~load:"MOVE" ~store:"MOVE"
 
@@ -61,87 +27,60 @@ let load_imm ctx k =
        ~funit:"move");
   v
 
-let alu ctx opcode uses =
-  let d = Machine.fresh_vreg ctx "acc" in
-  Machine.emit ctx
-    (Instr.make opcode ~defs:[ Instr.Vreg d ]
-       ~uses:(List.map (fun v -> Instr.Vreg v) uses));
-  Machine.Vreg d
-
-let binary opcode : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a; Machine.Vreg b ] -> alu ctx opcode [ a; b ]
-  | _ -> bad opcode
-
-let unary opcode : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a ] -> alu ctx opcode [ a ]
-  | _ -> bad opcode
-
-let shift opcode : Machine.emitter =
- fun ctx node children ->
-  match children with
-  | [ (Machine.Vreg a0 as v) ] ->
-    let k = match shift_amount node with Some k -> k | None -> 1 in
-    if k = 0 then v
-    else begin
-      let cur = ref (Machine.Vreg a0) in
-      for _ = 1 to k do
-        match !cur with
-        | Machine.Vreg a -> cur := alu ctx opcode [ a ]
-        | _ -> assert false
-      done;
-      !cur
-    end
-  | _ -> bad opcode
-
-let emitters : (string * Machine.emitter) list =
-  Machine.mem_emitters
+(* Every rule with its emitter; the data ALU's operands are registers. *)
+let rules =
+  Machine.mem_rules
   @ [
-    ( "ld_xy",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Mem m ] ->
-          Machine.Vreg (Machine.emit_load ctx moves "xy" m)
-        | _ -> bad "ld_xy" );
-    ( "ld_acc",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Mem m ] ->
-          Machine.Vreg (Machine.emit_load ctx moves "acc" m)
-        | _ -> bad "ld_acc" );
-    ( "acc_of_xy",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg x ] -> alu ctx "TFR" [ x ]
-        | _ -> bad "acc_of_xy" );
-    ( "ld_imm",
-      fun ctx node _children ->
-        match node with
-        | Ir.Tree.Const k -> Machine.Vreg (load_imm ctx k)
-        | _ -> bad "ld_imm" );
-    ( "mac",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg a; Machine.Vreg x; Machine.Vreg y ] ->
-          alu ctx "MAC" [ a; x; y ]
-        | _ -> bad "mac" );
-    ("mpy", binary "MPY");
-    ("add", binary "ADD");
-    ("sub", binary "SUB");
-    ("and", binary "AND");
-    ("or", binary "OR");
-    ("eor", binary "EOR");
-    ("neg", unary "NEG");
-    ("not", unary "NOT");
-    ("asl", shift "ASL");
-    ("asr", shift "ASR");
-    ("sat", unary "SAT");
-    ("spill_xy", Machine.spill_emitter moves.Machine.spill_store);
-    ("spill_acc", Machine.spill_emitter moves.Machine.spill_store);
+    ( rule ~name:"ld_xy" ~lhs:"xy" ~cost:1 (nt "mem"),
+      Machine.load_emitter moves "xy" );
+    ( rule ~name:"ld_acc" ~lhs:"acc" ~cost:1 (nt "mem"),
+      Machine.load_emitter moves "acc" );
+    Machine.instr "TFR" (rule ~name:"acc_of_xy" ~lhs:"acc" ~cost:1 (nt "xy"));
+    ( rule ~name:"ld_imm" ~lhs:"acc" ~cost:1 Burg.Pattern.Const_any,
+      Machine.imm_emitter load_imm );
+    Machine.instr "MAC"
+      (rule ~name:"mac" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Add (nt "acc") (binop Ir.Op.Mul (nt "xy") (nt "xy"))));
+    Machine.instr "MPY"
+      (rule ~name:"mpy" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Mul (nt "xy") (nt "xy")));
+    Machine.instr "ADD"
+      (rule ~name:"add" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Add (nt "acc") (nt "xy")));
+    Machine.instr "SUB"
+      (rule ~name:"sub" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Sub (nt "acc") (nt "xy")));
+    Machine.instr "AND"
+      (rule ~name:"and" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.And (nt "acc") (nt "xy")));
+    Machine.instr "OR"
+      (rule ~name:"or" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Or (nt "acc") (nt "xy")));
+    Machine.instr "EOR"
+      (rule ~name:"eor" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Xor (nt "acc") (nt "xy")));
+    Machine.instr "NEG"
+      (rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc")));
+    Machine.instr "NOT"
+      (rule ~name:"not" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc")));
+    Machine.repeat "ASL"
+      (rule ~name:"asl" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
+         (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any));
+    Machine.repeat "ASR"
+      (rule ~name:"asr" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
+         (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any));
+    (* registers hold exact values, so one SAT after the exact computation
+       implements the saturating expression *)
+    Machine.instr "SAT"
+      (rule ~name:"sat" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "acc")));
+    ( rule ~name:"spill_xy" ~lhs:"mem" ~cost:1 (nt "xy"),
+      Machine.spill_emitter moves.Machine.spill_store );
+    ( rule ~name:"spill_acc" ~lhs:"mem" ~cost:1 (nt "acc"),
+      Machine.spill_emitter moves.Machine.spill_store );
   ]
+
+let grammar =
+  Burg.Grammar.make ~name:"dsp56" ~start:"acc" (List.map fst rules)
 
 let store = Machine.store_with moves "xy" ~imm:load_imm
 
@@ -252,7 +191,7 @@ let machine =
     description = "DSP56000-style dual-bank DSP with parallel moves";
     word_bits = 16;
     grammar;
-    emitters;
+    rules;
     store;
     regfile =
       Regfile.make

@@ -1,9 +1,12 @@
 (* The machine description record: everything the retargetable pipeline
-   needs to know about a target.  A machine couples an iburg-style grammar
-   (tree patterns with costs) to emitters that produce instructions into an
-   emission context, plus the structural facts the back-end optimizations
-   consume: register classes, memory banks, parallel slots, AGU support,
-   loop control, mode changes, and executable semantics for the simulator. *)
+   needs to know about a target.  A machine's selection rules are iburg
+   rules (tree patterns with costs), each paired with the emitter that
+   produces its instructions into an emission context, as an iburg rule
+   carries its action; most are [instr], the one emitter that reads an
+   instruction off its rule's pattern.  Beside them sit the structural facts
+   the back-end optimizations consume: register classes, memory banks,
+   parallel slots, AGU support, loop control, mode changes, and executable
+   semantics for the simulator. *)
 
 (* A description that cannot compile a construct it was asked to emit (a
    generated machine without loop control, or without an immediate load)
@@ -63,7 +66,11 @@ type t = {
   description : string;
   word_bits : int;
   grammar : Burg.Grammar.t;
-  emitters : (string * emitter) list;
+      (** [Burg.Grammar.make] of [rules]' rules, in the same order: the
+          labelling engines return these rule values in their covers *)
+  rules : (Burg.Rule.t * emitter) list;
+      (** the selection rules, each with the emitter [run_cover] runs where
+          a cover uses it *)
   store : ctx -> Ir.Mref.t -> value -> unit;
   regfile : Regfile.t;
   modes : (string * int) list;  (** mode names with reset values *)
@@ -135,33 +142,26 @@ let const_cell ctx k =
 let const_cells ctx = List.rev ctx.consts
 
 (* Execute a tree cover bottom-up: run each child's emitter, then this
-   rule's, threading the produced values. *)
+   rule's, threading the produced values.  A cover holds the grammar's own
+   rule values, so the rule is found by physical equality. *)
 let rec run_cover m ctx (cover : Burg.Cover.t) =
   let children = List.map (run_cover m ctx) cover.Burg.Cover.children in
-  let name = cover.Burg.Cover.rule.Burg.Rule.name in
-  match List.assoc_opt name m.emitters with
-  | Some e -> e ctx cover.Burg.Cover.node children
-  | None -> invalid_arg (m.name ^ ": no emitter for rule " ^ name)
+  List.assq cover.Burg.Cover.rule m.rules ctx cover.Burg.Cover.node children
 
 (* ---- what every description shares ------------------------------------ *)
 
 (* Memory leaves, the first two rules of every grammar: a reference is a
    memory operand as it stands, and a constant can come from a constant
    pool cell (one data word). *)
-let mem_rules =
+let mem_rules : (Burg.Rule.t * emitter) list =
   [
-    Burg.Rule.make ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any;
-    Burg.Rule.make ~name:"mem_const" ~lhs:"mem" ~cost:1 Burg.Pattern.Const_any;
-  ]
-
-let mem_emitters : (string * emitter) list =
-  [
-    ( "mem_ref",
+    ( Burg.Rule.make ~name:"mem_ref" ~lhs:"mem" ~cost:0 Burg.Pattern.Ref_any,
       fun _ctx node _children ->
         match node with
         | Ir.Tree.Ref r -> Mem r
         | _ -> invalid_arg "Machine: mem_ref on a non-reference" );
-    ( "mem_const",
+    ( Burg.Rule.make ~name:"mem_const" ~lhs:"mem" ~cost:1
+        Burg.Pattern.Const_any,
       fun ctx node _children ->
         match node with
         | Ir.Tree.Const k -> Mem (const_cell ctx k)
@@ -189,6 +189,21 @@ let emit_load ctx ops cls m =
 
 let emit_store ctx ops dst v = emit ctx (ops.spill_store v dst)
 
+(* The emitter of a load rule [cls <- mem]: [emit_load] with [ops]. *)
+let load_emitter ops cls : emitter =
+ fun ctx _node children ->
+  match children with
+  | [ Mem m ] -> Vreg (emit_load ctx ops cls m)
+  | _ -> invalid_arg "Machine: load of a non-memory value"
+
+(* The emitter of an immediate-load rule [cls <- k]: the description's own
+   immediate load [imm], which its [store] uses too. *)
+let imm_emitter imm : emitter =
+ fun ctx node _children ->
+  match node with
+  | Ir.Tree.Const k -> Vreg (imm ctx k)
+  | _ -> invalid_arg "Machine: immediate load of a non-constant"
+
 (* The emitter of a spill chain rule [mem <- reg]: park the register in a
    fresh scratch cell with [store]. *)
 let spill_emitter store : emitter =
@@ -199,6 +214,115 @@ let spill_emitter store : emitter =
     emit ctx (store v s);
     Mem s
   | _ -> invalid_arg "Machine: spill of a non-register"
+
+(* ---- the pattern-driven emitter ---------------------------------------- *)
+
+(* A leaf of a rule's pattern as [instr] reads it: a register child, a
+   memory child (the nonterminal [mem]), or a [Const_any] at a path of
+   child positions from the pattern's root (0: the operand of a unary or
+   the left of a binary node, 1: the right).  A [Const_eq] leaf adds
+   nothing. *)
+type leaf = Reg_child | Mem_child | Const_at of int list
+
+let misfit (rule : Burg.Rule.t) =
+  invalid_arg
+    ("Machine: node and children that do not fit rule " ^ rule.Burg.Rule.name)
+
+(* The leaves of [rule]'s pattern, left to right. *)
+let leaves (rule : Burg.Rule.t) =
+  let rec go p path acc =
+    match p with
+    | Burg.Pattern.Nonterm "mem" -> Mem_child :: acc
+    | Burg.Pattern.Nonterm _ -> Reg_child :: acc
+    | Burg.Pattern.Const_any -> Const_at (List.rev path) :: acc
+    | Burg.Pattern.Const_eq _ -> acc
+    | Burg.Pattern.Ref_any ->
+      invalid_arg ("Machine: a reference leaf in rule " ^ rule.Burg.Rule.name)
+    | Burg.Pattern.Unop (_, a) -> go a (0 :: path) acc
+    | Burg.Pattern.Binop (_, a, b) -> go a (0 :: path) (go b (1 :: path) acc)
+  in
+  go rule.Burg.Rule.pattern [] []
+
+let rec const_at rule path (node : Ir.Tree.t) =
+  match (path, node) with
+  | [], Ir.Tree.Const k -> k
+  | 0 :: path, (Ir.Tree.Unop (_, n) | Ir.Tree.Binop (_, n, _))
+  | 1 :: path, Ir.Tree.Binop (_, _, n) ->
+    const_at rule path n
+  | _ -> misfit rule
+
+(* The instruction's operands: a [Dir] per memory child and an [Imm] per
+   constant, in leaf order. *)
+let rec operands_of rule leaves node children =
+  match (leaves, children) with
+  | [], [] -> []
+  | Reg_child :: leaves, Vreg _ :: children ->
+    operands_of rule leaves node children
+  | Mem_child :: leaves, Mem r :: children ->
+    Instr.Dir r :: operands_of rule leaves node children
+  | Const_at path :: leaves, children ->
+    Instr.Imm (const_at rule path node) :: operands_of rule leaves node children
+  | _ -> misfit rule
+
+(* Its uses: every child, in leaf order. *)
+let rec uses_of rule leaves children =
+  match (leaves, children) with
+  | [], [] -> []
+  | Reg_child :: leaves, Vreg v :: children ->
+    Instr.Vreg v :: uses_of rule leaves children
+  | Mem_child :: leaves, Mem r :: children ->
+    Instr.Dir r :: uses_of rule leaves children
+  | Const_at _ :: leaves, children -> uses_of rule leaves children
+  | _ -> misfit rule
+
+(* [rule] with the emitter most rules share: one instruction [opcode] that
+   defines a fresh register of the rule's class.  Its operands and uses
+   come from the pattern's leaves, left to right: a register child is a
+   use, a memory child a [Dir] operand and a use, a [Const_any] an [Imm]
+   operand holding the matched constant; a [Const_eq] adds nothing.  The
+   other attributes default as in [Instr.make].  A node or children that
+   do not fit the pattern raise [Invalid_argument] naming the rule. *)
+let instr ?mode_req ?words ?cycles ?funit opcode (rule : Burg.Rule.t) :
+    Burg.Rule.t * emitter =
+  let leaves = leaves rule in
+  ( rule,
+    fun ctx node children ->
+      let operands = operands_of rule leaves node children in
+      let uses = uses_of rule leaves children in
+      let d = fresh_vreg ctx rule.Burg.Rule.lhs in
+      emit ctx
+        (Instr.make opcode ~operands ~defs:[ Instr.Vreg d ] ~uses ?words
+           ?cycles ?funit ?mode_req);
+      Vreg d )
+
+let rec repeat_from ctx mode_req opcode cls v k =
+  if k <= 0 then Vreg v
+  else begin
+    let d = fresh_vreg ctx cls in
+    emit ctx
+      (Instr.make opcode ~defs:[ Instr.Vreg d ] ~uses:[ Instr.Vreg v ]
+         ?mode_req);
+    repeat_from ctx mode_req opcode cls d (k - 1)
+  end
+
+(* [rule], a register child and a [Const_any] [k], with [k] copies of the
+   one-register instruction [opcode], each defining a fresh register of the
+   rule's class from the last: a shift by [k] on a machine that shifts one
+   bit per instruction.  [k = 0] is the child's register. *)
+let repeat ?mode_req opcode (rule : Burg.Rule.t) : Burg.Rule.t * emitter =
+  match leaves rule with
+  | [ Reg_child; Const_at path ] ->
+    ( rule,
+      fun ctx node children ->
+        match children with
+        | [ Vreg v ] ->
+          repeat_from ctx mode_req opcode rule.Burg.Rule.lhs v
+            (const_at rule path node)
+        | _ -> misfit rule )
+  | _ ->
+    invalid_arg
+      ("Machine.repeat: rule " ^ rule.Burg.Rule.name
+     ^ " is not a register and a constant")
 
 (* A [store] built on one class's moves: a register is stored as it is, a
    memory value goes through a fresh register of class [cls], and [imm]
@@ -308,16 +432,7 @@ let address_into_semantics layout (i : Instr.t) =
 (* Static well-formedness of a machine description. *)
 let check m =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let rule_names =
-    List.map (fun (r : Burg.Rule.t) -> r.Burg.Rule.name)
-      m.grammar.Burg.Grammar.rules
-  in
-  let missing =
-    List.filter (fun n -> not (List.mem_assoc n m.emitters)) rule_names
-  in
-  if missing <> [] then
-    err "rules without emitters: %s" (String.concat ", " missing)
-  else if m.banks = [] then err "no memory bank"
+  if m.banks = [] then err "no memory bank"
   else if not (Regfile.mem m.regfile m.loop_.counter_cls) then
     err "loop counter class %s not in register file" m.loop_.counter_cls
   else

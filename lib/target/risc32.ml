@@ -20,34 +20,6 @@ let imm12 = function
   | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k >= -2047 && k <= 2047
   | _ -> false
 
-let rules =
-  Machine.mem_rules
-  @ [
-    rule ~name:"lw" ~lhs:"g" ~cost:1 (nt "mem");
-    rule ~name:"li" ~lhs:"g" ~cost:1 Burg.Pattern.Const_any;
-    rule ~name:"addi" ~lhs:"g" ~cost:1 ~guard:imm12
-      (binop Ir.Op.Add (nt "g") Burg.Pattern.Const_any);
-    rule ~name:"add" ~lhs:"g" ~cost:1 (binop Ir.Op.Add (nt "g") (nt "g"));
-    rule ~name:"sub" ~lhs:"g" ~cost:1 (binop Ir.Op.Sub (nt "g") (nt "g"));
-    rule ~name:"mul" ~lhs:"g" ~cost:1 (binop Ir.Op.Mul (nt "g") (nt "g"));
-    rule ~name:"and" ~lhs:"g" ~cost:1 (binop Ir.Op.And (nt "g") (nt "g"));
-    rule ~name:"or" ~lhs:"g" ~cost:1 (binop Ir.Op.Or (nt "g") (nt "g"));
-    rule ~name:"xor" ~lhs:"g" ~cost:1 (binop Ir.Op.Xor (nt "g") (nt "g"));
-    rule ~name:"slli" ~lhs:"g" ~cost:1 ~guard:shift_ok
-      (binop Ir.Op.Shl (nt "g") Burg.Pattern.Const_any);
-    rule ~name:"srai" ~lhs:"g" ~cost:1 ~guard:shift_ok
-      (binop Ir.Op.Shr (nt "g") Burg.Pattern.Const_any);
-    rule ~name:"neg" ~lhs:"g" ~cost:1 (unop Ir.Op.Neg (nt "g"));
-    rule ~name:"not" ~lhs:"g" ~cost:1 (unop Ir.Op.Not (nt "g"));
-    (* saturation emulated by a compare-and-clamp sequence *)
-    rule ~name:"ssat" ~lhs:"g" ~cost:3 (unop Ir.Op.Sat (nt "g"));
-    rule ~name:"spill_sw" ~lhs:"mem" ~cost:1 (nt "g");
-  ]
-
-let grammar = Burg.Grammar.make ~name:"risc32" ~start:"g" rules
-
-let bad name = invalid_arg ("risc32: bad children for " ^ name)
-
 let moves = Machine.moves ~load:"LW" ~store:"SW"
 
 let load_imm ctx k =
@@ -57,59 +29,47 @@ let load_imm ctx k =
        ~funit:"move");
   v
 
-let alu ?(words = 1) ?cycles ctx opcode ~operands uses =
-  let d = Machine.fresh_vreg ctx "g" in
-  Machine.emit ctx
-    (Instr.make opcode ~operands ~defs:[ Instr.Vreg d ] ~words ?cycles
-       ~uses:(List.map (fun v -> Instr.Vreg v) uses));
-  Machine.Vreg d
-
-let binary opcode : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a; Machine.Vreg b ] -> alu ctx opcode ~operands:[] [ a; b ]
-  | _ -> bad opcode
-
-let binary_imm opcode : Machine.emitter =
- fun ctx node children ->
-  match (children, node) with
-  | [ Machine.Vreg a ], Ir.Tree.Binop (_, _, Ir.Tree.Const k) ->
-    alu ctx opcode ~operands:[ Instr.Imm k ] [ a ]
-  | _ -> bad opcode
-
-let unary ?words ?cycles opcode : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a ] -> alu ?words ?cycles ctx opcode ~operands:[] [ a ]
-  | _ -> bad opcode
-
-let emitters : (string * Machine.emitter) list =
-  Machine.mem_emitters
+let rules =
+  Machine.mem_rules
   @ [
-    ( "lw",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Mem m ] -> Machine.Vreg (Machine.emit_load ctx moves "g" m)
-        | _ -> bad "lw" );
-    ( "li",
-      fun ctx node _children ->
-        match node with
-        | Ir.Tree.Const k -> Machine.Vreg (load_imm ctx k)
-        | _ -> bad "li" );
-    ("addi", binary_imm "ADDI");
-    ("add", binary "ADD");
-    ("sub", binary "SUB");
-    ("mul", binary "MUL");
-    ("and", binary "AND");
-    ("or", binary "OR");
-    ("xor", binary "XOR");
-    ("slli", binary_imm "SLLI");
-    ("srai", binary_imm "SRAI");
-    ("neg", unary "NEG");
-    ("not", unary "NOT");
-    ("ssat", unary ~words:3 ~cycles:3 "SSAT");
-    ("spill_sw", Machine.spill_emitter moves.Machine.spill_store);
+    ( rule ~name:"lw" ~lhs:"g" ~cost:1 (nt "mem"),
+      Machine.load_emitter moves "g" );
+    ( rule ~name:"li" ~lhs:"g" ~cost:1 Burg.Pattern.Const_any,
+      Machine.imm_emitter load_imm );
+    Machine.instr "ADDI"
+      (rule ~name:"addi" ~lhs:"g" ~cost:1 ~guard:imm12
+         (binop Ir.Op.Add (nt "g") Burg.Pattern.Const_any));
+    Machine.instr "ADD"
+      (rule ~name:"add" ~lhs:"g" ~cost:1 (binop Ir.Op.Add (nt "g") (nt "g")));
+    Machine.instr "SUB"
+      (rule ~name:"sub" ~lhs:"g" ~cost:1 (binop Ir.Op.Sub (nt "g") (nt "g")));
+    Machine.instr "MUL"
+      (rule ~name:"mul" ~lhs:"g" ~cost:1 (binop Ir.Op.Mul (nt "g") (nt "g")));
+    Machine.instr "AND"
+      (rule ~name:"and" ~lhs:"g" ~cost:1 (binop Ir.Op.And (nt "g") (nt "g")));
+    Machine.instr "OR"
+      (rule ~name:"or" ~lhs:"g" ~cost:1 (binop Ir.Op.Or (nt "g") (nt "g")));
+    Machine.instr "XOR"
+      (rule ~name:"xor" ~lhs:"g" ~cost:1 (binop Ir.Op.Xor (nt "g") (nt "g")));
+    Machine.instr "SLLI"
+      (rule ~name:"slli" ~lhs:"g" ~cost:1 ~guard:shift_ok
+         (binop Ir.Op.Shl (nt "g") Burg.Pattern.Const_any));
+    Machine.instr "SRAI"
+      (rule ~name:"srai" ~lhs:"g" ~cost:1 ~guard:shift_ok
+         (binop Ir.Op.Shr (nt "g") Burg.Pattern.Const_any));
+    Machine.instr "NEG"
+      (rule ~name:"neg" ~lhs:"g" ~cost:1 (unop Ir.Op.Neg (nt "g")));
+    Machine.instr "NOT"
+      (rule ~name:"not" ~lhs:"g" ~cost:1 (unop Ir.Op.Not (nt "g")));
+    (* saturation emulated by a compare-and-clamp sequence *)
+    Machine.instr ~words:3 ~cycles:3 "SSAT"
+      (rule ~name:"ssat" ~lhs:"g" ~cost:3 (unop Ir.Op.Sat (nt "g")));
+    ( rule ~name:"spill_sw" ~lhs:"mem" ~cost:1 (nt "g"),
+      Machine.spill_emitter moves.Machine.spill_store );
   ]
+
+let grammar =
+  Burg.Grammar.make ~name:"risc32" ~start:"g" (List.map fst rules)
 
 let store = Machine.store_with moves "g" ~imm:load_imm
 
@@ -211,7 +171,7 @@ let machine =
     description = "conventional 32-register load/store RISC baseline";
     word_bits = 16;
     grammar;
-    emitters;
+    rules;
     store;
     regfile =
       Regfile.make

@@ -20,7 +20,7 @@ let is_leaf = function
   | Ir.Tree.Const _ | Ir.Tree.Ref _ -> true
   | Ir.Tree.Unop _ | Ir.Tree.Binop _ -> false
 
-(* ---- grammar ----------------------------------------------------------- *)
+(* ---- patterns and guards ----------------------------------------------- *)
 
 let rule = Burg.Rule.make
 let nt n = Burg.Pattern.Nonterm n
@@ -57,86 +57,9 @@ let right_is_leaf = function
   | Ir.Tree.Unop (_, Ir.Tree.Binop (_, _, r)) -> is_leaf r
   | _ -> false
 
-let rules =
-  Machine.mem_rules
-  @ [
-    (* multiplier path *)
-    rule ~name:"lt" ~lhs:"t" ~cost:1 (nt "mem");
-    rule ~name:"mpy" ~lhs:"p" ~cost:1 (binop Ir.Op.Mul (nt "t") (nt "mem"));
-    rule ~name:"mpyk" ~lhs:"p" ~cost:1
-      ~guard:(function
-        | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k >= -4096 && k <= 4095
-        | _ -> false)
-      (binop Ir.Op.Mul (nt "t") Burg.Pattern.Const_any);
-    (* accumulator loads *)
-    rule ~name:"zac" ~lhs:"acc" ~cost:1 (Burg.Pattern.Const_eq 0);
-    rule ~name:"lack" ~lhs:"acc" ~cost:1
-      ~guard:(function
-        | Ir.Tree.Const k -> k >= 0 && k <= 255
-        | _ -> false)
-      Burg.Pattern.Const_any;
-    rule ~name:"lac" ~lhs:"acc" ~cost:1 (nt "mem");
-    rule ~name:"pac" ~lhs:"acc" ~cost:1 (nt "p");
-    (* accumulator arithmetic; apac_rev before add so the LT/MPY/LAC/APAC
-       schedule wins the cost tie against PAC/ADD *)
-    rule ~name:"apac" ~lhs:"acc" ~cost:1 ~guard:left_not_leaf
-      (binop Ir.Op.Add (nt "acc") (nt "p"));
-    rule ~name:"apac_rev" ~lhs:"acc" ~cost:1 ~guard:right_is_leaf
-      (binop Ir.Op.Add (nt "p") (nt "acc"));
-    rule ~name:"spac" ~lhs:"acc" ~cost:1 (binop Ir.Op.Sub (nt "acc") (nt "p"));
-    rule ~name:"add" ~lhs:"acc" ~cost:1 (binop Ir.Op.Add (nt "acc") (nt "mem"));
-    rule ~name:"addk" ~lhs:"acc" ~cost:1 ~guard:imm8
-      (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any);
-    rule ~name:"sub" ~lhs:"acc" ~cost:1 (binop Ir.Op.Sub (nt "acc") (nt "mem"));
-    rule ~name:"subk" ~lhs:"acc" ~cost:1 ~guard:imm8
-      (binop Ir.Op.Sub (nt "acc") Burg.Pattern.Const_any);
-    rule ~name:"and" ~lhs:"acc" ~cost:1 (binop Ir.Op.And (nt "acc") (nt "mem"));
-    rule ~name:"or" ~lhs:"acc" ~cost:1 (binop Ir.Op.Or (nt "acc") (nt "mem"));
-    rule ~name:"xor" ~lhs:"acc" ~cost:1 (binop Ir.Op.Xor (nt "acc") (nt "mem"));
-    rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc"));
-    rule ~name:"cmpl" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc"));
-    rule ~name:"sfl" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
-      (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any);
-    rule ~name:"sfr" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
-      (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any);
-    (* saturating twins: same opcodes under OVM; they must precede sat_id
-       so they win the cost tie (the chain would drop the saturation) *)
-    rule ~name:"sat_pac" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "p"));
-    rule ~name:"sat_apac" ~lhs:"acc" ~cost:1 ~guard:left_not_leaf
-      (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") (nt "p")));
-    rule ~name:"sat_apac_rev" ~lhs:"acc" ~cost:1 ~guard:right_is_leaf
-      (unop Ir.Op.Sat (binop Ir.Op.Add (nt "p") (nt "acc")));
-    rule ~name:"sat_add" ~lhs:"acc" ~cost:1
-      (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") (nt "mem")));
-    rule ~name:"sat_addk" ~lhs:"acc" ~cost:1 ~guard:imm8
-      (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any));
-    rule ~name:"sat_spac" ~lhs:"acc" ~cost:1
-      (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") (nt "p")));
-    rule ~name:"sat_sub" ~lhs:"acc" ~cost:1
-      (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") (nt "mem")));
-    rule ~name:"sat_subk" ~lhs:"acc" ~cost:1 ~guard:imm8
-      (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") Burg.Pattern.Const_any));
-    rule ~name:"sat_neg" ~lhs:"acc" ~cost:1
-      (unop Ir.Op.Sat (unop Ir.Op.Neg (nt "acc")));
-    rule ~name:"sat_sfl" ~lhs:"acc" ~cost:1 ~guard:shift_ok
-      ~dyn_cost:shift_cost
-      (unop Ir.Op.Sat (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any));
-    rule ~name:"sat_id" ~lhs:"acc" ~cost:0 (unop Ir.Op.Sat (nt "acc"));
-    (* accumulator results can be parked in a scratch word *)
-    rule ~name:"spill_sacl" ~lhs:"mem" ~cost:1 (nt "acc");
-  ]
-
-let grammar = Burg.Grammar.make ~name:"tic25" ~start:"acc" rules
-
 (* ---- emitters ---------------------------------------------------------- *)
 
 let bad_children name = invalid_arg ("tic25: bad children for " ^ name)
-
-let const_of = function
-  | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k
-  | Ir.Tree.Unop (_, Ir.Tree.Binop (_, _, Ir.Tree.Const k)) -> k
-  | Ir.Tree.Const k -> k
-  | _ -> invalid_arg "tic25: constant expected"
 
 let moves = Machine.moves ~load:"LAC" ~store:"SACL"
 let emit_load ctx m = Machine.emit_load ctx moves "acc" m
@@ -152,162 +75,135 @@ let lack ctx k =
     (Instr.make "LACK" ~operands:[ Instr.Imm k ] ~defs:[ Instr.Vreg a ]);
   a
 
-(* acc <- acc OP operand, with the accumulator flowing through fresh
-   virtual registers so liveness is explicit. *)
-let acc_op ctx opcode ?mode_req ~operands ~uses () =
-  let a' = Machine.fresh_vreg ctx "acc" in
-  Machine.emit ctx
-    (Instr.make opcode ~operands ~defs:[ Instr.Vreg a' ] ~uses ?mode_req);
-  Machine.Vreg a'
-
-let binary opcode ?(mode_req = ovm0) () : Machine.emitter =
+(* [apac_rev]'s pattern has the product on the left; APAC uses the
+   accumulator first, as [apac] does. *)
+let apac_rev mode_req : Machine.emitter =
  fun ctx _node children ->
   match children with
-  | [ Machine.Vreg a; Machine.Mem m ] ->
-    acc_op ctx opcode ~mode_req
-      ~operands:[ Instr.Dir m ]
-      ~uses:[ Instr.Vreg a; Instr.Dir m ]
-      ()
-  | _ -> bad_children opcode
-
-let binary_imm opcode ?(mode_req = ovm0) () : Machine.emitter =
- fun ctx node children ->
-  match children with
-  | [ Machine.Vreg a ] ->
-    acc_op ctx opcode ~mode_req
-      ~operands:[ Instr.Imm (const_of node) ]
-      ~uses:[ Instr.Vreg a ] ()
-  | _ -> bad_children opcode
-
-let fold_product opcode mode_req ctx children_ordered =
-  match children_ordered with
-  | a, p ->
-    acc_op ctx opcode ~mode_req ~operands:[]
-      ~uses:[ Instr.Vreg a; Instr.Vreg p ]
-      ()
-
-let apac_emitter ~rev mode_req : Machine.emitter =
- fun ctx _node children ->
-  match (rev, children) with
-  | false, [ Machine.Vreg a; Machine.Vreg p ]
-  | true, [ Machine.Vreg p; Machine.Vreg a ] ->
-    fold_product "APAC" mode_req ctx (a, p)
+  | [ Machine.Vreg p; Machine.Vreg a ] ->
+    let a' = Machine.fresh_vreg ctx "acc" in
+    Machine.emit ctx
+      (Instr.make "APAC" ~defs:[ Instr.Vreg a' ]
+         ~uses:[ Instr.Vreg a; Instr.Vreg p ]
+         ~mode_req);
+    Machine.Vreg a'
   | _ -> bad_children "APAC"
 
-let spac_emitter mode_req : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a; Machine.Vreg p ] -> fold_product "SPAC" mode_req ctx (a, p)
-  | _ -> bad_children "SPAC"
+(* ---- rules ------------------------------------------------------------- *)
 
-let pac_emitter mode_req : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg p ] ->
-    acc_op ctx "PAC" ~mode_req ~operands:[] ~uses:[ Instr.Vreg p ] ()
-  | _ -> bad_children "PAC"
-
-let shift_emitter opcode mode_req : Machine.emitter =
- fun ctx node children ->
-  match children with
-  | [ (Machine.Vreg a0 as v) ] ->
-    let k = match imm_operand node with Some k -> k | None -> 1 in
-    if k = 0 then v
-    else begin
-      let cur = ref a0 in
-      for _ = 1 to k do
-        let a' = Machine.fresh_vreg ctx "acc" in
-        Machine.emit ctx
-          (Instr.make opcode
-             ~defs:[ Instr.Vreg a' ]
-             ~uses:[ Instr.Vreg !cur ] ~mode_req);
-        cur := a'
-      done;
-      Machine.Vreg !cur
-    end
-  | _ -> bad_children opcode
-
-let unary opcode ?mode_req () : Machine.emitter =
- fun ctx _node children ->
-  match children with
-  | [ Machine.Vreg a ] ->
-    acc_op ctx opcode ?mode_req ~operands:[] ~uses:[ Instr.Vreg a ] ()
-  | _ -> bad_children opcode
-
-let emitters : (string * Machine.emitter) list =
-  Machine.mem_emitters
+(* Each rule with its emitter.  The accumulator flows through fresh
+   virtual registers, so liveness is explicit. *)
+let rules =
+  Machine.mem_rules
   @ [
-    ( "lt",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Mem m ] ->
-          let t = Machine.fresh_vreg ctx "t" in
-          Machine.emit ctx
-            (Instr.make "LT"
-               ~operands:[ Instr.Dir m ]
-               ~defs:[ Instr.Vreg t ] ~uses:[ Instr.Dir m ] ~funit:"move");
-          Machine.Vreg t
-        | _ -> bad_children "LT" );
-    ( "mpy",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Vreg t; Machine.Mem m ] ->
-          let p = Machine.fresh_vreg ctx "p" in
-          Machine.emit ctx
-            (Instr.make "MPY"
-               ~operands:[ Instr.Dir m ]
-               ~defs:[ Instr.Vreg p ]
-               ~uses:[ Instr.Vreg t; Instr.Dir m ]);
-          Machine.Vreg p
-        | _ -> bad_children "MPY" );
-    ( "mpyk",
-      fun ctx node children ->
-        match children with
-        | [ Machine.Vreg t ] ->
-          let p = Machine.fresh_vreg ctx "p" in
-          Machine.emit ctx
-            (Instr.make "MPYK"
-               ~operands:[ Instr.Imm (const_of node) ]
-               ~defs:[ Instr.Vreg p ] ~uses:[ Instr.Vreg t ]);
-          Machine.Vreg p
-        | _ -> bad_children "MPYK" );
-    ("zac", fun ctx _node _children -> Machine.Vreg (zac ctx));
-    ("lack", fun ctx node _children -> Machine.Vreg (lack ctx (const_of node)));
-    ( "lac",
-      fun ctx _node children ->
-        match children with
-        | [ Machine.Mem m ] -> Machine.Vreg (emit_load ctx m)
-        | _ -> bad_children "LAC" );
-    ("pac", pac_emitter ovm0);
-    ("apac", apac_emitter ~rev:false ovm0);
-    ("apac_rev", apac_emitter ~rev:true ovm0);
-    ("spac", spac_emitter ovm0);
-    ("add", binary "ADD" ());
-    ("addk", binary_imm "ADDK" ());
-    ("sub", binary "SUB" ());
-    ("subk", binary_imm "SUBK" ());
-    ("and", binary "AND" ~mode_req:ovm0 ());
-    ("or", binary "OR" ~mode_req:ovm0 ());
-    ("xor", binary "XOR" ~mode_req:ovm0 ());
-    ("neg", unary "NEG" ~mode_req:ovm0 ());
-    ("cmpl", unary "CMPL" ());
-    ("sfl", shift_emitter "SFL" ovm0);
-    ("sfr", shift_emitter "SFR" ovm0);
-    ("sat_pac", pac_emitter ovm1);
-    ("sat_apac", apac_emitter ~rev:false ovm1);
-    ("sat_apac_rev", apac_emitter ~rev:true ovm1);
-    ("sat_add", binary "ADD" ~mode_req:ovm1 ());
-    ("sat_addk", binary_imm "ADDK" ~mode_req:ovm1 ());
-    ("sat_spac", spac_emitter ovm1);
-    ("sat_sub", binary "SUB" ~mode_req:ovm1 ());
-    ("sat_subk", binary_imm "SUBK" ~mode_req:ovm1 ());
-    ("sat_neg", unary "NEG" ~mode_req:ovm1 ());
-    ("sat_sfl", shift_emitter "SFL" ovm1);
-    ( "sat_id",
+    (* multiplier path *)
+    Machine.instr ~funit:"move" "LT"
+      (rule ~name:"lt" ~lhs:"t" ~cost:1 (nt "mem"));
+    Machine.instr "MPY"
+      (rule ~name:"mpy" ~lhs:"p" ~cost:1 (binop Ir.Op.Mul (nt "t") (nt "mem")));
+    Machine.instr "MPYK"
+      (rule ~name:"mpyk" ~lhs:"p" ~cost:1
+         ~guard:(function
+           | Ir.Tree.Binop (_, _, Ir.Tree.Const k) -> k >= -4096 && k <= 4095
+           | _ -> false)
+         (binop Ir.Op.Mul (nt "t") Burg.Pattern.Const_any));
+    (* accumulator loads *)
+    ( rule ~name:"zac" ~lhs:"acc" ~cost:1 (Burg.Pattern.Const_eq 0),
+      fun ctx _node _children -> Machine.Vreg (zac ctx) );
+    ( rule ~name:"lack" ~lhs:"acc" ~cost:1
+        ~guard:(function
+          | Ir.Tree.Const k -> k >= 0 && k <= 255
+          | _ -> false)
+        Burg.Pattern.Const_any,
+      Machine.imm_emitter lack );
+    ( rule ~name:"lac" ~lhs:"acc" ~cost:1 (nt "mem"),
+      Machine.load_emitter moves "acc" );
+    Machine.instr ~mode_req:ovm0 "PAC"
+      (rule ~name:"pac" ~lhs:"acc" ~cost:1 (nt "p"));
+    (* accumulator arithmetic; apac_rev before add so the LT/MPY/LAC/APAC
+       schedule wins the cost tie against PAC/ADD *)
+    Machine.instr ~mode_req:ovm0 "APAC"
+      (rule ~name:"apac" ~lhs:"acc" ~cost:1 ~guard:left_not_leaf
+         (binop Ir.Op.Add (nt "acc") (nt "p")));
+    ( rule ~name:"apac_rev" ~lhs:"acc" ~cost:1 ~guard:right_is_leaf
+        (binop Ir.Op.Add (nt "p") (nt "acc")),
+      apac_rev ovm0 );
+    Machine.instr ~mode_req:ovm0 "SPAC"
+      (rule ~name:"spac" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Sub (nt "acc") (nt "p")));
+    Machine.instr ~mode_req:ovm0 "ADD"
+      (rule ~name:"add" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Add (nt "acc") (nt "mem")));
+    Machine.instr ~mode_req:ovm0 "ADDK"
+      (rule ~name:"addk" ~lhs:"acc" ~cost:1 ~guard:imm8
+         (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any));
+    Machine.instr ~mode_req:ovm0 "SUB"
+      (rule ~name:"sub" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Sub (nt "acc") (nt "mem")));
+    Machine.instr ~mode_req:ovm0 "SUBK"
+      (rule ~name:"subk" ~lhs:"acc" ~cost:1 ~guard:imm8
+         (binop Ir.Op.Sub (nt "acc") Burg.Pattern.Const_any));
+    Machine.instr ~mode_req:ovm0 "AND"
+      (rule ~name:"and" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.And (nt "acc") (nt "mem")));
+    Machine.instr ~mode_req:ovm0 "OR"
+      (rule ~name:"or" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Or (nt "acc") (nt "mem")));
+    Machine.instr ~mode_req:ovm0 "XOR"
+      (rule ~name:"xor" ~lhs:"acc" ~cost:1
+         (binop Ir.Op.Xor (nt "acc") (nt "mem")));
+    Machine.instr ~mode_req:ovm0 "NEG"
+      (rule ~name:"neg" ~lhs:"acc" ~cost:1 (unop Ir.Op.Neg (nt "acc")));
+    Machine.instr "CMPL"
+      (rule ~name:"cmpl" ~lhs:"acc" ~cost:1 (unop Ir.Op.Not (nt "acc")));
+    Machine.repeat ~mode_req:ovm0 "SFL"
+      (rule ~name:"sfl" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
+         (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any));
+    Machine.repeat ~mode_req:ovm0 "SFR"
+      (rule ~name:"sfr" ~lhs:"acc" ~cost:1 ~guard:shift_ok ~dyn_cost:shift_cost
+         (binop Ir.Op.Shr (nt "acc") Burg.Pattern.Const_any));
+    (* saturating twins: same opcodes under OVM; they must precede sat_id
+       so they win the cost tie (the chain would drop the saturation) *)
+    Machine.instr ~mode_req:ovm1 "PAC"
+      (rule ~name:"sat_pac" ~lhs:"acc" ~cost:1 (unop Ir.Op.Sat (nt "p")));
+    Machine.instr ~mode_req:ovm1 "APAC"
+      (rule ~name:"sat_apac" ~lhs:"acc" ~cost:1 ~guard:left_not_leaf
+         (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") (nt "p"))));
+    ( rule ~name:"sat_apac_rev" ~lhs:"acc" ~cost:1 ~guard:right_is_leaf
+        (unop Ir.Op.Sat (binop Ir.Op.Add (nt "p") (nt "acc"))),
+      apac_rev ovm1 );
+    Machine.instr ~mode_req:ovm1 "ADD"
+      (rule ~name:"sat_add" ~lhs:"acc" ~cost:1
+         (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") (nt "mem"))));
+    Machine.instr ~mode_req:ovm1 "ADDK"
+      (rule ~name:"sat_addk" ~lhs:"acc" ~cost:1 ~guard:imm8
+         (unop Ir.Op.Sat (binop Ir.Op.Add (nt "acc") Burg.Pattern.Const_any)));
+    Machine.instr ~mode_req:ovm1 "SPAC"
+      (rule ~name:"sat_spac" ~lhs:"acc" ~cost:1
+         (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") (nt "p"))));
+    Machine.instr ~mode_req:ovm1 "SUB"
+      (rule ~name:"sat_sub" ~lhs:"acc" ~cost:1
+         (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") (nt "mem"))));
+    Machine.instr ~mode_req:ovm1 "SUBK"
+      (rule ~name:"sat_subk" ~lhs:"acc" ~cost:1 ~guard:imm8
+         (unop Ir.Op.Sat (binop Ir.Op.Sub (nt "acc") Burg.Pattern.Const_any)));
+    Machine.instr ~mode_req:ovm1 "NEG"
+      (rule ~name:"sat_neg" ~lhs:"acc" ~cost:1
+         (unop Ir.Op.Sat (unop Ir.Op.Neg (nt "acc"))));
+    Machine.repeat ~mode_req:ovm1 "SFL"
+      (rule ~name:"sat_sfl" ~lhs:"acc" ~cost:1 ~guard:shift_ok
+         ~dyn_cost:shift_cost
+         (unop Ir.Op.Sat (binop Ir.Op.Shl (nt "acc") Burg.Pattern.Const_any)));
+    ( rule ~name:"sat_id" ~lhs:"acc" ~cost:0 (unop Ir.Op.Sat (nt "acc")),
       fun _ctx _node children ->
         match children with [ v ] -> v | _ -> bad_children "sat" );
-    ("spill_sacl", Machine.spill_emitter moves.Machine.spill_store);
+    (* accumulator results can be parked in a scratch word *)
+    ( rule ~name:"spill_sacl" ~lhs:"mem" ~cost:1 (nt "acc"),
+      Machine.spill_emitter moves.Machine.spill_store );
   ]
+
+let grammar =
+  Burg.Grammar.make ~name:"tic25" ~start:"acc" (List.map fst rules)
 
 (* ---- machine record ---------------------------------------------------- *)
 
@@ -478,7 +374,7 @@ let machine =
     description = "TMS320C25-style accumulator DSP with T/P multiplier";
     word_bits = 16;
     grammar;
-    emitters;
+    rules;
     store;
     regfile =
       Regfile.make

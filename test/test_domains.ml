@@ -782,23 +782,23 @@ let test_loop_without_control () =
   Sys.remove src;
   Sys.remove mdl
 
-(* A "file" job naming a FIFO is refused while decoding, without waiting
-   for a writer.  Were the open to block, a watchdog would open the FIFO
-   for writing after 5 s to release it, and the elapsed time would fail
-   the test instead of hanging the suite. *)
-let test_fifo_refused () =
+(* Runs [f] on a fresh FIFO: its result and the seconds it took.  Were
+   [f] to block opening the FIFO, a watchdog opens it for writing after
+   5 s to release it, and the elapsed time fails the test instead of
+   hanging the suite. *)
+let on_fifo f =
   let path = Filename.temp_file "record" ".fifo" in
   Sys.remove path;
   Unix.mkfifo path 0o600;
-  let decoded = Atomic.make false in
+  let finished = Atomic.make false in
   let watchdog =
     Thread.create
       (fun () ->
         let t0 = Unix.gettimeofday () in
-        while (not (Atomic.get decoded)) && Unix.gettimeofday () -. t0 < 5.0 do
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 5.0 do
           Thread.delay 0.01
         done;
-        if not (Atomic.get decoded) then
+        if not (Atomic.get finished) then
           try
             Unix.close
               (Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0)
@@ -806,14 +806,21 @@ let test_fifo_refused () =
       ()
   in
   let t0 = Unix.gettimeofday () in
-  let decoded_jobs =
-    Driver.Protocol.jobs_of_json
-      Driver.Json.(List [ Obj [ ("file", String path) ] ])
-  in
+  let result = f path in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Atomic.set decoded true;
+  Atomic.set finished true;
   Thread.join watchdog;
   Sys.remove path;
+  (path, result, elapsed)
+
+(* A "file" job naming a FIFO is refused while decoding, without waiting
+   for a writer. *)
+let test_fifo_refused () =
+  let path, decoded_jobs, elapsed =
+    on_fifo (fun path ->
+        Driver.Protocol.jobs_of_json
+          Driver.Json.(List [ Obj [ ("file", String path) ] ]))
+  in
   (match decoded_jobs with
   | Ok _ -> Alcotest.fail "a FIFO was decoded as a source file"
   | Error msg ->
@@ -824,6 +831,59 @@ let test_fifo_refused () =
   Alcotest.(check bool)
     (Printf.sprintf "refused at once (%.3f s)" elapsed)
     true (elapsed < 1.0)
+
+(* The CLI reads its files as a job's file is read: a FIFO named as a DFL
+   source, a listing or a jobs file is refused at once. *)
+let test_cli_fifo_refused () =
+  List.iter
+    (fun (command, flags) ->
+      let path, (code, msg), elapsed =
+        on_fifo (fun path ->
+            run_cli
+              (Printf.sprintf "%s %s %s" command (Filename.quote path) flags))
+      in
+      Alcotest.(check int) (command ^ " exits 1") 1 code;
+      Alcotest.(check string)
+        (command ^ " refuses")
+        ("record: " ^ path ^ ": not a regular file\n")
+        msg;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s refuses at once (%.3f s)" command elapsed)
+        true (elapsed < 1.0))
+    [ ("compile", "--no-cache"); ("asm", ""); ("batch", "--no-cache") ]
+
+(* [record asm] checks what it is asked to simulate and reports a failed
+   run as a simulate job does, exiting 1 with a message, never with an
+   uncaught exception. *)
+let test_asm_errors () =
+  let listing = temp_file ".s" "LAC a\nSACL z\n" in
+  let walks = temp_file ".s" "LARK ar0, #40\nLAC *ar0\nSACL z\n" in
+  List.iter
+    (fun (file, args, expected) ->
+      let command = Printf.sprintf "asm %s %s" file args in
+      let code, msg = run_cli command in
+      Alcotest.(check int) (command ^ " exits 1") 1 code;
+      Alcotest.(check string) command ("record: " ^ expected ^ "\n") msg)
+    [
+      ( listing,
+        "--var a --var z --input a=5,6",
+        Printf.sprintf "input \"a\" has 2 values, %s declares 1" listing );
+      ( listing,
+        "--var a --var z --input b=5",
+        Printf.sprintf "input \"b\": %s declares no such variable" listing );
+      ( listing,
+        "--input z=1",
+        Printf.sprintf "input \"z\": %s declares no such variable" listing );
+      ( listing,
+        "--var z --input z=1",
+        listing ^ ": LAC names a, which no --var declares" );
+      (walks, "--var z", "exec error: index out of bounds");
+      ( listing,
+        "--var a --var z --var a:2",
+        "--var: duplicate declaration of a" );
+    ];
+  Sys.remove listing;
+  Sys.remove walks
 
 (* A "file" job's source is read whole with one buffer of the file's
    size: an empty file and one over 64 KB (a long DFL comment) decode as
@@ -967,6 +1027,10 @@ let suites =
           test_source_errors;
         Alcotest.test_case "a FIFO file job is refused at once" `Quick
           test_fifo_refused;
+        Alcotest.test_case "the CLI refuses a FIFO at once" `Quick
+          test_cli_fifo_refused;
+        Alcotest.test_case "asm refuses what it cannot run" `Quick
+          test_asm_errors;
         Alcotest.test_case "a loop without loop control exits 1" `Quick
           test_loop_without_control;
         Alcotest.test_case "empty and 64 KB+ files read whole" `Quick

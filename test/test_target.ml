@@ -366,6 +366,202 @@ let test_asip_feature_grammars () =
   in
   Alcotest.(check bool) "soft multiply" true (has_rule soft "mul_soft")
 
+(* ---- The pattern-driven emitter ---------------------------------------- *)
+
+(* A printed instruction shows its opcode and operands only; the
+   comparison is on every field. *)
+let instrs = Alcotest.(list (testable Target.Instr.pp ( = )))
+
+let vreg vcls vid = { Target.Instr.vcls; vid }
+let m = Ir.Mref.scalar "m"
+
+(* Runs an emitter on a fresh context: its value and its instructions. *)
+let emitted ((_, emit) : Burg.Rule.t * Target.Machine.emitter) node children =
+  let ctx = Target.Machine.create_ctx () in
+  let v = emit ctx node children in
+  (v, Target.Machine.drain ctx)
+
+type emitter_case = {
+  label : string;
+  rule : Burg.Rule.t;
+  opcode : string;
+  mode_req : (string * int) option;  (** what the description passes *)
+  node : Ir.Tree.t;
+  children : Target.Machine.value list;
+  expected : Target.Instr.t;
+      (** what the hand-written emitter that [Machine.instr] replaced
+          built; the new register is the context's first, id 0 *)
+  misfits : (Ir.Tree.t * Target.Machine.value list) list;
+}
+
+(* One rule per leaf kind, from the descriptions and a generated
+   machine. *)
+let emitter_cases =
+  let open Target in
+  let rule = Burg.Rule.make and nt n = Burg.Pattern.Nonterm n in
+  let add a b = Ir.Tree.Binop (Ir.Op.Add, a, b) in
+  let a = Ir.Tree.var "a" and b = Ir.Tree.var "b" in
+  let reg cls vid = Machine.Vreg (vreg cls vid) in
+  let use cls vid = Instr.Vreg (vreg cls vid) in
+  [
+    {
+      label = "register children (risc32 add)";
+      rule =
+        rule ~name:"add" ~lhs:"g" ~cost:1
+          (Burg.Pattern.Binop (Ir.Op.Add, nt "g", nt "g"));
+      opcode = "ADD";
+      mode_req = None;
+      node = add a b;
+      children = [ reg "g" 10; reg "g" 11 ];
+      expected =
+        Instr.make "ADD" ~defs:[ use "g" 0 ] ~uses:[ use "g" 10; use "g" 11 ];
+      misfits =
+        [ (add a b, [ reg "g" 10 ]); (add a b, [ reg "g" 10; Machine.Mem m ]) ];
+    };
+    {
+      label = "a memory child (asip add)";
+      rule =
+        rule ~name:"add" ~lhs:"acc" ~cost:1
+          (Burg.Pattern.Binop (Ir.Op.Add, nt "acc", nt "mem"));
+      opcode = "ADD";
+      mode_req = None;
+      node = add a (Ir.Tree.var "m");
+      children = [ reg "acc" 10; Machine.Mem m ];
+      expected =
+        Instr.make "ADD"
+          ~operands:[ Instr.Dir m ]
+          ~defs:[ use "acc" 0 ]
+          ~uses:[ use "acc" 10; Instr.Dir m ];
+      misfits =
+        [
+          (add a b, [ reg "acc" 10; reg "acc" 11 ]);
+          (add a b, [ reg "acc" 10; Machine.Mem m; Machine.Mem m ]);
+        ];
+    };
+    {
+      label = "a saturated constant (tic25 sat_addk)";
+      rule =
+        rule ~name:"sat_addk" ~lhs:"acc" ~cost:1
+          (Burg.Pattern.Unop
+             (Ir.Op.Sat, Burg.Pattern.Binop (Ir.Op.Add, nt "acc", Const_any)));
+      opcode = "ADDK";
+      mode_req = Some ("ovm", 1);
+      node = Ir.Tree.sat (add a (Ir.Tree.const 7));
+      children = [ reg "acc" 10 ];
+      expected =
+        Instr.make "ADDK"
+          ~operands:[ Instr.Imm 7 ]
+          ~defs:[ use "acc" 0 ]
+          ~uses:[ use "acc" 10 ]
+          ~mode_req:("ovm", 1);
+      misfits =
+        [
+          (Ir.Tree.sat (add a b), [ reg "acc" 10 ]);
+          (Ir.Tree.sat (add a (Ir.Tree.const 7)), [ Machine.Mem m ]);
+        ];
+    };
+    {
+      label = "a hard-wired constant (generated inc)";
+      rule =
+        rule ~name:"inc" ~lhs:"acc" ~cost:1
+          (Burg.Pattern.Binop (Ir.Op.Add, nt "acc", Const_eq 1));
+      opcode = "inc";
+      mode_req = None;
+      node = add a (Ir.Tree.const 1);
+      children = [ reg "acc" 10 ];
+      expected = Instr.make "inc" ~defs:[ use "acc" 0 ] ~uses:[ use "acc" 10 ];
+      misfits = [ (add a (Ir.Tree.const 1), []) ];
+    };
+    {
+      label = "a nested binop (dsp56 mac)";
+      rule =
+        rule ~name:"mac" ~lhs:"acc" ~cost:1
+          (Burg.Pattern.Binop
+             ( Ir.Op.Add,
+               nt "acc",
+               Burg.Pattern.Binop (Ir.Op.Mul, nt "xy", nt "xy") ));
+      opcode = "MAC";
+      mode_req = None;
+      node = add a (Ir.Tree.Binop (Ir.Op.Mul, b, b));
+      children = [ reg "acc" 10; reg "xy" 11; reg "xy" 12 ];
+      expected =
+        Instr.make "MAC" ~defs:[ use "acc" 0 ]
+          ~uses:[ use "acc" 10; use "xy" 11; use "xy" 12 ];
+      misfits =
+        [
+          (add a b, [ reg "acc" 10; reg "xy" 11 ]);
+          (add a b, [ reg "acc" 10; reg "xy" 11; Machine.Mem m ]);
+        ];
+    };
+  ]
+
+let test_instr_emitter () =
+  List.iter
+    (fun c ->
+      let ((r, _) as pair) =
+        Target.Machine.instr ?mode_req:c.mode_req c.opcode c.rule
+      in
+      Alcotest.(check bool) (c.label ^ ": the rule itself") true (r == c.rule);
+      let v, is = emitted pair c.node c.children in
+      Alcotest.check instrs (c.label ^ ": as hand-written") [ c.expected ] is;
+      Alcotest.(check bool)
+        (c.label ^ ": defines the new register")
+        true
+        (v = Target.Machine.Vreg (vreg c.rule.lhs 0));
+      (* The instruction attributes pass through. *)
+      let _, is =
+        emitted
+          (Target.Machine.instr ~mode_req:("m", 3) ~words:2 ~cycles:5
+             ~funit:"mac" c.opcode c.rule)
+          c.node c.children
+      in
+      Alcotest.check instrs (c.label ^ ": attributes")
+        [
+          {
+            c.expected with
+            mode_req = Some ("m", 3);
+            words = 2;
+            cycles = 5;
+            funit = "mac";
+          };
+        ]
+        is;
+      List.iter
+        (fun (node, children) ->
+          Alcotest.check_raises (c.label ^ ": misfit")
+            (Invalid_argument
+               ("Machine: node and children that do not fit rule " ^ c.rule.name))
+            (fun () -> ignore (emitted pair node children)))
+        c.misfits)
+    emitter_cases
+
+(* A shift by k on a machine that shifts by one: k chained copies, and the
+   child's register for k = 0. *)
+let test_repeat_emitter () =
+  let rule =
+    Burg.Rule.make ~name:"sfl" ~lhs:"acc" ~cost:1
+      (Burg.Pattern.Binop (Ir.Op.Shl, Burg.Pattern.Nonterm "acc", Const_any))
+  in
+  let sfl = Target.Machine.repeat ~mode_req:("ovm", 0) "SFL" rule in
+  let shift k = Ir.Tree.Binop (Ir.Op.Shl, Ir.Tree.var "a", Ir.Tree.const k) in
+  let child = Target.Machine.Vreg (vreg "acc" 10) in
+  let step d u =
+    Target.Instr.make "SFL"
+      ~defs:[ Target.Instr.Vreg (vreg "acc" d) ]
+      ~uses:[ Target.Instr.Vreg (vreg "acc" u) ]
+      ~mode_req:("ovm", 0)
+  in
+  let v, is = emitted sfl (shift 3) [ child ] in
+  Alcotest.check instrs "three steps" [ step 0 10; step 1 0; step 2 1 ] is;
+  Alcotest.(check bool) "the last step's register" true
+    (v = Target.Machine.Vreg (vreg "acc" 2));
+  let v, is = emitted sfl (shift 0) [ child ] in
+  Alcotest.check instrs "no step" [] is;
+  Alcotest.(check bool) "the child's register" true (v = child);
+  Alcotest.check_raises "misfit"
+    (Invalid_argument "Machine: node and children that do not fit rule sfl")
+    (fun () -> ignore (emitted sfl (shift 3) [ Target.Machine.Mem m ]))
+
 let suites =
   [
     ( "target.instr",
@@ -417,6 +613,9 @@ let suites =
           test_asip_param_validation;
         Alcotest.test_case "asip feature grammars" `Quick
           test_asip_feature_grammars;
+        Alcotest.test_case "pattern-driven emitter" `Quick test_instr_emitter;
+        Alcotest.test_case "repeated one-register emitter" `Quick
+          test_repeat_emitter;
       ] );
   ]
 
