@@ -1027,13 +1027,13 @@ let suites =
           test_source_errors;
         Alcotest.test_case "a FIFO file job is refused at once" `Quick
           test_fifo_refused;
-        Alcotest.test_case "the CLI refuses a FIFO at once" `Quick
-          test_cli_fifo_refused;
-        Alcotest.test_case "asm refuses what it cannot run" `Quick
-          test_asm_errors;
         Alcotest.test_case "a loop without loop control exits 1" `Quick
           test_loop_without_control;
         Alcotest.test_case "empty and 64 KB+ files read whole" `Quick
           test_file_read_whole;
+        Alcotest.test_case "the CLI refuses a FIFO at once" `Quick
+          test_cli_fifo_refused;
+        Alcotest.test_case "asm refuses what it cannot run" `Quick
+          test_asm_errors;
       ] );
   ]
