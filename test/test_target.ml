@@ -373,7 +373,7 @@ let test_asip_feature_grammars () =
 let instrs = Alcotest.(list (testable Target.Instr.pp ( = )))
 
 let vreg vcls vid = { Target.Instr.vcls; vid }
-let m = Ir.Mref.scalar "m"
+let cell = Ir.Mref.scalar "m"
 
 (* Runs an emitter on a fresh context: its value and its instructions. *)
 let emitted ((_, emit) : Burg.Rule.t * Target.Machine.emitter) node children =
@@ -416,7 +416,10 @@ let emitter_cases =
       expected =
         Instr.make "ADD" ~defs:[ use "g" 0 ] ~uses:[ use "g" 10; use "g" 11 ];
       misfits =
-        [ (add a b, [ reg "g" 10 ]); (add a b, [ reg "g" 10; Machine.Mem m ]) ];
+        [
+          (add a b, [ reg "g" 10 ]);
+          (add a b, [ reg "g" 10; Machine.Mem cell ]);
+        ];
     };
     {
       label = "a memory child (asip add)";
@@ -426,16 +429,16 @@ let emitter_cases =
       opcode = "ADD";
       mode_req = None;
       node = add a (Ir.Tree.var "m");
-      children = [ reg "acc" 10; Machine.Mem m ];
+      children = [ reg "acc" 10; Machine.Mem cell ];
       expected =
         Instr.make "ADD"
-          ~operands:[ Instr.Dir m ]
+          ~operands:[ Instr.Dir cell ]
           ~defs:[ use "acc" 0 ]
-          ~uses:[ use "acc" 10; Instr.Dir m ];
+          ~uses:[ use "acc" 10; Instr.Dir cell ];
       misfits =
         [
           (add a b, [ reg "acc" 10; reg "acc" 11 ]);
-          (add a b, [ reg "acc" 10; Machine.Mem m; Machine.Mem m ]);
+          (add a b, [ reg "acc" 10; Machine.Mem cell; Machine.Mem cell ]);
         ];
     };
     {
@@ -457,7 +460,7 @@ let emitter_cases =
       misfits =
         [
           (Ir.Tree.sat (add a b), [ reg "acc" 10 ]);
-          (Ir.Tree.sat (add a (Ir.Tree.const 7)), [ Machine.Mem m ]);
+          (Ir.Tree.sat (add a (Ir.Tree.const 7)), [ Machine.Mem cell ]);
         ];
     };
     {
@@ -490,7 +493,7 @@ let emitter_cases =
       misfits =
         [
           (add a b, [ reg "acc" 10; reg "xy" 11 ]);
-          (add a b, [ reg "acc" 10; reg "xy" 11; Machine.Mem m ]);
+          (add a b, [ reg "acc" 10; reg "xy" 11; Machine.Mem cell ]);
         ];
     };
   ]
@@ -530,7 +533,8 @@ let test_instr_emitter () =
         (fun (node, children) ->
           Alcotest.check_raises (c.label ^ ": misfit")
             (Invalid_argument
-               ("Machine: node and children that do not fit rule " ^ c.rule.name))
+               ("Machine: node and children that do not fit rule "
+              ^ c.rule.name))
             (fun () -> ignore (emitted pair node children)))
         c.misfits)
     emitter_cases
@@ -560,7 +564,7 @@ let test_repeat_emitter () =
   Alcotest.(check bool) "the child's register" true (v = child);
   Alcotest.check_raises "misfit"
     (Invalid_argument "Machine: node and children that do not fit rule sfl")
-    (fun () -> ignore (emitted sfl (shift 3) [ Target.Machine.Mem m ]))
+    (fun () -> ignore (emitted sfl (shift 3) [ Target.Machine.Mem cell ]))
 
 let suites =
   [
