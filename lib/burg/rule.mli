@@ -1,9 +1,11 @@
 (** Instruction-selection rules: [lhs <- pattern] with a cost, an optional
-    guard, and a name that identifies the target emitter to run when the rule
-    is chosen. *)
+    guard, and a name. A machine pairs each rule value with its emitter and
+    finds it by physical equality, so the name only labels the rule: in
+    [record rules], in printed covers, in {!Grammar.check}'s uniqueness
+    error and in the BURS automaton's fragment nonterminals. *)
 
 type t = {
-  name : string;  (** unique within a grammar; keys the target's emitter *)
+  name : string;  (** unique within a grammar; labels the rule *)
   lhs : string;  (** nonterminal produced *)
   pattern : Pattern.t;
   cost : int;  (** static cost (instruction words by convention) *)

@@ -5,8 +5,8 @@ type report = {
 }
 
 (* One pool per width, started by the first run at that width and kept
-   until exit: later runs find its workers started and their domain-local
-   rewrite memos warm. *)
+   until exit: later runs find its workers started, each with the variant
+   searches its domain kept ([Ir.Algebra]). *)
 let pools : (int, Pool.t) Hashtbl.t = Hashtbl.create 2
 let pools_lock = Mutex.create ()
 

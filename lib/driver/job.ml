@@ -124,6 +124,8 @@ let kind_name = function
   | Simulate -> "simulate"
   | Timing _ -> "timing"
 
+(* The job's description (no program body): id, label, source, target,
+   options label and fingerprint, kind. *)
 let to_json job =
   let deadline_fields =
     match job.kind with

@@ -90,10 +90,6 @@ val run : ?cache:Cache.t -> ?timeout:float -> t -> result
 
 val kind_name : kind -> string
 
-val to_json : t -> Json.t
-(** The job's description (no program body): id, label, source, target,
-    options label and fingerprint, kind. *)
-
 val selection_to_json : Record.Pipeline.selection_stats -> Json.t
 (** Selection counters as a flat object (trees, variants, pruned, dedup,
     variant nodes, nodes labelled, memo hits). Encoded in the volatile

@@ -1,6 +1,7 @@
-(* The memo race under concurrent domains is benign: both losers compute
-   the same digest of the same file and the cell only ever moves from
-   [None] to that one value. *)
+(* Digest of [Sys.executable_name], memoized; a fixed string when the
+   binary cannot be read.  The memo race under concurrent domains is
+   benign: both losers compute the same digest of the same file and the
+   cell only ever moves from [None] to that one value. *)
 let executable_salt =
   let memo = ref None in
   fun () ->

@@ -9,10 +9,6 @@
     executable, so rebuilding the compiler invalidates every entry without
     anyone remembering to bump a constant. *)
 
-val executable_salt : unit -> string
-(** Digest of [Sys.executable_name] (memoized); falls back to a fixed
-    string when the binary cannot be read. *)
-
 val machine_fingerprint : Target.Machine.t -> string
 (** Digest of the machine's structural identity: name, word width, banks,
     modes, selection grammar, and register file. Memoized per machine
@@ -27,6 +23,7 @@ val make :
   options:Record.Options.t ->
   Ir.Prog.t ->
   string
-(** The cache key, as a hex digest. [salt] defaults to
-    {!executable_salt}[ ()]; tests override it to model a compiler-version
+(** The cache key, as a hex digest. [salt] defaults to the digest of the
+    running executable ([Sys.executable_name]), or a fixed string when the
+    binary cannot be read; tests override it to model a compiler-version
     change. *)

@@ -109,8 +109,8 @@ let exec ?cache ?timeout (job : Job.t) =
       status = Job.Failed (Printexc.to_string e);
     }
 
-(* A domain's seat.  The rewrite memo ([Ir.Algebra]) and the job deadline
-   ([Ir.Deadline]) are domain-local and unsynchronized, and several
+(* A domain's seat.  The kept variant searches ([Ir.Algebra]) and the job
+   deadline ([Ir.Deadline]) are domain-local and unsynchronized, and several
    systhreads of one domain may submit at once (serve's connection
    handlers), so a submitter computes jobs only while it holds its
    domain's seat. *)

@@ -40,11 +40,11 @@ val run_jobs :
     order through one shared cursor by at most one task per worker and by
     the submitter itself, so a batch finishes even when every worker is
     busy. The submitter computes only while it holds its domain's seat,
-    which one systhread per domain holds at a time (the rewrite memo and
-    the job deadline are domain-local); a submitter that finds the seat
-    taken waits for the workers. Results come back in input order
-    whatever the interleaving, so output built from them is deterministic
-    for any pool size. [timeout] is each job's own wall-clock limit from
+    which one systhread per domain holds at a time (the kept variant
+    searches and the job deadline are domain-local); a submitter that
+    finds the seat taken waits for the workers. Results come back in
+    input order whatever the interleaving, so output built from them is
+    deterministic for any pool size. [timeout] is each job's own wall-clock limit from
     the moment it starts (see {!Job.run}); a job that raises is reported
     [Failed]. Callable concurrently from several submitters (each call
     has its own cursor and completion latch). *)

@@ -15,16 +15,15 @@
 
 type point = {
   index : int;  (** position in the seed's sample sequence *)
-  name : string;  (** canonical machine name, see {!name_of_params} *)
+  name : string;
+      (** canonical, parameter-derived machine name (e.g.
+          [asip-a2m1c0s1i12r5]): a pure injective encoding of the full
+          parameter record. Duplicate draws therefore share one registered
+          machine, one warm matcher, and one set of compilation-cache keys —
+          which is what makes a warm sweep rerun hit the cache on every
+          job. *)
   params : Target.Asip.params;
 }
-
-val name_of_params : Target.Asip.params -> string
-(** Canonical, parameter-derived machine name (e.g. [asip-a2m1c0s1i12r5]):
-    a pure injective encoding of the full parameter record. Duplicate
-    draws therefore share one registered machine, one warm matcher, and
-    one set of compilation-cache keys — which is what makes a warm sweep
-    rerun hit the cache on every job. *)
 
 val point : seed:int -> int -> point
 (** The [i]th point of the seed's sequence, in O(1). *)

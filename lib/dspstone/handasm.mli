@@ -13,5 +13,3 @@ val find : string -> Target.Asm.t
 val layout_for : Kernels.t -> Target.Layout.t
 (** The memory layout the hand code assumes (declaration order, plus the
     kernel's own scratch variables). *)
-
-val all : (string * Target.Asm.t) list

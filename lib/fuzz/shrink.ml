@@ -81,6 +81,8 @@ and items_variants (items : Ir.Prog.item list) : Ir.Prog.item list list =
   in
   go [] items
 
+(* All one-step structural simplifications of a program, most aggressive
+   first.  Variants are not guaranteed to validate; [minimize] filters. *)
 let prog_variants (p : Ir.Prog.t) =
   List.map (fun body -> { p with Ir.Prog.body }) (items_variants p.Ir.Prog.body)
 

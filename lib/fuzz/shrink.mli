@@ -8,13 +8,10 @@
     inputs — until no step applies. The result is a locally minimal
     counterexample that still validates ({!Ir.Prog.validate}). *)
 
-val prog_variants : Ir.Prog.t -> Ir.Prog.t list
-(** All one-step structural simplifications of a program, most aggressive
-    first. Variants are not guaranteed to validate; {!minimize} filters. *)
-
 val case_variants : Gen.case -> Gen.case list
-(** One-step simplifications of a whole case: {!prog_variants} on the body,
-    plus declaration-size shrinks (with their inputs truncated to match) and
+(** One-step simplifications of a whole case: every one-step structural
+    simplification of the body, most aggressive first, plus
+    declaration-size shrinks (with their inputs truncated to match) and
     input-value simplifications (zeroing, then halving). *)
 
 val minimize : still_fails:(Gen.case -> bool) -> Gen.case -> Gen.case

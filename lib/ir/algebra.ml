@@ -8,15 +8,11 @@ let log2 k =
   let rec go n k = if k <= 1 then n else go (n + 1) (k lsr 1) in
   go 0 k
 
-(* A rule set: which rules apply, and this domain's rewrite memo for it. *)
-type ruleset = {
-  rules : rule list;
-  commute : bool;
-  assoc : bool;
-  shift : bool;
-  fold : bool;
-  memo : Hashcons.h list option Idtab.t;
-}
+(* A rule set as a bit mask of the rules that apply: [root_rewrites]
+   tests it, and it is the rules part of a search's key. *)
+let bit = function Commute -> 1 | Assoc -> 2 | Mul_to_shift -> 4 | Fold -> 8
+let ruleset rules = List.fold_left (fun m r -> m lor bit r) 0 rules
+let has rs r = rs land bit r <> 0
 
 (* Rewrites applicable at the root of a handle, consed onto [tail] (later
    rules first).  Shapes are matched on the canonical node; results are
@@ -28,7 +24,7 @@ let root_rewrites rs (h : Hashcons.h) tail =
   let open Hashcons in
   let acc = tail in
   let acc =
-    if not rs.commute then acc
+    if not (has rs Commute) then acc
     else
       match h.node with
       | Tree.Binop (op, _, _) when Op.commutative op ->
@@ -36,7 +32,7 @@ let root_rewrites rs (h : Hashcons.h) tail =
       | _ -> acc
   in
   let acc =
-    if not rs.assoc then acc
+    if not (has rs Assoc) then acc
     else
       match h.node with
       | Tree.Binop (op, Tree.Binop (op', _, _), _)
@@ -50,7 +46,7 @@ let root_rewrites rs (h : Hashcons.h) tail =
       | _ -> acc
   in
   let acc =
-    if not rs.shift then acc
+    if not (has rs Mul_to_shift) then acc
     else
       match h.node with
       | Tree.Binop (Op.Mul, _, Tree.Const k) when is_pow2 k ->
@@ -61,7 +57,7 @@ let root_rewrites rs (h : Hashcons.h) tail =
         binop Op.Mul h.kids.(0) (const (1 lsl k)) :: acc
       | _ -> acc
   in
-  if not rs.fold then acc
+  if not (has rs Fold) then acc
   else
     match h.node with
     | Tree.Binop (op, Tree.Const a, Tree.Const b) ->
@@ -89,87 +85,23 @@ let rec map_onto f l tail =
     let y = f x in
     y :: map_onto f rest tail
 
-(* One-step rewrites anywhere in the tree, in pre-order (root first, then
-   the left subtree's positions, then the right's).  The list is a pure
-   function of the canonical node and the rule set, so it is memoized on
-   the hash-cons id, in an {!Idtab} indexed by it: across a variant
-   closure (and across compilations) the candidates of a shared subtree
-   are computed once and the spine above each rewrite is rebuilt with
-   O(1) handle constructors.  The right operand's rewrites are interned
-   before the left's, and both before the root's, so handles are minted
-   in the same order as ever.
+(* Open addressing over int keys with linear probing, doubling at half
+   full; [min_int] marks an empty slot.  A search builds three tables on
+   it: two [Iset]s, which hold any ints and track [min_int] apart, and
+   its [Memo], keyed by hash-cons ids, which are never [min_int]. *)
+let home k mask =
+  let h = k * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land mask
 
-   The memo is domain-local ([Domain.DLS]): each domain of the serve pool
-   keeps its own table rather than contending on a shared one.  The cached
-   value is a pure function of the canonical node and the rule set, so
-   duplicating entries across domains costs memory only, never
-   determinism — and the handles inside the lists are the shared canonical
-   ones from the striped intern table, so the trees themselves are not
-   duplicated. *)
-let rec rw rs (h : Hashcons.h) =
-  match Idtab.get rs.memo h.id with
-  | Some l -> l
-  | None ->
-    let below =
-      match h.node with
-      | Tree.Const _ | Tree.Ref _ -> []
-      | Tree.Unop (op, _) ->
-        map_onto (fun a' -> Hashcons.unop op a') (rw rs h.kids.(0)) []
-      | Tree.Binop (op, _, _) ->
-        let a = h.kids.(0) and b = h.kids.(1) in
-        let right = map_onto (fun b' -> Hashcons.binop op a b') (rw rs b) [] in
-        map_onto (fun a' -> Hashcons.binop op a' b) (rw rs a) right
-    in
-    (* Polled on the way back up: the spines above the children's
-       rewrites, just built, are where a deep tree's work lies. *)
-    Deadline.check ();
-    let l = root_rewrites rs h below in
-    Idtab.set rs.memo h.id (Some l);
-    l
+(* The slot holding [k], or the empty slot where it belongs. *)
+let rec find keys mask k i =
+  let x = Array.unsafe_get keys i in
+  if x = k || x = min_int then i else find keys mask k ((i + 1) land mask)
 
-let rulesets_key : ruleset list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-(* This domain's rule set for [rules]: found by physical equality, as
-   callers pass one options record's list again and again, else by
-   structure. *)
-let ruleset rules =
-  let sets = Domain.DLS.get rulesets_key in
-  match List.find_opt (fun rs -> rs.rules == rules) !sets with
-  | Some rs -> rs
-  | None -> (
-    match List.find_opt (fun rs -> rs.rules = rules) !sets with
-    | Some rs -> rs
-    | None ->
-      let rs =
-        {
-          rules;
-          commute = List.mem Commute rules;
-          assoc = List.mem Assoc rules;
-          shift = List.mem Mul_to_shift rules;
-          fold = List.mem Fold rules;
-          memo = Idtab.create None;
-        }
-      in
-      sets := rs :: !sets;
-      rs)
-
-(* A set of ints, for the search's per-call membership tests: open
-   addressing with linear probing, doubling at half full.  [min_int]
-   marks an empty slot and is tracked apart. *)
 module Iset = struct
   type t = { mutable keys : int array; mutable count : int; mutable min : bool }
 
   let create () = { keys = Array.make 64 min_int; count = 0; min = false }
-
-  let home k mask =
-    let h = k * 0x2545F4914F6CDD1D in
-    (h lxor (h lsr 29)) land mask
-
-  (* The slot holding [k], or the empty slot where it belongs. *)
-  let rec find keys mask k i =
-    let x = Array.unsafe_get keys i in
-    if x = k || x = min_int then i else find keys mask k ((i + 1) land mask)
 
   let mem t k =
     if k = min_int then t.min
@@ -195,6 +127,82 @@ module Iset = struct
       end
 end
 
+(* One search's rewrite lists, by the id of the subtree they rewrite. *)
+module Memo = struct
+  type t = {
+    mutable keys : int array;
+    mutable lists : Hashcons.h list array;
+    mutable count : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 min_int; lists = Array.make 64 []; count = 0 }
+
+  (* The slot holding [id], or -1. *)
+  let slot t id =
+    let mask = Array.length t.keys - 1 in
+    let i = find t.keys mask id (home id mask) in
+    if Array.unsafe_get t.keys i = id then i else -1
+
+  let get t i = Array.unsafe_get t.lists i
+
+  (* [id] must be absent. *)
+  let rec add t id l =
+    if 2 * (t.count + 1) > Array.length t.keys then begin
+      let keys = t.keys and lists = t.lists in
+      t.keys <- Array.make (2 * Array.length keys) min_int;
+      t.lists <- Array.make (2 * Array.length keys) [];
+      t.count <- 0;
+      Array.iteri (fun i k -> if k <> min_int then add t k lists.(i)) keys;
+      add t id l
+    end
+    else begin
+      let mask = Array.length t.keys - 1 in
+      let i = find t.keys mask id (home id mask) in
+      Array.unsafe_set t.keys i id;
+      Array.unsafe_set t.lists i l;
+      t.count <- t.count + 1
+    end
+end
+
+(* One-step rewrites anywhere in the tree, in pre-order (root first, then
+   the left subtree's positions, then the right's).  The lists of the
+   operands come from [rw], and the spine above each rewrite of an operand
+   is rebuilt with O(1) handle constructors.  The right operand's
+   rewrites are interned before the left's, and both before the root's. *)
+let rec rewrites rs memo (h : Hashcons.h) =
+  let below =
+    match h.node with
+    | Tree.Const _ | Tree.Ref _ -> []
+    | Tree.Unop (op, _) ->
+      map_onto (fun a' -> Hashcons.unop op a') (rw rs memo h.kids.(0)) []
+    | Tree.Binop (op, _, _) ->
+      let a = h.kids.(0) and b = h.kids.(1) in
+      let right =
+        map_onto (fun b' -> Hashcons.binop op a b') (rw rs memo b) []
+      in
+      map_onto (fun a' -> Hashcons.binop op a' b) (rw rs memo a) right
+  in
+  (* Polled on the way back up: the spines above the operands' rewrites,
+     just built, are where a deep tree's work lies. *)
+  Deadline.check ();
+  root_rewrites rs h below
+
+(* [rewrites] of a subtree, memoized in the search's [memo]: variants
+   share most of their subtrees, so each distinct subtree's list is built
+   once per search.  A leaf has none. *)
+and rw rs memo (h : Hashcons.h) =
+  match h.node with
+  | Tree.Const _ | Tree.Ref _ -> []
+  | Tree.Unop _ | Tree.Binop _ ->
+    let i = Memo.slot memo h.id in
+    if i >= 0 then Memo.get memo i
+    else begin
+      let l = rewrites rs memo h in
+      Memo.add memo h.id l;
+      l
+    end
+
 type counters = {
   mutable explored : int;
   mutable pruned : int;
@@ -205,64 +213,133 @@ type counters = {
 let fresh_counters () =
   { explored = 0; pruned = 0; dedup_hits = 0; state_prunes = 0 }
 
+(* A finished search: the variants it admitted in BFS order (the tree
+   itself first) and its counts.  [explored] is [found]'s length. *)
+type search = {
+  found : Hashcons.h list;
+  explored : int;
+  pruned : int;
+  dedup_hits : int;
+}
+
+(* The breadth-first closure of [rewrites] from [h], deduplicated on
+   hash-cons ids (candidates are canonical, so membership is one O(1) int
+   probe) and capped at [limit] variants.  The memo lives as long as the
+   call, so the lists it holds are garbage once the search returns or
+   raises; a popped variant's own list is not memoized, as no later pop
+   asks for it again. *)
+let search rs limit (h : Hashcons.h) =
+  let memo = Memo.create () in
+  let seen = Iset.create () in
+  Iset.add seen h.id;
+  let found = ref [ h ] and n = ref 1 in
+  let pruned = ref 0 and dedup_hits = ref 0 in
+  let queue = Queue.create () in
+  Queue.add h queue;
+  while (not (Queue.is_empty queue)) && !n < limit do
+    let cur = Queue.pop queue in
+    Deadline.check ();
+    List.iter
+      (fun (h' : Hashcons.h) ->
+        if Iset.mem seen h'.id then incr dedup_hits
+        else if !n >= limit then incr pruned
+        else begin
+          Iset.add seen h'.id;
+          incr n;
+          Queue.add h' queue;
+          found := h' :: !found
+        end)
+      (rewrites rs memo cur)
+  done;
+  {
+    found = List.rev !found;
+    explored = !n;
+    pruned = !pruned;
+    dedup_hits = !dedup_hits;
+  }
+
+(* Finished searches by (rule set, limit, tree), so a tree searched again
+   (the same program compiled for another machine, a re-run sweep, a tree
+   a DAG run meets twice) skips its BFS.  Each domain keeps its own table,
+   unsynchronized: a domain runs one job at a time.  The table holds the
+   last [max_searches] searches the domain stored, each at most [limit]
+   variants long (DESIGN.md decision 26). *)
+let max_searches = 256
+
+module Key = struct
+  type t = { rules : int; limit : int; root : int }
+
+  let equal a b = a.root = b.root && a.limit = b.limit && a.rules = b.rules
+
+  let hash k =
+    let x = (((k.root * 31) + k.limit) lsl 4) lor k.rules in
+    let h = x * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end
+
+module Searches = Hashtbl.Make (Key)
+
+(* The searches and their keys, oldest first. *)
+type table = { searches : search Searches.t; order : Key.t Queue.t }
+
+let table_key : table Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { searches = Searches.create 64; order = Queue.create () })
+
+let searches_held () = Searches.length (Domain.DLS.get table_key).searches
+
+(* Stored only once complete: a search stopped by the deadline raises out
+   of [search] and leaves nothing behind. *)
+let remember t key s =
+  if Queue.length t.order >= max_searches then
+    Searches.remove t.searches (Queue.pop t.order);
+  Searches.add t.searches key s;
+  Queue.add key t.order
+
+(* [found] without each variant whose prune key an earlier variant had,
+   counting it in [c.state_prunes]. *)
+let prune f c found =
+  let keys = Iset.create () in
+  List.filter
+    (fun h ->
+      match f h with
+      | None -> true
+      | Some k ->
+        if Iset.mem keys k then begin
+          c.state_prunes <- c.state_prunes + 1;
+          false
+        end
+        else begin
+          Iset.add keys k;
+          true
+        end)
+    found
+
 let hvariants ?(rules = default_rules) ?(limit = 64) ?counters ?prune_key
     (h : Hashcons.h) =
   let c = match counters with Some c -> c | None -> fresh_counters () in
   let rs = ruleset rules in
-  (* Dedup on hash-cons ids: candidates coming out of [rw] are canonical,
-     so membership is one O(1) int probe. *)
-  let seen = Iset.create () in
-  Iset.add seen (Hashcons.id h);
-  c.explored <- c.explored + 1;
-  (* State-equivalence pruning: a candidate whose prune key was already
+  let key = { Key.rules = rs; limit; root = h.id } in
+  let t = Domain.DLS.get table_key in
+  let s =
+    match Searches.find_opt t.searches key with
+    | Some s -> s
+    | None ->
+      let s = search rs limit h in
+      remember t key s;
+      s
+  in
+  c.explored <- c.explored + s.explored;
+  c.pruned <- c.pruned + s.pruned;
+  c.dedup_hits <- c.dedup_hits + s.dedup_hits;
+  (* State-equivalence pruning: a variant whose prune key was already
      seen has, by the key's contract, exactly the same cover costs as an
      earlier variant, so it can never win the ranking — drop it from the
-     output.  It still counts against [limit] and still seeds the BFS
-     frontier, so the set of trees explored (and the survivors) is
-     identical to an unpruned run's prefix: determinism and the
-     prefix-stability property are preserved. *)
-  let keys = Iset.create () in
-  let key_seen h' =
-    match prune_key with
-    | None -> false
-    | Some f -> (
-      match f h' with
-      | None -> false
-      | Some k ->
-        if Iset.mem keys k then true
-        else begin
-          Iset.add keys k;
-          false
-        end)
-  in
-  ignore (key_seen h);
-  let out = ref [ h ] in
-  let queue = Queue.create () in
-  Queue.add h queue;
-  let n = ref 1 in
-  let rec drain () =
-    if (not (Queue.is_empty queue)) && !n < limit then begin
-      let cur = Queue.pop queue in
-      Deadline.check ();
-      List.iter
-        (fun h' ->
-          let key = Hashcons.id h' in
-          if Iset.mem seen key then c.dedup_hits <- c.dedup_hits + 1
-          else if !n >= limit then c.pruned <- c.pruned + 1
-          else begin
-            Iset.add seen key;
-            incr n;
-            c.explored <- c.explored + 1;
-            Queue.add h' queue;
-            if key_seen h' then c.state_prunes <- c.state_prunes + 1
-            else out := h' :: !out
-          end)
-        (rw rs cur);
-      drain ()
-    end
-  in
-  drain ();
-  List.rev !out
+     output.  It was explored all the same (it counted against [limit]
+     and seeded the BFS frontier), so the survivors are the unpruned
+     list's, minus cost duplicates: determinism and the prefix-stability
+     property are preserved, and one stored search serves every key. *)
+  match prune_key with None -> s.found | Some f -> prune f c s.found
 
 let variants ?rules ?limit ?counters ?prune_key t =
   List.map Hashcons.node

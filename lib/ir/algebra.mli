@@ -46,6 +46,13 @@ val hvariants :
     incremented (never reset) when given. This is the selection hot path
     — no tree is hashed or traversed beyond the rewrite positions.
 
+    The rewrite lists a search builds live only as long as the call.
+    Each domain keeps its last {!max_searches} finished searches, keyed
+    by rule set, limit and the handle's id, so a tree searched again
+    skips the search: the kept list, pruned by this call's [prune_key],
+    and the same counters come back. A search stopped by
+    {!Deadline.Expired} is not kept and counts nothing.
+
     [prune_key] enables state-equivalence pruning: when two variants map
     to the same key ([Some k]), their covers are guaranteed cost-equal
     (the BURS matcher's {!Matcher.state_key} contract), so only the
@@ -54,6 +61,13 @@ val hvariants :
     list is exactly the unpruned enumeration minus cost-duplicates —
     deterministic and still prefix-stable across limits. [None] from the
     key function (or omitting it) disables pruning for that variant. *)
+
+val max_searches : int
+(** The most finished searches a domain keeps for {!hvariants}: each holds
+    at most [limit] variants. *)
+
+val searches_held : unit -> int
+(** The number of finished searches the calling domain keeps. *)
 
 val variants :
   ?rules:rule list ->

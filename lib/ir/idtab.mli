@@ -15,8 +15,7 @@
     Each table has an {e absent} value, the value of every slot never set.
     Callers keep their payloads distinguishable from it: the BURS matcher
     packs [state_id >= 1] into the low bits of an [int] table whose absent
-    value is 0, and the rewrite memo of {!Algebra} stores [Some] lists in
-    a table whose absent value is [None]. *)
+    value is 0. *)
 
 type 'a t
 

@@ -12,6 +12,10 @@ let set_field net word fname value =
     word lor (value lsl lo)
   | _ -> raise (Encode_error (fname ^ " is not a field"))
 
+(* Assembles one instruction: justified control bits from the transfer,
+   address fields from the instruction's memory operands, immediate fields
+   from its immediate operands.  Raises [Encode_error] when a value does
+   not fit its field. *)
 let word net (t : Transfer.t) ~layout (i : Target.Instr.t) =
   let w = List.fold_left (fun w (f, v) -> set_field net w f v) 0 t.settings in
   (* Fill address and immediate fields from operands, in leaf order; the

@@ -9,14 +9,6 @@
 
 exception Encode_error of string
 
-val word :
-  Rtl.Netlist.t -> Transfer.t -> layout:Target.Layout.t -> Target.Instr.t
-  -> int
-(** Assembles one instruction: justified control bits from the transfer,
-    address fields from the instruction's memory operands, immediate fields
-    from its immediate operands.
-    @raise Encode_error when a value does not fit its field. *)
-
 val assemble :
   Rtl.Netlist.t -> layout:Target.Layout.t -> Target.Asm.t -> int list
 (** The whole (loop-free) program as instruction words.

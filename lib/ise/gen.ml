@@ -42,18 +42,34 @@ let is_store (t : Transfer.t) =
 let store_of (t : Transfer.t) =
   Target.Machine.store_instr ~words:t.words ~cycles:t.cycles t.name
 
+(* An immediate-load transfer [r <- imm]: [load_imm t r ctx k] loads [k]
+   into a fresh register of class [r].  Its rule's emitter and the
+   machine's [store] both use it. *)
+let load_imm (t : Transfer.t) r ctx k =
+  let v = Target.Machine.fresh_vreg ctx r in
+  Target.Machine.emit ctx
+    (Target.Instr.make t.name ~operands:[ Target.Instr.Imm k ]
+       ~defs:[ Target.Instr.Vreg v ] ~words:t.words ~cycles:t.cycles);
+  v
+
 (* Each register-destination transfer is a rule whose emitter is its
    instruction, and each store a spill chain rule. *)
 let pairs_of_transfers transfers =
   List.filter_map
     (fun (t : Transfer.t) ->
       match t.dest with
-      | Transfer.Dreg r ->
+      | Transfer.Dreg r -> (
         let guard = if has_imm t.expr then Some (imm_guard t.expr) else None in
-        Some
-          (Target.Machine.instr ~words:t.words ~cycles:t.cycles t.name
-             (Burg.Rule.make ?guard ~name:t.name ~lhs:r ~cost:t.words
-                (pattern_of t.expr)))
+        let rule =
+          Burg.Rule.make ?guard ~name:t.name ~lhs:r ~cost:t.words
+            (pattern_of t.expr)
+        in
+        match t.expr with
+        | Transfer.Leaf (Transfer.Imm _) ->
+          Some (rule, Target.Machine.imm_emitter (load_imm t r))
+        | _ ->
+          Some
+            (Target.Machine.instr ~words:t.words ~cycles:t.cycles t.name rule))
       | Transfer.Dmem _ -> (
         match is_store t with
         | Some r ->
@@ -114,14 +130,7 @@ let of_transfers ~name ~description ~registers ?counter ?agu_limit transfers =
   let store =
     Target.Machine.store_with moves store_reg ~imm:(fun ctx k ->
         match ldi_transfer with
-        | Some ldi ->
-          let v = Target.Machine.fresh_vreg ctx store_reg in
-          Target.Machine.emit ctx
-            (Target.Instr.make ldi.Transfer.name
-               ~operands:[ Target.Instr.Imm k ]
-               ~defs:[ Target.Instr.Vreg v ]
-               ~words:ldi.Transfer.words ~cycles:ldi.Transfer.cycles);
-          v
+        | Some ldi -> load_imm ldi store_reg ctx k
         | None -> raise (Unsupported "no immediate-load transfer"))
   in
   (* Executable semantics: interpret the transfer behind each opcode, plus

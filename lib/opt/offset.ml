@@ -15,6 +15,7 @@ let cost ~order accesses =
   in
   go 0 accesses
 
+(* Adjacent-access pair weights of a sequence, heaviest first. *)
 let access_graph accesses =
   let weights = Hashtbl.create 32 in
   let rec go = function

@@ -17,9 +17,6 @@ val cost : order:string list -> string list -> int
     auto-increment/decrement under the given layout order (each costs an
     explicit address load). The first access is free. *)
 
-val access_graph : string list -> ((string * string) * int) list
-(** Adjacent-access pair weights of a sequence, heaviest first. *)
-
 val solve : vars:string list -> string list -> result
 (** Liao's greedy path cover over the access graph of the sequence: edges by
     descending weight, accepted when both endpoints have degree < 2 and no

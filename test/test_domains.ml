@@ -278,8 +278,8 @@ let test_pool_timeout_isolates () =
 
 (* One statement of 4,000 terms, [y = a + b + a + ...]: its rewrites
    rebuild a spine thousands of nodes deep at every position, which ran
-   18 s past a 0.2 s deadline before the rewrite memo, the variant search
-   and the passes polled it. *)
+   18 s past a 0.2 s deadline before the variant search and the passes
+   polled it. *)
 let long_sum terms =
   Dfl.Lower.source
     (Printf.sprintf "program longsum;\ninput a, b;\noutput y;\nbegin\n  y = %s;\nend"

@@ -255,6 +255,137 @@ let test_variants_counters () =
   Alcotest.(check int) "limit caps the closure" 2 (List.length vs2);
   Alcotest.(check bool) "overflow counts as pruned" true (c2.Ir.Algebra.pruned > 0)
 
+(* ---- What a search keeps ------------------------------------------------ *)
+
+(* The statement trees variants.golden pins: the DSPStone kernels' and the
+   seed-42 [sized 8] fuzz corpus's. *)
+let golden_trees =
+  lazy
+    (let of_prog p =
+       List.map (fun (s : Ir.Prog.stmt) -> s.src) (Ir.Prog.stmts p)
+     in
+     List.concat_map
+       (fun k -> of_prog (Dspstone.Kernels.prog k))
+       (Dspstone.Kernels.all @ Dspstone.Kernels.extended)
+     @ List.concat_map
+         (fun (c : Fuzz.Gen.case) -> of_prog c.prog)
+         (Fuzz.Gen.cases ~config:(Fuzz.Gen.sized 8) ~seed:42 ~count:200 ()))
+
+let state_key name =
+  match Driver.Registry.find_machine name with
+  | Ok m -> Burg.Matcher.state_key (Driver.Registry.matcher_for m)
+  | Error e -> Alcotest.fail e
+
+(* A search's output: the variants' ids and the four counters. *)
+let search ?prune_key ~limit h =
+  let c = Ir.Algebra.fresh_counters () in
+  let vs = Ir.Algebra.hvariants ~limit ~counters:c ?prune_key h in
+  ( List.map Ir.Hashcons.id vs,
+    Ir.Algebra.(c.explored, c.pruned, c.dedup_hits, c.state_prunes) )
+
+(* A spawned domain starts with an empty search table. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* Each tree searched under tic25's prune key on a fresh domain equals the
+   same search on a domain that has just searched it under dsp56's: one
+   stored search serves every prune key. *)
+let test_fresh_equals_warm () =
+  let trees = Lazy.force golden_trees in
+  let hs = List.map Ir.Hashcons.intern trees in
+  let tic25 = state_key "tic25" and dsp56 = state_key "dsp56" in
+  let cold =
+    on_fresh_domain (fun () -> List.map (search ~prune_key:tic25 ~limit:512) hs)
+  in
+  let warm =
+    on_fresh_domain (fun () ->
+        List.map
+          (fun h ->
+            ignore (search ~prune_key:dsp56 ~limit:512 h);
+            search ~prune_key:tic25 ~limit:512 h)
+          hs)
+  in
+  List.iteri
+    (fun i (t, (c, w)) ->
+      if c <> w then
+        Alcotest.failf "tree %d, %s: the warm search differs from the cold one"
+          i (Ir.Tree.to_string t))
+    (List.combine trees (List.combine cold warm));
+  Alcotest.(check int) "every tree searched" 1357 (List.length cold)
+
+(* A search the deadline stops stores nothing and leaves the counters
+   alone; the next search of the tree is complete. *)
+let test_expired_search_keeps_nothing () =
+  let v i = Ir.Tree.var (Printf.sprintf "expiring%d" i) in
+  let h =
+    Ir.Hashcons.intern
+      Ir.Tree.(((v 0 + v 1) + (v 2 + v 3)) + ((v 4 + v 5) + (v 6 + v 7)))
+  in
+  (* Tens of milliseconds of search: longer than the deadlines below. *)
+  let limit = 30_000 in
+  let misses () = (Ir.Hashcons.stats ()).Ir.Hashcons.misses in
+  let after =
+    on_fresh_domain (fun () ->
+        (* Until a deadline expires inside the search, not at [within]'s
+           own first poll, which would leave nothing interned. *)
+        let rec expire = function
+          | [] -> Alcotest.fail "no deadline expired inside the search"
+          | seconds :: longer -> (
+            let before = misses () in
+            let c = Ir.Algebra.fresh_counters () in
+            match
+              Ir.Deadline.within seconds (fun () ->
+                  Ir.Algebra.hvariants ~limit ~counters:c h)
+            with
+            | _ -> Alcotest.fail "the search finished inside its deadline"
+            | exception Ir.Deadline.Expired ->
+              if misses () = before then expire longer
+              else
+                Alcotest.(check bool)
+                  "an expired search counts nothing" true
+                  (c = Ir.Algebra.fresh_counters ()))
+        in
+        expire [ 0.002; 0.01; 0.05 ];
+        Alcotest.(check int)
+          "an expired search is not kept" 0
+          (Ir.Algebra.searches_held ());
+        let after = search ~limit h in
+        Alcotest.(check int)
+          "the finished search is kept" 1
+          (Ir.Algebra.searches_held ());
+        after)
+  in
+  let reference = on_fresh_domain (fun () -> search ~limit h) in
+  Alcotest.(check int) "the full closure" limit (List.length (fst after));
+  Alcotest.(check bool) "list and counters of a fresh search" true
+    (after = reference)
+
+(* The table holds the last [max_searches] searches: a kept one is
+   answered without interning anything, a dropped one runs again. *)
+let test_search_table_capped () =
+  let cap = Ir.Algebra.max_searches in
+  let hs =
+    List.init (cap + 50) (fun i ->
+        Ir.Hashcons.intern Ir.Tree.(var "capped" + const i))
+  in
+  let probes () =
+    let s = Ir.Hashcons.stats () in
+    s.Ir.Hashcons.hits + s.Ir.Hashcons.misses
+  in
+  on_fresh_domain (fun () ->
+      List.iteri
+        (fun i h ->
+          ignore (Ir.Algebra.hvariants ~limit:8 h);
+          let held = Ir.Algebra.searches_held () in
+          if held <> min (i + 1) cap then
+            Alcotest.failf "%d searches: %d kept, not %d" (i + 1) held
+              (min (i + 1) cap))
+        hs;
+      let p0 = probes () in
+      ignore (Ir.Algebra.hvariants ~limit:8 (List.nth hs (cap + 49)));
+      Alcotest.(check int) "a kept search interns nothing" p0 (probes ());
+      ignore (Ir.Algebra.hvariants ~limit:8 (List.hd hs));
+      Alcotest.(check bool) "a dropped search runs again" true (probes () > p0))
+
 (* ---- Matcher sharing across variants ------------------------------------ *)
 
 let test_matcher_shares_across_variants () =
@@ -472,6 +603,12 @@ let suites =
         Alcotest.test_case "truncated closures" `Quick test_truncated_closures;
         QCheck_alcotest.to_alcotest prop_variants_prefix_stable;
         Alcotest.test_case "variant counters" `Quick test_variants_counters;
+        Alcotest.test_case "fresh and warm searches agree" `Quick
+          test_fresh_equals_warm;
+        Alcotest.test_case "an expired search keeps nothing" `Quick
+          test_expired_search_keeps_nothing;
+        Alcotest.test_case "the search table keeps its cap" `Quick
+          test_search_table_capped;
       ] );
     ( "hashcons-matcher",
       [

@@ -650,7 +650,8 @@ let long_statement prefix n =
 
 (* An 8x longer program may allocate at most 12x the words (8x is linear).
    Every compilation names its variables after (machine, shape, option set,
-   n), so the rewrite memo and the matcher's labels start cold each time.
+   n), so no kept variant search answers it and the matcher's labels start
+   cold each time.
    Left out until the variant search is linear too: the long statement
    under [record_] (24-55x). *)
 let max_growth = 12.0
